@@ -38,11 +38,6 @@ class Term:
     yp: Fraction
     f: Hyp2F1Params | None = None
 
-    def _fkey(self):
-        if self.f is None:
-            return None
-        return (self.f.alpha, self.f.beta, self.f.gamma)
-
 
 class Expr:
     """Canonicalized sum of Terms."""
@@ -52,13 +47,9 @@ class Expr:
     def __init__(self, terms):
         merged: dict = {}
         for t in terms:
-            key = (t.xp, t.yp, t._fkey())
+            key = (t.xp, t.yp, t.f)
             merged[key] = merged.get(key, 0.0) + t.coef
-        self.terms = tuple(
-            Term(c, k[0], k[1], None if k[2] is None else Hyp2F1Params(*k[2]))
-            for k, c in merged.items()
-            if c != 0.0
-        )
+        self.terms = tuple(Term(c, xp, yp, f) for (xp, yp, f), c in merged.items() if c != 0.0)
 
     @classmethod
     def monomial(cls, coef, xp=0, yp=0, f: Hyp2F1Params | None = None) -> "Expr":

@@ -144,10 +144,9 @@ def cmd_wavefunction(args) -> int:
     return 0
 
 
-def _verify_reports(args) -> list[dict]:
+def _verify_reports(args) -> list[verify.VerificationReport]:
     mass = float(_parse_mass(args.mass))
-    j = args.j if args.j and args.j >= 1 else 1
-    n = args.n if args.n is not None else 0
+    j, n = args.j, args.n
     suites = (
         ("operators", "factorization", "wronskian", "cross", "j0")
         if args.suite == "all"
@@ -162,76 +161,48 @@ def _verify_reports(args) -> list[dict]:
             entry = closedform.spectrum(fam, j, nn, mass)
             K, M = closedform.family_KM_exprs(fam, j, nn)
             p2, a2 = float(entry.p_sq), j * (j + 1)
-            rep = verify.residual_operator_expr(
+            reports.append(verify.residual_operator_expr(
                 operator_K4(p2, a2), K, xg, name=f"operator-K[{fam.value} j={j} n={nn}]"
-            )
-            reports.append(rep.to_dict())
-            rep = verify.residual_operator_expr(
+            ))
+            reports.append(verify.residual_operator_expr(
                 operator_M4(p2, a2), M, xg, name=f"operator-M[{fam.value} j={j} n={nn}]"
-            )
-            reports.append(rep.to_dict())
+            ))
     if "factorization" in suites:
         entry = closedform.spectrum(Family.F1, j, n, mass)
         p2, a2 = float(entry.p_sq), j * (j + 1)
-        rep = verify.factorization_identity(*factor_pair_K(p2, a2), operator_K4(p2, a2))
-        rep.check_name = f"factorization-K[p2={p2:g}]"
-        reports.append(rep.to_dict())
-        rep = verify.factorization_identity(*factor_pair_M(p2, a2), operator_M4(p2, a2))
-        rep.check_name = f"factorization-M[p2={p2:g}]"
-        reports.append(rep.to_dict())
+        reports.append(verify.factorization_identity(
+            *factor_pair_K(p2, a2), operator_K4(p2, a2), name=f"factorization-K[p2={p2:g}]"
+        ))
+        reports.append(verify.factorization_identity(
+            *factor_pair_M(p2, a2), operator_M4(p2, a2), name=f"factorization-M[p2={p2:g}]"
+        ))
     if "wronskian" in suites:
         p = 2.3
         params = ModeParams(m=mass, eps=math.sqrt(p * p + mass * mass))
         basis = closedform.general_basis(j, p, params, np.array([1.0]))
         for x0 in (0.3, 0.6):
             w = verify.wronskian4([b.exprs["K"] for b in basis], x0)
-            reports.append(
-                {
-                    "check_name": f"wronskian[j={j} p={p} x0={x0}]",
-                    "pass": bool(abs(w) > 1e-6),
-                    "max_rel_residual": 1.0 / abs(w) if w else math.inf,
-                    "tolerance": 1e6,
-                    "samples": 1,
-                    "worst_points": [[x0, abs(w)]],
-                }
-            )
+            reports.append(verify.wronskian_report(w, x0, f"wronskian[j={j} p={p} x0={x0}]"))
     if "cross" in suites:
         for fam, nn in fam_n.items():
             entry = closedform.spectrum(fam, j, nn, mass)
             params = ModeParams.from_p_sq(mass, float(entry.p_sq), lambda_sign=args.lam)
-            rep = verify.cross_consistency(fam, QuantumNumbers(j, nn), params)
-            reports.append(rep.to_dict())
+            reports.append(verify.cross_consistency(fam, QuantumNumbers(j, nn), params))
     if "j0" in suites:
         eps = math.sqrt(mass * mass - 1.0 + (2 + n) ** 2)
         params = ModeParams(m=mass, eps=eps, lambda_sign=args.lam)
         grid = np.linspace(0.05, math.pi - 0.05, 101)
-        sol = closedform.wavefunction_j0(n, params, grid)
-        Me, Ne = sol.exprs["M"], sol.exprs["N"]
-        dM = Me.diff_r_half().eval_r_half(grid)
-        dN = Ne.diff_r_half().eval_r_half(grid)
-        m_eff = params.m_eff
-        ct = 1.0 / np.tan(grid)
-        r1 = dM + ct * sol.M + (eps + m_eff) * sol.N
-        r2 = dN - ct * sol.N - (eps - m_eff) * sol.M
-        scale = max(np.abs(sol.M).max(), np.abs(sol.N).max()) * max(abs(eps) + abs(m_eff), 1.0)
-        resid = max(np.max(np.abs(r1)), np.max(np.abs(r2))) / scale
-        reports.append(
-            {
-                "check_name": f"j0-pair[n={n} lambda={args.lam:+d}]",
-                "pass": bool(resid <= 1e-9),
-                "max_rel_residual": float(resid),
-                "tolerance": 1e-9,
-                "samples": len(grid),
-                "worst_points": [],
-            }
-        )
+        reports.append(verify.j0_pair_residual(closedform.wavefunction_j0(n, params, grid)))
     return reports
 
 
 def cmd_verify(args) -> int:
+    if args.suite != "j0" and args.j < 1:
+        print(f"verify: suite {args.suite} needs --j >= 1", file=sys.stderr)
+        return 2
     reports = _verify_reports(args)
-    _write(args.out, _json(reports))
-    return 0 if all(r["pass"] for r in reports) else 1
+    _write(args.out, _json([r.to_dict() for r in reports]))
+    return 0 if all(r.passed for r in reports) else 1
 
 
 def cmd_oracle(args) -> int:
@@ -262,17 +233,10 @@ def cmd_oracle(args) -> int:
     status = 0
     if args.compare:
         if args.j == 0:
-            closed = [
-                closedform.spectrum(Family.J0, 0, n, mass)
-                for n in range(args.n_max + 1)
-                if math.sqrt(float(closedform.spectrum(Family.J0, 0, n, mass).eps_sq)) <= args.eps_max
-            ]
+            closed = [closedform.spectrum(Family.J0, 0, n, mass) for n in range(args.n_max + 1)]
         else:
-            closed = [
-                e
-                for e in closedform.family_levels(args.j, args.n_max, mass)
-                if args.eps_min <= math.sqrt(float(e.eps_sq)) <= args.eps_max
-            ]
+            closed = closedform.family_levels(args.j, args.n_max, mass)
+        closed = [e for e in closed if args.eps_min <= e.eps() <= args.eps_max]
         cmp = oracle.compare_spectra(evs, closed)
         payload["comparison"] = cmp.to_dict()
         status = 0 if cmp.passed else 1
@@ -291,7 +255,7 @@ def cmd_degeneracy(args) -> int:
             p.left[0].value, p.left[1], p.left[2],
             p.right[0].value, p.right[1], p.right[2],
             _fraction_str(p.p_sq),
-            "yes" if p.distinct_wavefunctions else "no",
+            "yes",
             "yes" if (p.left_bound and p.right_bound) else "no",
         ]
         for p in pairs
@@ -316,13 +280,13 @@ def _load_config(path: str) -> dict:
     return out
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and its subcommand parsers by name."""
     ap = argparse.ArgumentParser(prog="dkradial", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, fmt_default):
+    def common(p):
         p.add_argument("--out", default=None, help="output path (default stdout)")
-        p.add_argument("--format", choices=("csv", "json"), default=fmt_default)
         p.add_argument("--config", default=None, help="flat key=value config file; flags win")
 
     p = sub.add_parser("spectrum", help="exact discrete spectrum tables")
@@ -334,7 +298,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-max", type=int, default=0)
     p.add_argument("--mass", default="0")
     p.add_argument("--eps-sign", type=int, choices=(-1, 1), default=1)
-    common(p, "csv")
+    p.add_argument("--format", choices=("csv", "json"), default="csv")
+    common(p)
     p.set_defaults(func=cmd_spectrum)
 
     p = sub.add_parser("wavefunction", help="sampled radial amplitudes")
@@ -346,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta", type=int, choices=(-1, 1), default=1)
     p.add_argument("--eps-sign", type=int, choices=(-1, 1), default=1)
     p.add_argument("--grid", type=int, default=2001)
-    common(p, "csv")
+    common(p)
     p.set_defaults(func=cmd_wavefunction)
 
     p = sub.add_parser("verify", help="closed-form verification suite")
@@ -356,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=0)
     p.add_argument("--mass", default="0")
     p.add_argument("--lambda", dest="lam", type=int, choices=(-1, 1), default=1)
-    common(p, "json")
+    common(p)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("oracle", help="shooting-method eigenvalues")
@@ -370,34 +335,33 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-max", type=int, default=8)
     p.add_argument("--compare", action="store_true",
                    help="match against the closed-form spectra; exit 1 on mismatch")
-    common(p, "json")
+    common(p)
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("degeneracy", help="j-shifted twin level map")
     p.add_argument("--j-max", type=int, required=True)
     p.add_argument("--n-max", type=int, required=True)
-    common(p, "csv")
+    p.add_argument("--format", choices=("csv", "json"), default="csv")
+    common(p)
     p.set_defaults(func=cmd_degeneracy)
-    return ap
+    return ap, sub.choices
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    args, remaining = ap.parse_known_args(argv)
-    if remaining:
-        ap.error(f"unrecognized arguments: {' '.join(remaining)}")
+    ap, commands = build_parser()
+    args = ap.parse_args(argv)
     if args.config:
-        defaults = _load_config(args.config)
-        # Flags win: re-parse with config values as defaults.
-        sub_ap = build_parser()
-        for action in sub_ap._subparsers._group_actions[0].choices[args.command]._actions:
-            if action.dest in defaults:
-                raw = defaults[action.dest]
-                if action.const is not None and not action.type:  # store_true flags
-                    action.default = raw.lower() in ("1", "true", "yes")
-                else:
-                    action.default = action.type(raw) if action.type else raw
-        args = sub_ap.parse_args(argv)
+        # Flags win: config values become the subcommand's defaults for a
+        # second parse, which converts string defaults through each option's
+        # type.  Keys that are no option of this subcommand are ignored.
+        first = vars(args)
+        defaults = {
+            dest: raw.lower() in ("1", "true", "yes") if isinstance(first[dest], bool) else raw
+            for dest, raw in _load_config(args.config).items()
+            if dest in first and dest not in ("command", "func")
+        }
+        commands[args.command].set_defaults(**defaults)
+        args = ap.parse_args(argv)
     if args.command == "spectrum":
         if args.family == "dirac":
             if args.J is None:

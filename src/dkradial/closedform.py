@@ -88,10 +88,6 @@ class SpectrumEntry:
     def eps(self, eps_sign: int = +1) -> float:
         return eps_sign * math.sqrt(float(self.eps_sq))
 
-    @property
-    def p(self) -> float:
-        return math.sqrt(float(self.p_sq))
-
 
 def _p_sq_formula(family: Family, j: Fraction, n: int) -> Fraction:
     if family is Family.F1:
@@ -440,11 +436,12 @@ def assemble_components(K: float, L: float, M: float, N: float,
 
 @dataclass(frozen=True)
 class DegeneratePair:
+    """Two states of identical energy built by different constructors, so
+    their wavefunctions are always distinct."""
+
     left: tuple[Family, int, int]
     right: tuple[Family, int, int]
     p_sq: Fraction
-    # Identical energy, different wavefunctions (distinct constructors).
-    distinct_wavefunctions: bool = True
     left_bound: bool = True
     right_bound: bool = True
 
@@ -462,11 +459,13 @@ def degeneracy_map(j_max: int, n_max: int) -> list[DegeneratePair]:
         for n in range(n_max):
             p1 = _p_sq_formula(Family.F1, Fraction(j), n)
             p2 = _p_sq_formula(Family.F2, Fraction(j + 1), n)
-            assert p1 == p2
+            if p1 != p2:
+                raise ArithmeticError(f"f1(j={j}) and f2(j={j + 1}) differ at n={n}: {p1} != {p2}")
             pairs.append(DegeneratePair((Family.F1, j, n), (Family.F2, j + 1, n), p1))
             p4 = _p_sq_formula(Family.F4, Fraction(j), n)
             p3 = _p_sq_formula(Family.F3, Fraction(j + 1), n)
-            assert p4 == p3
+            if p4 != p3:
+                raise ArithmeticError(f"f4(j={j}) and f3(j={j + 1}) differ at n={n}: {p4} != {p3}")
             pairs.append(
                 DegeneratePair(
                     (Family.F4, j, n),

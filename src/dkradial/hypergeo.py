@@ -167,18 +167,13 @@ def gauss_2f1(params: Hyp2F1Params, x: float) -> float:
 
 
 def gauss_2f1_derivative(params: Hyp2F1Params, x: float, order: int) -> float:
-    """k-th derivative of 2F1 at x, order in {1, 2, 3}.
+    """order-th derivative of 2F1 at x, for any integer order >= 0.
 
     Uses the contiguous relation recursively; accuracy inherits from
     gauss_2f1.
     """
-    if order not in (1, 2, 3):
-        raise ValueError(f"order={order} not in 1..3")
-    return _derivative_any_order(params, x, order)
-
-
-def _derivative_any_order(params: Hyp2F1Params, x: float, order: int) -> float:
-    # Internal: no cap on the order (the amplitude algebra needs up to 5).
+    if order < 0:
+        raise ValueError(f"order={order} must be non-negative")
     a, b, c = params.alpha, params.beta, params.gamma
     scale = _poch(a, order) * _poch(b, order) / _poch(c, order)
     if scale == 0.0:

@@ -191,7 +191,6 @@ class FirstOrderSystem:
 
     dim: int
     matrix: Callable[[float], np.ndarray]
-    singular_points: tuple[float, float] = (0.0, math.pi)
     state: tuple[str, ...] = ()
 
 

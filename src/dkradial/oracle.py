@@ -32,19 +32,21 @@ __all__ = [
 ]
 
 FROBENIUS_TERMS = 5
+# Integrator tolerances: the sign-change scan runs loose, root refinement tight.
+INTEGRATOR_RTOL = 1e-10
+INTEGRATOR_ATOL = 1e-13
+SCAN_RTOL = 1e-8
+METHOD = "DOP853"
+BISECT_XTOL = 1e-10
+# Smallest/largest singular value above this flags a weak singularity.
+DET_TOLERANCE = 1e-8
 
 
 @dataclass(frozen=True)
 class ShootingConfig:
     r_start_offset: float = 1e-3
-    integrator_rtol: float = 1e-10
-    integrator_atol: float = 1e-13
-    scan_rtol: float = 1e-8
     eps_scan: tuple[float, float, float] = (0.1, 5.0, 0.02)
     match_point: float = math.pi / 2
-    det_tolerance: float = 1e-8
-    bisect_xtol: float = 1e-10
-    method: str = "DOP853"
 
     def __post_init__(self):
         lo, hi, step = self.eps_scan
@@ -131,7 +133,7 @@ def _j0_boundary_value(eps_vec: np.ndarray, m: float, config: ShootingConfig,
     t_eval = np.linspace(r0, math.pi - r0, 200) if count_nodes else None
     sol = solve_ivp(
         _j0_rhs_factory(p_sq), (r0, math.pi - r0), y0,
-        rtol=rtol, atol=config.integrator_atol, method=config.method, t_eval=t_eval,
+        rtol=rtol, atol=INTEGRATOR_ATOL, method=METHOD, t_eval=t_eval,
     )
     if not sol.success:
         raise RuntimeError(f"integration failed: {sol.message}")
@@ -161,7 +163,7 @@ def shoot_j0(m: float, lambda_sign: int = +1, config: ShootingConfig | None = No
     lo, hi, step = config.eps_scan
     eps_grid = np.arange(lo, hi + step, step)
     eps_grid = eps_grid[eps_grid <= hi + 1e-12]
-    vals = _j0_boundary_value(eps_grid, m, config, config.scan_rtol)
+    vals = _j0_boundary_value(eps_grid, m, config, SCAN_RTOL)
     out = []
     for i in range(len(eps_grid) - 1):
         if not (np.isfinite(vals[i]) and np.isfinite(vals[i + 1])):
@@ -169,10 +171,10 @@ def shoot_j0(m: float, lambda_sign: int = +1, config: ShootingConfig | None = No
         if np.sign(vals[i]) == np.sign(vals[i + 1]):
             continue
         root = brentq(
-            lambda e: float(_j0_boundary_value(e, m, config, config.integrator_rtol)[0]),
-            eps_grid[i], eps_grid[i + 1], xtol=config.bisect_xtol,
+            lambda e: float(_j0_boundary_value(e, m, config, INTEGRATOR_RTOL)[0]),
+            eps_grid[i], eps_grid[i + 1], xtol=BISECT_XTOL,
         )
-        _, nodes = _j0_boundary_value(np.array([root]), m, config, config.integrator_rtol, count_nodes=True)
+        _, nodes = _j0_boundary_value(np.array([root]), m, config, INTEGRATOR_RTOL, count_nodes=True)
         out.append(
             OracleEigenvalue(
                 eps=root, p_sq=root * root - m * m, j=0,
@@ -278,7 +280,7 @@ def _match_matrix_batch(eps_vec: np.ndarray, m: float, j: int, config: ShootingC
         cols_init[:, :, i] = _frobenius_initial(j, e, m, r0)
     sol = solve_ivp(
         rhs, (r0, mp), cols_init.reshape(-1),
-        rtol=rtol, atol=config.integrator_atol, method=config.method,
+        rtol=rtol, atol=INTEGRATOR_ATOL, method=METHOD,
     )
     if not sol.success:
         raise RuntimeError(f"left integration failed: {sol.message}")
@@ -289,7 +291,7 @@ def _match_matrix_batch(eps_vec: np.ndarray, m: float, j: int, config: ShootingC
     cols_init_r = cols_init * MIRROR[:, None, None]
     sol = solve_ivp(
         rhs, (math.pi - r0, mp), cols_init_r.reshape(-1),
-        rtol=rtol, atol=config.integrator_atol, method=config.method,
+        rtol=rtol, atol=INTEGRATOR_ATOL, method=METHOD,
     )
     if not sol.success:
         raise RuntimeError(f"right integration failed: {sol.message}")
@@ -329,14 +331,14 @@ def shoot_j(m: float, j: int, lambda_sign: int = +1, config: ShootingConfig | No
     # small window around it where the regular-space columns degenerate.
     eps_grid = eps_grid[np.abs(eps_grid - abs(m_eff)) > 1e-6]
 
-    def scan(rtol):
-        return _normalized_det(_match_matrix_batch(eps_grid, m_eff, j, config, rtol))
+    def scan():
+        return _normalized_det(_match_matrix_batch(eps_grid, m_eff, j, config, SCAN_RTOL))
 
     try:
-        dets = scan(config.scan_rtol)
+        dets = scan()
     except RuntimeError:
         config = replace(config, r_start_offset=config.r_start_offset / 2)
-        dets = scan(config.scan_rtol)
+        dets = scan()
 
     out = []
     for i in range(len(eps_grid) - 1):
@@ -345,14 +347,14 @@ def shoot_j(m: float, j: int, lambda_sign: int = +1, config: ShootingConfig | No
         if np.sign(dets[i]) == np.sign(dets[i + 1]):
             continue
         root = brentq(
-            lambda e: _det_at(e, m_eff, j, config, config.integrator_rtol),
-            eps_grid[i], eps_grid[i + 1], xtol=config.bisect_xtol,
+            lambda e: _det_at(e, m_eff, j, config, INTEGRATOR_RTOL),
+            eps_grid[i], eps_grid[i + 1], xtol=BISECT_XTOL,
         )
-        mats = _match_matrix_batch(np.array([root]), m_eff, j, config, config.integrator_rtol)
+        mats = _match_matrix_batch(np.array([root]), m_eff, j, config, INTEGRATOR_RTOL)
         norms = np.linalg.norm(mats[0], axis=0)
         sv = np.linalg.svd(mats[0] / np.where(norms > 0, norms, 1.0), compute_uv=False)
         flags = []
-        if sv[0] > 0 and sv[-1] / sv[0] > config.det_tolerance:
+        if sv[0] > 0 and sv[-1] / sv[0] > DET_TOLERANCE:
             flags.append("weak-singularity")
         multiplicity = 2 if sv[0] > 0 and sv[-2] / sv[0] < 1e-6 else 1
         out.append(

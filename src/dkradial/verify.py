@@ -1,5 +1,6 @@
 """Numerical verification: operator residuals, factorization identity,
-Wronskian independence, and cross-consistency between representations.
+Wronskian independence, cross-consistency between representations and the
+j=0 pair residual.  Every check returns a VerificationReport.
 
 Residuals are normalized by the largest participating term, not by the
 solution value, because the solutions vanish at the interval endpoints.
@@ -19,6 +20,7 @@ from .closedform import (
     Family,
     ModeParams,
     QuantumNumbers,
+    RadialSolution,
     companion_from_relation,
     family_KM_exprs,
     spectrum,
@@ -32,7 +34,9 @@ __all__ = [
     "residual_operator",
     "factorization_identity",
     "wronskian4",
+    "wronskian_report",
     "cross_consistency",
+    "j0_pair_residual",
     "default_battery",
     "fd_derivatives",
 ]
@@ -51,7 +55,7 @@ class VerificationReport:
 
     @property
     def passed(self) -> bool:
-        return self.max_rel_residual <= self.tolerance
+        return self.max_rel_residual < self.tolerance
 
     def to_dict(self) -> dict:
         return {
@@ -180,7 +184,8 @@ def compose_apply(outer: LinearDifferentialOperator, inner: LinearDifferentialOp
 
 def factorization_identity(outer: LinearDifferentialOperator, inner: LinearDifferentialOperator,
                            direct: LinearDifferentialOperator, battery=None, x=None,
-                           tolerance: float = 1e-10) -> VerificationReport:
+                           tolerance: float = 1e-10,
+                           name: str = "factorization-identity") -> VerificationReport:
     """Compare x^2 * (outer o inner) phi against (direct) phi pointwise.
 
     The x^2 factor restores the direct operator's leading coefficient; the
@@ -200,7 +205,7 @@ def factorization_identity(outer: LinearDifferentialOperator, inner: LinearDiffe
         rep = _report(f"factorization[{fn.name}]", x, composed - straight, scale, tolerance)
         if worst is None or rep.max_rel_residual > worst.max_rel_residual:
             worst = rep
-    worst.check_name = "factorization-identity"
+    worst.check_name = name
     return worst
 
 
@@ -213,21 +218,33 @@ def wronskian4(solutions, x0: float) -> float:
     then each solution column to unit sup.  Both scalings preserve
     "zero iff linearly dependent".
 
-    solutions: four objects with .derivative_column(x0, 3) (Expr works), or
-    four ready-made columns.
+    solutions: four objects with .derivative_column(x0, 3), e.g. Expr.
     """
     if not 0.05 <= x0 <= 0.95:
         raise ValueError("x0 must sit at least 0.05 away from the endpoints")
-    cols = []
-    for s in solutions:
-        col = s.derivative_column(x0, 3) if hasattr(s, "derivative_column") else np.asarray(s, dtype=float)
-        cols.append(col)
-    mat = np.array(cols).T
+    mat = np.array([s.derivative_column(x0, 3) for s in solutions]).T
     row_sup = np.abs(mat).max(axis=1, keepdims=True)
     mat = mat / np.where(row_sup > 0, row_sup, 1.0)
     col_sup = np.abs(mat).max(axis=0, keepdims=True)
     mat = mat / np.where(col_sup > 0, col_sup, 1.0)
     return float(np.linalg.det(mat))
+
+
+def wronskian_report(w: float, x0: float, name: str) -> VerificationReport:
+    """Independence report for a wronskian4 determinant w taken at x0.
+
+    The residual is 1/|w| against a tolerance of 1e6, so the check passes
+    exactly when |w| > 1e-6; the worst point records (x0, |w|).
+    """
+    inv = 1.0 / abs(w) if w else math.inf
+    return VerificationReport(
+        check_name=name,
+        max_abs_residual=inv,
+        max_rel_residual=inv,
+        sample_count=1,
+        tolerance=1e6,
+        details=[(x0, abs(w))],
+    )
 
 
 def cross_consistency(family: Family, qn: QuantumNumbers, params: ModeParams,
@@ -262,6 +279,25 @@ def cross_consistency(family: Family, qn: QuantumNumbers, params: ModeParams,
         tolerance=tolerance,
         details=rep.details,
     )
+
+
+def j0_pair_residual(sol: RadialSolution) -> VerificationReport:
+    """Residual of the j=0 first-order pair for a wavefunction_j0 solution.
+
+    M' + M/tan r + (eps+m) N = 0 and N' - N/tan r - (eps-m) M = 0 on the
+    solution's r-grid, both rows scaled by one solution-wide magnitude.
+    """
+    r = sol.grid
+    eps, m_eff = sol.params.eps, sol.params.m_eff
+    dM = sol.exprs["M"].diff_r_half().eval_r_half(r)
+    dN = sol.exprs["N"].diff_r_half().eval_r_half(r)
+    ct = 1.0 / np.tan(r)
+    r1 = dM + ct * sol.M + (eps + m_eff) * sol.N
+    r2 = dN - ct * sol.N - (eps - m_eff) * sol.M
+    scale = max(np.abs(sol.M).max(), np.abs(sol.N).max()) * max(abs(eps) + abs(m_eff), 1.0)
+    name = f"j0-pair[n={sol.qn.n} lambda={sol.params.lambda_sign:+d}]"
+    resid = np.maximum(np.abs(r1), np.abs(r2))
+    return _report(name, r, resid, np.full_like(r, scale), 1e-9)
 
 
 def _system_residual(sol) -> tuple[np.ndarray, np.ndarray]:

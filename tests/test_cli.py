@@ -106,6 +106,47 @@ class TestExitCodes:
         reports = json.loads(proc.stdout)
         assert all(r["pass"] for r in reports)
 
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--suite", "factorization"],
+        ["wavefunction", "--family", "j0", "--n", "0", "--grid", "5"],
+        ["oracle", "--j", "0", "--eps-min", "1.6", "--eps-max", "1.85"],
+    ])
+    def test_format_only_on_table_commands(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--format", "json"])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("j", ["0", "-1"])
+    def test_verify_needs_j_at_least_one(self, j, capsys):
+        assert main(["verify", "--suite", "factorization", "--j", j]) == 2
+        assert main(["verify", "--j", j]) == 2
+        code, out = run_main(["verify", "--suite", "j0", "--j", j], capsys)
+        assert code == 0 and json.loads(out)[0]["check_name"] == "j0-pair[n=0 lambda=+1]"
+
+    def test_readme_verify_report(self, capsys):
+        code, out = run_main(["verify", "--suite", "all", "--j", "1", "--n", "0", "--mass", "0"], capsys)
+        assert code == 0
+        reports = json.loads(out)
+        assert [r["check_name"] for r in reports] == [
+            *(f"operator-{km}[{f} j=1 n={n}]" for f, n in (("f1", 0), ("f2", 0), ("f3", 1), ("f4", 0))
+              for km in "KM"),
+            "factorization-K[p2=8]", "factorization-M[p2=8]",
+            "wronskian[j=1 p=2.3 x0=0.3]", "wronskian[j=1 p=2.3 x0=0.6]",
+            "cross-consistency[f1 j=1 n=0]", "cross-consistency[f2 j=1 n=0]",
+            "cross-consistency[f3 j=1 n=1]", "cross-consistency[f4 j=1 n=0]",
+            "j0-pair[n=0 lambda=+1]",
+        ]
+        assert all(r["pass"] is True for r in reports)
+        assert reports[-1]["worst_points"]
+
+    def test_oracle_j0_compare_honours_eps_min(self, capsys):
+        code, out = run_main(
+            ["oracle", "--j", "0", "--mass", "0", "--eps-min", "3", "--eps-max", "5",
+             "--eps-step", "0.05", "--compare"], capsys,
+        )
+        cmp = json.loads(out)["comparison"]
+        assert code == 0 and cmp["unmatched_closed"] == [] and len(cmp["matched"]) == 2
+
     def test_oracle_mismatch_is_exit_one(self):
         # Closed-form list truncated below what the scan finds -> the extra
         # oracle eigenvalue has no partner.
@@ -149,6 +190,39 @@ class TestConfigFile:
         )
         rows = [l for l in out.splitlines() if l and not l.startswith("#")][1:]
         assert len(rows) == 1
+
+    def test_config_numeric_key_uses_option_type(self, tmp_path, capsys):
+        cfg = tmp_path / "run.conf"
+        cfg.write_text("eps-sign=-1\n")
+        code, out = run_main(
+            ["spectrum", "--family", "j0", "--n-max", "0", "--mass", "1", "--config", str(cfg)], capsys
+        )
+        assert code == 0 and "# eps_sign=-1" in out
+        rows = [l for l in out.splitlines() if l and not l.startswith("#")][1:]
+        assert float(rows[0].split(",")[5]) == pytest.approx(-2.0)
+
+    def test_config_keys_of_other_commands_ignored(self, tmp_path, capsys):
+        cfg = tmp_path / "run.conf"
+        cfg.write_text("grid=5\ncompare=true\nsuite=j0\ncommand=oracle\nfunc=x\n")
+        code, out = run_main(
+            ["spectrum", "--family", "f1", "--j", "1", "--config", str(cfg)], capsys
+        )
+        assert code == 0
+        rows = [l for l in out.splitlines() if l and not l.startswith("#")][1:]
+        assert [r.split(",")[3] for r in rows] == ["8"]
+
+    @pytest.mark.parametrize("value,flag,compared", [
+        ("false", [], False),
+        ("true", [], True),
+        ("false", ["--compare"], True),
+    ])
+    def test_config_bool_flag(self, tmp_path, capsys, value, flag, compared):
+        cfg = tmp_path / "run.conf"
+        cfg.write_text(f"compare={value}\neps-min=1.6\neps-max=1.85\neps-step=0.05\n")
+        code, out = run_main(["oracle", "--j", "0", "--config", str(cfg), *flag], capsys)
+        payload = json.loads(out)
+        assert code == 0 and len(payload["eigenvalues"]) == 1
+        assert ("comparison" in payload) is compared
 
 
 class TestRoundTrip:

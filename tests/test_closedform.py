@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dkradial import closedform
 from dkradial.closedform import (
     DegeneratePair,
     EliminationSingularError,
@@ -288,6 +289,18 @@ class TestDegeneracyMap:
         assert all(not p.right_bound for p in low)
         rest = [p for p in pairs if p.left[0] is Family.F4 and p.left[2] >= 1]
         assert all(p.right_bound for p in rest)
+
+    @pytest.mark.parametrize("shifted", [Family.F2, Family.F3])
+    def test_broken_identity_raises(self, monkeypatch, shifted):
+        """The twin identity is checked by a raised error, which python -O keeps."""
+        formula = closedform._p_sq_formula
+
+        def broken(family, j, n):
+            return formula(family, j, n) + (1 if family is shifted else 0)
+
+        monkeypatch.setattr(closedform, "_p_sq_formula", broken)
+        with pytest.raises(ArithmeticError):
+            degeneracy_map(2, 1)
 
 
 class TestFamilyLevels:

@@ -74,9 +74,18 @@ class TestDerivatives:
     def test_derivative_beyond_termination_is_zero(self):
         assert gauss_2f1_derivative(Hyp2F1Params(-1, 3, 1.5), 0.3, 2) == 0.0
 
-    def test_order_validation(self):
+    @pytest.mark.parametrize("order", [0, 4, 5])
+    @pytest.mark.parametrize("x", [0.12, 0.63])
+    def test_any_order_binomial(self, order, x):
+        # F(a, b; b; x) = (1-x)^-a, so its k-th derivative is (a)_k (1-x)^(-a-k)
+        a = 0.7
+        exact = math.prod(a + i for i in range(order)) * (1 - x) ** (-a - order)
+        got = gauss_2f1_derivative(Hyp2F1Params(a, 2.3, 2.3), x, order)
+        assert got == pytest.approx(exact, rel=1e-12)
+
+    def test_negative_order_rejected(self):
         with pytest.raises(ValueError):
-            gauss_2f1_derivative(Hyp2F1Params(1, 1, 2), 0.3, 4)
+            gauss_2f1_derivative(Hyp2F1Params(1, 1, 2), 0.3, -1)
 
 
 class TestErrors:

@@ -1,8 +1,18 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
 from dkradial._exprs import hyp_expr
-from dkradial.closedform import Family, ModeParams, QuantumNumbers, general_basis, spectrum
+from dkradial.closedform import (
+    Family,
+    ModeParams,
+    QuantumNumbers,
+    general_basis,
+    spectrum,
+    wavefunction_j0,
+)
 from dkradial.model import factor_pair_K, factor_pair_M, operator_K4, operator_M4
 from dkradial.verify import (
     chebyshev_grid,
@@ -10,9 +20,11 @@ from dkradial.verify import (
     default_battery,
     factorization_identity,
     fd_derivatives,
+    j0_pair_residual,
     residual_operator,
     residual_operator_expr,
     wronskian4,
+    wronskian_report,
 )
 from dkradial.closedform import family_KM_exprs
 
@@ -124,6 +136,34 @@ class TestWronskian:
         basis = general_basis(1, 2.3, ModeParams(m=0.0, eps=2.3), np.array([1.0]))
         with pytest.raises(ValueError):
             wronskian4([b.exprs["K"] for b in basis], 0.01)
+
+    def test_report_threshold(self):
+        """Passes exactly when |w| > 1e-6."""
+        assert not wronskian_report(1e-6, 0.3, "w").passed
+        assert wronskian_report(math.nextafter(1e-6, 1), 0.3, "w").passed
+        assert wronskian_report(-1e-3, 0.3, "w").passed
+        zero = wronskian_report(0.0, 0.3, "w")
+        assert not zero.passed and zero.max_rel_residual == math.inf
+        assert wronskian_report(0.25, 0.6, "w").to_dict()["worst_points"] == [[0.6, 0.25]]
+
+
+class TestJ0Pair:
+    def solution(self, lam):
+        eps = math.sqrt(1.0 - 1.0 + 3.0**2)  # m=1, n=1
+        grid = np.linspace(0.05, math.pi - 0.05, 101)
+        return wavefunction_j0(1, ModeParams(m=1.0, eps=eps, lambda_sign=lam), grid)
+
+    @pytest.mark.parametrize("lam", [1, -1])
+    def test_on_spectrum_passes(self, lam):
+        rep = j0_pair_residual(self.solution(lam))
+        assert rep.passed and rep.max_rel_residual < 1e-12
+        assert rep.sample_count == 101 and len(rep.details) == 3
+        assert rep.check_name == f"j0-pair[n=1 lambda={lam:+d}]"
+
+    def test_perturbed_amplitude_fails(self):
+        sol = self.solution(1)
+        rep = j0_pair_residual(dataclasses.replace(sol, M=sol.M * 1.01))
+        assert not rep.passed
 
 
 class TestCrossConsistency:
