@@ -215,6 +215,15 @@ def cmd_oracle(args) -> int:
         evs = oracle.shoot_j0(mass, args.lam, cfg)
     else:
         evs = oracle.shoot_j(mass, args.j, args.lam, cfg)
+    comparison = None
+    if args.compare:
+        if args.j == 0:
+            closed = [closedform.spectrum(Family.J0, 0, n, mass) for n in range(args.n_max + 1)]
+        else:
+            closed = closedform.family_levels(args.j, args.n_max, mass)
+        closed = [e for e in closed if args.eps_min <= e.eps() <= args.eps_max]
+        # Matching fills in each eigenvalue's matched_family_guess.
+        comparison = oracle.compare_spectra(evs, closed)
     payload = {
         "j": args.j,
         "mass": mass,
@@ -230,18 +239,10 @@ def cmd_oracle(args) -> int:
             for e in evs
         ],
     }
-    status = 0
-    if args.compare:
-        if args.j == 0:
-            closed = [closedform.spectrum(Family.J0, 0, n, mass) for n in range(args.n_max + 1)]
-        else:
-            closed = closedform.family_levels(args.j, args.n_max, mass)
-        closed = [e for e in closed if args.eps_min <= e.eps() <= args.eps_max]
-        cmp = oracle.compare_spectra(evs, closed)
-        payload["comparison"] = cmp.to_dict()
-        status = 0 if cmp.passed else 1
+    if comparison is not None:
+        payload["comparison"] = comparison.to_dict()
     _write(args.out, _json(payload))
-    return status
+    return 0 if comparison is None or comparison.passed else 1
 
 
 def cmd_degeneracy(args) -> int:

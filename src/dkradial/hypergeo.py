@@ -49,36 +49,24 @@ def _nonpositive_int(v: float) -> bool:
 class Hyp2F1Params:
     """Parameter triple (alpha, beta, gamma) of 2F1.
 
-    ``terminating`` is derived: true when alpha or beta is a non-positive
-    integer, in which case the series is a polynomial of degree
-    -alpha (or -beta, whichever terminates first).
+    ``terminating`` and ``degree`` are derived: the series terminates when
+    alpha or beta is a non-positive integer, and is then a polynomial of
+    degree -alpha (or -beta, whichever terminates first); otherwise
+    ``degree`` is None.
     """
 
     alpha: float
     beta: float
     gamma: float
     terminating: bool = field(init=False)
+    degree: int | None = field(init=False)
 
     def __post_init__(self):
         if _nonpositive_int(self.gamma):
             raise ValueError(f"gamma={self.gamma} must not be a non-positive integer")
-        object.__setattr__(
-            self,
-            "terminating",
-            _nonpositive_int(self.alpha) or _nonpositive_int(self.beta),
-        )
-
-    @property
-    def degree(self) -> int | None:
-        """Polynomial degree of a terminating series, else None."""
-        if not self.terminating:
-            return None
-        cands = []
-        if _nonpositive_int(self.alpha):
-            cands.append(int(-self.alpha))
-        if _nonpositive_int(self.beta):
-            cands.append(int(-self.beta))
-        return min(cands)
+        degrees = [int(-v) for v in (self.alpha, self.beta) if _nonpositive_int(v)]
+        object.__setattr__(self, "terminating", bool(degrees))
+        object.__setattr__(self, "degree", min(degrees) if degrees else None)
 
     def raised(self, k: int) -> "Hyp2F1Params":
         """Parameters of the k-th contiguous derivative."""

@@ -13,9 +13,8 @@ coefficient tables exist for them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Callable
 
 import numpy as np
 
@@ -25,6 +24,8 @@ __all__ = [
     "RationalCoefficient",
     "LinearDifferentialOperator",
     "FirstOrderSystem",
+    "SYSTEM_J",
+    "SYSTEM_J0",
     "system_j0",
     "system_j",
     "operator_K4",
@@ -185,13 +186,48 @@ class LinearDifferentialOperator:
         return LinearDifferentialOperator(self.order, tuple(coeffs))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FirstOrderSystem:
-    """dY/dr = A(r) Y with simple poles at r=0 and r=pi at worst."""
+    """dY/dr = A(r) Y with A(r) = eps E + m U + (a/sin r) S + (cot r) T.
 
-    dim: int
-    matrix: Callable[[float], np.ndarray]
-    state: tuple[str, ...] = ()
+    E, U, S and T are constant matrices with entries in {0, +-1}; SYSTEM_J
+    and SYSTEM_J0 hold the two sets with eps = m = a = 0, and system_j /
+    system_j0 fill in the parameters.  m is the effective mass, so the
+    lambda = -1 branch is m -> -m.  A(r) has simple poles at r=0 and r=pi.
+    """
+
+    state: tuple[str, ...]
+    E: np.ndarray
+    U: np.ndarray
+    S: np.ndarray
+    T: np.ndarray
+    eps: float | np.ndarray = 0.0
+    m: float = 0.0
+    a: float = 0.0
+
+    def matrix(self, r) -> np.ndarray:
+        """A(r), stacked over the broadcast shape of eps and r: (..., n, n)."""
+        eps, inv_sin, cot = (
+            np.asarray(w)[..., None, None] for w in (self.eps, self.a * (1.0 / np.sin(r)), 1.0 / np.tan(r))
+        )
+        return eps * self.E + self.m * self.U + inv_sin * self.S + cot * self.T
+
+
+SYSTEM_J = FirstOrderSystem(
+    state=("K", "L", "M", "N"),
+    E=np.array([[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]], dtype=float),
+    U=np.array([[0, -1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, -1], [0, 0, -1, 0]], dtype=float),
+    S=np.array([[0, 0, -1, 0], [0, 0, 0, 1], [-1, 0, 0, 0], [0, 1, 0, 0]], dtype=float),
+    T=np.diag([0.0, 0.0, -1.0, 1.0]),
+)
+
+SYSTEM_J0 = FirstOrderSystem(
+    state=("M", "N"),
+    E=np.array([[0, -1], [1, 0]], dtype=float),
+    U=np.array([[0, -1], [-1, 0]], dtype=float),
+    S=np.zeros((2, 2)),
+    T=np.diag([-1.0, 1.0]),
+)
 
 
 def system_j0(params: ModeParams) -> FirstOrderSystem:
@@ -200,35 +236,22 @@ def system_j0(params: ModeParams) -> FirstOrderSystem:
     For lambda=+1:  M' = -M/tan r - (eps+m) N,  N' = N/tan r + (eps-m) M.
     lambda=-1 is the same with m -> -m.
     """
-    eps, m = params.eps, params.m_eff
-
-    def matrix(r: float) -> np.ndarray:
-        ct = 1.0 / math.tan(r)
-        return np.array([[-ct, -(eps + m)], [eps - m, ct]])
-
-    return FirstOrderSystem(dim=2, matrix=matrix, state=("M", "N"))
+    return replace(SYSTEM_J0, eps=params.eps, m=params.m_eff)
 
 
 def system_j(params: ModeParams, qn: QuantumNumbers) -> FirstOrderSystem:
-    """The coupled j >= 1 system in state order (K, L, M, N)."""
+    """The coupled j >= 1 system in state order (K, L, M, N), a = sqrt(j(j+1)).
+
+    For lambda=+1:
+        K' = -(eps+m) L - (a/sin r) M
+        L' =  (eps-m) K + (a/sin r) N
+        M' = -(a/sin r) K - (cot r) M - (eps+m) N
+        N' =  (a/sin r) L + (eps-m) M + (cot r) N
+    lambda=-1 is the same with m -> -m.
+    """
     if qn.j < 1:
         raise ValueError("system_j requires j >= 1; use system_j0")
-    eps, m = params.eps, params.m_eff
-    a = qn.a
-
-    def matrix(r: float) -> np.ndarray:
-        s = 1.0 / math.sin(r)
-        ct = 1.0 / math.tan(r)
-        return np.array(
-            [
-                [0.0, -(eps + m), -a * s, 0.0],
-                [eps - m, 0.0, 0.0, a * s],
-                [-a * s, 0.0, -ct, -(eps + m)],
-                [0.0, a * s, eps - m, ct],
-            ]
-        )
-
-    return FirstOrderSystem(dim=4, matrix=matrix, state=("K", "L", "M", "N"))
+    return replace(SYSTEM_J, eps=params.eps, m=params.m_eff, a=qn.a)
 
 
 def operator_K4(p_sq: float, a_sq: float) -> LinearDifferentialOperator:

@@ -1,14 +1,17 @@
 """Eigenvalue recovery straight from the radial ODE systems.
 
 Nothing here touches the closed forms: bound states are located by
-integrating the regular solution spaces inward from both poles of the
-sphere and finding the energies where the matched solution matrix turns
-singular.  Serves as the ground truth the hypergeometric construction is
-checked against.
+integrating the regular solution spaces of model's first-order system
+(SYSTEM_J, the coefficient matrices verify reads too) inward from both
+poles of the sphere and finding the energies where the matched solution
+matrix turns singular.  Serves as the ground truth the hypergeometric
+construction is checked against.
 
 Regular initial data comes from a short Frobenius expansion of each system
-at its pole; the r=pi data is the r=0 data pushed through the reflection
-symmetry (K, L, M, N)(r) -> (K, -L, -M, N)(pi - r) of the coupled system.
+at its pole, built from the Laurent series of 1/sin r and cot r; the r=pi
+data is the r=0 data pushed through the reflection symmetry
+(K, L, M, N)(r) -> (K, -L, -M, N)(pi - r) of the coupled system.  The j=0
+problem is shot through its scalar second-order equation for M.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
 from .closedform import SpectrumEntry
+from .model import SYSTEM_J
 
 __all__ = [
     "ShootingConfig",
@@ -101,6 +105,23 @@ class SpectrumComparison:
         }
 
 
+def _scan_grid(config: ShootingConfig) -> np.ndarray:
+    lo, hi, step = config.eps_scan
+    eps_grid = np.arange(lo, hi + step, step)
+    return eps_grid[eps_grid <= hi + 1e-12]
+
+
+def _roots(eps_grid: np.ndarray, values: np.ndarray, objective):
+    """(bracket, root) for each sign change of the scanned values, in grid
+    order; each root is objective's zero refined by brentq."""
+    for i in range(len(eps_grid) - 1):
+        lo, hi = values[i], values[i + 1]
+        if not (np.isfinite(lo) and np.isfinite(hi)) or np.sign(lo) == np.sign(hi):
+            continue
+        bracket = (float(eps_grid[i]), float(eps_grid[i + 1]))
+        yield bracket, brentq(objective, *bracket, xtol=BISECT_XTOL)
+
+
 # -- j = 0: scalar equation M'' + (eps^2 - m^2 - (1+cos^2 r)/sin^2 r) M = 0 --
 
 def _j0_rhs_factory(p_sq_vec: np.ndarray):
@@ -160,25 +181,16 @@ def shoot_j0(m: float, lambda_sign: int = +1, config: ShootingConfig | None = No
     """
     del lambda_sign  # enters only as m -> -m; the equation depends on m^2
     config = config or ShootingConfig()
-    lo, hi, step = config.eps_scan
-    eps_grid = np.arange(lo, hi + step, step)
-    eps_grid = eps_grid[eps_grid <= hi + 1e-12]
+    eps_grid = _scan_grid(config)
     vals = _j0_boundary_value(eps_grid, m, config, SCAN_RTOL)
     out = []
-    for i in range(len(eps_grid) - 1):
-        if not (np.isfinite(vals[i]) and np.isfinite(vals[i + 1])):
-            continue
-        if np.sign(vals[i]) == np.sign(vals[i + 1]):
-            continue
-        root = brentq(
-            lambda e: float(_j0_boundary_value(e, m, config, INTEGRATOR_RTOL)[0]),
-            eps_grid[i], eps_grid[i + 1], xtol=BISECT_XTOL,
-        )
+    for bracket, root in _roots(
+        eps_grid, vals, lambda e: float(_j0_boundary_value(e, m, config, INTEGRATOR_RTOL)[0])
+    ):
         _, nodes = _j0_boundary_value(np.array([root]), m, config, INTEGRATOR_RTOL, count_nodes=True)
         out.append(
             OracleEigenvalue(
-                eps=root, p_sq=root * root - m * m, j=0,
-                bracket=(float(eps_grid[i]), float(eps_grid[i + 1])),
+                eps=root, p_sq=root * root - m * m, j=0, bracket=bracket,
                 node_count=nodes[0], matched_family_guess="j0",
             )
         )
@@ -190,30 +202,10 @@ def shoot_j0(m: float, lambda_sign: int = +1, config: ShootingConfig | None = No
 
 def _series_matrices(j: int, eps: float, m: float) -> list:
     """A(r) = A_-1/r + A_0 + A_1 r + A_3 r^3 + ... around r=0."""
-    a = math.sqrt(j * (j + 1))
     # 1/sin r = 1/r + r/6 + 7 r^3/360 + ...; cot r = 1/r - r/3 - r^3/45 - ...
-    def block(inv_sin, cot):
-        return np.array(
-            [
-                [0.0, 0.0, -a * inv_sin, 0.0],
-                [0.0, 0.0, 0.0, a * inv_sin],
-                [-a * inv_sin, 0.0, -cot, 0.0],
-                [0.0, a * inv_sin, 0.0, cot],
-            ]
-        )
-
-    A_m1 = block(1.0, 1.0)
-    A_0 = np.array(
-        [
-            [0.0, -(eps + m), 0.0, 0.0],
-            [eps - m, 0.0, 0.0, 0.0],
-            [0.0, 0.0, 0.0, -(eps + m)],
-            [0.0, 0.0, eps - m, 0.0],
-        ]
-    )
-    A_1 = block(1.0 / 6.0, -1.0 / 3.0)
-    A_3 = block(7.0 / 360.0, -1.0 / 45.0)
-    return [A_m1, A_0, A_1, np.zeros((4, 4)), A_3]
+    aS, T = math.sqrt(j * (j + 1)) * SYSTEM_J.S, SYSTEM_J.T
+    A_0 = eps * SYSTEM_J.E + m * SYSTEM_J.U
+    return [aS + T, A_0, aS / 6 - T / 3, np.zeros_like(T), 7 * aS / 360 - T / 45]
 
 
 def _frobenius_initial(j: int, eps: float, m: float, r0: float) -> np.ndarray:
@@ -257,50 +249,32 @@ def _match_matrix_batch(eps_vec: np.ndarray, m: float, j: int, config: ShootingC
     """Stacked 4x4 match matrices [left cols | right cols] at the match point."""
     eps_vec = np.atleast_1d(np.asarray(eps_vec, dtype=float))
     nb = len(eps_vec)
-    a = math.sqrt(j * (j + 1))
-    em_plus = eps_vec + m
-    em_minus = eps_vec - m
+    sysm = replace(SYSTEM_J, eps=eps_vec, m=m, a=math.sqrt(j * (j + 1)))
 
     def rhs(r, y):
-        y = y.reshape(4, 2, nb)
-        s = 1.0 / math.sin(r)
-        ct = 1.0 / math.tan(r)
-        K, L, M, N = y[0], y[1], y[2], y[3]
-        dK = -em_plus * L - a * s * M
-        dL = em_minus * K + a * s * N
-        dM = -a * s * K - ct * M - em_plus * N
-        dN = a * s * L + em_minus * M + ct * N
-        return np.stack([dK, dL, dM, dN]).reshape(-1)
+        return (sysm.matrix(r) @ y.reshape(nb, 4, 2)).reshape(-1)
 
     r0 = config.r_start_offset
     mp = config.match_point
-    cols_left = np.empty((4, 2, nb))
-    cols_init = np.empty((4, 2, nb))
-    for i, e in enumerate(eps_vec):
-        cols_init[:, :, i] = _frobenius_initial(j, e, m, r0)
+    cols_init = np.array([_frobenius_initial(j, e, m, r0) for e in eps_vec])
     sol = solve_ivp(
         rhs, (r0, mp), cols_init.reshape(-1),
         rtol=rtol, atol=INTEGRATOR_ATOL, method=METHOD,
     )
     if not sol.success:
         raise RuntimeError(f"left integration failed: {sol.message}")
-    cols_left = sol.y[:, -1].reshape(4, 2, nb)
+    cols_left = sol.y[:, -1].reshape(nb, 4, 2)
 
     # Mirror construction at r = pi: the reflection symmetry maps the
     # regular space at 0 onto the regular space at pi.
-    cols_init_r = cols_init * MIRROR[:, None, None]
     sol = solve_ivp(
-        rhs, (math.pi - r0, mp), cols_init_r.reshape(-1),
+        rhs, (math.pi - r0, mp), (cols_init * MIRROR[:, None]).reshape(-1),
         rtol=rtol, atol=INTEGRATOR_ATOL, method=METHOD,
     )
     if not sol.success:
         raise RuntimeError(f"right integration failed: {sol.message}")
-    cols_right = sol.y[:, -1].reshape(4, 2, nb)
-
-    out = np.empty((nb, 4, 4))
-    out[:, :, 0:2] = np.moveaxis(cols_left, 2, 0)
-    out[:, :, 2:4] = np.moveaxis(cols_right, 2, 0)
-    return out
+    cols_right = sol.y[:, -1].reshape(nb, 4, 2)
+    return np.concatenate([cols_left, cols_right], axis=2)
 
 
 def _normalized_det(mats: np.ndarray) -> np.ndarray:
@@ -324,9 +298,7 @@ def shoot_j(m: float, j: int, lambda_sign: int = +1, config: ShootingConfig | No
         raise ValueError("shoot_j requires j >= 1; use shoot_j0")
     config = config or ShootingConfig()
     m_eff = lambda_sign * m
-    lo, hi, step = config.eps_scan
-    eps_grid = np.arange(lo, hi + step, step)
-    eps_grid = eps_grid[eps_grid <= hi + 1e-12]
+    eps_grid = _scan_grid(config)
     # The (L, N) elimination scale eps+m never vanishes off eps=|m|; skip a
     # small window around it where the regular-space columns degenerate.
     eps_grid = eps_grid[np.abs(eps_grid - abs(m_eff)) > 1e-6]
@@ -341,15 +313,7 @@ def shoot_j(m: float, j: int, lambda_sign: int = +1, config: ShootingConfig | No
         dets = scan()
 
     out = []
-    for i in range(len(eps_grid) - 1):
-        if not (np.isfinite(dets[i]) and np.isfinite(dets[i + 1])):
-            continue
-        if np.sign(dets[i]) == np.sign(dets[i + 1]):
-            continue
-        root = brentq(
-            lambda e: _det_at(e, m_eff, j, config, INTEGRATOR_RTOL),
-            eps_grid[i], eps_grid[i + 1], xtol=BISECT_XTOL,
-        )
+    for bracket, root in _roots(eps_grid, dets, lambda e: _det_at(e, m_eff, j, config, INTEGRATOR_RTOL)):
         mats = _match_matrix_batch(np.array([root]), m_eff, j, config, INTEGRATOR_RTOL)
         norms = np.linalg.norm(mats[0], axis=0)
         sv = np.linalg.svd(mats[0] / np.where(norms > 0, norms, 1.0), compute_uv=False)
@@ -359,8 +323,7 @@ def shoot_j(m: float, j: int, lambda_sign: int = +1, config: ShootingConfig | No
         multiplicity = 2 if sv[0] > 0 and sv[-2] / sv[0] < 1e-6 else 1
         out.append(
             OracleEigenvalue(
-                eps=root, p_sq=root * root - m * m, j=j,
-                bracket=(float(eps_grid[i]), float(eps_grid[i + 1])),
+                eps=root, p_sq=root * root - m * m, j=j, bracket=bracket,
                 multiplicity=multiplicity, flags=flags,
             )
         )

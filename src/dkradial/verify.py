@@ -26,7 +26,7 @@ from .closedform import (
     spectrum,
     wavefunction_family,
 )
-from .model import LinearDifferentialOperator
+from .model import FirstOrderSystem, LinearDifferentialOperator, system_j, system_j0
 
 __all__ = [
     "VerificationReport",
@@ -284,51 +284,33 @@ def cross_consistency(family: Family, qn: QuantumNumbers, params: ModeParams,
 def j0_pair_residual(sol: RadialSolution) -> VerificationReport:
     """Residual of the j=0 first-order pair for a wavefunction_j0 solution.
 
-    M' + M/tan r + (eps+m) N = 0 and N' - N/tan r - (eps-m) M = 0 on the
-    solution's r-grid, both rows scaled by one solution-wide magnitude.
+    (M, N)' - A(r) (M, N) from system_j0 on the solution's r-grid, both rows
+    scaled by one solution-wide magnitude.
     """
     r = sol.grid
     eps, m_eff = sol.params.eps, sol.params.m_eff
-    dM = sol.exprs["M"].diff_r_half().eval_r_half(r)
-    dN = sol.exprs["N"].diff_r_half().eval_r_half(r)
-    ct = 1.0 / np.tan(r)
-    r1 = dM + ct * sol.M + (eps + m_eff) * sol.N
-    r2 = dN - ct * sol.N - (eps - m_eff) * sol.M
+    dY = [sol.exprs[k].diff_r_half().eval_r_half(r) for k in "MN"]
+    rows, _ = _system_rows(system_j0(sol.params), r, [sol.M, sol.N], dY)
     scale = max(np.abs(sol.M).max(), np.abs(sol.N).max()) * max(abs(eps) + abs(m_eff), 1.0)
     name = f"j0-pair[n={sol.qn.n} lambda={sol.params.lambda_sign:+d}]"
-    resid = np.maximum(np.abs(r1), np.abs(r2))
-    return _report(name, r, resid, np.full_like(r, scale), 1e-9)
+    return _report(name, r, np.abs(rows).max(axis=0), np.full_like(r, scale), 1e-9)
+
+
+def _system_rows(sysm: FirstOrderSystem, r, Y, dY) -> tuple[np.ndarray, np.ndarray]:
+    """Rows dY - A(r) Y of a first-order system on the grid r, and per row
+    the largest participating term."""
+    terms = sysm.matrix(r) * np.transpose(Y)[:, None, :]  # (point, row, column)
+    dY = np.asarray(dY)
+    rows = dY - terms.sum(axis=2).T
+    scales = np.maximum(np.abs(dY), np.abs(terms).max(axis=2).T)
+    return rows, scales
 
 
 def _system_residual(sol) -> tuple[np.ndarray, np.ndarray]:
-    """Pointwise residual rows of the coupled first-order system, stacked."""
-    r = sol.grid
-    eps, m = sol.params.eps, sol.params.m_eff
-    a = sol.qn.a
-    Ke, Le, Me, Ne = (sol.exprs[k] for k in "KLMN")
-    K, L, M, N = sol.K, sol.L, sol.M, sol.N
-    dK = Ke.diff_r_cos2().eval_r_cos2(r)
-    dL = Le.diff_r_cos2().eval_r_cos2(r)
-    dM = Me.diff_r_cos2().eval_r_cos2(r)
-    dN = Ne.diff_r_cos2().eval_r_cos2(r)
-    s, ct = 1.0 / np.sin(r), 1.0 / np.tan(r)
-    rows = np.array(
-        [
-            dK + a * s * M + (eps + m) * L,
-            dL - a * s * N - (eps - m) * K,
-            dM + ct * M + a * s * K + (eps + m) * N,
-            dN - ct * N - a * s * L - (eps - m) * M,
-        ]
-    )
-    scales = np.array(
-        [
-            np.max(np.abs([dK, a * s * M, (eps + m) * L]), axis=0),
-            np.max(np.abs([dL, a * s * N, (eps - m) * K]), axis=0),
-            np.max(np.abs([dM, ct * M, a * s * K, (eps + m) * N]), axis=0),
-            np.max(np.abs([dN, ct * N, a * s * L, (eps - m) * M]), axis=0),
-        ]
-    )
-    # One combined row: worst equation per point.
+    """Pointwise residual of the coupled first-order system: the worst
+    equation at each point, with its term scale."""
+    dY = [sol.exprs[k].diff_r_cos2().eval_r_cos2(sol.grid) for k in "KLMN"]
+    rows, scales = _system_rows(system_j(sol.params, sol.qn), sol.grid, [sol.K, sol.L, sol.M, sol.N], dY)
     rel = np.abs(rows) / np.where(scales > 0, scales, 1.0)
     idx = rel.argmax(axis=0)
     take = np.arange(rows.shape[1])

@@ -147,6 +147,13 @@ class TestExitCodes:
         cmp = json.loads(out)["comparison"]
         assert code == 0 and cmp["unmatched_closed"] == [] and len(cmp["matched"]) == 2
 
+    def test_oracle_compare_fills_family_guess(self, capsys):
+        code, out = run_main(["oracle", "--j", "1", "--mass", "0", "--eps-max", "4.5", "--compare"], capsys)
+        payload = json.loads(out)
+        family = {m["eps_oracle"]: m["family"] for m in payload["comparison"]["matched"]}
+        assert code == 0 and len(family) == len(payload["eigenvalues"]) == 6
+        assert [e["family_guess"] for e in payload["eigenvalues"]] == [family[e["eps"]] for e in payload["eigenvalues"]]
+
     def test_oracle_mismatch_is_exit_one(self):
         # Closed-form list truncated below what the scan finds -> the extra
         # oracle eigenvalue has no partner.

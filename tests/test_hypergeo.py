@@ -1,9 +1,11 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dkradial.closedform import general_basis
 from dkradial.hypergeo import (
     Hyp2F1DegenerateError,
     Hyp2F1DomainError,
@@ -11,6 +13,7 @@ from dkradial.hypergeo import (
     gauss_2f1,
     gauss_2f1_derivative,
 )
+from dkradial.model import ModeParams
 
 
 def hyp2f1_exact(a: Fraction, b: Fraction, c: Fraction, x: Fraction) -> Fraction:
@@ -170,6 +173,47 @@ class TestConnectionConsistency:
         for x in (0.45, 0.55):
             ref = brute_series(p.alpha, p.beta, p.gamma, x, 20000)
             assert gauss_2f1(p, x) == pytest.approx(ref, rel=1e-10)
+
+
+class TestMpmathReference:
+    """Non-terminating paths against mpmath.hyp2f1 at 30 digits."""
+
+    @staticmethod
+    def reference(p: Hyp2F1Params, x: float, order: int = 0) -> float:
+        with mpmath.workdps(30):
+            return float(mpmath.diff(lambda t: mpmath.hyp2f1(p.alpha, p.beta, p.gamma, t), x, order))
+
+    @pytest.mark.parametrize("a,b,c", [(0.3, -2.7, 1.9), (1.0, 0.75, 2.25), (2.5, -1.3, 0.7), (-0.4, 3.1, 2.2)])
+    def test_power_series_and_connection(self, a, b, c):
+        p = Hyp2F1Params(a, b, c)
+        assert not p.terminating
+        for x in (0.1, 0.3, 0.5, 0.6, 0.75, 0.9, 0.97):
+            assert gauss_2f1(p, x) == pytest.approx(self.reference(p, x), rel=1e-13)
+
+    @pytest.mark.parametrize("j", [1, 2])
+    def test_general_basis_parameters_and_derivatives(self, j):
+        sols = general_basis(j, 2.3, ModeParams(m=0.0, eps=2.3), [0.5])
+        params = {t.f for s in sols for k in "KM" for t in s.exprs[k].terms if t.f is not None}
+        assert params and not any(p.terminating for p in params)
+        for p in params:
+            for x0 in (0.3, 0.6):
+                for order in range(4):
+                    ref = self.reference(p, x0, order)
+                    assert gauss_2f1_derivative(p, x0, order) == pytest.approx(ref, rel=1e-12)
+
+    @pytest.mark.parametrize("a,b,c", [(1.0, 1.0, 2.0), (0.25, 0.75, 2.0), (0.5, 0.75, 2.25 + 5e-9)])
+    def test_near_integer_direct_series(self, a, b, c):
+        p = Hyp2F1Params(a, b, c)
+        s = c - a - b
+        assert abs(s - round(s)) <= 1e-8
+        for x in (0.55, 0.7, 0.8, 0.9):
+            assert gauss_2f1(p, x) == pytest.approx(self.reference(p, x), rel=1e-13)
+
+
+def test_degree_is_the_first_termination():
+    assert Hyp2F1Params(-3.0, -5.0, 1.5).degree == 3
+    assert Hyp2F1Params(2.0, -4.0, 1.5).degree == 4
+    assert Hyp2F1Params(0.3, 0.4, 1.1).degree is None
 
 
 @given(

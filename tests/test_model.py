@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -74,6 +75,37 @@ class TestSystems:
     def test_j0_rejected(self):
         with pytest.raises(ValueError):
             system_j(ModeParams(m=0.0, eps=1.0), QuantumNumbers(0, 0))
+
+    @pytest.mark.parametrize("lam", [+1, -1])
+    @pytest.mark.parametrize("r", [0.3, 1.1, 2.6])
+    def test_docstring_equations(self, r, lam):
+        eps, m = 2.3, 0.7
+        params = ModeParams(m=m, eps=eps, lambda_sign=lam)
+        em_plus, em_minus = eps + lam * m, eps - lam * m
+        ct = 1.0 / math.tan(r)
+        np.testing.assert_allclose(
+            system_j0(params).matrix(r), [[-ct, -em_plus], [em_minus, ct]], rtol=1e-15, atol=0
+        )
+        for j in (1, 3):
+            s = math.sqrt(j * (j + 1)) / math.sin(r)
+            expect = [
+                [0.0, -em_plus, -s, 0.0],
+                [em_minus, 0.0, 0.0, s],
+                [-s, 0.0, -ct, -em_plus],
+                [0.0, s, em_minus, ct],
+            ]
+            np.testing.assert_allclose(
+                system_j(params, QuantumNumbers(j, 0)).matrix(r), expect, rtol=1e-15, atol=0
+            )
+
+    def test_matrix_stacks_over_r_and_eps(self):
+        r = np.array([0.3, 1.1, 2.6])
+        sysm = system_j(ModeParams(m=0.7, eps=2.3), QuantumNumbers(2, 0))
+        assert np.array_equal(sysm.matrix(r), [sysm.matrix(float(t)) for t in r])
+        lanes = dataclasses.replace(sysm, eps=np.array([0.5, 2.3]))
+        stacked = lanes.matrix(1.1)
+        assert stacked.shape == (2, 4, 4)
+        assert np.array_equal(stacked[1], sysm.matrix(1.1))
 
 
 class TestOperators:

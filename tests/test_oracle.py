@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from dkradial.closedform import Family, family_levels, spectrum
+from dkradial.model import ModeParams, QuantumNumbers, system_j
 from dkradial.oracle import (
     OracleEigenvalue,
     ShootingConfig,
+    _series_matrices,
     compare_spectra,
     shoot_j,
     shoot_j0,
@@ -86,6 +88,19 @@ class TestShootJ:
         halved = shoot_j0(0.0, +1, ShootingConfig(
             eps_scan=(1.6, 1.85, 0.05), r_start_offset=cfg.r_start_offset / 2))
         assert abs(base[0].eps - halved[0].eps) < 1e-9
+
+
+class TestFrobeniusSeries:
+    @pytest.mark.parametrize("j,lam", [(1, +1), (3, -1)])
+    def test_truncation_error_is_fifth_order(self, j, lam):
+        eps, m = 2.3, 0.7
+        sysm = system_j(ModeParams(m=m, eps=eps, lambda_sign=lam), QuantumNumbers(j, 0))
+        A_m1, A_0, A_1, A_2, A_3 = _series_matrices(j, eps, lam * m)
+        err = [
+            np.abs(A_m1 / r + A_0 + A_1 * r + A_2 * r**2 + A_3 * r**3 - sysm.matrix(r)).max()
+            for r in (2e-2, 1e-2)
+        ]
+        assert 24 < err[0] / err[1] < 40
 
 
 class TestCompare:
