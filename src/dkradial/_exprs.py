@@ -86,12 +86,6 @@ class Expr:
                     out.append(Term(t.coef * fac, t.xp, t.yp, t.f.raised(1)))
         return Expr(out)
 
-    def diff_x(self, order: int) -> "Expr":
-        e = self
-        for _ in range(order):
-            e = e.diff()
-        return e
-
     # d/dr for the two radial charts
     def diff_r_cos2(self) -> "Expr":
         """d/dr under x = cos^2 r (dx/dr = -2 sqrt(x) sqrt(1-x), signed)."""
@@ -108,9 +102,7 @@ class Expr:
         if t.yp != 0:
             v = v * (1.0 - x) ** float(t.yp)
         if t.f is not None:
-            v = v * np.array([gauss_2f1(t.f, xi) for xi in np.atleast_1d(x)]).reshape(
-                np.shape(x)
-            )
+            v = v * gauss_2f1(t.f, x)
         return v
 
     def eval_x(self, x) -> np.ndarray:
@@ -185,9 +177,13 @@ class Expr:
         r = np.asarray(r, dtype=float)
         return self.eval_x((1.0 - np.cos(r)) / 2.0)
 
-    def derivative_column(self, x0: float, upto: int) -> np.ndarray:
-        """[y(x0), y'(x0), ..., y^(upto)(x0)] on the principal chart."""
-        return np.array([self.diff_x(k).eval_x(x0) for k in range(upto + 1)])
+    def derivative_column(self, x, upto: int) -> np.ndarray:
+        """[y(x), y'(x), ..., y^(upto)(x)] on the principal chart; for an
+        array x, row k holds y^(k) on x."""
+        exprs = [self]
+        for _ in range(upto):
+            exprs.append(exprs[-1].diff())
+        return np.array([e.eval_x(x) for e in exprs])
 
 
 def hyp_expr(coef, xp, yp, a, b, c) -> Expr:

@@ -281,9 +281,25 @@ def _load_config(path: str) -> dict:
     return out
 
 
-def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+class _Parser(argparse.ArgumentParser):
+    """ArgumentParser that records, for --config, the destination of each
+    option under its long name with '-' read as '_'."""
+
+    def __init__(self, *args, **kwargs):
+        self.config_keys: dict[str, str] = {}  # set first: __init__ adds --help
+        super().__init__(*args, **kwargs)
+
+    def add_argument(self, *args, **kwargs):
+        action = super().add_argument(*args, **kwargs)
+        for opt in action.option_strings:
+            if opt.startswith("--"):
+                self.config_keys[opt[2:].replace("-", "_")] = action.dest
+        return action
+
+
+def build_parser() -> tuple[argparse.ArgumentParser, dict[str, _Parser]]:
     """The top-level parser and its subcommand parsers by name."""
-    ap = argparse.ArgumentParser(prog="dkradial", description=__doc__)
+    ap = _Parser(prog="dkradial", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
 
     def common(p):
@@ -354,14 +370,16 @@ def main(argv=None) -> int:
     if args.config:
         # Flags win: config values become the subcommand's defaults for a
         # second parse, which converts string defaults through each option's
-        # type.  Keys that are no option of this subcommand are ignored.
+        # type.  A key is an option's long name (or its destination); keys
+        # that are no option of this subcommand are ignored.
         first = vars(args)
-        defaults = {
-            dest: raw.lower() in ("1", "true", "yes") if isinstance(first[dest], bool) else raw
-            for dest, raw in _load_config(args.config).items()
-            if dest in first and dest not in ("command", "func")
-        }
-        commands[args.command].set_defaults(**defaults)
+        parser = commands[args.command]
+        defaults = {}
+        for key, raw in _load_config(args.config).items():
+            dest = parser.config_keys.get(key, key)
+            if dest in first and dest not in ("command", "func"):
+                defaults[dest] = raw.lower() in ("1", "true", "yes") if isinstance(first[dest], bool) else raw
+        parser.set_defaults(**defaults)
         args = ap.parse_args(argv)
     if args.command == "spectrum":
         if args.family == "dirac":

@@ -1,16 +1,20 @@
-"""Gauss hypergeometric function 2F1 on the real interval [0, 1).
+"""Gauss hypergeometric function 2F1 on the real interval [0, 1), at a
+scalar x or on a whole array of x.
 
 Terminating series (a negative-integer upper parameter) are summed exactly by
-Horner's rule.  Non-terminating series use the defining power series for
-x <= 1/2 and the x -> 1-x connection formula beyond, which keeps the number of
-summed terms small on both halves.  Derivatives come from the contiguous
-relation d/dx F(a,b;c;x) = (ab/c) F(a+1,b+1;c+1;x).
+Horner's rule, one pass over the array.  Non-terminating series use the
+defining power series for x <= 1/2 and the x -> 1-x connection formula
+beyond, element by element, which keeps the number of summed terms small.
+Derivatives come from the contiguous relation
+d/dx F(a,b;c;x) = (ab/c) F(a+1,b+1;c+1;x).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+
+import numpy as np
 
 __all__ = [
     "Hyp2F1Params",
@@ -88,18 +92,6 @@ def _rgamma(v: float) -> float:
         return 0.0
 
 
-def _horner_terminating(a: float, b: float, c: float, deg: int, x: float) -> float:
-    coeffs = [1.0]
-    t = 1.0
-    for k in range(deg):
-        t *= (a + k) * (b + k) / ((c + k) * (k + 1))
-        coeffs.append(t)
-    s = coeffs[deg]
-    for k in range(deg - 1, -1, -1):
-        s = s * x + coeffs[k]
-    return s
-
-
 def _series(a: float, b: float, c: float, x: float) -> float:
     term = 1.0
     s = 1.0
@@ -129,14 +121,7 @@ def _connection(a: float, b: float, c: float, x: float) -> float:
     return coef1 * f1 + coef2 * y**s * f2
 
 
-def gauss_2f1(params: Hyp2F1Params, x: float) -> float:
-    """Evaluate 2F1(alpha, beta; gamma; x) for x in [0, 1)."""
-    x = float(x)
-    if not 0.0 <= x < 1.0:
-        raise Hyp2F1DomainError(f"x={x} outside [0, 1)")
-    a, b, c = params.alpha, params.beta, params.gamma
-    if params.terminating:
-        return _horner_terminating(a, b, c, params.degree, x)
+def _nonterminating(a: float, b: float, c: float, x: float) -> float:
     if x == 0.0:
         return 1.0
     if x <= 0.5:
@@ -154,8 +139,26 @@ def gauss_2f1(params: Hyp2F1Params, x: float) -> float:
     return _connection(a, b, c, x)
 
 
-def gauss_2f1_derivative(params: Hyp2F1Params, x: float, order: int) -> float:
-    """order-th derivative of 2F1 at x, for any integer order >= 0.
+def gauss_2f1(params: Hyp2F1Params, x):
+    """Evaluate 2F1(alpha, beta; gamma; x) for x in [0, 1): a float for a
+    scalar x, an array of its shape for an array x."""
+    xs = np.asarray(x, dtype=float)
+    outside = ~((xs >= 0.0) & (xs < 1.0))  # NaN included
+    if outside.any():
+        raise Hyp2F1DomainError(f"x={xs[outside][0]} outside [0, 1)")
+    a, b, c = params.alpha, params.beta, params.gamma
+    if params.terminating:
+        coeffs = [1.0]  # lowest power first; built once per call
+        for k in range(params.degree):
+            coeffs.append(coeffs[-1] * ((a + k) * (b + k) / ((c + k) * (k + 1))))
+        out = np.polyval(coeffs[::-1], xs)
+    else:
+        out = np.array([_nonterminating(a, b, c, float(v)) for v in xs.flat]).reshape(xs.shape)
+    return float(out) if xs.ndim == 0 else out
+
+
+def gauss_2f1_derivative(params: Hyp2F1Params, x, order: int):
+    """order-th derivative of 2F1 at x (scalar or array), any integer order >= 0.
 
     Uses the contiguous relation recursively; accuracy inherits from
     gauss_2f1.
@@ -165,5 +168,5 @@ def gauss_2f1_derivative(params: Hyp2F1Params, x: float, order: int) -> float:
     a, b, c = params.alpha, params.beta, params.gamma
     scale = _poch(a, order) * _poch(b, order) / _poch(c, order)
     if scale == 0.0:
-        return 0.0
+        return 0.0 if np.ndim(x) == 0 else np.zeros(np.shape(x))
     return scale * gauss_2f1(params.raised(order), x)

@@ -44,6 +44,10 @@ METHOD = "DOP853"
 BISECT_XTOL = 1e-10
 # Smallest/largest singular value above this flags a weak singularity.
 DET_TOLERANCE = 1e-8
+# Relative accuracy an oracle eigenvalue is trusted to (the j = 0 levels
+# reach about 5e-9): compare_spectra's default matching tolerance, and how
+# far a root may lie outside its scan window and still count as in it.
+REL_TOL = 1e-5
 
 
 @dataclass(frozen=True)
@@ -106,20 +110,27 @@ class SpectrumComparison:
 
 
 def _scan_grid(config: ShootingConfig) -> np.ndarray:
+    """lo, lo + step, ... up to hi, and one step past hi: a level on hi then
+    lies inside a bracket instead of on the last point, where the loose scan
+    value has no reliable sign."""
     lo, hi, step = config.eps_scan
-    eps_grid = np.arange(lo, hi + step, step)
-    return eps_grid[eps_grid <= hi + 1e-12]
+    eps_grid = np.arange(lo, hi + 2 * step, step)
+    return eps_grid[: np.count_nonzero(eps_grid <= hi + 1e-12) + 1]
 
 
-def _roots(eps_grid: np.ndarray, values: np.ndarray, objective):
+def _roots(eps_grid: np.ndarray, values: np.ndarray, objective, window):
     """(bracket, root) for each sign change of the scanned values, in grid
-    order; each root is objective's zero refined by brentq."""
+    order; each root is objective's zero refined by brentq.  Roots more than
+    REL_TOL outside the (lo, hi) window are dropped."""
+    lo, hi = window
     for i in range(len(eps_grid) - 1):
-        lo, hi = values[i], values[i + 1]
-        if not (np.isfinite(lo) and np.isfinite(hi)) or np.sign(lo) == np.sign(hi):
+        a, b = values[i], values[i + 1]
+        if not (np.isfinite(a) and np.isfinite(b)) or np.sign(a) == np.sign(b):
             continue
         bracket = (float(eps_grid[i]), float(eps_grid[i + 1]))
-        yield bracket, brentq(objective, *bracket, xtol=BISECT_XTOL)
+        root = brentq(objective, *bracket, xtol=BISECT_XTOL)
+        if lo - REL_TOL * abs(root) <= root <= hi + REL_TOL * abs(root):
+            yield bracket, root
 
 
 # -- j = 0: scalar equation M'' + (eps^2 - m^2 - (1+cos^2 r)/sin^2 r) M = 0 --
@@ -185,7 +196,8 @@ def shoot_j0(m: float, lambda_sign: int = +1, config: ShootingConfig | None = No
     vals = _j0_boundary_value(eps_grid, m, config, SCAN_RTOL)
     out = []
     for bracket, root in _roots(
-        eps_grid, vals, lambda e: float(_j0_boundary_value(e, m, config, INTEGRATOR_RTOL)[0])
+        eps_grid, vals, lambda e: float(_j0_boundary_value(e, m, config, INTEGRATOR_RTOL)[0]),
+        config.eps_scan[:2],
     ):
         _, nodes = _j0_boundary_value(np.array([root]), m, config, INTEGRATOR_RTOL, count_nodes=True)
         out.append(
@@ -313,7 +325,9 @@ def shoot_j(m: float, j: int, lambda_sign: int = +1, config: ShootingConfig | No
         dets = scan()
 
     out = []
-    for bracket, root in _roots(eps_grid, dets, lambda e: _det_at(e, m_eff, j, config, INTEGRATOR_RTOL)):
+    for bracket, root in _roots(
+        eps_grid, dets, lambda e: _det_at(e, m_eff, j, config, INTEGRATOR_RTOL), config.eps_scan[:2]
+    ):
         mats = _match_matrix_batch(np.array([root]), m_eff, j, config, INTEGRATOR_RTOL)
         norms = np.linalg.norm(mats[0], axis=0)
         sv = np.linalg.svd(mats[0] / np.where(norms > 0, norms, 1.0), compute_uv=False)
@@ -331,7 +345,7 @@ def shoot_j(m: float, j: int, lambda_sign: int = +1, config: ShootingConfig | No
 
 
 def compare_spectra(oracle: list[OracleEigenvalue], closed: list[SpectrumEntry],
-                    rel_tol: float = 1e-5, eps_sign: int = +1) -> SpectrumComparison:
+                    rel_tol: float = REL_TOL, eps_sign: int = +1) -> SpectrumComparison:
     """Greedy nearest-eps matching of oracle eigenvalues to closed entries."""
     remaining = list(closed)
     matched, unmatched_oracle = [], []

@@ -107,8 +107,7 @@ def residual_operator(op: LinearDifferentialOperator, x, derivs,
 def residual_operator_expr(op: LinearDifferentialOperator, expr: Expr, x,
                            tolerance: float = 1e-9, name: str = "operator-residual") -> VerificationReport:
     x = np.asarray(x, dtype=float)
-    derivs = [expr.diff_x(k).eval_x(x) for k in range(op.order + 1)]
-    return residual_operator(op, x, derivs, tolerance, name)
+    return residual_operator(op, x, expr.derivative_column(x, op.order), tolerance, name)
 
 
 class BatteryFunction:

@@ -154,6 +154,17 @@ class TestExitCodes:
         assert code == 0 and len(family) == len(payload["eigenvalues"]) == 6
         assert [e["family_guess"] for e in payload["eigenvalues"]] == [family[e["eps"]] for e in payload["eigenvalues"]]
 
+    @pytest.mark.parametrize("argv", [
+        ["--j", "0", "--mass", "1"],
+        ["--j", "2", "--mass", "1", "--lambda", "-1"],
+    ])
+    def test_oracle_compare_finds_level_on_eps_max(self, argv, capsys):
+        """The closed-form level p^2 = 24 sits exactly on --eps-max 5."""
+        code, out = run_main(["oracle", *argv, "--eps-max", "5", "--compare"], capsys)
+        cmp = json.loads(out)["comparison"]
+        assert code == 0 and cmp["unmatched_closed"] == [] and cmp["unmatched_oracle"] == []
+        assert "24" in [m["p_sq_exact"] for m in cmp["matched"]]
+
     def test_oracle_mismatch_is_exit_one(self):
         # Closed-form list truncated below what the scan finds -> the extra
         # oracle eigenvalue has no partner.
@@ -217,6 +228,16 @@ class TestConfigFile:
         assert code == 0
         rows = [l for l in out.splitlines() if l and not l.startswith("#")][1:]
         assert [r.split(",")[3] for r in rows] == ["8"]
+
+    @pytest.mark.parametrize("key", ["lambda", "lam"])
+    def test_config_key_is_the_long_option_name(self, tmp_path, capsys, key):
+        cfg = tmp_path / "run.conf"
+        cfg.write_text(f"{key}=-1\n")
+        argv = ["wavefunction", "--family", "j0", "--n", "0", "--mass", "0", "--grid", "3"]
+        code, out = run_main([*argv, "--config", str(cfg)], capsys)
+        assert code == 0 and "# lambda=-1" in out.splitlines()
+        code, out = run_main([*argv, "--config", str(cfg), "--lambda", "1"], capsys)
+        assert code == 0 and "# lambda=+1" in out.splitlines()
 
     @pytest.mark.parametrize("value,flag,compared", [
         ("false", [], False),

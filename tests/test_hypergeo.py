@@ -2,6 +2,7 @@ import math
 from fractions import Fraction
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -14,6 +15,7 @@ from dkradial.hypergeo import (
     gauss_2f1_derivative,
 )
 from dkradial.model import ModeParams
+from dkradial.verify import chebyshev_grid
 
 
 def hyp2f1_exact(a: Fraction, b: Fraction, c: Fraction, x: Fraction) -> Fraction:
@@ -25,6 +27,18 @@ def hyp2f1_exact(a: Fraction, b: Fraction, c: Fraction, x: Fraction) -> Fraction
         term *= (a + k) * (b + k) * x / ((c + k) * (k + 1))
         total += term
     return total
+
+
+def horner_loop(p: Hyp2F1Params, x: float) -> float:
+    """Reference: the terminating sum as a scalar Python Horner loop."""
+    coeffs, t = [1.0], 1.0
+    for k in range(p.degree):
+        t *= (p.alpha + k) * (p.beta + k) / ((p.gamma + k) * (k + 1))
+        coeffs.append(t)
+    s = coeffs[p.degree]
+    for k in range(p.degree - 1, -1, -1):
+        s = s * x + coeffs[k]
+    return s
 
 
 def brute_series(a, b, c, x, terms=4000):
@@ -208,6 +222,68 @@ class TestMpmathReference:
         assert abs(s - round(s)) <= 1e-8
         for x in (0.55, 0.7, 0.8, 0.9):
             assert gauss_2f1(p, x) == pytest.approx(self.reference(p, x), rel=1e-13)
+
+
+def _terminating_params(deg):
+    """Degree-deg polynomials with their contiguous derivative parameters."""
+    ps = (Hyp2F1Params(float(-deg), deg + 4.0, 2.5), Hyp2F1Params(deg + 1.5, float(-deg), 0.5))
+    return [p.raised(k) for p in ps for k in range(deg + 1)]
+
+
+def _general_basis_params(j):
+    """Non-terminating parameters of general_basis at p = 2.3 and their
+    first three contiguous derivatives."""
+    sols = general_basis(j, 2.3, ModeParams(m=0.0, eps=2.3), [0.5])
+    params = {t.f for s in sols for k in "KM" for t in s.exprs[k].terms if t.f is not None}
+    return sorted({p.raised(k) for p in params for k in range(4)}, key=repr)
+
+
+class TestArrayArgument:
+    """An array x gives, element for element, the scalar result bit for bit."""
+
+    X = np.concatenate([chebyshev_grid(), [0.0, 1e-6, 0.5, 0.999]])
+
+    def check_bit_for_bit(self, params):
+        got = gauss_2f1(params, self.X)
+        want = np.array([gauss_2f1(params, float(x)) for x in self.X])
+        assert got.shape == self.X.shape and got.dtype == np.float64
+        assert np.array_equal(got, want), params
+        grid = self.X[:200].reshape(20, 10)
+        assert np.array_equal(gauss_2f1(params, grid), want[:200].reshape(20, 10)), params
+        return got
+
+    @pytest.mark.parametrize("deg", range(9))
+    def test_terminating(self, deg):
+        for params in _terminating_params(deg):
+            assert params.terminating
+            got = self.check_bit_for_bit(params)
+            assert np.array_equal(got, [horner_loop(params, float(x)) for x in self.X]), params
+
+    @pytest.mark.parametrize("j", [1, 2])
+    def test_general_basis(self, j):
+        for params in _general_basis_params(j):
+            assert not params.terminating
+            self.check_bit_for_bit(params)
+
+    @pytest.mark.parametrize("order", [0, 1, 3, 9])
+    def test_derivative_matches_scalar(self, order):
+        for params in (Hyp2F1Params(-4.0, 8.0, 2.5), _general_basis_params(1)[0]):
+            got = gauss_2f1_derivative(params, self.X, order)
+            want = np.array([gauss_2f1_derivative(params, float(x), order) for x in self.X])
+            assert got.shape == self.X.shape and np.array_equal(got, want)
+
+    @pytest.mark.parametrize("bad", [1.0, -0.1, math.nan])
+    @pytest.mark.parametrize("params", [Hyp2F1Params(-3.0, 5.0, 1.5), Hyp2F1Params(0.3, 0.4, 1.1)])
+    def test_domain_checked_per_element(self, params, bad):
+        with pytest.raises(Hyp2F1DomainError):
+            gauss_2f1(params, np.array([0.2, bad, 0.4]))
+
+    @pytest.mark.parametrize("params", [Hyp2F1Params(-3.0, 5.0, 1.5), Hyp2F1Params(0.3, 0.4, 1.1)])
+    def test_empty_and_scalar(self, params):
+        empty = gauss_2f1(params, np.array([]))
+        assert isinstance(empty, np.ndarray) and empty.shape == (0,)
+        assert type(gauss_2f1(params, 0.25)) is float
+        assert type(gauss_2f1(params, np.float64(0.25))) is float
 
 
 def test_degree_is_the_first_termination():

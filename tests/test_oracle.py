@@ -33,6 +33,13 @@ class TestShootJ0:
     def test_empty_scan_range(self):
         assert shoot_j0(0.0, +1, ShootingConfig(eps_scan=(0.1, 1.0, 0.05))) == []
 
+    @pytest.mark.parametrize("hi,levels", [(3.0, [3.0]), (2.99, [])])
+    def test_window_edge(self, hi, levels):
+        """A level on hi (eps = 3 at m = 1) is found; the scan step past hi
+        returns nothing beyond the window."""
+        evs = shoot_j0(1.0, +1, ShootingConfig(eps_scan=(2.5, hi, 0.05)))
+        assert [round(ev.eps, 6) for ev in evs] == levels
+
     def test_node_counts_order_levels(self):
         evs = shoot_j0(0.0, +1, ShootingConfig(eps_scan=(0.2, 5.0, 0.05)))
         assert [ev.node_count for ev in evs] == list(range(len(evs)))

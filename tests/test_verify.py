@@ -72,6 +72,37 @@ class TestResidualOperator:
         assert r1.details == r2.details
 
 
+class TestExprEvaluation:
+    def test_one_gauss_2f1_call_per_term(self, monkeypatch):
+        """eval_x on a 200-point grid calls gauss_2f1 once per hypergeometric
+        term with the whole grid, not once per point."""
+        from dkradial import _exprs
+
+        sizes = []
+        original = _exprs.gauss_2f1
+
+        def counted(params, x):
+            sizes.append(np.size(x))
+            return original(params, x)
+
+        monkeypatch.setattr(_exprs, "gauss_2f1", counted)
+        x = chebyshev_grid()
+        K, M = family_KM_exprs(Family.F3, 2, 2)
+        for expr in (K, M, K.diff().diff(), M.diff().diff().diff()):
+            sizes.clear()
+            expr.eval_x(x)
+            terms = sum(t.f is not None for t in expr.terms)
+            assert terms > 0 and sizes == [len(x)] * terms
+
+    def test_derivative_column_on_array(self):
+        K, _ = family_KM_exprs(Family.F1, 1, 1)
+        x = np.array([0.3, 0.6])
+        rows = K.derivative_column(x, 4)
+        assert rows.shape == (5, 2)
+        for i, x0 in enumerate(x):
+            assert np.array_equal(rows[:, i], K.derivative_column(x0, 4))
+
+
 class TestFactorization:
     @pytest.mark.parametrize("p_sq,a_sq", [(8.0, 2.0), (3.3, 6.0), (15.0, 12.0)])
     def test_identity(self, p_sq, a_sq):
