@@ -194,6 +194,9 @@ class FirstOrderSystem:
     and SYSTEM_J0 hold the two sets with eps = m = a = 0, and system_j /
     system_j0 fill in the parameters.  m is the effective mass, so the
     lambda = -1 branch is m -> -m.  A(r) has simple poles at r=0 and r=pi.
+
+    D is the diagonal of the reflection parity, D A(pi - r) D = -A(r): if
+    Y(r) solves the system, so does D Y(pi - r), for every eps, m and a.
     """
 
     state: tuple[str, ...]
@@ -201,6 +204,7 @@ class FirstOrderSystem:
     U: np.ndarray
     S: np.ndarray
     T: np.ndarray
+    D: np.ndarray
     eps: float | np.ndarray = 0.0
     m: float = 0.0
     a: float = 0.0
@@ -219,6 +223,7 @@ SYSTEM_J = FirstOrderSystem(
     U=np.array([[0, -1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, -1], [0, 0, -1, 0]], dtype=float),
     S=np.array([[0, 0, -1, 0], [0, 0, 0, 1], [-1, 0, 0, 0], [0, 1, 0, 0]], dtype=float),
     T=np.diag([0.0, 0.0, -1.0, 1.0]),
+    D=np.array([1.0, -1.0, -1.0, 1.0]),
 )
 
 SYSTEM_J0 = FirstOrderSystem(
@@ -227,6 +232,7 @@ SYSTEM_J0 = FirstOrderSystem(
     U=np.array([[0, -1], [-1, 0]], dtype=float),
     S=np.zeros((2, 2)),
     T=np.diag([-1.0, 1.0]),
+    D=np.array([-1.0, 1.0]),
 )
 
 

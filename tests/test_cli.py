@@ -147,6 +147,13 @@ class TestExitCodes:
         cmp = json.loads(out)["comparison"]
         assert code == 0 and cmp["unmatched_closed"] == [] and len(cmp["matched"]) == 2
 
+    def test_oracle_j0_missed_level_is_usage_error(self, capsys):
+        code = main(["oracle", "--j", "0", "--mass", "0", "--eps-min", "0.2", "--eps-max", "6",
+                     "--eps-step", "1.2"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "smaller eps scan step" in captured.err
+
     def test_oracle_compare_fills_family_guess(self, capsys):
         code, out = run_main(["oracle", "--j", "1", "--mass", "0", "--eps-max", "4.5", "--compare"], capsys)
         payload = json.loads(out)

@@ -107,6 +107,30 @@ class TestSystems:
         assert stacked.shape == (2, 4, 4)
         assert np.array_equal(stacked[1], sysm.matrix(1.1))
 
+    @pytest.mark.parametrize("lam", [+1, -1])
+    def test_reflection_parity(self, lam):
+        """D A(pi - r) D = -A(r): D Y(pi - r) solves the system when Y does."""
+        params = ModeParams(m=0.7, eps=2.3, lambda_sign=lam)
+        for sysm in (system_j0(params), system_j(params, QuantumNumbers(2, 0))):
+            D = np.diag(sysm.D)
+            for r in (0.3, 1.1, 2.6):
+                np.testing.assert_allclose(
+                    D @ sysm.matrix(math.pi - r) @ D, -sysm.matrix(r), rtol=1e-14, atol=1e-14
+                )
+
+    @pytest.mark.parametrize("m", [0.5, 1.0, 2.0])
+    def test_j0_lambda_minus_zero_mode(self, m):
+        """At eps = m (p^2 = 0) the lambda = -1 pair has the regular solution
+        (M, N) = (0, sin r), a level no closed form lists; the lambda = +1 pair
+        does not."""
+        r = np.array([0.3, 1.1, 2.6])
+        Y = np.stack([np.zeros_like(r), np.sin(r)], axis=-1)[..., None]
+        dY = np.stack([np.zeros_like(r), np.cos(r)], axis=-1)[..., None]
+        minus = system_j0(ModeParams(m=m, eps=m, lambda_sign=-1))
+        np.testing.assert_allclose(minus.matrix(r) @ Y, dY, rtol=0, atol=1e-15)
+        plus = system_j0(ModeParams(m=m, eps=m, lambda_sign=+1))
+        assert np.abs(plus.matrix(r) @ Y - dY).max() > 0.1
+
 
 class TestOperators:
     def test_K4_leading_coefficient(self):

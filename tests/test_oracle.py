@@ -1,10 +1,12 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from dkradial import oracle
 from dkradial.closedform import Family, family_levels, spectrum
-from dkradial.model import ModeParams, QuantumNumbers, system_j
+from dkradial.model import ModeParams, QuantumNumbers, system_j, system_j0
 from dkradial.oracle import (
     OracleEigenvalue,
     ShootingConfig,
@@ -43,6 +45,21 @@ class TestShootJ0:
     def test_node_counts_order_levels(self):
         evs = shoot_j0(0.0, +1, ShootingConfig(eps_scan=(0.2, 5.0, 0.05)))
         assert [ev.node_count for ev in evs] == list(range(len(evs)))
+
+    def test_missed_level_raises(self):
+        """eps = sqrt(15) and sqrt(24) share the scan step (3.8, 5.0): the
+        levels found have 1 and 4 nodes, and the gap is an error."""
+        with pytest.raises(ValueError, match="1 and 4 nodes.*smaller eps scan step"):
+            shoot_j0(0.0, +1, ShootingConfig(eps_scan=(0.2, 6.0, 1.2)))
+
+    @pytest.mark.parametrize("m", [0.0, 1.0, 2.0])
+    def test_criterion_1_windows_to_1e10(self, m):
+        hi = math.sqrt(m * m - 1 + 7.3**2)
+        evs = shoot_j0(m, +1, ShootingConfig(eps_scan=(0.2, hi, 0.05)))
+        expect = [math.sqrt(m * m - 1 + (2 + n) ** 2) for n in range(6)]
+        assert [ev.node_count for ev in evs] == list(range(6))
+        for ev, ex in zip(evs, expect):
+            assert abs(ev.eps - ex) / ex <= 1e-10
 
     def test_lambda_branch_immaterial_at_zero_mass(self):
         a = shoot_j0(0.0, +1, J0_CFG)
@@ -84,10 +101,7 @@ class TestShootJ:
         assert len(base) == 1  # sqrt(8)
         halved = shoot_j(0.0, 1, +1, ShootingConfig(
             eps_scan=(2.7, 2.95, 0.02), r_start_offset=cfg.r_start_offset / 2))
-        moved = shoot_j(0.0, 1, +1, ShootingConfig(
-            eps_scan=(2.7, 2.95, 0.02), match_point=math.pi / 3))
         assert abs(halved[0].eps - base[0].eps) < 1e-9
-        assert abs(moved[0].eps - base[0].eps) < 1e-9
 
     def test_j0_pendant_discretization_independence(self):
         cfg = ShootingConfig(eps_scan=(1.6, 1.85, 0.05))
@@ -97,11 +111,61 @@ class TestShootJ:
         assert abs(base[0].eps - halved[0].eps) < 1e-9
 
 
+class TestSharedShooting:
+    @pytest.mark.parametrize("shoot", [
+        lambda cfg: shoot_j0(0.0, +1, cfg), lambda cfg: shoot_j(0.0, 1, +1, cfg),
+    ], ids=["j0", "j1"])
+    def test_one_integration_per_objective_call(self, monkeypatch, shoot):
+        """One solve_ivp for the scan, one per brentq objective call and one
+        per root for its diagnostics."""
+        counts = {"ivp": 0, "fcalls": 0}
+        real_ivp, real_brentq = oracle.solve_ivp, oracle.brentq
+
+        def ivp(*a, **k):
+            counts["ivp"] += 1
+            return real_ivp(*a, **k)
+
+        def counted_brentq(f, *a, **k):
+            def g(x):
+                counts["fcalls"] += 1
+                return f(x)
+            return real_brentq(g, *a, **k)
+
+        monkeypatch.setattr(oracle, "solve_ivp", ivp)
+        monkeypatch.setattr(oracle, "brentq", counted_brentq)
+        evs = shoot(ShootingConfig(eps_scan=(1.6, 2.1, 0.05)))
+        assert evs
+        assert counts["ivp"] == 1 + counts["fcalls"] + len(evs)
+
+    @pytest.mark.parametrize("shoot", [
+        lambda cfg: shoot_j0(0.0, +1, cfg), lambda cfg: shoot_j(0.0, 1, +1, cfg),
+    ], ids=["j0", "j1"])
+    def test_failed_scan_halves_offset_and_says_so(self, monkeypatch, shoot):
+        cfg = ShootingConfig(eps_scan=(1.6, 2.1, 0.05))
+        clean = shoot(cfg)
+        real_ivp, seen = oracle.solve_ivp, []
+
+        def fail_once(fun, t_span, y0, **k):
+            seen.append(t_span[0])
+            sol = real_ivp(fun, t_span, y0, **k)
+            if len(seen) == 1:
+                sol.success, sol.message = False, "forced failure"
+            return sol
+
+        monkeypatch.setattr(oracle, "solve_ivp", fail_once)
+        evs = shoot(cfg)
+        assert seen[0] == cfg.r_start_offset
+        assert set(seen[1:]) == {cfg.r_start_offset / 2}
+        assert [ev.flags for ev in evs] == [["r-start-offset-halved"]] * len(clean)
+        assert [ev.eps for ev in evs] == pytest.approx([ev.eps for ev in clean], abs=1e-9)
+
+
 class TestFrobeniusSeries:
-    @pytest.mark.parametrize("j,lam", [(1, +1), (3, -1)])
+    @pytest.mark.parametrize("j,lam", [(0, +1), (0, -1), (1, +1), (3, -1)])
     def test_truncation_error_is_fifth_order(self, j, lam):
         eps, m = 2.3, 0.7
-        sysm = system_j(ModeParams(m=m, eps=eps, lambda_sign=lam), QuantumNumbers(j, 0))
+        params = ModeParams(m=m, eps=eps, lambda_sign=lam)
+        sysm = system_j(params, QuantumNumbers(j, 0)) if j else system_j0(params)
         A_m1, A_0, A_1, A_2, A_3 = _series_matrices(j, eps, lam * m)
         err = [
             np.abs(A_m1 / r + A_0 + A_1 * r + A_2 * r**2 + A_3 * r**3 - sysm.matrix(r)).max()
@@ -137,4 +201,12 @@ class TestConfig:
         with pytest.raises(ValueError):
             ShootingConfig(r_start_offset=2.0)
         with pytest.raises(ValueError):
+            ShootingConfig(r_start_offset=math.pi / 2)
+        with pytest.raises(ValueError):
+            ShootingConfig(r_start_offset=0.0)
+        with pytest.raises(ValueError):
             ShootingConfig(eps_scan=(3.0, 1.0, 0.1))
+        ShootingConfig(r_start_offset=1.5)
+
+    def test_two_fields(self):
+        assert [f.name for f in dataclasses.fields(ShootingConfig)] == ["r_start_offset", "eps_scan"]
