@@ -1,6 +1,6 @@
 """Radial bound states of the 16-component field on the spherical 3-space.
 
-Subpackages:
+Modules:
   hypergeo    Gauss 2F1 evaluation (terminating and generic parameters)
   model       radial systems, fourth-order operators, factorizations
   closedform  exact wavefunctions and discrete spectra
@@ -16,7 +16,6 @@ from .closedform import (
     OffSpectrumError,
     RadialSolution,
     SpectrumEntry,
-    assemble_components,
     degeneracy_map,
     family_levels,
     general_basis,

@@ -205,6 +205,18 @@ def cmd_verify(args) -> int:
     return 0 if all(r.passed for r in reports) else 1
 
 
+def _closed_levels(j: int, mass: float, eps_min: float, eps_max: float) -> list:
+    """Closed-form bound levels at j with eps_min <= eps <= eps_max.  At index
+    n every family i-iv has p^2 >= (j+2n)^2 and j = 0 has p^2 = (2+n)^2 - 1,
+    so the list stops at the first n whose bound lies past eps_max."""
+    p_sq_max = eps_max * eps_max - mass * mass
+    n = 0
+    while ((j + 2 * n) ** 2 if j else (2 + n) ** 2 - 1) <= p_sq_max:
+        n += 1
+    closed = closedform.family_levels(j, n, mass, (Family.J0,) if j == 0 else DK_FAMILIES)
+    return [e for e in closed if eps_min <= e.eps() <= eps_max]
+
+
 def cmd_oracle(args) -> int:
     mass = float(_parse_mass(args.mass))
     cfg = oracle.ShootingConfig(
@@ -217,13 +229,8 @@ def cmd_oracle(args) -> int:
         evs = oracle.shoot_j(mass, args.j, args.lam, cfg)
     comparison = None
     if args.compare:
-        if args.j == 0:
-            closed = [closedform.spectrum(Family.J0, 0, n, mass) for n in range(args.n_max + 1)]
-        else:
-            closed = closedform.family_levels(args.j, args.n_max, mass)
-        closed = [e for e in closed if args.eps_min <= e.eps() <= args.eps_max]
         # Matching fills in each eigenvalue's matched_family_guess.
-        comparison = oracle.compare_spectra(evs, closed)
+        comparison = oracle.compare_spectra(evs, _closed_levels(args.j, mass, args.eps_min, args.eps_max))
     payload = {
         "j": args.j,
         "mass": mass,
@@ -257,7 +264,7 @@ def cmd_degeneracy(args) -> int:
             p.right[0].value, p.right[1], p.right[2],
             _fraction_str(p.p_sq),
             "yes",
-            "yes" if (p.left_bound and p.right_bound) else "no",
+            "yes" if p.right_bound else "no",
         ]
         for p in pairs
     ]
@@ -349,7 +356,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, _Parser]]:
     p.add_argument("--eps-max", type=float, default=5.0)
     p.add_argument("--eps-step", type=float, default=0.02)
     p.add_argument("--r-offset", type=float, default=1e-3)
-    p.add_argument("--n-max", type=int, default=8)
     p.add_argument("--compare", action="store_true",
                    help="match against the closed-form spectra; exit 1 on mismatch")
     common(p)

@@ -37,7 +37,6 @@ __all__ = [
     "wavefunction_j0",
     "wavefunction_family",
     "general_basis",
-    "assemble_components",
     "degeneracy_map",
     "DegeneratePair",
     "j0_ratio",
@@ -173,7 +172,6 @@ class RadialSolution:
     L: np.ndarray | None = None
     M: np.ndarray | None = None
     N: np.ndarray | None = None
-    label: str = ""
     exprs: dict = field(default_factory=dict, repr=False)
 
 
@@ -209,7 +207,6 @@ def wavefunction_j0(n: int, params: ModeParams, grid) -> RadialSolution:
         grid=grid,
         M=M_expr.eval_r_half(grid),
         N=N_expr.eval_r_half(grid),
-        label=f"j0 n={n}",
         exprs={"M": M_expr, "N": N_expr},
     )
 
@@ -314,6 +311,22 @@ def _elimination_LN(K: Expr, M: Expr, a: float, eps_plus_m: float) -> tuple[Expr
     return L, N
 
 
+def _km_solution(family: Family | None, qn: QuantumNumbers, params: ModeParams, grid,
+                 K: Expr, M: Expr) -> RadialSolution:
+    """(K, M) completed by the (L, N) elimination, all four sampled on grid."""
+    eps_plus_m = params.eps + params.m_eff
+    if abs(eps_plus_m) < 1e-12:
+        raise EliminationSingularError(
+            f"eps+m={eps_plus_m}: cannot recover (L, N); the elimination is "
+            "singular at this parameter point"
+        )
+    L, N = _elimination_LN(K, M, qn.a, eps_plus_m)
+    exprs = {"K": K, "L": L, "M": M, "N": N}
+    grid = np.asarray(grid, dtype=float)
+    samples = {name: e.eval_r_cos2(grid) for name, e in exprs.items()}
+    return RadialSolution(family=family, qn=qn, params=params, grid=grid, **samples, exprs=exprs)
+
+
 def wavefunction_family(family: Family, qn: QuantumNumbers, params: ModeParams, grid) -> RadialSolution:
     """Terminating quasi-polynomial solution of one family at j >= 1."""
     family = Family(family)
@@ -332,27 +345,8 @@ def wavefunction_family(family: Family, qn: QuantumNumbers, params: ModeParams, 
             f"p^2={params.p_sq} is off the {family.value} spectrum value "
             f"{entry.p_sq} at j={qn.j}, n={qn.n}"
         )
-    eps_plus_m = params.eps + params.m_eff
-    if abs(eps_plus_m) < 1e-12:
-        raise EliminationSingularError(
-            f"eps+m={eps_plus_m}: cannot recover (L, N); the elimination is "
-            "singular at this parameter point"
-        )
     K, M = family_KM_exprs(family, qn.j, qn.n)
-    L, N = _elimination_LN(K, M, qn.a, eps_plus_m)
-    grid = np.asarray(grid, dtype=float)
-    return RadialSolution(
-        family=family,
-        qn=qn,
-        params=params,
-        grid=grid,
-        K=K.eval_r_cos2(grid),
-        L=L.eval_r_cos2(grid),
-        M=M.eval_r_cos2(grid),
-        N=N.eval_r_cos2(grid),
-        label=f"{family.value} j={qn.j} n={qn.n}",
-        exprs={"K": K, "L": L, "M": M, "N": N},
-    )
+    return _km_solution(family, qn, params, grid, K, M)
 
 
 def general_basis(j: int, p: float, params: ModeParams, grid) -> list[RadialSolution]:
@@ -367,13 +361,9 @@ def general_basis(j: int, p: float, params: ModeParams, grid) -> list[RadialSolu
     if p <= 0:
         raise ValueError("p must be positive")
     a_sq = j * (j + 1)
-    a = math.sqrt(a_sq)
     p_sq = p * p
     jf = Fraction(j, 2)
     sq = math.sqrt(p_sq + 1.0)
-    eps_plus_m = params.eps + params.m_eff
-    if abs(eps_plus_m) < 1e-12:
-        raise EliminationSingularError("eps+m=0: cannot recover (L, N)")
     halfj = 0.5 * j
     seeds = [
         ("K", hyp_expr(1.0, HALF, jf, 1 + halfj - sq / 2, 1 + halfj + sq / 2, 1.5)),
@@ -381,57 +371,12 @@ def general_basis(j: int, p: float, params: ModeParams, grid) -> list[RadialSolu
         ("M", hyp_expr(1.0, HALF, jf, 1 + halfj - p / 2, 1 + halfj + p / 2, 1.5)),
         ("M", hyp_expr(1.0, 0, jf, halfj + 0.5 - p / 2, halfj + 0.5 + p / 2, 0.5)),
     ]
-    grid = np.asarray(grid, dtype=float)
     out = []
-    for i, (lead, direct) in enumerate(seeds, start=1):
+    for lead, direct in seeds:
         partner = companion_from_relation(direct, p_sq, a_sq, source=lead)
         K, M = (direct, partner) if lead == "K" else (partner, direct)
-        L, N = _elimination_LN(K, M, a, eps_plus_m)
-        out.append(
-            RadialSolution(
-                family=None,
-                qn=QuantumNumbers(j, 0),
-                params=params,
-                grid=grid,
-                K=K.eval_r_cos2(grid),
-                L=L.eval_r_cos2(grid),
-                M=M.eval_r_cos2(grid),
-                N=N.eval_r_cos2(grid),
-                label=f"basis{i} j={j} p={p:g}",
-                exprs={"K": K, "L": L, "M": M, "N": N},
-            )
-        )
+        out.append(_km_solution(None, QuantumNumbers(j, 0), params, grid, K, M))
     return out
-
-
-def assemble_components(K: float, L: float, M: float, N: float,
-                        lambda_sign: int = +1, delta_sign: int = +1) -> np.ndarray:
-    """Rebuild the 4x4 matrix of radial amplitudes f_ab from (K, L, M, N).
-
-    Rows 1-2 invert the real-combination definitions together with the
-    linear constraint (factor lambda); rows 3-4 follow from the
-    space-reflection restriction (factor delta).
-    """
-    f = np.zeros((4, 4), dtype=complex)
-    f[0, 2] = (K + 1j * L) / 2.0
-    f[1, 3] = (K - 1j * L) / 2.0
-    f[0, 3] = (M + 1j * N) / 2.0
-    f[1, 2] = (M - 1j * N) / 2.0
-    lam = lambda_sign
-    f[0, 0] = lam * (K + 1j * L) / 2.0
-    f[1, 1] = lam * (K - 1j * L) / 2.0
-    f[0, 1] = lam * (M + 1j * N) / 2.0
-    f[1, 0] = lam * (M - 1j * N) / 2.0
-    d = delta_sign
-    f[2, 0] = d * f[1, 3]
-    f[2, 1] = d * f[1, 2]
-    f[2, 2] = d * f[1, 1]
-    f[2, 3] = d * f[1, 0]
-    f[3, 0] = d * f[0, 3]
-    f[3, 1] = d * f[0, 2]
-    f[3, 2] = d * f[0, 1]
-    f[3, 3] = d * f[0, 0]
-    return f
 
 
 @dataclass(frozen=True)
@@ -442,7 +387,6 @@ class DegeneratePair:
     left: tuple[Family, int, int]
     right: tuple[Family, int, int]
     p_sq: Fraction
-    left_bound: bool = True
     right_bound: bool = True
 
 

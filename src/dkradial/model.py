@@ -5,9 +5,10 @@ verification and oracle modules can sample operators on arbitrary grids.
 Units: curvature radius 1, radial coordinate r in (0, pi), natural units for
 the mass and energy.
 
-Branch conventions: the constraint branch lambda = -1 and the parity branch
-delta = -1 are realized by the mass-sign substitution m -> -m; no separate
-coefficient tables exist for them.
+Branch conventions: the constraint branch lambda = -1 is realized by the
+mass-sign substitution m -> -m; no separate coefficient tables exist for
+it.  The parity branch delta enters no equation here: ModeParams carries
+delta_sign, and the CLI only records it in the wavefunction header.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ __all__ = [
     "factor_pair_K",
     "factor_pair_M",
     "indicial_exponents",
-    "indicial_matrix",
 ]
 
 
@@ -142,14 +142,6 @@ class RationalCoefficient:
             tuple(c * factor for c in self.poles0),
             tuple(c * factor for c in self.poles1),
         )
-
-    def leading_pole(self, at: int) -> tuple[int, float]:
-        """(order, coefficient) of the strongest pole at x=0 or x=1."""
-        poles = self.poles0 if at == 0 else self.poles1
-        for k in range(len(poles), 0, -1):
-            if poles[k - 1]:
-                return k, poles[k - 1]
-        return 0, 0.0
 
 
 @dataclass(frozen=True)
@@ -361,13 +353,3 @@ def indicial_exponents(j: int) -> tuple[tuple[Fraction, ...], tuple[Fraction, ..
     bound = (Fraction(j + 2, 2), Fraction(j, 2))
     return all_four, bound
 
-
-def indicial_matrix(gamma: float, a_sq: float) -> np.ndarray:
-    """2x2 algebraic system linking (K0, M0) in the (1-x)^gamma ansatz.
-
-    Its determinant vanishes exactly at the four indicial exponents.
-    """
-    g, a2 = float(gamma), float(a_sq)
-    u = 4.0 * g * g - 2.0 * g - a2
-    a = math.sqrt(a2)
-    return np.array([[u, -2.0 * a], [-2.0 * a, u - 2.0]])

@@ -139,22 +139,24 @@ def _system(j: int):
     return SYSTEM_J0 if j == 0 else SYSTEM_J
 
 
-def _series_matrices(j: int, eps: float, m: float) -> list:
-    """A(r) = A_-1/r + A_0 + A_1 r + A_3 r^3 + ... around r=0."""
+def _series_matrices(j: int, eps, m: float) -> list:
+    """A(r) = A_-1/r + A_0 + A_1 r + A_3 r^3 + ... around r=0; A_0 is
+    stacked over the shape of eps, the other terms do not depend on eps."""
     # 1/sin r = 1/r + r/6 + 7 r^3/360 + ...; cot r = 1/r - r/3 - r^3/45 - ...
     sysm = _system(j)
     aS, T = math.sqrt(j * (j + 1)) * sysm.S, sysm.T
-    A_0 = eps * sysm.E + m * sysm.U
+    A_0 = np.asarray(eps)[..., None, None] * sysm.E + m * sysm.U
     return [aS + T, A_0, aS / 6 - T / 3, np.zeros_like(T), 7 * aS / 360 - T / 45]
 
 
-def _frobenius_initial(j: int, eps: float, m: float, r0: float) -> np.ndarray:
-    """Regular columns at r0: (K, L, M, N) with leading powers r^j and
-    r^(j+1) for j >= 1, (M, N) ~ (0, r) for j = 0.
+def _frobenius_initial(j: int, eps: np.ndarray, m: float, r0: float) -> np.ndarray:
+    """Regular columns at r0 for every eps lane, (lanes, n, n/2): (K, L, M, N)
+    with leading powers r^j and r^(j+1) for j >= 1, (M, N) ~ (0, r) for j = 0.
 
     Resonant orders (s+k an exponent of A_-1) are solved in the
     least-squares sense; any homogeneous admixture only re-mixes the
-    regular basis.
+    regular basis.  A_-1 - (s+k) I does not depend on eps, so each order is
+    one least-squares solve with every lane as a right-hand side.
     """
     mats = _series_matrices(j, eps, m)
     A_m1 = mats[0]
@@ -169,20 +171,16 @@ def _frobenius_initial(j: int, eps: float, m: float, r0: float) -> np.ndarray:
     cols = []
     eye = np.eye(len(A_m1))
     for s, c0 in seeds:
-        coeffs = [c0]
+        coeffs = [np.broadcast_to(c0, (len(eps), len(c0)))]
         for k in range(1, FROBENIUS_TERMS):
-            rhs = np.zeros(len(c0))
+            rhs = np.zeros_like(coeffs[0])
             for power, Ap in enumerate(mats[1:], start=0):
                 if k - 1 - power >= 0:
-                    rhs -= Ap @ coeffs[k - 1 - power]
-            Mk = A_m1 - (s + k) * eye
-            sol, *_ = np.linalg.lstsq(Mk, rhs, rcond=None)
-            coeffs.append(sol)
-        y = np.zeros(len(c0))
-        for k, ck in enumerate(coeffs):
-            y += ck * r0 ** (s + k)
-        cols.append(y)
-    return np.array(cols).T  # n x (n/2)
+                    rhs -= (Ap @ coeffs[k - 1 - power][..., None])[..., 0]
+            sol, *_ = np.linalg.lstsq(A_m1 - (s + k) * eye, rhs.T, rcond=None)
+            coeffs.append(sol.T)
+        cols.append(sum(ck * r0 ** (s + k) for k, ck in enumerate(coeffs)))
+    return np.stack(cols, axis=2)
 
 
 def _match(eps_vec: np.ndarray, m: float, j: int, r0: float, rtol: float, t_eval=None):
@@ -194,7 +192,7 @@ def _match(eps_vec: np.ndarray, m: float, j: int, r0: float, rtol: float, t_eval
     """
     eps_vec = np.atleast_1d(np.asarray(eps_vec, dtype=float))
     sysm = replace(_system(j), eps=eps_vec, m=m, a=math.sqrt(j * (j + 1)))
-    cols_init = np.array([_frobenius_initial(j, e, m, r0) for e in eps_vec])
+    cols_init = _frobenius_initial(j, eps_vec, m, r0)
     shape = cols_init.shape  # (lanes, n, n/2)
 
     def rhs(r, y):
@@ -211,10 +209,10 @@ def _match(eps_vec: np.ndarray, m: float, j: int, r0: float, rtol: float, t_eval
     return np.concatenate([Y, sysm.D[:, None] * Y], axis=2), cols
 
 
-def _normalized_det(mats: np.ndarray) -> np.ndarray:
-    norms = np.linalg.norm(mats, axis=1, keepdims=True)
-    norms = np.where(norms > 0, norms, 1.0)
-    return np.linalg.det(mats / norms)
+def _unit_columns(mats: np.ndarray) -> np.ndarray:
+    """mats (..., n, n) with every nonzero column scaled to unit length."""
+    norms = np.linalg.norm(mats, axis=-2, keepdims=True)
+    return mats / np.where(norms > 0, norms, 1.0)
 
 
 def _j0_nodes(mat: np.ndarray, M: np.ndarray) -> int:
@@ -237,21 +235,22 @@ def _shoot(m: float, j: int, config: ShootingConfig) -> list[OracleEigenvalue]:
     # degenerate (no j = 0 level lies there: its p^2 is at least 3).
     eps_grid = eps_grid[np.abs(eps_grid - abs(m)) > 1e-6]
     r0, flags = config.r_start_offset, []
+
+    def dets(eps, rtol):
+        return np.linalg.det(_unit_columns(_match(eps, m, j, r0, rtol)[0]))
+
     try:
-        dets = _normalized_det(_match(eps_grid, m, j, r0, SCAN_RTOL)[0])
+        scanned = dets(eps_grid, SCAN_RTOL)
     except RuntimeError:
         r0, flags = r0 / 2, ["r-start-offset-halved"]
-        dets = _normalized_det(_match(eps_grid, m, j, r0, SCAN_RTOL)[0])
-
-    def objective(e):
-        return float(_normalized_det(_match(e, m, j, r0, INTEGRATOR_RTOL)[0])[0])
+        scanned = dets(eps_grid, SCAN_RTOL)
 
     out = []
-    for bracket, root in _roots(eps_grid, dets, objective, config.eps_scan[:2]):
+    refined = _roots(eps_grid, scanned, lambda e: float(dets(e, INTEGRATOR_RTOL)[0]), config.eps_scan[:2])
+    for bracket, root in refined:
         mats, cols = _match(root, m, j, r0, INTEGRATOR_RTOL, np.linspace(r0, math.pi / 2, NODE_SAMPLES))
         mat = mats[0]
-        norms = np.linalg.norm(mat, axis=0)
-        sv = np.linalg.svd(mat / np.where(norms > 0, norms, 1.0), compute_uv=False)
+        sv = np.linalg.svd(_unit_columns(mat), compute_uv=False)
         ev_flags = list(flags)
         if sv[0] > 0 and sv[-1] / sv[0] > DET_TOLERANCE:
             ev_flags.append("weak-singularity")
@@ -297,7 +296,7 @@ def shoot_j(m: float, j: int, lambda_sign: int = +1, config: ShootingConfig | No
 
     The two-parameter regular space is integrated from r = 0 to the
     equator and matched to its reflection; eigenvalues are the sign changes
-    of the normalized 4x4 determinant, refined by bisection.
+    of the normalized 4x4 determinant, refined by brentq.
     """
     if j < 1:
         raise ValueError("shoot_j requires j >= 1; use shoot_j0")

@@ -38,7 +38,6 @@ __all__ = [
     "cross_consistency",
     "j0_pair_residual",
     "default_battery",
-    "fd_derivatives",
 ]
 
 END_BUFFER = 1e-6
@@ -47,7 +46,6 @@ END_BUFFER = 1e-6
 @dataclass
 class VerificationReport:
     check_name: str
-    max_abs_residual: float
     max_rel_residual: float
     sample_count: int
     tolerance: float
@@ -81,7 +79,6 @@ def _report(name, x, resid, scale, tol, keep=3) -> VerificationReport:
     worst = np.argsort(rel)[::-1][:keep]
     return VerificationReport(
         check_name=name,
-        max_abs_residual=float(np.max(np.abs(resid))),
         max_rel_residual=float(np.max(rel)),
         sample_count=len(np.atleast_1d(x)),
         tolerance=tol,
@@ -93,8 +90,7 @@ def residual_operator(op: LinearDifferentialOperator, x, derivs,
                       tolerance: float = 1e-9, name: str = "operator-residual") -> VerificationReport:
     """Pointwise sum_k c_k(x) y^(k)(x), term-scaled.
 
-    derivs[k] must hold y^(k) on x, k = 0..op.order, produced analytically
-    or by the finite-difference fallback.
+    derivs[k] must hold y^(k) on x, k = 0..op.order.
     """
     x = np.asarray(x, dtype=float)
     if np.any(x < END_BUFFER) or np.any(x > 1.0 - END_BUFFER):
@@ -238,7 +234,6 @@ def wronskian_report(w: float, x0: float, name: str) -> VerificationReport:
     inv = 1.0 / abs(w) if w else math.inf
     return VerificationReport(
         check_name=name,
-        max_abs_residual=inv,
         max_rel_residual=inv,
         sample_count=1,
         tolerance=1e6,
@@ -272,7 +267,6 @@ def cross_consistency(family: Family, qn: QuantumNumbers, params: ModeParams,
     rep = rep1 if rep1.max_rel_residual >= rep2.max_rel_residual else rep2
     return VerificationReport(
         check_name=f"cross-consistency[{family.value} j={qn.j} n={qn.n}]",
-        max_abs_residual=max(rep1.max_abs_residual, rep2.max_abs_residual),
         max_rel_residual=max(rep1.max_rel_residual, rep2.max_rel_residual),
         sample_count=rep1.sample_count + rep2.sample_count,
         tolerance=tolerance,
@@ -315,42 +309,3 @@ def _system_residual(sol) -> tuple[np.ndarray, np.ndarray]:
     take = np.arange(rows.shape[1])
     return rows[idx, take], scales[idx, take]
 
-
-def fd_derivatives(x: np.ndarray, y: np.ndarray, order: int, stencil: int = 9) -> np.ndarray:
-    """Derivatives at interior nodes by Fornberg weights on a sliding stencil.
-
-    Fallback for sampled data without analytic derivatives (e.g. re-read
-    CSV output).  Returns d^order y/dx^order at every x, with one-sided
-    stencils near the ends.
-    """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    n = len(x)
-    half = stencil // 2
-    out = np.empty(n)
-    for i in range(n):
-        lo = max(0, min(i - half, n - stencil))
-        nodes = x[lo : lo + stencil]
-        w = _fornberg(x[i], nodes, order)
-        out[i] = w @ y[lo : lo + stencil]
-    return out
-
-
-def _fornberg(x0: float, nodes: np.ndarray, order: int) -> np.ndarray:
-    """Fornberg (1988) finite-difference weights for d^order/dx^order at x0."""
-    n = len(nodes)
-    d = np.zeros((n, order + 1))
-    d[0, 0] = 1.0
-    c1 = 1.0
-    for i in range(1, n):
-        c2 = 1.0
-        prev_row = d[i - 1].copy()
-        for j in range(i):
-            c3 = nodes[i] - nodes[j]
-            c2 *= c3
-            for k in range(min(i, order), -1, -1):
-                d[j, k] = ((nodes[i] - x0) * d[j, k] - (k * d[j, k - 1] if k else 0.0)) / c3
-        for k in range(min(i, order), -1, -1):
-            d[i, k] = c1 / c2 * ((k * prev_row[k - 1] if k else 0.0) - (nodes[i - 1] - x0) * prev_row[k])
-        c1 = c2
-    return d[:, order]

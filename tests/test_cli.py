@@ -6,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 
+from dkradial import cli
 from dkradial.cli import main
 
 
@@ -172,16 +173,29 @@ class TestExitCodes:
         assert code == 0 and cmp["unmatched_closed"] == [] and cmp["unmatched_oracle"] == []
         assert "24" in [m["p_sq_exact"] for m in cmp["matched"]]
 
-    def test_oracle_mismatch_is_exit_one(self):
-        # Closed-form list truncated below what the scan finds -> the extra
-        # oracle eigenvalue has no partner.
-        proc = run_cli(
+    def test_oracle_mismatch_is_exit_one(self, monkeypatch, capsys):
+        # One level dropped from the closed-form list -> the oracle
+        # eigenvalue it belonged to has no partner.
+        real = cli._closed_levels
+        monkeypatch.setattr(cli, "_closed_levels", lambda *a: real(*a)[1:])
+        code, out = run_main(
             ["oracle", "--j", "0", "--mass", "0", "--eps-min", "0.2", "--eps-max", "3.0",
-             "--eps-step", "0.05", "--n-max", "0", "--compare"]
+             "--eps-step", "0.05", "--compare"], capsys
         )
-        assert proc.returncode == 1
-        payload = json.loads(proc.stdout)
+        assert code == 1
+        payload = json.loads(out)
         assert payload["comparison"]["unmatched_oracle"]
+
+    def test_oracle_compare_reaches_high_levels(self, capsys):
+        """The closed-form list covers every level up to --eps-max: here
+        p^2 = 120 is the j = 0 level n = 9."""
+        code, out = run_main(
+            ["oracle", "--j", "0", "--mass", "0", "--eps-min", "10.5", "--eps-max", "11.2",
+             "--eps-step", "0.05", "--compare"], capsys
+        )
+        cmp = json.loads(out)["comparison"]
+        assert code == 0 and cmp["unmatched_oracle"] == [] and cmp["unmatched_closed"] == []
+        assert [(m["n"], m["p_sq_exact"]) for m in cmp["matched"]] == [(9, "120")]
 
 
 class TestDeterminism:
@@ -265,7 +279,7 @@ class TestRoundTrip:
         """Serialization keeps enough digits for the finite-difference
         re-verification of the fourth-order operator at 1e-5."""
         from dkradial.model import operator_K4
-        from dkradial.verify import fd_derivatives
+        from finite_difference import fd_derivatives
 
         out = tmp_path / "wf.csv"
         assert main(["wavefunction", "--family", "f1", "--j", "1", "--n", "1",

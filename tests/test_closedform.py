@@ -3,7 +3,6 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from dkradial import closedform
 from dkradial.closedform import (
@@ -11,7 +10,6 @@ from dkradial.closedform import (
     EliminationSingularError,
     Family,
     OffSpectrumError,
-    assemble_components,
     degeneracy_map,
     family_levels,
     general_basis,
@@ -224,44 +222,6 @@ class TestGeneralBasis:
             general_basis(0, 2.3, ModeParams(m=0.0, eps=2.3), [1.0])
         with pytest.raises(ValueError):
             general_basis(1, -1.0, ModeParams(m=0.0, eps=1.0), [1.0])
-
-
-class TestAssemble:
-    def test_zero(self):
-        f = assemble_components(0.0, 0.0, 0.0, 0.0, +1, +1)
-        assert np.all(f == 0)
-
-    def test_pure_K(self):
-        f = assemble_components(2.0, 0.0, 0.0, 0.0, +1, +1)
-        nonzero = {(0, 0), (1, 1), (0, 2), (1, 3), (2, 0), (2, 2), (3, 1), (3, 3)}
-        for i in range(4):
-            for k in range(4):
-                assert f[i, k] == pytest.approx(1.0 if (i, k) in nonzero else 0.0)
-
-    @given(
-        st.floats(-5, 5), st.floats(-5, 5), st.floats(-5, 5), st.floats(-5, 5),
-        st.sampled_from([-1, 1]), st.sampled_from([-1, 1]),
-    )
-    @settings(max_examples=80, deadline=None)
-    def test_invariants(self, K, L, M, N, lam, delta):
-        f = assemble_components(K, L, M, N, lam, delta)
-        # reflection restriction rows 3-4
-        assert f[2, 0] == delta * f[1, 3]
-        assert f[2, 1] == delta * f[1, 2]
-        assert f[2, 2] == delta * f[1, 1]
-        assert f[2, 3] == delta * f[1, 0]
-        assert f[3, 0] == delta * f[0, 3]
-        assert f[3, 1] == delta * f[0, 2]
-        assert f[3, 2] == delta * f[0, 1]
-        assert f[3, 3] == delta * f[0, 0]
-        # linear-constraint relations
-        assert f[0, 0] + f[1, 1] == pytest.approx(lam * (f[0, 2] + f[1, 3]))
-        assert f[0, 1] + f[1, 0] == pytest.approx(lam * (f[0, 3] + f[1, 2]))
-        # real-combination inversion round trip
-        assert (f[0, 2] + f[1, 3]).real == pytest.approx(K)
-        assert ((f[0, 2] - f[1, 3]) / 1j).real == pytest.approx(L)
-        assert (f[0, 3] + f[1, 2]).real == pytest.approx(M)
-        assert ((f[0, 3] - f[1, 2]) / 1j).real == pytest.approx(N)
 
 
 class TestDegeneracyMap:

@@ -10,6 +10,7 @@ from dkradial.model import ModeParams, QuantumNumbers, system_j, system_j0
 from dkradial.oracle import (
     OracleEigenvalue,
     ShootingConfig,
+    _frobenius_initial,
     _series_matrices,
     compare_spectra,
     shoot_j,
@@ -172,6 +173,16 @@ class TestFrobeniusSeries:
             for r in (2e-2, 1e-2)
         ]
         assert 24 < err[0] / err[1] < 40
+
+    @pytest.mark.parametrize("j,m", [(0, 0.7), (1, 0.0), (3, -0.7)])
+    def test_batched_start_equals_single_lanes(self, j, m):
+        eps = np.array([0.4, 1.7, 2.3, 5.1])
+        batched = _frobenius_initial(j, eps, m, 1e-3)
+        n = 2 if j == 0 else 4
+        assert batched.shape == (len(eps), n, n // 2)
+        for lane, e in enumerate(eps):
+            single = _frobenius_initial(j, np.array([e]), m, 1e-3)[0]
+            assert np.allclose(batched[lane], single, rtol=1e-15, atol=0)
 
 
 class TestCompare:
