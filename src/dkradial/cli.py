@@ -22,7 +22,7 @@ from .closedform import Family, ModeParams, QuantumNumbers
 from .model import factor_pair_K, factor_pair_M, operator_K4, operator_M4
 
 END_BUFFER = 1e-3
-DK_FAMILIES = (Family.F1, Family.F2, Family.F3, Family.F4)
+DK_FAMILIES = tuple(closedform._FAMILIES)
 
 
 def _fmt(v) -> str:
@@ -56,7 +56,10 @@ def _json(payload) -> str:
 
 
 def _parse_mass(s: str) -> Fraction:
-    return Fraction(s)
+    mass = Fraction(s)
+    if mass < 0:
+        raise ValueError("mass must be non-negative")
+    return mass
 
 
 def _radial_grid(size: int) -> np.ndarray:
@@ -76,7 +79,6 @@ def cmd_spectrum(args) -> int:
         j_or_J = args.J if fam is Family.DIRAC else (args.j or 0)
         for n in n_values:
             e = closedform.spectrum(fam, j_or_J, n, mass)
-            eps = args.eps_sign * math.sqrt(float(e.eps_sq))
             partner = (
                 f"{e.degenerate_partner[0].value} j={e.degenerate_partner[1]} n={e.degenerate_partner[2]}"
                 if e.degenerate_partner
@@ -89,7 +91,7 @@ def cmd_spectrum(args) -> int:
                     n,
                     _fraction_str(e.p_sq),
                     float(e.p_sq),
-                    eps,
+                    e.eps(args.eps_sign),
                     "yes" if e.bound else "no",
                     partner,
                 ]
@@ -115,7 +117,7 @@ def cmd_wavefunction(args) -> int:
         print(f"wavefunction: family {fam.value} needs --j >= 1", file=sys.stderr)
         return 2
     entry = closedform.spectrum(fam, args.j if fam is not Family.J0 else 0, args.n, mass)
-    eps = args.eps_sign * math.sqrt(float(entry.eps_sq))
+    eps = entry.eps(args.eps_sign)
     params = ModeParams(m=mass, eps=eps, lambda_sign=args.lam, delta_sign=args.delta)
     comments = [
         f"family={fam.value}",
@@ -155,7 +157,7 @@ def _verify_reports(args) -> list[verify.VerificationReport]:
     reports = []
     xg = verify.chebyshev_grid()
     if "operators" in suites or "cross" in suites:
-        fam_n = {Family.F1: n, Family.F2: n, Family.F3: max(n, 1), Family.F4: n}
+        fam_n = {fam: max(n, -seed.offset) for fam, seed in closedform._FAMILIES.items()}
     if "operators" in suites:
         for fam, nn in fam_n.items():
             entry = closedform.spectrum(fam, j, nn, mass)
@@ -206,14 +208,15 @@ def cmd_verify(args) -> int:
 
 
 def _closed_levels(j: int, mass: float, eps_min: float, eps_max: float) -> list:
-    """Closed-form bound levels at j with eps_min <= eps <= eps_max.  At index
-    n every family i-iv has p^2 >= (j+2n)^2 and j = 0 has p^2 = (2+n)^2 - 1,
-    so the list stops at the first n whose bound lies past eps_max."""
+    """Closed-form bound levels at j with eps_min <= eps <= eps_max.  Each
+    family's p^2 rises with n, so the list stops at the first n where every
+    family's level lies past eps_max."""
     p_sq_max = eps_max * eps_max - mass * mass
+    families = (Family.J0,) if j == 0 else DK_FAMILIES
     n = 0
-    while ((j + 2 * n) ** 2 if j else (2 + n) ** 2 - 1) <= p_sq_max:
+    while any(closedform.spectrum(fam, j, n, mass).p_sq <= p_sq_max for fam in families):
         n += 1
-    closed = closedform.family_levels(j, n, mass, (Family.J0,) if j == 0 else DK_FAMILIES)
+    closed = closedform.family_levels(j, n, mass, families)
     return [e for e in closed if eps_min <= e.eps() <= eps_max]
 
 
@@ -392,9 +395,8 @@ def main(argv=None) -> int:
             if args.J is None:
                 ap.error("--J is required for the dirac family")
             args.J = Fraction(args.J)
-        elif args.family in ("f1", "f2", "f3", "f4", "all-dk"):
-            if args.family != "all-dk" and args.j is None:
-                ap.error(f"--j is required for family {args.family}")
+        elif args.family not in ("j0", "all-dk") and args.j is None:
+            ap.error(f"--j is required for family {args.family}")
     try:
         return args.func(args)
     except (ValueError, ZeroDivisionError) as exc:

@@ -1,17 +1,18 @@
 """Exact quasi-polynomial wavefunctions and discrete spectra.
 
-Four terminating-hypergeometric families cover j >= 1; the j=0 sector
-reduces to a single second-order problem.  Spectra are kept as exact
-rationals: the p^2 values are integers (families iii, iv), integers minus
-one (families i, ii and j=0), or squares of half-odd integers for the
-spin-1/2 comparison series.
+The j >= 1 system has four fundamental solutions, the seeds
+x^xp (1-x)^(j/2) F(c0 - lam/2, c0 + lam/2; 1/2 + 2xp; x), c0 = (j+1)/2 + xp,
+in x = cos^2 r: each gives K (lam^2 = p^2 + 1) or M (lam = p) directly,
+with xp = 1/2 or 0.  Families i-iv are the seeds at the integer lam where
+the 2F1 terminates (one _FAMILIES row each); twins share a lead amplitude
+and lam.  The j=0 sector reduces to a single second-order problem.  Spectra
+are exact rationals: integers (families iii, iv), integers minus one
+(i, ii and j=0), or squares of half-odd integers (spin-1/2 comparison).
 
-Family (iii) caution: its p^2 formula (j+2n)^2 admits n=0, but the
-corresponding level p^2 = j^2 carries no normalizable state -- the
-terminating construction only exists from n=1 up (the degree of the
-hypergeometric polynomial is n-1).  spectrum() still returns the n=0 entry,
-flagged ``bound=False``, because the exact j-shift identities quantify over
-it; wavefunction constructors reject it.
+Family (iii) caution: its degree is n-1, so its p^2 formula (j+2n)^2 admits
+n=0, but p^2 = j^2 carries no normalizable state.  spectrum() still returns
+the n=0 entry, flagged ``bound=False``, because the exact j-shift identities
+quantify over it; wavefunction constructors reject it.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -88,15 +90,36 @@ class SpectrumEntry:
         return eps_sign * math.sqrt(float(self.eps_sq))
 
 
+class _Seed(NamedTuple):
+    lead: str  # the amplitude given directly: "K" (lam^2 = p^2 + 1) or "M" (lam = p)
+    xp: Fraction  # x-exponent, 1/2 or 0
+    offset: int  # polynomial degree k = n + offset
+
+
+_FAMILIES = {
+    Family.F1: _Seed("K", HALF, 0),
+    Family.F2: _Seed("K", Fraction(0), 0),
+    Family.F3: _Seed("M", HALF, -1),
+    Family.F4: _Seed("M", Fraction(0), 0),
+}
+
+
+def _lam(family: Family, j, n: int):
+    """The integer lam = j + 1 + 2 xp + 2k at which the family's 2F1 terminates."""
+    seed = _FAMILIES[family]
+    return j + 1 + int(2 * seed.xp) + 2 * (n + seed.offset)
+
+
+def _seed_expr(j: int, lam, xp: Fraction) -> Expr:
+    """x^xp (1-x)^(j/2) F(c0 - lam/2, c0 + lam/2; 1/2 + 2 xp; x), c0 = (j+1)/2 + xp;
+    x^{1/2} is the signed cos r, so the amplitude is smooth across the equator."""
+    c0 = (j + 1) / 2 + xp
+    return hyp_expr(1.0, xp, Fraction(j, 2), c0 - lam / 2, c0 + lam / 2, 0.5 + 2 * xp)
+
+
 def _p_sq_formula(family: Family, j: Fraction, n: int) -> Fraction:
-    if family is Family.F1:
-        return Fraction(j + 2 + 2 * n) ** 2 - 1
-    if family is Family.F2:
-        return Fraction(j + 1 + 2 * n) ** 2 - 1
-    if family is Family.F3:
-        return Fraction(j + 2 * n) ** 2
-    if family is Family.F4:
-        return Fraction(j + 1 + 2 * n) ** 2
+    if family in _FAMILIES:
+        return Fraction(_lam(family, j, n)) ** 2 - (1 if _FAMILIES[family].lead == "K" else 0)
     if family is Family.J0:
         return Fraction(2 + n) ** 2 - 1
     if family is Family.DIRAC:
@@ -105,16 +128,12 @@ def _p_sq_formula(family: Family, j: Fraction, n: int) -> Fraction:
 
 
 def _partner(family: Family, j: int, n: int) -> tuple[Family, int, int] | None:
-    # Same-n, j-shifted twins: F1(j) <-> F2(j+1) and F4(j) <-> F3(j+1).
-    if family is Family.F1:
-        return (Family.F2, j + 1, n)
-    if family is Family.F2:
-        return (Family.F1, j - 1, n) if j >= 2 else None
-    if family is Family.F4:
-        return (Family.F3, j + 1, n)
-    if family is Family.F3:
-        return (Family.F4, j - 1, n) if j >= 2 else None
-    return None
+    """The same-n twin: the other seed with the same lead amplitude, at the
+    j where lam is equal (F1(j) <-> F2(j+1), F4(j) <-> F3(j+1))."""
+    lead = _FAMILIES[family].lead
+    twin = next(f for f, s in _FAMILIES.items() if s.lead == lead and f is not family)
+    j_twin = _lam(family, j, n) - _lam(twin, 0, n)
+    return (twin, j_twin, n) if j_twin >= 1 else None
 
 
 def spectrum(family: Family, j_or_J, n: int, m) -> SpectrumEntry:
@@ -123,7 +142,8 @@ def spectrum(family: Family, j_or_J, n: int, m) -> SpectrumEntry:
     if n < 0:
         raise ValueError("n must be non-negative")
     j = _as_fraction(j_or_J)
-    if family in (Family.F1, Family.F2, Family.F3, Family.F4):
+    seed = _FAMILIES.get(family)
+    if seed is not None:
         if j.denominator != 1 or j < 1:
             raise ValueError(f"families i-iv need integer j >= 1, got {j}")
     elif family is Family.DIRAC:
@@ -133,38 +153,32 @@ def spectrum(family: Family, j_or_J, n: int, m) -> SpectrumEntry:
         j = Fraction(0)
     p_sq = _p_sq_formula(family, j, n)
     eps_sq = p_sq + _as_fraction(m) ** 2
-    bound = not (family is Family.F3 and n == 0)
-    partner = None
-    if family in (Family.F1, Family.F2, Family.F3, Family.F4):
-        partner = _partner(family, int(j), n)
     return SpectrumEntry(
-        family=family, j_or_J=j, n=n, p_sq=p_sq, eps_sq=eps_sq, bound=bound,
-        degenerate_partner=partner,
+        family=family, j_or_J=j, n=n, p_sq=p_sq, eps_sq=eps_sq,
+        bound=seed is None or n + seed.offset >= 0,
+        degenerate_partner=_partner(family, int(j), n) if seed is not None else None,
     )
 
 
-def family_levels(j: int, n_max: int, m, families=(Family.F1, Family.F2, Family.F3, Family.F4),
-                  bound_only: bool = True) -> list[SpectrumEntry]:
-    """All family entries with n <= n_max at fixed j, sorted by p^2."""
+def family_levels(j: int, n_max: int, m, families=tuple(_FAMILIES)) -> list[SpectrumEntry]:
+    """All bound family entries with n <= n_max at fixed j, sorted by p^2."""
     out = []
     for fam in families:
         for n in range(n_max + 1):
             e = spectrum(fam, j, n, m)
-            if bound_only and not e.bound:
-                continue
-            out.append(e)
+            if e.bound:
+                out.append(e)
     return sorted(out, key=lambda e: e.p_sq)
 
 
 @dataclass
 class RadialSolution:
-    """Amplitudes sampled on an r-grid, with family/branch metadata.
+    """Amplitudes sampled on an r-grid, with branch metadata.
 
     j=0 solutions carry only (M, N); the auxiliary pair is C = lam*M,
     D = lam*N.  Families i-iv carry the full (K, L, M, N).
     """
 
-    family: Family | None
     qn: QuantumNumbers
     params: ModeParams
     grid: np.ndarray
@@ -201,7 +215,6 @@ def wavefunction_j0(n: int, params: ModeParams, grid) -> RadialSolution:
     M_expr = hyp_expr(ratio, 1, 1, -n, 4 + n, 2.5)
     grid = np.asarray(grid, dtype=float)
     return RadialSolution(
-        family=Family.J0,
         qn=QuantumNumbers(0, n),
         params=params,
         grid=grid,
@@ -213,65 +226,34 @@ def wavefunction_j0(n: int, params: ModeParams, grid) -> RadialSolution:
 
 # -- families i-iv ----------------------------------------------------------
 
-def _family_direct_expr(family: Family, j: int, n: int) -> Expr:
-    """The directly given amplitude: K for families i, ii; M for iii, iv.
-
-    x = cos^2 r; x^{1/2} is the signed cos r so the amplitude is smooth
-    across the equator.  Family iii uses polynomial degree n-1.
-    """
-    jf = Fraction(j, 2)
-    if family is Family.F1:
-        return hyp_expr(1.0, HALF, jf, -n, j + 2 + n, 1.5)
-    if family is Family.F2:
-        return hyp_expr(1.0, 0, jf, -n, j + 1 + n, 0.5)
-    if family is Family.F3:
-        k = n - 1
-        return hyp_expr(1.0, HALF, jf, -k, j + 2 + k, 1.5)
-    if family is Family.F4:
-        return hyp_expr(1.0, 0, jf, -n, j + 1 + n, 0.5)
-    raise ValueError(f"no direct amplitude for family {family}")
-
-
 def _family_companion_expr(family: Family, j: int, n: int) -> Expr:
-    """The lacking amplitude: M for families i, ii; K for iii, iv.
-
-    Explicit two-hypergeometric combinations; each bracket vanishes at x=0
-    where a 1/sqrt(x) prefactor is present.
-    """
+    """The lacking amplitude (M when K leads, K when M leads), explicitly:
+    x^(xp-1/2) (1-x)^(j/2) / a times the bracket, vanishing at x = 0 for xp = 0,
+        2k(x-1) F(1-k, b; g; x) - (cx + 2k(x-1) + d) F(-k, b; g; x),
+    g = 1/2 + 2xp, b = j+k+1+2xp, c = j + 2xp (+1 when M leads), d = -1 if xp = 1/2."""
+    lead, xp, offset = _FAMILIES[family]
     a = math.sqrt(j * (j + 1))
-    jf = Fraction(j, 2)
-    if family is Family.F3:
-        n = n - 1
-    if family in (Family.F1, Family.F3):
-        # bracket: 2n(x-1) F(1-n, j+n+2; 3/2; x) - (cx + 2n(x-1) + d) F(-n, j+n+2; 3/2; x)
-        c, d = (j + 1.0, -1.0) if family is Family.F1 else (j + 2.0, -1.0)
-        lead = hyp_expr(2.0 * n, 1, 0, 1 - n, j + n + 2, 1.5) - hyp_expr(2.0 * n, 0, 0, 1 - n, j + n + 2, 1.5)
-        sub = (
-            hyp_expr(c, 1, 0, -n, j + n + 2, 1.5)
-            + hyp_expr(2.0 * n, 1, 0, -n, j + n + 2, 1.5)
-            - hyp_expr(2.0 * n, 0, 0, -n, j + n + 2, 1.5)
-            + hyp_expr(d, 0, 0, -n, j + n + 2, 1.5)
-        )
-        return (lead - sub).shift(0, jf).scale(1.0 / a)
-    if family in (Family.F2, Family.F4):
-        c = float(j) if family is Family.F2 else j + 1.0
-        lead = hyp_expr(2.0 * n, 1, 0, 1 - n, j + n + 1, 0.5) - hyp_expr(2.0 * n, 0, 0, 1 - n, j + n + 1, 0.5)
-        sub = (
-            hyp_expr(c, 1, 0, -n, j + n + 1, 0.5)
-            + hyp_expr(2.0 * n, 1, 0, -n, j + n + 1, 0.5)
-            - hyp_expr(2.0 * n, 0, 0, -n, j + n + 1, 0.5)
-        )
-        return (lead - sub).shift(-HALF, jf).scale(1.0 / a)
-    raise ValueError(f"no companion amplitude for family {family}")
+    k = n + offset
+    g, b = 0.5 + 2 * xp, j + k + 1 + 2 * xp
+    c = float(j + 2 * xp + (1 if lead == "M" else 0))
+    head = hyp_expr(2.0 * k, 1, 0, 1 - k, b, g) - hyp_expr(2.0 * k, 0, 0, 1 - k, b, g)
+    sub = (
+        hyp_expr(c, 1, 0, -k, b, g)
+        + hyp_expr(2.0 * k, 1, 0, -k, b, g)
+        - hyp_expr(2.0 * k, 0, 0, -k, b, g)
+    )
+    if xp:
+        sub = sub + hyp_expr(-1.0, 0, 0, -k, b, g)
+    return (head - sub).shift(xp - HALF, Fraction(j, 2)).scale(1.0 / a)
 
 
 def family_KM_exprs(family: Family, j: int, n: int) -> tuple[Expr, Expr]:
-    """(K, M) expression pair for one terminating family state."""
-    direct = _family_direct_expr(family, j, n)
+    """(K, M) expression pair for one terminating family state: the lead
+    amplitude is the family's seed at its terminating lam."""
+    seed = _FAMILIES[family]
+    direct = _seed_expr(j, _lam(family, j, n), seed.xp)
     companion = _family_companion_expr(family, j, n)
-    if family in (Family.F1, Family.F2):
-        return direct, companion
-    return companion, direct
+    return (direct, companion) if seed.lead == "K" else (companion, direct)
 
 
 def companion_from_relation(direct: Expr, p_sq: float, a_sq: float, source: str) -> Expr:
@@ -311,8 +293,7 @@ def _elimination_LN(K: Expr, M: Expr, a: float, eps_plus_m: float) -> tuple[Expr
     return L, N
 
 
-def _km_solution(family: Family | None, qn: QuantumNumbers, params: ModeParams, grid,
-                 K: Expr, M: Expr) -> RadialSolution:
+def _km_solution(qn: QuantumNumbers, params: ModeParams, grid, K: Expr, M: Expr) -> RadialSolution:
     """(K, M) completed by the (L, N) elimination, all four sampled on grid."""
     eps_plus_m = params.eps + params.m_eff
     if abs(eps_plus_m) < 1e-12:
@@ -324,16 +305,14 @@ def _km_solution(family: Family | None, qn: QuantumNumbers, params: ModeParams, 
     exprs = {"K": K, "L": L, "M": M, "N": N}
     grid = np.asarray(grid, dtype=float)
     samples = {name: e.eval_r_cos2(grid) for name, e in exprs.items()}
-    return RadialSolution(family=family, qn=qn, params=params, grid=grid, **samples, exprs=exprs)
+    return RadialSolution(qn=qn, params=params, grid=grid, **samples, exprs=exprs)
 
 
 def wavefunction_family(family: Family, qn: QuantumNumbers, params: ModeParams, grid) -> RadialSolution:
     """Terminating quasi-polynomial solution of one family at j >= 1."""
     family = Family(family)
-    if family not in (Family.F1, Family.F2, Family.F3, Family.F4):
+    if family not in _FAMILIES:
         raise ValueError(f"wavefunction_family handles families i-iv, got {family}")
-    if qn.j < 1:
-        raise ValueError("families i-iv require j >= 1")
     entry = spectrum(family, qn.j, qn.n, params.m)
     if not entry.bound:
         raise OffSpectrumError(
@@ -346,15 +325,15 @@ def wavefunction_family(family: Family, qn: QuantumNumbers, params: ModeParams, 
             f"{entry.p_sq} at j={qn.j}, n={qn.n}"
         )
     K, M = family_KM_exprs(family, qn.j, qn.n)
-    return _km_solution(family, qn, params, grid, K, M)
+    return _km_solution(qn, params, grid, K, M)
 
 
 def general_basis(j: int, p: float, params: ModeParams, grid) -> list[RadialSolution]:
     """Four independent solutions at arbitrary p > 0.
 
-    Two K-led solutions (bound x-exponents 1/2 and 0, hypergeometric
-    parameters split by sqrt(p^2+1)) and two M-led ones (split by p); the
-    partner of each follows from the coupled relations.
+    The four seeds of families i-iv, in that order, at a real lam: two
+    K-led ones (x-exponents 1/2 and 0, lam = sqrt(p^2+1)) and two M-led
+    ones (lam = p); the partner of each follows from the coupled relations.
     """
     if j < 1:
         raise ValueError("general basis defined for j >= 1")
@@ -362,20 +341,13 @@ def general_basis(j: int, p: float, params: ModeParams, grid) -> list[RadialSolu
         raise ValueError("p must be positive")
     a_sq = j * (j + 1)
     p_sq = p * p
-    jf = Fraction(j, 2)
-    sq = math.sqrt(p_sq + 1.0)
-    halfj = 0.5 * j
-    seeds = [
-        ("K", hyp_expr(1.0, HALF, jf, 1 + halfj - sq / 2, 1 + halfj + sq / 2, 1.5)),
-        ("K", hyp_expr(1.0, 0, jf, halfj + 0.5 - sq / 2, halfj + 0.5 + sq / 2, 0.5)),
-        ("M", hyp_expr(1.0, HALF, jf, 1 + halfj - p / 2, 1 + halfj + p / 2, 1.5)),
-        ("M", hyp_expr(1.0, 0, jf, halfj + 0.5 - p / 2, halfj + 0.5 + p / 2, 0.5)),
-    ]
+    lam = {"K": math.sqrt(p_sq + 1.0), "M": p}
     out = []
-    for lead, direct in seeds:
+    for lead, xp, _ in _FAMILIES.values():
+        direct = _seed_expr(j, lam[lead], xp)
         partner = companion_from_relation(direct, p_sq, a_sq, source=lead)
         K, M = (direct, partner) if lead == "K" else (partner, direct)
-        out.append(_km_solution(None, QuantumNumbers(j, 0), params, grid, K, M))
+        out.append(_km_solution(QuantumNumbers(j, 0), params, grid, K, M))
     return out
 
 
@@ -401,21 +373,14 @@ def degeneracy_map(j_max: int, n_max: int) -> list[DegeneratePair]:
     pairs = []
     for j in range(1, j_max + 1):
         for n in range(n_max):
-            p1 = _p_sq_formula(Family.F1, Fraction(j), n)
-            p2 = _p_sq_formula(Family.F2, Fraction(j + 1), n)
-            if p1 != p2:
-                raise ArithmeticError(f"f1(j={j}) and f2(j={j + 1}) differ at n={n}: {p1} != {p2}")
-            pairs.append(DegeneratePair((Family.F1, j, n), (Family.F2, j + 1, n), p1))
-            p4 = _p_sq_formula(Family.F4, Fraction(j), n)
-            p3 = _p_sq_formula(Family.F3, Fraction(j + 1), n)
-            if p4 != p3:
-                raise ArithmeticError(f"f4(j={j}) and f3(j={j + 1}) differ at n={n}: {p4} != {p3}")
-            pairs.append(
-                DegeneratePair(
-                    (Family.F4, j, n),
-                    (Family.F3, j + 1, n),
-                    p4,
-                    right_bound=n >= 1,
-                )
-            )
+            for fam in (Family.F1, Family.F4):
+                twin, j_twin, _ = _partner(fam, j, n)
+                p_left = _p_sq_formula(fam, Fraction(j), n)
+                p_right = _p_sq_formula(twin, Fraction(j_twin), n)
+                if p_left != p_right:
+                    raise ArithmeticError(
+                        f"{fam.value}(j={j}) and {twin.value}(j={j_twin}) differ at n={n}: {p_left} != {p_right}"
+                    )
+                bound = n + _FAMILIES[twin].offset >= 0
+                pairs.append(DegeneratePair((fam, j, n), (twin, j_twin, n), p_left, right_bound=bound))
     return pairs

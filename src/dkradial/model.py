@@ -183,9 +183,10 @@ class FirstOrderSystem:
     """dY/dr = A(r) Y with A(r) = eps E + m U + (a/sin r) S + (cot r) T.
 
     E, U, S and T are constant matrices with entries in {0, +-1}; SYSTEM_J
-    and SYSTEM_J0 hold the two sets with eps = m = a = 0, and system_j /
-    system_j0 fill in the parameters.  m is the effective mass, so the
-    lambda = -1 branch is m -> -m.  A(r) has simple poles at r=0 and r=pi.
+    holds them with eps = m = a = 0, SYSTEM_J0 is its (M, N) block (where S
+    vanishes), and system_j / system_j0 fill in the parameters.  m is the
+    effective mass, so the lambda = -1 branch is m -> -m.  A(r) has simple
+    poles at r=0 and r=pi.
 
     D is the diagonal of the reflection parity, D A(pi - r) D = -A(r): if
     Y(r) solves the system, so does D Y(pi - r), for every eps, m and a.
@@ -219,12 +220,12 @@ SYSTEM_J = FirstOrderSystem(
 )
 
 SYSTEM_J0 = FirstOrderSystem(
-    state=("M", "N"),
-    E=np.array([[0, -1], [1, 0]], dtype=float),
-    U=np.array([[0, -1], [-1, 0]], dtype=float),
-    S=np.zeros((2, 2)),
-    T=np.diag([-1.0, 1.0]),
-    D=np.array([-1.0, 1.0]),
+    state=SYSTEM_J.state[2:],
+    E=SYSTEM_J.E[2:, 2:],
+    U=SYSTEM_J.U[2:, 2:],
+    S=SYSTEM_J.S[2:, 2:],
+    T=SYSTEM_J.T[2:, 2:],
+    D=SYSTEM_J.D[2:],
 )
 
 

@@ -279,6 +279,8 @@ def shoot_j0(m: float, lambda_sign: int = +1, config: ShootingConfig | None = No
     than one node: a level between them was missed (two levels inside
     one scan step), and a smaller step is needed.
     """
+    if m < 0:
+        raise ValueError("mass must be non-negative")
     del lambda_sign
     out = _shoot(m, 0, config or ShootingConfig())
     for lower, upper in zip(out, out[1:]):
@@ -300,18 +302,20 @@ def shoot_j(m: float, j: int, lambda_sign: int = +1, config: ShootingConfig | No
     """
     if j < 1:
         raise ValueError("shoot_j requires j >= 1; use shoot_j0")
+    if m < 0:
+        raise ValueError("mass must be non-negative")
     return _shoot(lambda_sign * m, j, config or ShootingConfig())
 
 
 def compare_spectra(oracle: list[OracleEigenvalue], closed: list[SpectrumEntry],
-                    rel_tol: float = REL_TOL, eps_sign: int = +1) -> SpectrumComparison:
+                    rel_tol: float = REL_TOL) -> SpectrumComparison:
     """Greedy nearest-eps matching of oracle eigenvalues to closed entries."""
     remaining = list(closed)
     matched, unmatched_oracle = [], []
     for ev in sorted(oracle, key=lambda e: e.eps):
         best, best_rel = None, None
         for entry in remaining:
-            target = entry.eps(eps_sign)
+            target = entry.eps()
             rel = abs(ev.eps - target) / max(abs(target), 1e-300)
             if best_rel is None or rel < best_rel:
                 best, best_rel = entry, rel

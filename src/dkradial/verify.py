@@ -17,6 +17,7 @@ import numpy as np
 
 from ._exprs import Expr
 from .closedform import (
+    _FAMILIES,
     Family,
     ModeParams,
     QuantumNumbers,
@@ -249,12 +250,9 @@ def cross_consistency(family: Family, qn: QuantumNumbers, params: ModeParams,
     entry = spectrum(family, qn.j, qn.n, params.m)
     p2, a2 = float(entry.p_sq), qn.a_sq
     K, M = family_KM_exprs(family, qn.j, qn.n)
-    if family in (Family.F1, Family.F2):
-        via = companion_from_relation(K, p2, a2, "K")
-        explicit = M
-    else:
-        via = companion_from_relation(M, p2, a2, "M")
-        explicit = K
+    lead = _FAMILIES[family].lead
+    direct, explicit = (K, M) if lead == "K" else (M, K)
+    via = companion_from_relation(direct, p2, a2, lead)
     diff = via.eval_x(x) - explicit.eval_x(x)
     scale = np.maximum(np.abs(explicit.eval_x(x)), np.abs(via.eval_x(x))).max()
     rep1 = _report(f"companion[{family.value}]", x, diff, np.full_like(x, scale), tolerance)

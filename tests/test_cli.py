@@ -117,6 +117,19 @@ class TestExitCodes:
             main([*argv, "--format", "json"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["spectrum", "--family", "f1", "--j", "1", "--n-max", "1"],
+        ["wavefunction", "--family", "f1", "--j", "1", "--n", "0", "--grid", "5"],
+        ["verify", "--suite", "operators"],
+        ["oracle", "--j", "0", "--eps-min", "0.5", "--eps-max", "3.2", "--eps-step", "0.05", "--compare"],
+        ["oracle", "--j", "1", "--eps-max", "3.2"],
+    ])
+    def test_negative_mass_is_usage_error(self, argv, capsys):
+        code = main([*argv, "--mass", "-1"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "mass must be non-negative" in captured.err
+
     @pytest.mark.parametrize("j", ["0", "-1"])
     def test_verify_needs_j_at_least_one(self, j, capsys):
         assert main(["verify", "--suite", "factorization", "--j", j]) == 2

@@ -11,6 +11,7 @@ from dkradial.closedform import (
     Family,
     OffSpectrumError,
     degeneracy_map,
+    family_KM_exprs,
     family_levels,
     general_basis,
     j0_ratio,
@@ -46,11 +47,26 @@ class TestSpectrum:
         assert e.eps_sq == Fraction(4)
 
     def test_partner_links(self):
-        e = spectrum(Family.F1, 2, 2, 0)
-        assert e.degenerate_partner == (Family.F2, 3, 2)
-        assert spectrum(Family.F2, 1, 0, 0).degenerate_partner is None
-        assert spectrum(Family.F3, 1, 1, 0).degenerate_partner is None
-        assert spectrum(Family.F4, 1, 1, 0).degenerate_partner == (Family.F3, 2, 1)
+        for j in range(1, 21):
+            for n in range(21):
+                expect = {
+                    Family.F1: (Family.F2, j + 1, n),
+                    Family.F2: (Family.F1, j - 1, n) if j >= 2 else None,
+                    Family.F4: (Family.F3, j + 1, n),
+                    Family.F3: (Family.F4, j - 1, n) if j >= 2 else None,
+                }
+                for fam, partner in expect.items():
+                    assert spectrum(fam, j, n, 0).degenerate_partner == partner, (fam, j, n)
+
+    def test_lead_2f1_terminates_at_degree(self):
+        # The degree is n for families i, ii, iv and n - 1 for iii.
+        lead = {Family.F1: 0, Family.F2: 0, Family.F3: 1, Family.F4: 1}
+        offset = {Family.F1: 0, Family.F2: 0, Family.F3: -1, Family.F4: 0}
+        for fam in lead:
+            for j in range(1, 7):
+                for n in range(1 if fam is Family.F3 else 0, 7):
+                    (term,) = family_KM_exprs(fam, j, n)[lead[fam]].terms
+                    assert term.f.terminating and term.f.degree == n + offset[fam], (fam, j, n)
 
     def test_family3_lowest_formula_level_not_bound(self):
         e = spectrum(Family.F3, 2, 0, 0)
@@ -208,14 +224,21 @@ class TestGeneralBasis:
                     assert all(t.yp >= Fraction(j, 2) for t in b.exprs[name].terms)
 
     def test_reduces_to_terminating_on_spectrum(self):
-        p = math.sqrt(8.0)
-        basis = general_basis(1, p, ModeParams(m=0.0, eps=p), np.array([1.0]))
-        k1 = wavefunction_family(
-            Family.F1, QuantumNumbers(1, 0), ModeParams.from_p_sq(0.0, 8.0), np.array([1.0])
-        )
-        for x0 in (0.2, 0.45, 0.7):
-            ratio = basis[0].exprs["K"].eval_x(x0) / k1.exprs["K"].eval_x(x0)
-            assert ratio == pytest.approx(1.0, rel=1e-9)
+        # Seed i of the general basis, at a level of family i, is that
+        # family's lead amplitude: K for families i, ii and M for iii, iv.
+        leads = ((Family.F1, "K"), (Family.F2, "K"), (Family.F3, "M"), (Family.F4, "M"))
+        for seed, (family, lead) in enumerate(leads):
+            for j in (1, 2, 3):
+                for n in (1, 2):
+                    p_sq = float(spectrum(family, j, n, 0).p_sq)
+                    p = math.sqrt(p_sq)
+                    basis = general_basis(j, p, ModeParams(m=0.0, eps=p), np.array([1.0]))
+                    sol = wavefunction_family(
+                        family, QuantumNumbers(j, n), ModeParams.from_p_sq(0.0, p_sq), np.array([1.0])
+                    )
+                    for x0 in (0.2, 0.45, 0.7):
+                        ratio = basis[seed].exprs[lead].eval_x(x0) / sol.exprs[lead].eval_x(x0)
+                        assert ratio == pytest.approx(1.0, rel=1e-9), (family, j, n, x0)
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):

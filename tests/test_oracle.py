@@ -83,6 +83,16 @@ class TestShootJ:
         with pytest.raises(ValueError):
             shoot_j(0.0, 0)
 
+    @pytest.mark.parametrize("lam", [+1, -1])
+    @pytest.mark.parametrize("shoot", [
+        lambda m, lam: shoot_j(m, 1, lam, ShootingConfig(eps_scan=(0.5, 3.2, 0.05))),
+        lambda m, lam: shoot_j0(m, lam, ShootingConfig(eps_scan=(0.5, 3.2, 0.05))),
+    ], ids=["shoot_j", "shoot_j0"])
+    def test_negative_mass_rejected(self, shoot, lam):
+        # Checked before lambda_sign flips the mass: m = -1 is no branch.
+        with pytest.raises(ValueError, match="mass must be non-negative"):
+            shoot(-1.0, lam)
+
     def test_shifted_runs_share_degenerate_values(self):
         # F2(j+1, n) = F1(j, n) and F3(j+1, n) = F4(j, n): the j=2 run must
         # reproduce the matching j=1 values.
