@@ -2,7 +2,8 @@
 
 Modules:
   hypergeo    Gauss 2F1 evaluation (terminating and generic parameters)
-  model       radial systems, fourth-order operators, factorizations
+  model       the radial system (system(j, eps, m) for every j), fourth-order
+              operators, factorizations
   closedform  exact wavefunctions and discrete spectra
   verify      residual / factorization / Wronskian checks
   oracle      shooting-method eigenvalues, independent of the closed forms
@@ -34,8 +35,7 @@ from .model import (
     indicial_exponents,
     operator_K4,
     operator_M4,
-    system_j,
-    system_j0,
+    system,
 )
 from .oracle import OracleEigenvalue, ShootingConfig, compare_spectra, shoot_j, shoot_j0
 from .verify import (

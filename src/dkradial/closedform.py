@@ -205,7 +205,7 @@ def wavefunction_j0(n: int, params: ModeParams, grid) -> RadialSolution:
     M = M0 x(1-x)      F(-n,   4+n; 5/2; x)
     """
     eps, m = params.eps, params.m
-    target = m * m - 1.0 + (2 + n) ** 2
+    target = float(spectrum(Family.J0, 0, n, m).eps_sq)
     if abs(eps * eps - target) > SPECTRUM_RTOL * max(1.0, abs(target)):
         raise OffSpectrumError(
             f"eps^2={eps*eps} is off the j=0 spectrum value {target} for n={n}"

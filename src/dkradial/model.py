@@ -1,7 +1,9 @@
 """Radial ODE systems and differential operators on the spherical 3-space.
 
 Everything is kept as evaluable closed-form coefficient data so that the
-verification and oracle modules can sample operators on arbitrary grids.
+verification and oracle modules can sample operators on arbitrary grids;
+system(j, eps, m) is the one builder of the radial first-order system both
+of them integrate or check.
 Units: curvature radius 1, radial coordinate r in (0, pi), natural units for
 the mass and energy.
 
@@ -27,8 +29,7 @@ __all__ = [
     "FirstOrderSystem",
     "SYSTEM_J",
     "SYSTEM_J0",
-    "system_j0",
-    "system_j",
+    "system",
     "operator_K4",
     "operator_M4",
     "factor_pair_K",
@@ -184,9 +185,9 @@ class FirstOrderSystem:
 
     E, U, S and T are constant matrices with entries in {0, +-1}; SYSTEM_J
     holds them with eps = m = a = 0, SYSTEM_J0 is its (M, N) block (where S
-    vanishes), and system_j / system_j0 fill in the parameters.  m is the
-    effective mass, so the lambda = -1 branch is m -> -m.  A(r) has simple
-    poles at r=0 and r=pi.
+    vanishes), and system(j, eps, m) picks the block and fills in the
+    parameters.  m is the effective mass, so the lambda = -1 branch is
+    m -> -m.  A(r) has simple poles at r=0 and r=pi.
 
     D is the diagonal of the reflection parity, D A(pi - r) D = -A(r): if
     Y(r) solves the system, so does D Y(pi - r), for every eps, m and a.
@@ -229,28 +230,22 @@ SYSTEM_J0 = FirstOrderSystem(
 )
 
 
-def system_j0(params: ModeParams) -> FirstOrderSystem:
-    """The j=0 pair in (M, N).
+def system(j: int, eps, m: float) -> FirstOrderSystem:
+    """The radial system at angular momentum j, energy eps (a float or an
+    array of lanes) and effective mass m; a = sqrt(j(j+1)).
 
-    For lambda=+1:  M' = -M/tan r - (eps+m) N,  N' = N/tan r + (eps-m) M.
-    lambda=-1 is the same with m -> -m.
-    """
-    return replace(SYSTEM_J0, eps=params.eps, m=params.m_eff)
-
-
-def system_j(params: ModeParams, qn: QuantumNumbers) -> FirstOrderSystem:
-    """The coupled j >= 1 system in state order (K, L, M, N), a = sqrt(j(j+1)).
-
-    For lambda=+1:
+    j >= 1, state (K, L, M, N):
         K' = -(eps+m) L - (a/sin r) M
         L' =  (eps-m) K + (a/sin r) N
         M' = -(a/sin r) K - (cot r) M - (eps+m) N
         N' =  (a/sin r) L + (eps-m) M + (cot r) N
-    lambda=-1 is the same with m -> -m.
+    j = 0, state (M, N), where a = 0 decouples (K, L):
+        M' = -(cot r) M - (eps+m) N,  N' = (cot r) N + (eps-m) M.
+    m is lambda_sign times the mass: lambda = -1 is m -> -m.
     """
-    if qn.j < 1:
-        raise ValueError("system_j requires j >= 1; use system_j0")
-    return replace(SYSTEM_J, eps=params.eps, m=params.m_eff, a=qn.a)
+    if j < 0:
+        raise ValueError(f"j={j} must be non-negative")
+    return replace(SYSTEM_J0 if j == 0 else SYSTEM_J, eps=eps, m=m, a=math.sqrt(j * (j + 1)))
 
 
 def operator_K4(p_sq: float, a_sq: float) -> LinearDifferentialOperator:

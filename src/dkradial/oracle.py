@@ -1,11 +1,11 @@
 """Eigenvalue recovery straight from the radial ODE systems.
 
 Nothing here touches the closed forms: bound states are located by
-integrating the regular solution space of model's first-order system
-(SYSTEM_J for j >= 1, SYSTEM_J0 for j = 0, the coefficient matrices verify
-reads too) from r = 0 to the equator and finding the energies where the
-matched solution matrix turns singular.  Serves as the ground truth the
-hypergeometric construction is checked against.
+integrating the regular solution space of model.system(j, eps, m), the
+first-order system verify reads too, from r = R_START_OFFSET to the equator
+and finding the energies where the matched solution matrix turns singular.
+Serves as the ground truth the hypergeometric construction is checked
+against.
 
 Regular initial data comes from a short Frobenius expansion of the system
 at r = 0, built from the Laurent series of 1/sin r and cot r.  The regular
@@ -17,14 +17,14 @@ equator the match matrix is [Y | D Y], 4x4 for j >= 1 and 2x2 for j = 0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
 from .closedform import SpectrumEntry
-from .model import SYSTEM_J, SYSTEM_J0
+from .model import SYSTEM_J0, FirstOrderSystem, system
 
 __all__ = [
     "ShootingConfig",
@@ -36,6 +36,9 @@ __all__ = [
 ]
 
 FROBENIUS_TERMS = 5
+# Radius of the Frobenius start at r = 0; halved once when the scan
+# integration fails, and every level then carries "r-start-offset-halved".
+R_START_OFFSET = 1e-3
 # Integrator tolerances: the sign-change scan runs loose, root refinement tight.
 INTEGRATOR_RTOL = 1e-10
 INTEGRATOR_ATOL = 1e-13
@@ -55,13 +58,10 @@ NODE_SAMPLES = 100
 
 @dataclass(frozen=True)
 class ShootingConfig:
-    r_start_offset: float = 1e-3
     eps_scan: tuple[float, float, float] = (0.1, 5.0, 0.02)
 
     def __post_init__(self):
         lo, hi, step = self.eps_scan
-        if not (0 < self.r_start_offset < math.pi / 2):
-            raise ValueError("need 0 < r_start_offset < pi/2")
         if not (0 <= lo < hi and step > 0):
             raise ValueError(f"bad eps scan range {self.eps_scan}")
 
@@ -135,22 +135,17 @@ def _roots(eps_grid: np.ndarray, values: np.ndarray, objective, window):
             yield bracket, root
 
 
-def _system(j: int):
-    return SYSTEM_J0 if j == 0 else SYSTEM_J
-
-
-def _series_matrices(j: int, eps, m: float) -> list:
+def _series_matrices(sysm: FirstOrderSystem) -> list:
     """A(r) = A_-1/r + A_0 + A_1 r + A_3 r^3 + ... around r=0; A_0 is
-    stacked over the shape of eps, the other terms do not depend on eps."""
+    stacked over the shape of sysm.eps, the other terms do not depend on eps."""
     # 1/sin r = 1/r + r/6 + 7 r^3/360 + ...; cot r = 1/r - r/3 - r^3/45 - ...
-    sysm = _system(j)
-    aS, T = math.sqrt(j * (j + 1)) * sysm.S, sysm.T
-    A_0 = np.asarray(eps)[..., None, None] * sysm.E + m * sysm.U
+    aS, T = sysm.a * sysm.S, sysm.T
+    A_0 = np.asarray(sysm.eps)[..., None, None] * sysm.E + sysm.m * sysm.U
     return [aS + T, A_0, aS / 6 - T / 3, np.zeros_like(T), 7 * aS / 360 - T / 45]
 
 
-def _frobenius_initial(j: int, eps: np.ndarray, m: float, r0: float) -> np.ndarray:
-    """Regular columns at r0 for every eps lane, (lanes, n, n/2): (K, L, M, N)
+def _frobenius_initial(j: int, sysm: FirstOrderSystem, r0: float) -> np.ndarray:
+    """Regular columns at r0 for every lane of sysm.eps, (lanes, n, n/2): (K, L, M, N)
     with leading powers r^j and r^(j+1) for j >= 1, (M, N) ~ (0, r) for j = 0.
 
     Resonant orders (s+k an exponent of A_-1) are solved in the
@@ -158,12 +153,11 @@ def _frobenius_initial(j: int, eps: np.ndarray, m: float, r0: float) -> np.ndarr
     regular basis.  A_-1 - (s+k) I does not depend on eps, so each order is
     one least-squares solve with every lane as a right-hand side.
     """
-    mats = _series_matrices(j, eps, m)
-    A_m1 = mats[0]
+    mats = _series_matrices(sysm)
+    A_m1, lanes, a = mats[0], len(sysm.eps), sysm.a
     if j == 0:
         seeds = [(1, np.array([0.0, 1.0]))]
     else:
-        a = math.sqrt(j * (j + 1))
         seeds = [
             (j, np.array([1.0, 0.0, -j / a, 0.0])),
             (j + 1, np.array([0.0, 1.0, 0.0, (j + 1) / a])),
@@ -171,7 +165,7 @@ def _frobenius_initial(j: int, eps: np.ndarray, m: float, r0: float) -> np.ndarr
     cols = []
     eye = np.eye(len(A_m1))
     for s, c0 in seeds:
-        coeffs = [np.broadcast_to(c0, (len(eps), len(c0)))]
+        coeffs = [np.broadcast_to(c0, (lanes, len(c0)))]
         for k in range(1, FROBENIUS_TERMS):
             rhs = np.zeros_like(coeffs[0])
             for power, Ap in enumerate(mats[1:], start=0):
@@ -190,9 +184,8 @@ def _match(eps_vec: np.ndarray, m: float, j: int, r0: float, rtol: float, t_eval
     One solve_ivp carries every lane from r0 to pi/2; D Y(pi/2) is the
     regular space of r = pi brought to the equator by the reflection.
     """
-    eps_vec = np.atleast_1d(np.asarray(eps_vec, dtype=float))
-    sysm = replace(_system(j), eps=eps_vec, m=m, a=math.sqrt(j * (j + 1)))
-    cols_init = _frobenius_initial(j, eps_vec, m, r0)
+    sysm = system(j, np.atleast_1d(np.asarray(eps_vec, dtype=float)), m)
+    cols_init = _frobenius_initial(j, sysm, r0)
     shape = cols_init.shape  # (lanes, n, n/2)
 
     def rhs(r, y):
@@ -234,7 +227,7 @@ def _shoot(m: float, j: int, config: ShootingConfig) -> list[OracleEigenvalue]:
     # small window around it where the j >= 1 regular-space columns
     # degenerate (no j = 0 level lies there: its p^2 is at least 3).
     eps_grid = eps_grid[np.abs(eps_grid - abs(m)) > 1e-6]
-    r0, flags = config.r_start_offset, []
+    r0, flags = R_START_OFFSET, []
 
     def dets(eps, rtol):
         return np.linalg.det(_unit_columns(_match(eps, m, j, r0, rtol)[0]))

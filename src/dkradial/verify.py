@@ -4,8 +4,9 @@ j=0 pair residual.  Every check returns a VerificationReport.
 
 Residuals are normalized by the largest participating term, not by the
 solution value, because the solutions vanish at the interval endpoints.
-All checks are pure functions of their inputs and deterministic for a fixed
-grid.
+Each check passes against a fixed gate (RESIDUAL_TOL, IDENTITY_TOL, or 1e6
+on the inverse Wronskian) that no caller can change.  All checks are pure
+functions of their inputs and deterministic for a fixed grid.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .closedform import (
     spectrum,
     wavefunction_family,
 )
-from .model import FirstOrderSystem, LinearDifferentialOperator, system_j, system_j0
+from .model import FirstOrderSystem, LinearDifferentialOperator, system
 
 __all__ = [
     "VerificationReport",
@@ -42,6 +43,10 @@ __all__ = [
 ]
 
 END_BUFFER = 1e-6
+# Fixed gates on the max relative residual: the fourth-order operator and
+# j = 0 pair residuals, and the factorization and cross-consistency checks.
+RESIDUAL_TOL = 1e-9
+IDENTITY_TOL = 1e-10
 
 
 @dataclass
@@ -88,7 +93,7 @@ def _report(name, x, resid, scale, tol, keep=3) -> VerificationReport:
 
 
 def residual_operator(op: LinearDifferentialOperator, x, derivs,
-                      tolerance: float = 1e-9, name: str = "operator-residual") -> VerificationReport:
+                      name: str = "operator-residual") -> VerificationReport:
     """Pointwise sum_k c_k(x) y^(k)(x), term-scaled.
 
     derivs[k] must hold y^(k) on x, k = 0..op.order.
@@ -98,13 +103,13 @@ def residual_operator(op: LinearDifferentialOperator, x, derivs,
         raise ValueError(f"grid touches the singular endpoints within {END_BUFFER}")
     resid = op.apply(x, derivs)
     scale = op.term_magnitudes(x, derivs).max(axis=0)
-    return _report(name, x, resid, scale, tolerance)
+    return _report(name, x, resid, scale, RESIDUAL_TOL)
 
 
 def residual_operator_expr(op: LinearDifferentialOperator, expr: Expr, x,
-                           tolerance: float = 1e-9, name: str = "operator-residual") -> VerificationReport:
+                           name: str = "operator-residual") -> VerificationReport:
     x = np.asarray(x, dtype=float)
-    return residual_operator(op, x, expr.derivative_column(x, op.order), tolerance, name)
+    return residual_operator(op, x, expr.derivative_column(x, op.order), name)
 
 
 class BatteryFunction:
@@ -179,26 +184,24 @@ def compose_apply(outer: LinearDifferentialOperator, inner: LinearDifferentialOp
 
 
 def factorization_identity(outer: LinearDifferentialOperator, inner: LinearDifferentialOperator,
-                           direct: LinearDifferentialOperator, battery=None, x=None,
-                           tolerance: float = 1e-10,
+                           direct: LinearDifferentialOperator,
                            name: str = "factorization-identity") -> VerificationReport:
     """Compare x^2 * (outer o inner) phi against (direct) phi pointwise.
 
     The x^2 factor restores the direct operator's leading coefficient; the
-    factor pair is monic.  Battery defaults to polynomials up to degree 6
-    and sin(kx), k in {1,2,3}, on [0.05, 0.95].
+    factor pair is monic.  phi runs over default_battery(): polynomials up
+    to degree 6 and sin(kx), k in {1,2,3}, at 91 points on [0.05, 0.95].
     """
-    battery = battery if battery is not None else default_battery()
-    x = np.asarray(x if x is not None else np.linspace(0.05, 0.95, 91), dtype=float)
+    x = np.linspace(0.05, 0.95, 91)
     worst = None
-    for fn in battery:
+    for fn in default_battery():
         derivs = fn.derivatives(x, upto=4)
         composed = x**2 * compose_apply(outer, inner, x, derivs)
         straight = direct.apply(x, derivs)
         scale = np.maximum(
             direct.term_magnitudes(x, derivs).max(axis=0), np.abs(composed)
         )
-        rep = _report(f"factorization[{fn.name}]", x, composed - straight, scale, tolerance)
+        rep = _report(f"factorization[{fn.name}]", x, composed - straight, scale, IDENTITY_TOL)
         if worst is None or rep.max_rel_residual > worst.max_rel_residual:
             worst = rep
     worst.check_name = name
@@ -242,11 +245,11 @@ def wronskian_report(w: float, x0: float, name: str) -> VerificationReport:
     )
 
 
-def cross_consistency(family: Family, qn: QuantumNumbers, params: ModeParams,
-                      x=None, tolerance: float = 1e-10) -> VerificationReport:
-    """Companion amplitude via the coupled relation vs the explicit formula,
-    plus the first-order system residual of the assembled quadruple."""
-    x = np.asarray(x if x is not None else chebyshev_grid(), dtype=float)
+def cross_consistency(family: Family, qn: QuantumNumbers, params: ModeParams) -> VerificationReport:
+    """Companion amplitude via the coupled relation vs the explicit formula
+    on chebyshev_grid(), plus the first-order system residual of the
+    assembled quadruple."""
+    x = chebyshev_grid()
     entry = spectrum(family, qn.j, qn.n, params.m)
     p2, a2 = float(entry.p_sq), qn.a_sq
     K, M = family_KM_exprs(family, qn.j, qn.n)
@@ -255,19 +258,19 @@ def cross_consistency(family: Family, qn: QuantumNumbers, params: ModeParams,
     via = companion_from_relation(direct, p2, a2, lead)
     diff = via.eval_x(x) - explicit.eval_x(x)
     scale = np.maximum(np.abs(explicit.eval_x(x)), np.abs(via.eval_x(x))).max()
-    rep1 = _report(f"companion[{family.value}]", x, diff, np.full_like(x, scale), tolerance)
+    rep1 = _report(f"companion[{family.value}]", x, diff, np.full_like(x, scale), IDENTITY_TOL)
 
     r = np.arccos(np.sqrt(x))  # left-half radial points matching the x grid
     r = np.concatenate([r, np.pi - r])
     sol = wavefunction_family(family, qn, params, r)
     resid, scale_r = _system_residual(sol)
-    rep2 = _report(f"system[{family.value}]", r, resid, scale_r, tolerance)
+    rep2 = _report(f"system[{family.value}]", r, resid, scale_r, IDENTITY_TOL)
     rep = rep1 if rep1.max_rel_residual >= rep2.max_rel_residual else rep2
     return VerificationReport(
         check_name=f"cross-consistency[{family.value} j={qn.j} n={qn.n}]",
         max_rel_residual=max(rep1.max_rel_residual, rep2.max_rel_residual),
         sample_count=rep1.sample_count + rep2.sample_count,
-        tolerance=tolerance,
+        tolerance=IDENTITY_TOL,
         details=rep.details,
     )
 
@@ -275,16 +278,16 @@ def cross_consistency(family: Family, qn: QuantumNumbers, params: ModeParams,
 def j0_pair_residual(sol: RadialSolution) -> VerificationReport:
     """Residual of the j=0 first-order pair for a wavefunction_j0 solution.
 
-    (M, N)' - A(r) (M, N) from system_j0 on the solution's r-grid, both rows
-    scaled by one solution-wide magnitude.
+    (M, N)' - A(r) (M, N) from system(0, ...) on the solution's r-grid, both
+    rows scaled by one solution-wide magnitude.
     """
-    r = sol.grid
-    eps, m_eff = sol.params.eps, sol.params.m_eff
-    dY = [sol.exprs[k].diff_r_half().eval_r_half(r) for k in "MN"]
-    rows, _ = _system_rows(system_j0(sol.params), r, [sol.M, sol.N], dY)
-    scale = max(np.abs(sol.M).max(), np.abs(sol.N).max()) * max(abs(eps) + abs(m_eff), 1.0)
+    r, sysm = sol.grid, system(0, sol.params.eps, sol.params.m_eff)
+    Y = [getattr(sol, k) for k in sysm.state]
+    dY = [sol.exprs[k].diff_r_half().eval_r_half(r) for k in sysm.state]
+    rows, _ = _system_rows(sysm, r, Y, dY)
+    scale = max(np.abs(y).max() for y in Y) * max(abs(sysm.eps) + abs(sysm.m), 1.0)
     name = f"j0-pair[n={sol.qn.n} lambda={sol.params.lambda_sign:+d}]"
-    return _report(name, r, np.abs(rows).max(axis=0), np.full_like(r, scale), 1e-9)
+    return _report(name, r, np.abs(rows).max(axis=0), np.full_like(r, scale), RESIDUAL_TOL)
 
 
 def _system_rows(sysm: FirstOrderSystem, r, Y, dY) -> tuple[np.ndarray, np.ndarray]:
@@ -300,8 +303,10 @@ def _system_rows(sysm: FirstOrderSystem, r, Y, dY) -> tuple[np.ndarray, np.ndarr
 def _system_residual(sol) -> tuple[np.ndarray, np.ndarray]:
     """Pointwise residual of the coupled first-order system: the worst
     equation at each point, with its term scale."""
-    dY = [sol.exprs[k].diff_r_cos2().eval_r_cos2(sol.grid) for k in "KLMN"]
-    rows, scales = _system_rows(system_j(sol.params, sol.qn), sol.grid, [sol.K, sol.L, sol.M, sol.N], dY)
+    sysm = system(sol.qn.j, sol.params.eps, sol.params.m_eff)
+    Y = [getattr(sol, k) for k in sysm.state]
+    dY = [sol.exprs[k].diff_r_cos2().eval_r_cos2(sol.grid) for k in sysm.state]
+    rows, scales = _system_rows(sysm, sol.grid, Y, dY)
     rel = np.abs(rows) / np.where(scales > 0, scales, 1.0)
     idx = rel.argmax(axis=0)
     take = np.arange(rows.shape[1])

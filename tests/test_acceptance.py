@@ -164,7 +164,7 @@ def test_criterion_4_factorization_identity():
     for idx, (p2, a2) in enumerate(pairs):
         for make_pair, make_direct in ((factor_pair_K, operator_K4), (factor_pair_M, operator_M4)):
             outer, inner = make_pair(p2, a2)
-            rep = factorization_identity(outer, inner, make_direct(p2, a2), tolerance=1e-10)
+            rep = factorization_identity(outer, inner, make_direct(p2, a2))
             worst = max(worst, rep.max_rel_residual)
         if idx < 2:
             outer, inner = factor_pair_K(p2, a2)

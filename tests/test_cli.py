@@ -1,7 +1,9 @@
 import json
 import math
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -136,6 +138,21 @@ class TestExitCodes:
         assert main(["verify", "--j", j]) == 2
         code, out = run_main(["verify", "--suite", "j0", "--j", j], capsys)
         assert code == 0 and json.loads(out)[0]["check_name"] == "j0-pair[n=0 lambda=+1]"
+
+    @pytest.mark.parametrize("argv,message", [
+        (["wavefunction", "--family", "f2", "--j", "0", "--n", "0"], "integer j >= 1, got 0"),
+        (["wavefunction", "--family", "f1", "--j", "-1", "--n", "0"], "integer j >= 1, got -1"),
+        (["verify", "--j", "0"], "integer j >= 1, got 0"),
+        (["verify", "--suite", "wronskian", "--j", "0"], "j >= 1"),
+        (["verify", "--suite", "factorization", "--j", "0"], "integer j >= 1, got 0"),
+        (["verify", "--suite", "operators", "--j", "0"], "integer j >= 1, got 0"),
+    ])
+    def test_j_below_one_is_library_usage_error(self, argv, message, capsys):
+        """The library's own j check reaches the user: exit 2, nothing on stdout."""
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("dkradial: ") and message in captured.err
 
     def test_readme_verify_report(self, capsys):
         code, out = run_main(["verify", "--suite", "all", "--j", "1", "--n", "0", "--mass", "0"], capsys)
@@ -311,3 +328,19 @@ class TestRoundTrip:
         resid = op.apply(xs[inner], [d[inner] for d in derivs])
         scale = op.term_magnitudes(xs[inner], [d[inner] for d in derivs]).max(axis=0)
         assert np.max(np.abs(resid) / scale) < 1e-5
+
+
+class TestReadme:
+    def test_command_line_block_runs(self, tmp_path, capsys):
+        """Every `dkradial ...` line of the README "Command line" block exits 0."""
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        block = readme.split("## Command line", 1)[1].split("```")[1]
+        commands = [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("dkradial ")]
+        assert len(commands) == 6
+        for argv in commands:
+            if "--out" in argv:
+                at = argv.index("--out") + 1
+                argv[at] = str(tmp_path / argv[at])
+            assert main(argv) == 0, argv
+            capsys.readouterr()
+        assert (tmp_path / "wf.csv").read_text().startswith("# family=f1")

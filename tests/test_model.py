@@ -15,8 +15,7 @@ from dkradial.model import (
     indicial_exponents,
     operator_K4,
     operator_M4,
-    system_j,
-    system_j0,
+    system,
 )
 from finite_difference import fd_derivatives
 
@@ -44,19 +43,20 @@ class TestModeParams:
 
 class TestSystems:
     def test_j0_zero_mode(self):
-        A = system_j0(ModeParams(m=0.0, eps=0.0)).matrix(math.pi / 2)
+        A = system(0, 0.0, 0.0).matrix(math.pi / 2)
         assert np.allclose(A, 0.0, atol=1e-15)
 
     def test_j0_values(self):
-        A = system_j0(ModeParams(m=1.0, eps=2.0)).matrix(math.pi / 2)
+        A = system(0, 2.0, 1.0).matrix(math.pi / 2)
         assert np.allclose(A, [[0, -3], [1, 0]], atol=1e-15)
 
     def test_j0_lambda_branch_is_mass_flip(self):
-        A = system_j0(ModeParams(m=1.0, eps=2.0, lambda_sign=-1)).matrix(math.pi / 2)
+        params = ModeParams(m=1.0, eps=2.0, lambda_sign=-1)
+        A = system(0, params.eps, params.m_eff).matrix(math.pi / 2)
         assert np.allclose(A, [[0, -1], [3, 0]], atol=1e-15)
 
     def test_j_massless_at_equator(self):
-        A = system_j(ModeParams(m=0.0, eps=0.0), QuantumNumbers(1, 0)).matrix(math.pi / 2)
+        A = system(1, 0.0, 0.0).matrix(math.pi / 2)
         a = math.sqrt(2)
         expect = np.zeros((4, 4))
         expect[0, 2] = -a
@@ -66,23 +66,28 @@ class TestSystems:
         assert np.allclose(A, expect, atol=1e-15)
 
     def test_j_coupling_entries(self):
-        A = system_j(ModeParams(m=1.0, eps=1.0), QuantumNumbers(1, 0)).matrix(math.pi / 2)
+        A = system(1, 1.0, 1.0).matrix(math.pi / 2)
         assert A[0, 1] == pytest.approx(-2.0)  # K' <- L is -(eps+m)
         assert A[1, 0] == pytest.approx(0.0)   # eps-m = 0
 
-    def test_j0_rejected(self):
-        with pytest.raises(ValueError):
-            system_j(ModeParams(m=0.0, eps=1.0), QuantumNumbers(0, 0))
+    def test_negative_j_rejected(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            system(-1, 1.0, 0.0)
+
+    def test_sector_follows_j(self):
+        """j = 0 is the (M, N) block with a = 0; j >= 1 the full system."""
+        j0, j2 = system(0, 2.3, 0.7), system(2, 2.3, 0.7)
+        assert (j0.state, j0.a) == (("M", "N"), 0.0)
+        assert (j2.state, j2.a) == (("K", "L", "M", "N"), math.sqrt(6))
 
     @pytest.mark.parametrize("lam", [+1, -1])
     @pytest.mark.parametrize("r", [0.3, 1.1, 2.6])
     def test_docstring_equations(self, r, lam):
         eps, m = 2.3, 0.7
-        params = ModeParams(m=m, eps=eps, lambda_sign=lam)
         em_plus, em_minus = eps + lam * m, eps - lam * m
         ct = 1.0 / math.tan(r)
         np.testing.assert_allclose(
-            system_j0(params).matrix(r), [[-ct, -em_plus], [em_minus, ct]], rtol=1e-15, atol=0
+            system(0, eps, lam * m).matrix(r), [[-ct, -em_plus], [em_minus, ct]], rtol=1e-15, atol=0
         )
         for j in (1, 3):
             s = math.sqrt(j * (j + 1)) / math.sin(r)
@@ -93,12 +98,12 @@ class TestSystems:
                 [0.0, s, em_minus, ct],
             ]
             np.testing.assert_allclose(
-                system_j(params, QuantumNumbers(j, 0)).matrix(r), expect, rtol=1e-15, atol=0
+                system(j, eps, lam * m).matrix(r), expect, rtol=1e-15, atol=0
             )
 
     def test_matrix_stacks_over_r_and_eps(self):
         r = np.array([0.3, 1.1, 2.6])
-        sysm = system_j(ModeParams(m=0.7, eps=2.3), QuantumNumbers(2, 0))
+        sysm = system(2, 2.3, 0.7)
         assert np.array_equal(sysm.matrix(r), [sysm.matrix(float(t)) for t in r])
         lanes = dataclasses.replace(sysm, eps=np.array([0.5, 2.3]))
         stacked = lanes.matrix(1.1)
@@ -108,8 +113,7 @@ class TestSystems:
     @pytest.mark.parametrize("lam", [+1, -1])
     def test_reflection_parity(self, lam):
         """D A(pi - r) D = -A(r): D Y(pi - r) solves the system when Y does."""
-        params = ModeParams(m=0.7, eps=2.3, lambda_sign=lam)
-        for sysm in (system_j0(params), system_j(params, QuantumNumbers(2, 0))):
+        for sysm in (system(0, 2.3, lam * 0.7), system(2, 2.3, lam * 0.7)):
             D = np.diag(sysm.D)
             for r in (0.3, 1.1, 2.6):
                 np.testing.assert_allclose(
@@ -124,9 +128,9 @@ class TestSystems:
         r = np.array([0.3, 1.1, 2.6])
         Y = np.stack([np.zeros_like(r), np.sin(r)], axis=-1)[..., None]
         dY = np.stack([np.zeros_like(r), np.cos(r)], axis=-1)[..., None]
-        minus = system_j0(ModeParams(m=m, eps=m, lambda_sign=-1))
+        minus = system(0, m, -m)
         np.testing.assert_allclose(minus.matrix(r) @ Y, dY, rtol=0, atol=1e-15)
-        plus = system_j0(ModeParams(m=m, eps=m, lambda_sign=+1))
+        plus = system(0, m, m)
         assert np.abs(plus.matrix(r) @ Y - dY).max() > 0.1
 
 
@@ -238,7 +242,7 @@ class TestVariableChangeConsistency:
     @pytest.mark.parametrize("j,eps,m", [(1, 2.1, 0.0), (2, 3.3, 1.0)])
     def test_fd_residual(self, j, eps, m):
         params = ModeParams(m=m, eps=eps)
-        sysm = system_j(params, QuantumNumbers(j, 0))
+        sysm = system(j, params.eps, params.m_eff)
         # Window keeps x = cos^2 r away from x=0, where generic solutions
         # carry an x^(1/2) branch with unbounded higher derivatives.
         r = np.arange(0.45, 1.25, 1e-3)

@@ -6,7 +6,7 @@ import pytest
 
 from dkradial import oracle
 from dkradial.closedform import Family, family_levels, spectrum
-from dkradial.model import ModeParams, QuantumNumbers, system_j, system_j0
+from dkradial.model import system
 from dkradial.oracle import (
     OracleEigenvalue,
     ShootingConfig,
@@ -106,20 +106,29 @@ class TestShootJ:
         for want in (8.0, 9.0, 15.0, 16.0):
             assert any(abs(s - want) < 1e-5 for s in shared)
 
-    def test_discretization_independence(self):
+    def test_discretization_independence(self, monkeypatch):
         cfg = ShootingConfig(eps_scan=(2.7, 2.95, 0.02))
         base = shoot_j(0.0, 1, +1, cfg)
         assert len(base) == 1  # sqrt(8)
-        halved = shoot_j(0.0, 1, +1, ShootingConfig(
-            eps_scan=(2.7, 2.95, 0.02), r_start_offset=cfg.r_start_offset / 2))
+        monkeypatch.setattr(oracle, "R_START_OFFSET", oracle.R_START_OFFSET / 2)
+        halved = shoot_j(0.0, 1, +1, cfg)
         assert abs(halved[0].eps - base[0].eps) < 1e-9
 
-    def test_j0_pendant_discretization_independence(self):
+    def test_j0_pendant_discretization_independence(self, monkeypatch):
         cfg = ShootingConfig(eps_scan=(1.6, 1.85, 0.05))
         base = shoot_j0(0.0, +1, cfg)
-        halved = shoot_j0(0.0, +1, ShootingConfig(
-            eps_scan=(1.6, 1.85, 0.05), r_start_offset=cfg.r_start_offset / 2))
+        monkeypatch.setattr(oracle, "R_START_OFFSET", oracle.R_START_OFFSET / 2)
+        halved = shoot_j0(0.0, +1, cfg)
         assert abs(base[0].eps - halved[0].eps) < 1e-9
+
+    def test_weak_singularity_flag(self, monkeypatch):
+        """No level of the sqrt(8) window is weakly singular at the default
+        DET_TOLERANCE; with the threshold at 0 every level is flagged."""
+        cfg = ShootingConfig(eps_scan=(2.7, 2.95, 0.02))
+        assert [ev.flags for ev in shoot_j(0.0, 1, +1, cfg)] == [[]]
+        monkeypatch.setattr(oracle, "DET_TOLERANCE", 0.0)
+        evs = shoot_j(0.0, 1, +1, cfg)
+        assert evs and all(ev.flags == ["weak-singularity"] for ev in evs)
 
 
 class TestSharedShooting:
@@ -165,8 +174,8 @@ class TestSharedShooting:
 
         monkeypatch.setattr(oracle, "solve_ivp", fail_once)
         evs = shoot(cfg)
-        assert seen[0] == cfg.r_start_offset
-        assert set(seen[1:]) == {cfg.r_start_offset / 2}
+        assert seen[0] == oracle.R_START_OFFSET
+        assert set(seen[1:]) == {oracle.R_START_OFFSET / 2}
         assert [ev.flags for ev in evs] == [["r-start-offset-halved"]] * len(clean)
         assert [ev.eps for ev in evs] == pytest.approx([ev.eps for ev in clean], abs=1e-9)
 
@@ -174,10 +183,8 @@ class TestSharedShooting:
 class TestFrobeniusSeries:
     @pytest.mark.parametrize("j,lam", [(0, +1), (0, -1), (1, +1), (3, -1)])
     def test_truncation_error_is_fifth_order(self, j, lam):
-        eps, m = 2.3, 0.7
-        params = ModeParams(m=m, eps=eps, lambda_sign=lam)
-        sysm = system_j(params, QuantumNumbers(j, 0)) if j else system_j0(params)
-        A_m1, A_0, A_1, A_2, A_3 = _series_matrices(j, eps, lam * m)
+        sysm = system(j, 2.3, lam * 0.7)
+        A_m1, A_0, A_1, A_2, A_3 = _series_matrices(sysm)
         err = [
             np.abs(A_m1 / r + A_0 + A_1 * r + A_2 * r**2 + A_3 * r**3 - sysm.matrix(r)).max()
             for r in (2e-2, 1e-2)
@@ -187,11 +194,11 @@ class TestFrobeniusSeries:
     @pytest.mark.parametrize("j,m", [(0, 0.7), (1, 0.0), (3, -0.7)])
     def test_batched_start_equals_single_lanes(self, j, m):
         eps = np.array([0.4, 1.7, 2.3, 5.1])
-        batched = _frobenius_initial(j, eps, m, 1e-3)
+        batched = _frobenius_initial(j, system(j, eps, m), 1e-3)
         n = 2 if j == 0 else 4
         assert batched.shape == (len(eps), n, n // 2)
         for lane, e in enumerate(eps):
-            single = _frobenius_initial(j, np.array([e]), m, 1e-3)[0]
+            single = _frobenius_initial(j, system(j, np.array([e]), m), 1e-3)[0]
             assert np.allclose(batched[lane], single, rtol=1e-15, atol=0)
 
 
@@ -220,14 +227,7 @@ class TestCompare:
 class TestConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
-            ShootingConfig(r_start_offset=2.0)
-        with pytest.raises(ValueError):
-            ShootingConfig(r_start_offset=math.pi / 2)
-        with pytest.raises(ValueError):
-            ShootingConfig(r_start_offset=0.0)
-        with pytest.raises(ValueError):
             ShootingConfig(eps_scan=(3.0, 1.0, 0.1))
-        ShootingConfig(r_start_offset=1.5)
 
-    def test_two_fields(self):
-        assert [f.name for f in dataclasses.fields(ShootingConfig)] == ["r_start_offset", "eps_scan"]
+    def test_one_field(self):
+        assert [f.name for f in dataclasses.fields(ShootingConfig)] == ["eps_scan"]
