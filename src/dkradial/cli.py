@@ -18,8 +18,8 @@ from fractions import Fraction
 import numpy as np
 
 from . import closedform, oracle, verify
-from .closedform import Family, ModeParams, QuantumNumbers
-from .model import factor_pair_K, factor_pair_M, operator_K4, operator_M4
+from .closedform import Family
+from .model import ModeParams, QuantumNumbers, factor_pair_K, factor_pair_M, operator_K4, operator_M4
 
 END_BUFFER = 1e-3
 DK_FAMILIES = tuple(closedform._FAMILIES)
@@ -68,6 +68,8 @@ def _radial_grid(size: int) -> np.ndarray:
 
 def cmd_spectrum(args) -> int:
     mass = _parse_mass(args.mass)
+    if args.n_max < 0:
+        raise ValueError("n_max must be non-negative")
     fams: list[Family]
     if args.family == "all-dk":
         fams = list(DK_FAMILIES) if args.j and args.j >= 1 else [Family.J0]
@@ -371,7 +373,11 @@ def main(argv=None) -> int:
         first = vars(args)
         parser = commands[args.command]
         defaults = {}
-        for key, raw in _load_config(args.config).items():
+        try:
+            config = _load_config(args.config)
+        except (OSError, UnicodeError) as exc:
+            ap.error(f"--config: {exc}")
+        for key, raw in config.items():
             dest = parser.config_keys.get(key, key)
             if dest in first and dest not in ("command", "func"):
                 defaults[dest] = raw.lower() in ("1", "true", "yes") if isinstance(first[dest], bool) else raw
@@ -381,7 +387,6 @@ def main(argv=None) -> int:
         if args.family == "dirac":
             if args.J is None:
                 ap.error("--J is required for the dirac family")
-            args.J = Fraction(args.J)
         elif args.family not in ("j0", "all-dk") and args.j is None:
             ap.error(f"--j is required for family {args.family}")
     try:

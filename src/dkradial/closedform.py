@@ -36,6 +36,8 @@ __all__ = [
     "RadialSolution",
     "spectrum",
     "family_levels",
+    "family_KM_exprs",
+    "companion_from_relation",
     "wavefunction_j0",
     "wavefunction_family",
     "general_basis",
@@ -149,8 +151,8 @@ def spectrum(family: Family, j_or_J, n: int, m) -> SpectrumEntry:
     elif family is Family.DIRAC:
         if j.denominator != 2 or j < Fraction(1, 2):
             raise ValueError(f"the comparison series needs half-odd J >= 1/2, got {j}")
-    elif family is Family.J0:
-        j = Fraction(0)
+    elif family is Family.J0 and j != 0:
+        raise ValueError(f"the j=0 family needs j = 0, got {j}")
     p_sq = _p_sq_formula(family, j, n)
     eps_sq = p_sq + _as_fraction(m) ** 2
     return SpectrumEntry(
@@ -370,6 +372,8 @@ def degeneracy_map(j_max: int, n_max: int) -> list[DegeneratePair]:
     """
     if j_max < 2:
         raise ValueError("j_max must be >= 2")
+    if n_max < 0:
+        raise ValueError("n_max must be non-negative")
     pairs = []
     for j in range(1, j_max + 1):
         for n in range(n_max):

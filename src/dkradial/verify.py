@@ -20,20 +20,19 @@ from ._exprs import Expr
 from .closedform import (
     _FAMILIES,
     Family,
-    ModeParams,
-    QuantumNumbers,
     RadialSolution,
     companion_from_relation,
     family_KM_exprs,
     spectrum,
     wavefunction_family,
 )
-from .model import FirstOrderSystem, LinearDifferentialOperator, system
+from .model import FirstOrderSystem, LinearDifferentialOperator, ModeParams, QuantumNumbers, system
 
 __all__ = [
     "VerificationReport",
     "chebyshev_grid",
     "residual_operator",
+    "residual_operator_expr",
     "factorization_identity",
     "wronskian4",
     "wronskian_report",

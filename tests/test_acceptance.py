@@ -19,8 +19,6 @@ import numpy as np
 from dkradial._exprs import hyp_expr
 from dkradial.closedform import (
     Family,
-    ModeParams,
-    QuantumNumbers,
     family_KM_exprs,
     family_levels,
     general_basis,
@@ -28,7 +26,14 @@ from dkradial.closedform import (
     wavefunction_family,
 )
 from dkradial.hypergeo import Hyp2F1Params, gauss_2f1, gauss_2f1_derivative
-from dkradial.model import factor_pair_K, factor_pair_M, operator_K4, operator_M4
+from dkradial.model import (
+    ModeParams,
+    QuantumNumbers,
+    factor_pair_K,
+    factor_pair_M,
+    operator_K4,
+    operator_M4,
+)
 from dkradial.oracle import ShootingConfig, compare_spectra, shoot_j, shoot_j0
 from dkradial.verify import (
     chebyshev_grid,

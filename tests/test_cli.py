@@ -154,6 +154,27 @@ class TestExitCodes:
         assert code == 2 and captured.out == ""
         assert captured.err.startswith("dkradial: ") and message in captured.err
 
+    @pytest.mark.parametrize("argv", [
+        ["spectrum", "--family", "j0", "--j", "3"],
+        ["wavefunction", "--family", "j0", "--j", "2", "--n", "0", "--grid", "5"],
+        ["spectrum", "--family", "all-dk", "--j", "-2"],
+        ["spectrum", "--family", "dirac", "--J", "abc"],
+        ["spectrum", "--family", "dirac", "--J", "1/0"],
+        ["spectrum", "--family", "f1", "--j", "1", "--config", "missing.cfg"],
+        ["spectrum", "--family", "f1", "--j", "1", "--n-max", "-3"],
+        ["degeneracy", "--j-max", "3", "--n-max", "-1"],
+    ])
+    def test_bad_value_is_usage_error(self, argv, tmp_path, monkeypatch, capsys):
+        """A value the command cannot use exits 2 with a message, not a table or a traceback."""
+        monkeypatch.chdir(tmp_path)  # missing.cfg does not exist here
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's ap.error
+            code = exc.code
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "dkradial" in captured.err and "Traceback" not in captured.err
+
     def test_readme_verify_report(self, capsys):
         code, out = run_main(["verify", "--suite", "all", "--j", "1", "--n", "0", "--mass", "0"], capsys)
         assert code == 0

@@ -81,6 +81,11 @@ class TestSpectrum:
         with pytest.raises(ValueError):
             spectrum(Family.F1, 1, -1, 0)
 
+    def test_j0_family_rejects_nonzero_j(self):
+        with pytest.raises(ValueError, match="j = 0"):
+            spectrum(Family.J0, 3, 0, 0)
+        assert spectrum(Family.J0, Fraction(0), 1, 0).p_sq == 8
+
     def test_parallel_series_identities_exact(self):
         for j in range(1, 21):
             for n in range(21):
@@ -272,6 +277,11 @@ class TestDegeneracyMap:
         assert all(not p.right_bound for p in low)
         rest = [p for p in pairs if p.left[0] is Family.F4 and p.left[2] >= 1]
         assert all(p.right_bound for p in rest)
+
+    def test_negative_n_max_rejected(self):
+        with pytest.raises(ValueError, match="n_max"):
+            degeneracy_map(3, -1)
+        assert degeneracy_map(3, 0) == []
 
     @pytest.mark.parametrize("shifted", [Family.F2, Family.F3])
     def test_broken_identity_raises(self, monkeypatch, shifted):

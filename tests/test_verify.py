@@ -7,13 +7,19 @@ import pytest
 from dkradial._exprs import hyp_expr
 from dkradial.closedform import (
     Family,
-    ModeParams,
-    QuantumNumbers,
+    family_KM_exprs,
     general_basis,
     spectrum,
     wavefunction_j0,
 )
-from dkradial.model import factor_pair_K, factor_pair_M, operator_K4, operator_M4
+from dkradial.model import (
+    ModeParams,
+    QuantumNumbers,
+    factor_pair_K,
+    factor_pair_M,
+    operator_K4,
+    operator_M4,
+)
 from dkradial.verify import (
     chebyshev_grid,
     cross_consistency,
@@ -25,7 +31,6 @@ from dkradial.verify import (
     wronskian4,
     wronskian_report,
 )
-from dkradial.closedform import family_KM_exprs
 from finite_difference import fd_derivatives
 
 
