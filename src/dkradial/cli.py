@@ -4,7 +4,8 @@ maps, verification and oracle reports.
 Output contract: CSV with LF line endings and '#'-prefixed comment headers,
 floats in shortest round-trip form; JSON in UTF-8 with stable key order.
 Exit status 0 on success / all checks passing, 1 on a verification or
-comparison failure, 2 on usage errors.
+comparison failure, 2 on usage errors.  An argument @FILE reads one
+`key=value` (`--key=value`) or bare `key` (`--key`) option per line.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from .closedform import Family
 from .model import ModeParams, QuantumNumbers, factor_pair_K, factor_pair_M, operator_K4, operator_M4
 
 END_BUFFER = 1e-3
-DK_FAMILIES = tuple(closedform._FAMILIES)
 
 
 def _fmt(v) -> str:
@@ -55,10 +55,17 @@ def _json(payload) -> str:
     return json.dumps(payload, indent=2, sort_keys=False) + "\n"
 
 
-def _parse_mass(s: str) -> Fraction:
-    mass = Fraction(s)
+def _rational(s: str) -> Fraction:
+    try:
+        return Fraction(s)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"{s!r} is not a rational number") from None
+
+
+def _mass(s: str) -> Fraction:
+    mass = _rational(s)
     if mass < 0:
-        raise ValueError("mass must be non-negative")
+        raise argparse.ArgumentTypeError("mass must be non-negative")
     return mass
 
 
@@ -67,12 +74,11 @@ def _radial_grid(size: int) -> np.ndarray:
 
 
 def cmd_spectrum(args) -> int:
-    mass = _parse_mass(args.mass)
     if args.n_max < 0:
         raise ValueError("n_max must be non-negative")
     fams: list[Family]
     if args.family == "all-dk":
-        fams = list(DK_FAMILIES) if args.j and args.j >= 1 else [Family.J0]
+        fams = list(closedform.FAMILIES) if args.j and args.j >= 1 else [Family.J0]
     else:
         fams = [Family(args.family)]
     n_values = range(args.n_max + 1) if args.n is None else [args.n]
@@ -80,7 +86,7 @@ def cmd_spectrum(args) -> int:
     for fam in fams:
         j_or_J = args.J if fam is Family.DIRAC else (args.j or 0)
         for n in n_values:
-            e = closedform.spectrum(fam, j_or_J, n, mass)
+            e = closedform.spectrum(fam, j_or_J, n, args.mass)
             partner = (
                 f"{e.degenerate_partner[0].value} j={e.degenerate_partner[1]} n={e.degenerate_partner[2]}"
                 if e.degenerate_partner
@@ -98,7 +104,7 @@ def cmd_spectrum(args) -> int:
                     partner,
                 ]
             )
-    comments = [f"mass={mass}", f"eps_sign={args.eps_sign:+d}"]
+    comments = [f"mass={args.mass}", f"eps_sign={args.eps_sign:+d}"]
     header = ["family", "j", "n", "p_sq_exact", "p_sq", "eps", "bound", "degenerate_partner"]
     if args.format == "json":
         payload = [dict(zip(header, r)) for r in rows]
@@ -109,7 +115,7 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_wavefunction(args) -> int:
-    mass = float(_parse_mass(args.mass))
+    mass = float(args.mass)
     grid = _radial_grid(args.grid)
     fam = Family(args.family)
     entry = closedform.spectrum(fam, args.j, args.n, mass)
@@ -143,7 +149,7 @@ def cmd_wavefunction(args) -> int:
 
 
 def _verify_reports(args) -> list[verify.VerificationReport]:
-    mass = float(_parse_mass(args.mass))
+    mass = float(args.mass)
     j, n = args.j, args.n
     suites = (
         ("operators", "factorization", "wronskian", "cross", "j0")
@@ -153,7 +159,7 @@ def _verify_reports(args) -> list[verify.VerificationReport]:
     reports = []
     xg = verify.chebyshev_grid()
     if "operators" in suites or "cross" in suites:
-        fam_n = {fam: max(n, -seed.offset) for fam, seed in closedform._FAMILIES.items()}
+        fam_n = {fam: max(n, -seed.offset) for fam, seed in closedform.FAMILIES.items()}
     if "operators" in suites:
         for fam, nn in fam_n.items():
             entry = closedform.spectrum(fam, j, nn, mass)
@@ -205,7 +211,7 @@ def _closed_levels(j: int, mass: float, eps_min: float, eps_max: float) -> list:
     family's p^2 rises with n, so the list stops at the first n where every
     family's level lies past eps_max."""
     p_sq_max = eps_max * eps_max - mass * mass
-    families = (Family.J0,) if j == 0 else DK_FAMILIES
+    families = (Family.J0,) if j == 0 else tuple(closedform.FAMILIES)
     n = 0
     while any(closedform.spectrum(fam, j, n, mass).p_sq <= p_sq_max for fam in families):
         n += 1
@@ -214,7 +220,7 @@ def _closed_levels(j: int, mass: float, eps_min: float, eps_max: float) -> list:
 
 
 def cmd_oracle(args) -> int:
-    mass = float(_parse_mass(args.mass))
+    mass = float(args.mass)
     cfg = oracle.ShootingConfig(eps_scan=(args.eps_min, args.eps_max, args.eps_step))
     if args.j == 0:
         evs = oracle.shoot_j0(mass, args.lam, cfg)
@@ -269,51 +275,34 @@ def cmd_degeneracy(args) -> int:
     return 0
 
 
-def _load_config(path: str) -> dict:
-    out = {}
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, _, val = line.partition("=")
-            out[key.strip().replace("-", "_")] = val.strip()
-    return out
-
-
 class _Parser(argparse.ArgumentParser):
-    """ArgumentParser that records, for --config, the destination of each
-    option under its long name with '-' read as '_'."""
+    """Reads an @file as flat lines: `key=value` is `--key=value`, a bare
+    `key` is `--key`, and blank lines and `#` comments are skipped."""
 
-    def __init__(self, *args, **kwargs):
-        self.config_keys: dict[str, str] = {}  # set first: __init__ adds --help
-        super().__init__(*args, **kwargs)
-
-    def add_argument(self, *args, **kwargs):
-        action = super().add_argument(*args, **kwargs)
-        for opt in action.option_strings:
-            if opt.startswith("--"):
-                self.config_keys[opt[2:].replace("-", "_")] = action.dest
-        return action
+    def convert_arg_line_to_args(self, arg_line):
+        line = arg_line.strip()
+        if not line or line.startswith("#"):
+            return []
+        key, eq, value = line.partition("=")
+        return [f"--{key.strip()}{eq}{value.strip()}"]
 
 
-def build_parser() -> tuple[argparse.ArgumentParser, dict[str, _Parser]]:
-    """The top-level parser and its subcommand parsers by name."""
-    ap = _Parser(prog="dkradial", description=__doc__)
+def build_parser() -> argparse.ArgumentParser:
+    ap = _Parser(prog="dkradial", description=__doc__, fromfile_prefix_chars="@")
     sub = ap.add_subparsers(dest="command", required=True)
 
     def common(p):
         p.add_argument("--out", default=None, help="output path (default stdout)")
-        p.add_argument("--config", default=None, help="flat key=value config file; flags win")
+        p.allow_abbrev = False  # an option is named in full, on the command line or in an @file
 
     p = sub.add_parser("spectrum", help="exact discrete spectrum tables")
     p.add_argument("--family", required=True,
                    choices=("f1", "f2", "f3", "f4", "j0", "dirac", "all-dk"))
     p.add_argument("--j", type=int, default=None)
-    p.add_argument("--J", default=None, help="half-odd J for the comparison series, e.g. 1/2")
+    p.add_argument("--J", type=_rational, help="half-odd J for the comparison series, e.g. 1/2")
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--n-max", type=int, default=0)
-    p.add_argument("--mass", default="0")
+    p.add_argument("--mass", type=_mass, default="0")
     p.add_argument("--eps-sign", type=int, choices=(-1, 1), default=1)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     common(p)
@@ -323,7 +312,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, _Parser]]:
     p.add_argument("--family", required=True, choices=("f1", "f2", "f3", "f4", "j0"))
     p.add_argument("--j", type=int, default=0)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--mass", default="0")
+    p.add_argument("--mass", type=_mass, default="0")
     p.add_argument("--lambda", dest="lam", type=int, choices=(-1, 1), default=1)
     p.add_argument("--delta", type=int, choices=(-1, 1), default=1)
     p.add_argument("--eps-sign", type=int, choices=(-1, 1), default=1)
@@ -336,14 +325,14 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, _Parser]]:
                    choices=("all", "operators", "factorization", "wronskian", "cross", "j0"))
     p.add_argument("--j", type=int, default=1)
     p.add_argument("--n", type=int, default=0)
-    p.add_argument("--mass", default="0")
+    p.add_argument("--mass", type=_mass, default="0")
     p.add_argument("--lambda", dest="lam", type=int, choices=(-1, 1), default=1)
     common(p)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("oracle", help="shooting-method eigenvalues")
     p.add_argument("--j", type=int, required=True)
-    p.add_argument("--mass", default="0")
+    p.add_argument("--mass", type=_mass, default="0")
     p.add_argument("--lambda", dest="lam", type=int, choices=(-1, 1), default=1)
     p.add_argument("--eps-min", type=float, default=0.1)
     p.add_argument("--eps-max", type=float, default=5.0)
@@ -359,37 +348,19 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, _Parser]]:
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     common(p)
     p.set_defaults(func=cmd_degeneracy)
-    return ap, sub.choices
+    return ap
 
 
 def main(argv=None) -> int:
-    ap, commands = build_parser()
-    args = ap.parse_args(argv)
-    if args.config:
-        # Flags win: config values become the subcommand's defaults for a
-        # second parse, which converts string defaults through each option's
-        # type.  A key is an option's long name (or its destination); keys
-        # that are no option of this subcommand are ignored.
-        first = vars(args)
-        parser = commands[args.command]
-        defaults = {}
-        try:
-            config = _load_config(args.config)
-        except (OSError, UnicodeError) as exc:
-            ap.error(f"--config: {exc}")
-        for key, raw in config.items():
-            dest = parser.config_keys.get(key, key)
-            if dest in first and dest not in ("command", "func"):
-                defaults[dest] = raw.lower() in ("1", "true", "yes") if isinstance(first[dest], bool) else raw
-        parser.set_defaults(**defaults)
-        args = ap.parse_args(argv)
-    if args.command == "spectrum":
-        if args.family == "dirac":
-            if args.J is None:
-                ap.error("--J is required for the dirac family")
-        elif args.family not in ("j0", "all-dk") and args.j is None:
-            ap.error(f"--j is required for family {args.family}")
+    ap = build_parser()
     try:
+        args = ap.parse_args(argv)  # an undecodable @file raises UnicodeDecodeError, a ValueError
+        if args.command == "spectrum":
+            if args.family == "dirac":
+                if args.J is None:
+                    ap.error("--J is required for the dirac family")
+            elif args.family not in ("j0", "all-dk") and args.j is None:
+                ap.error(f"--j is required for family {args.family}")
         return args.func(args)
     except (ValueError, ZeroDivisionError) as exc:
         print(f"dkradial: {exc}", file=sys.stderr)

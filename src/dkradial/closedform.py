@@ -4,7 +4,7 @@ The j >= 1 system has four fundamental solutions, the seeds
 x^xp (1-x)^(j/2) F(c0 - lam/2, c0 + lam/2; 1/2 + 2xp; x), c0 = (j+1)/2 + xp,
 in x = cos^2 r: each gives K (lam^2 = p^2 + 1) or M (lam = p) directly,
 with xp = 1/2 or 0.  Families i-iv are the seeds at the integer lam where
-the 2F1 terminates (one _FAMILIES row each); twins share a lead amplitude
+the 2F1 terminates (one FAMILIES row each); twins share a lead amplitude
 and lam.  The j=0 sector reduces to a single second-order problem.  Spectra
 are exact rationals: integers (families iii, iv), integers minus one
 (i, ii and j=0), or squares of half-odd integers (spin-1/2 comparison).
@@ -30,6 +30,7 @@ from .model import ModeParams, QuantumNumbers
 
 __all__ = [
     "Family",
+    "FAMILIES",
     "SpectrumEntry",
     "OffSpectrumError",
     "EliminationSingularError",
@@ -98,7 +99,7 @@ class _Seed(NamedTuple):
     offset: int  # polynomial degree k = n + offset
 
 
-_FAMILIES = {
+FAMILIES = {
     Family.F1: _Seed("K", HALF, 0),
     Family.F2: _Seed("K", Fraction(0), 0),
     Family.F3: _Seed("M", HALF, -1),
@@ -108,7 +109,7 @@ _FAMILIES = {
 
 def _lam(family: Family, j, n: int):
     """The integer lam = j + 1 + 2 xp + 2k at which the family's 2F1 terminates."""
-    seed = _FAMILIES[family]
+    seed = FAMILIES[family]
     return j + 1 + int(2 * seed.xp) + 2 * (n + seed.offset)
 
 
@@ -120,8 +121,8 @@ def _seed_expr(j: int, lam, xp: Fraction) -> Expr:
 
 
 def _p_sq_formula(family: Family, j: Fraction, n: int) -> Fraction:
-    if family in _FAMILIES:
-        return Fraction(_lam(family, j, n)) ** 2 - (1 if _FAMILIES[family].lead == "K" else 0)
+    if family in FAMILIES:
+        return Fraction(_lam(family, j, n)) ** 2 - (1 if FAMILIES[family].lead == "K" else 0)
     if family is Family.J0:
         return Fraction(2 + n) ** 2 - 1
     if family is Family.DIRAC:
@@ -132,8 +133,8 @@ def _p_sq_formula(family: Family, j: Fraction, n: int) -> Fraction:
 def _partner(family: Family, j: int, n: int) -> tuple[Family, int, int] | None:
     """The same-n twin: the other seed with the same lead amplitude, at the
     j where lam is equal (F1(j) <-> F2(j+1), F4(j) <-> F3(j+1))."""
-    lead = _FAMILIES[family].lead
-    twin = next(f for f, s in _FAMILIES.items() if s.lead == lead and f is not family)
+    lead = FAMILIES[family].lead
+    twin = next(f for f, s in FAMILIES.items() if s.lead == lead and f is not family)
     j_twin = _lam(family, j, n) - _lam(twin, 0, n)
     return (twin, j_twin, n) if j_twin >= 1 else None
 
@@ -144,7 +145,7 @@ def spectrum(family: Family, j_or_J, n: int, m) -> SpectrumEntry:
     if n < 0:
         raise ValueError("n must be non-negative")
     j = _as_fraction(j_or_J)
-    seed = _FAMILIES.get(family)
+    seed = FAMILIES.get(family)
     if seed is not None:
         if j.denominator != 1 or j < 1:
             raise ValueError(f"families i-iv need integer j >= 1, got {j}")
@@ -162,7 +163,7 @@ def spectrum(family: Family, j_or_J, n: int, m) -> SpectrumEntry:
     )
 
 
-def family_levels(j: int, n_max: int, m, families=tuple(_FAMILIES)) -> list[SpectrumEntry]:
+def family_levels(j: int, n_max: int, m, families=tuple(FAMILIES)) -> list[SpectrumEntry]:
     """All bound family entries with n <= n_max at fixed j, sorted by p^2."""
     out = []
     for fam in families:
@@ -233,7 +234,7 @@ def _family_companion_expr(family: Family, j: int, n: int) -> Expr:
     x^(xp-1/2) (1-x)^(j/2) / a times the bracket, vanishing at x = 0 for xp = 0,
         2k(x-1) F(1-k, b; g; x) - (cx + 2k(x-1) + d) F(-k, b; g; x),
     g = 1/2 + 2xp, b = j+k+1+2xp, c = j + 2xp (+1 when M leads), d = -1 if xp = 1/2."""
-    lead, xp, offset = _FAMILIES[family]
+    lead, xp, offset = FAMILIES[family]
     a = math.sqrt(j * (j + 1))
     k = n + offset
     g, b = 0.5 + 2 * xp, j + k + 1 + 2 * xp
@@ -252,7 +253,7 @@ def _family_companion_expr(family: Family, j: int, n: int) -> Expr:
 def family_KM_exprs(family: Family, j: int, n: int) -> tuple[Expr, Expr]:
     """(K, M) expression pair for one terminating family state: the lead
     amplitude is the family's seed at its terminating lam."""
-    seed = _FAMILIES[family]
+    seed = FAMILIES[family]
     direct = _seed_expr(j, _lam(family, j, n), seed.xp)
     companion = _family_companion_expr(family, j, n)
     return (direct, companion) if seed.lead == "K" else (companion, direct)
@@ -313,7 +314,7 @@ def _km_solution(qn: QuantumNumbers, params: ModeParams, grid, K: Expr, M: Expr)
 def wavefunction_family(family: Family, qn: QuantumNumbers, params: ModeParams, grid) -> RadialSolution:
     """Terminating quasi-polynomial solution of one family at j >= 1."""
     family = Family(family)
-    if family not in _FAMILIES:
+    if family not in FAMILIES:
         raise ValueError(f"wavefunction_family handles families i-iv, got {family}")
     entry = spectrum(family, qn.j, qn.n, params.m)
     if not entry.bound:
@@ -345,7 +346,7 @@ def general_basis(j: int, p: float, params: ModeParams, grid) -> list[RadialSolu
     p_sq = p * p
     lam = {"K": math.sqrt(p_sq + 1.0), "M": p}
     out = []
-    for lead, xp, _ in _FAMILIES.values():
+    for lead, xp, _ in FAMILIES.values():
         direct = _seed_expr(j, lam[lead], xp)
         partner = companion_from_relation(direct, p_sq, a_sq, source=lead)
         K, M = (direct, partner) if lead == "K" else (partner, direct)
@@ -385,6 +386,6 @@ def degeneracy_map(j_max: int, n_max: int) -> list[DegeneratePair]:
                     raise ArithmeticError(
                         f"{fam.value}(j={j}) and {twin.value}(j={j_twin}) differ at n={n}: {p_left} != {p_right}"
                     )
-                bound = n + _FAMILIES[twin].offset >= 0
+                bound = n + FAMILIES[twin].offset >= 0
                 pairs.append(DegeneratePair((fam, j, n), (twin, j_twin, n), p_left, right_bound=bound))
     return pairs

@@ -18,7 +18,7 @@ import numpy as np
 
 from ._exprs import Expr
 from .closedform import (
-    _FAMILIES,
+    FAMILIES,
     Family,
     RadialSolution,
     companion_from_relation,
@@ -111,48 +111,21 @@ def residual_operator_expr(op: LinearDifferentialOperator, expr: Expr, x,
     return residual_operator(op, x, expr.derivative_column(x, op.order), name)
 
 
-class BatteryFunction:
-    """Test function with analytic derivatives to order 4."""
-
-    def __init__(self, name, derivs):
-        self.name = name
-        self._derivs = derivs
-
-    def derivatives(self, x, upto=4):
-        x = np.asarray(x, dtype=float)
-        return [d(x) for d in self._derivs[: upto + 1]]
-
-
-def _poly_battery(max_degree=6):
+def default_battery(x) -> list[tuple[str, list[np.ndarray]]]:
+    """(name, [phi, phi', phi'', phi''', phi'''']) on x for the test functions
+    x^d, d = 1..6, and sin(kx), k = 1, 2, 3, with analytic derivatives."""
+    x = np.asarray(x, dtype=float)
     out = []
-    for d in range(1, max_degree + 1):
-        derivs = []
-        for k in range(5):
-            if k > d:
-                derivs.append(lambda x, c=0.0: np.zeros_like(x))
-            else:
-                c = math.factorial(d) / math.factorial(d - k)
-                derivs.append(lambda x, c=c, p=d - k: c * x**p)
-        out.append(BatteryFunction(f"x^{d}", derivs))
-    return out
-
-
-def _sin_battery(ks=(1, 2, 3)):
-    out = []
-    for k in ks:
+    for d in range(1, 7):
         derivs = [
-            lambda x, k=k: np.sin(k * x),
-            lambda x, k=k: k * np.cos(k * x),
-            lambda x, k=k: -(k**2) * np.sin(k * x),
-            lambda x, k=k: -(k**3) * np.cos(k * x),
-            lambda x, k=k: k**4 * np.sin(k * x),
+            math.factorial(d) / math.factorial(d - k) * x ** (d - k) if k <= d else np.zeros_like(x)
+            for k in range(5)
         ]
-        out.append(BatteryFunction(f"sin({k}x)", derivs))
+        out.append((f"x^{d}", derivs))
+    for k in (1, 2, 3):
+        s, c = np.sin(k * x), np.cos(k * x)
+        out.append((f"sin({k}x)", [s, k * c, -(k**2) * s, -(k**3) * c, k**4 * s]))
     return out
-
-
-def default_battery():
-    return _poly_battery() + _sin_battery()
 
 
 def compose_apply(outer: LinearDifferentialOperator, inner: LinearDifferentialOperator,
@@ -193,14 +166,13 @@ def factorization_identity(outer: LinearDifferentialOperator, inner: LinearDiffe
     """
     x = np.linspace(0.05, 0.95, 91)
     worst = None
-    for fn in default_battery():
-        derivs = fn.derivatives(x, upto=4)
+    for fn_name, derivs in default_battery(x):
         composed = x**2 * compose_apply(outer, inner, x, derivs)
         straight = direct.apply(x, derivs)
         scale = np.maximum(
             direct.term_magnitudes(x, derivs).max(axis=0), np.abs(composed)
         )
-        rep = _report(f"factorization[{fn.name}]", x, composed - straight, scale, IDENTITY_TOL)
+        rep = _report(f"factorization[{fn_name}]", x, composed - straight, scale, IDENTITY_TOL)
         if worst is None or rep.max_rel_residual > worst.max_rel_residual:
             worst = rep
     worst.check_name = name
@@ -252,7 +224,7 @@ def cross_consistency(family: Family, qn: QuantumNumbers, params: ModeParams) ->
     entry = spectrum(family, qn.j, qn.n, params.m)
     p2, a2 = float(entry.p_sq), qn.a_sq
     K, M = family_KM_exprs(family, qn.j, qn.n)
-    lead = _FAMILIES[family].lead
+    lead = FAMILIES[family].lead
     direct, explicit = (K, M) if lead == "K" else (M, K)
     via = companion_from_relation(direct, p2, a2, lead)
     diff = via.eval_x(x) - explicit.eval_x(x)

@@ -127,10 +127,11 @@ class TestExitCodes:
         ["oracle", "--j", "1", "--eps-max", "3.2"],
     ])
     def test_negative_mass_is_usage_error(self, argv, capsys):
-        code = main([*argv, "--mass", "-1"])
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--mass", "-1"])
         captured = capsys.readouterr()
-        assert code == 2 and captured.out == ""
-        assert "mass must be non-negative" in captured.err
+        assert exc.value.code == 2 and captured.out == ""
+        assert "argument --mass: mass must be non-negative" in captured.err
 
     @pytest.mark.parametrize("j", ["0", "-1"])
     def test_verify_needs_j_at_least_one(self, j, capsys):
@@ -160,20 +161,27 @@ class TestExitCodes:
         ["spectrum", "--family", "all-dk", "--j", "-2"],
         ["spectrum", "--family", "dirac", "--J", "abc"],
         ["spectrum", "--family", "dirac", "--J", "1/0"],
-        ["spectrum", "--family", "f1", "--j", "1", "--config", "missing.cfg"],
+        ["spectrum", "--family", "f1", "--j", "1", "@missing.cfg"],
         ["spectrum", "--family", "f1", "--j", "1", "--n-max", "-3"],
         ["degeneracy", "--j-max", "3", "--n-max", "-1"],
+        ["spectrum", "--family", "f1", "--j", "1", "--mass", "1/0"],
+        ["oracle", "--j", "1", "--mass", "abc"],
+        ["spectrum", "--family", "f1", "--j", "1", "@latin1.cfg"],
     ])
     def test_bad_value_is_usage_error(self, argv, tmp_path, monkeypatch, capsys):
         """A value the command cannot use exits 2 with a message, not a table or a traceback."""
         monkeypatch.chdir(tmp_path)  # missing.cfg does not exist here
+        (tmp_path / "latin1.cfg").write_bytes("mass=0\n# \u00e9\n".encode("latin-1"))
         try:
             code = main(argv)
-        except SystemExit as exc:  # argparse's ap.error
+        except SystemExit as exc:  # argparse's own error
             code = exc.code
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""
         assert "dkradial" in captured.err and "Traceback" not in captured.err
+        for option in ("--mass", "--J"):
+            if option in argv:  # argparse names the option and the value
+                assert f"argument {option}: {argv[argv.index(option) + 1]!r} is not a rational number" in captured.err
 
     def test_readme_verify_report(self, capsys):
         code, out = run_main(["verify", "--suite", "all", "--j", "1", "--n", "0", "--mass", "0"], capsys)
@@ -267,62 +275,80 @@ class TestDeterminism:
 
 
 class TestConfigFile:
+    """An @file holds one `key=value` (`--key=value`) or bare `key` (`--key`)
+    per line; arguments are read left to right, so a later value wins."""
+
     def test_config_defaults_and_flag_precedence(self, tmp_path, capsys):
         cfg = tmp_path / "run.conf"
         cfg.write_text("family=f1\nj=1\nn-max=2\nmass=0\n")
-        code, out = run_main(["spectrum", "--family", "f1", "--config", str(cfg)], capsys)
+        code, out = run_main(["spectrum", f"@{cfg}"], capsys)
         assert code == 0
         rows = [l for l in out.splitlines() if l and not l.startswith("#")][1:]
-        assert len(rows) == 3  # n-max from config
-        # explicit flag wins over config
-        code, out = run_main(
-            ["spectrum", "--family", "f1", "--config", str(cfg), "--n-max", "0"], capsys
-        )
-        rows = [l for l in out.splitlines() if l and not l.startswith("#")][1:]
-        assert len(rows) == 1
+        assert len(rows) == 3  # n-max and the required --family from the file
+        # a flag after the file wins, a flag before it does not
+        for argv, n_rows in ((["spectrum", f"@{cfg}", "--n-max", "0"], 1),
+                             (["spectrum", "--n-max", "0", f"@{cfg}"], 3)):
+            code, out = run_main(argv, capsys)
+            rows = [l for l in out.splitlines() if l and not l.startswith("#")][1:]
+            assert code == 0 and len(rows) == n_rows, argv
 
     def test_config_numeric_key_uses_option_type(self, tmp_path, capsys):
         cfg = tmp_path / "run.conf"
-        cfg.write_text("eps-sign=-1\n")
-        code, out = run_main(
-            ["spectrum", "--family", "j0", "--n-max", "0", "--mass", "1", "--config", str(cfg)], capsys
-        )
-        assert code == 0 and "# eps_sign=-1" in out
+        cfg.write_text("eps-sign=-1\nmass=1/1\n")
+        code, out = run_main(["spectrum", "--family", "j0", "--n-max", "0", f"@{cfg}"], capsys)
+        assert code == 0 and "# eps_sign=-1" in out and "# mass=1" in out
         rows = [l for l in out.splitlines() if l and not l.startswith("#")][1:]
         assert float(rows[0].split(",")[5]) == pytest.approx(-2.0)
 
-    def test_config_keys_of_other_commands_ignored(self, tmp_path, capsys):
+    def test_config_comments_and_blank_lines(self, tmp_path, capsys):
         cfg = tmp_path / "run.conf"
-        cfg.write_text("grid=5\ncompare=true\nsuite=j0\ncommand=oracle\nfunc=x\n")
-        code, out = run_main(
-            ["spectrum", "--family", "f1", "--j", "1", "--config", str(cfg)], capsys
-        )
-        assert code == 0
+        cfg.write_text("# spin-1/2 comparison\n\nfamily=dirac\n   \n  # J = 1/2\n  J = 1/2  \nn-max=1\n")
+        code, out = run_main(["spectrum", f"@{cfg}"], capsys)
         rows = [l for l in out.splitlines() if l and not l.startswith("#")][1:]
-        assert [r.split(",")[3] for r in rows] == ["8"]
+        assert code == 0 and [r.split(",")[3] for r in rows] == ["9/4", "25/4"]
 
-    @pytest.mark.parametrize("key", ["lambda", "lam"])
-    def test_config_key_is_the_long_option_name(self, tmp_path, capsys, key):
+    @pytest.mark.parametrize("key,accepted", [("lambda", True), ("lam", False)], ids=["lambda", "lam"])
+    def test_config_key_is_the_long_option_name(self, tmp_path, capsys, key, accepted):
+        """`lambda` names --lambda; its destination `lam` names no option."""
         cfg = tmp_path / "run.conf"
         cfg.write_text(f"{key}=-1\n")
-        argv = ["wavefunction", "--family", "j0", "--n", "0", "--mass", "0", "--grid", "3"]
-        code, out = run_main([*argv, "--config", str(cfg)], capsys)
+        argv = ["wavefunction", "--family", "j0", "--n", "0", "--mass", "0", "--grid", "3", f"@{cfg}"]
+        if not accepted:
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2 and "unrecognized arguments: --lam=-1" in capsys.readouterr().err
+            return
+        code, out = run_main(argv, capsys)
         assert code == 0 and "# lambda=-1" in out.splitlines()
-        code, out = run_main([*argv, "--config", str(cfg), "--lambda", "1"], capsys)
+        code, out = run_main([*argv, "--lambda", "1"], capsys)
         assert code == 0 and "# lambda=+1" in out.splitlines()
 
-    @pytest.mark.parametrize("value,flag,compared", [
-        ("false", [], False),
-        ("true", [], True),
-        ("false", ["--compare"], True),
-    ])
-    def test_config_bool_flag(self, tmp_path, capsys, value, flag, compared):
+    @pytest.mark.parametrize("text,compared", [("compare\n", True), ("", False)], ids=["bare-line", "absent"])
+    def test_config_bool_flag(self, tmp_path, capsys, text, compared):
         cfg = tmp_path / "run.conf"
-        cfg.write_text(f"compare={value}\neps-min=1.6\neps-max=1.85\neps-step=0.05\n")
-        code, out = run_main(["oracle", "--j", "0", "--config", str(cfg), *flag], capsys)
+        cfg.write_text(f"{text}eps-min=1.6\neps-max=1.85\neps-step=0.05\n")
+        code, out = run_main(["oracle", "--j", "0", f"@{cfg}"], capsys)
         payload = json.loads(out)
         assert code == 0 and len(payload["eigenvalues"]) == 1
         assert ("comparison" in payload) is compared
+
+    @pytest.mark.parametrize("argv,line,message", [
+        (["spectrum", "--family", "f1", "--j", "1"], "nope=1", "unrecognized arguments: --nope=1"),
+        (["spectrum", "--family", "f1", "--j", "1"], "grid=5", "unrecognized arguments: --grid=5"),
+        (["spectrum", "--family", "f1", "--j", "1"], "n_max=2", "unrecognized arguments: --n_max=2"),
+        (["degeneracy", "--j-max", "3", "--n-max", "2"], "j=5", "unrecognized arguments: --j=5"),
+        (["oracle", "--j", "0"], "compare=true", "argument --compare: ignored explicit argument 'true'"),
+    ], ids=["unknown", "other-command", "underscore", "prefix", "bool-value"])
+    def test_config_line_no_option_takes_is_usage_error(self, tmp_path, capsys, argv, line, message):
+        """A line no option of the command takes exits 2 before the command
+        runs: a key must be the full long name of one of its options."""
+        cfg = tmp_path / "run.conf"
+        cfg.write_text(f"{line}\n")
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, f"@{cfg}"])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2 and captured.out == ""
+        assert message in captured.err
 
 
 class TestRoundTrip:
@@ -365,3 +391,14 @@ class TestReadme:
             assert main(argv) == 0, argv
             capsys.readouterr()
         assert (tmp_path / "wf.csv").read_text().startswith("# family=f1")
+
+    def test_args_file_example_runs(self, tmp_path, monkeypatch, capsys):
+        """The README @file example: write the file it shows, run its command."""
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        lines = readme.split("## Command line", 1)[1].split("```")[3].strip().splitlines()
+        assert lines[0] == "$ cat f1.args" and lines[-1].startswith("$ dkradial spectrum @f1.args")
+        (tmp_path / "f1.args").write_text("\n".join(lines[1:-1]) + "\n")
+        monkeypatch.chdir(tmp_path)
+        code, out = run_main(shlex.split(lines[-1])[2:], capsys)
+        rows = [l for l in out.splitlines() if l and not l.startswith("#")][1:]
+        assert code == 0 and [r.split(",")[3] for r in rows] == ["8", "24", "48"]

@@ -1,5 +1,5 @@
 """The package surface: what each module lists in __all__ exists, every
-public name one module takes from another is defined and listed there, and
+name one public module gives another is defined and listed there, and
 importing the closed-form side of the package does not load scipy."""
 
 import ast
@@ -37,8 +37,8 @@ def _listed_definitions(tree: ast.Module) -> set:
 
 
 def _taken(tree: ast.Module):
-    """(module, name) for every public name taken from a public sibling
-    module: `from .mod import name`, and `mod.name` after `from . import mod`."""
+    """(module, name) for every name taken from a sibling module:
+    `from .mod import name`, and `mod.name` after `from . import mod`."""
     aliases = {}
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and node.level == 1:
@@ -59,8 +59,7 @@ def test_modules_take_only_listed_names_from_each_other():
         f"{importer} takes {module}.{name}"
         for importer, tree in trees.items()
         for module, name in set(_taken(tree))
-        if not (module.startswith("_") or name.startswith("_"))
-        and name not in public[module]
+        if not module.startswith("_") and name not in public[module]
     )
     assert bad == [], "names taken from a module that does not define and list them: " + ", ".join(bad)
 
