@@ -120,7 +120,7 @@ def cmd_wavefunction(args) -> int:
     fam = Family(args.family)
     entry = closedform.spectrum(fam, args.j, args.n, mass)
     eps = entry.eps(args.eps_sign)
-    params = ModeParams(m=mass, eps=eps, lambda_sign=args.lam, delta_sign=args.delta)
+    params = ModeParams(m=mass, eps=eps, lambda_sign=args.lam)
     comments = [
         f"family={fam.value}",
         f"j={_fraction_str(entry.j_or_J)}",
@@ -128,7 +128,6 @@ def cmd_wavefunction(args) -> int:
         f"p_sq={_fraction_str(entry.p_sq)}",
         f"mass={args.mass}",
         f"lambda={args.lam:+d}",
-        f"delta={args.delta:+d}",
         f"eps={eps!r}",
     ]
     if fam is Family.J0:
@@ -173,13 +172,10 @@ def _verify_reports(args) -> list[verify.VerificationReport]:
             ))
     if "factorization" in suites:
         entry = closedform.spectrum(Family.F1, j, n, mass)
-        p2, a2 = float(entry.p_sq), j * (j + 1)
-        reports.append(verify.factorization_identity(
-            *factor_pair_K(p2, a2), operator_K4(p2, a2), name=f"factorization-K[p2={p2:g}]"
-        ))
-        reports.append(verify.factorization_identity(
-            *factor_pair_M(p2, a2), operator_M4(p2, a2), name=f"factorization-M[p2={p2:g}]"
-        ))
+        p2, a2 = entry.p_sq, j * (j + 1)  # exact, so the identity check is exact
+        for side, pair, direct in (("K", factor_pair_K, operator_K4), ("M", factor_pair_M, operator_M4)):
+            reports.append(verify.factorization_identity(
+                *pair(p2, a2), direct(p2, a2), name=f"factorization-{side}[p2={_fraction_str(p2)}]"))
     if "wronskian" in suites:
         p = 2.3
         params = ModeParams(m=mass, eps=math.sqrt(p * p + mass * mass))
@@ -314,7 +310,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--mass", type=_mass, default="0")
     p.add_argument("--lambda", dest="lam", type=int, choices=(-1, 1), default=1)
-    p.add_argument("--delta", type=int, choices=(-1, 1), default=1)
     p.add_argument("--eps-sign", type=int, choices=(-1, 1), default=1)
     p.add_argument("--grid", type=int, default=2001)
     common(p)
@@ -354,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     ap = build_parser()
     try:
-        args = ap.parse_args(argv)  # an undecodable @file raises UnicodeDecodeError, a ValueError
+        args = ap.parse_args(argv)
         if args.command == "spectrum":
             if args.family == "dirac":
                 if args.J is None:
@@ -362,6 +357,10 @@ def main(argv=None) -> int:
             elif args.family not in ("j0", "all-dk") and args.j is None:
                 ap.error(f"--j is required for family {args.family}")
         return args.func(args)
+    except UnicodeDecodeError as exc:  # argparse reads an @file itself and does not name it
+        files = [arg[1:] for arg in (sys.argv[1:] if argv is None else argv) if arg.startswith("@")]
+        print(f"dkradial: {', '.join(files)}: {exc}", file=sys.stderr)
+        return 2
     except (ValueError, ZeroDivisionError) as exc:
         print(f"dkradial: {exc}", file=sys.stderr)
         return 2

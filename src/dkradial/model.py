@@ -9,8 +9,8 @@ the mass and energy.
 
 Branch conventions: the constraint branch lambda = -1 is realized by the
 mass-sign substitution m -> -m; no separate coefficient tables exist for
-it.  The parity branch delta enters no equation here: ModeParams carries
-delta_sign, and the CLI only records it in the wavefunction header.
+it.  The reflection-parity branch delta enters no radial equation, so
+nothing here carries it.
 """
 
 from __future__ import annotations
@@ -61,7 +61,7 @@ class QuantumNumbers:
 
 @dataclass(frozen=True)
 class ModeParams:
-    """Mass, energy and the two discrete branch choices.
+    """Mass, energy and the constraint branch lambda.
 
     eps and m are the single source of truth; p_sq is derived.  The
     effective mass (lambda_sign * m) realizes the lambda = -1 branch.
@@ -70,13 +70,12 @@ class ModeParams:
     m: float
     eps: float
     lambda_sign: int = +1
-    delta_sign: int = +1
 
     def __post_init__(self):
         if self.m < 0:
             raise ValueError("mass must be non-negative")
-        if self.lambda_sign not in (-1, +1) or self.delta_sign not in (-1, +1):
-            raise ValueError("lambda_sign and delta_sign must be +1 or -1")
+        if self.lambda_sign not in (-1, +1):
+            raise ValueError("lambda_sign must be +1 or -1")
 
     @property
     def p_sq(self) -> float:
@@ -91,9 +90,9 @@ class ModeParams:
         return self.lambda_sign * self.m
 
     @classmethod
-    def from_p_sq(cls, m, p_sq, lambda_sign=+1, delta_sign=+1, eps_sign=+1) -> "ModeParams":
+    def from_p_sq(cls, m, p_sq, lambda_sign=+1, eps_sign=+1) -> "ModeParams":
         eps = eps_sign * math.sqrt(float(p_sq) + float(m) ** 2)
-        return cls(m=float(m), eps=eps, lambda_sign=lambda_sign, delta_sign=delta_sign)
+        return cls(m=float(m), eps=eps, lambda_sign=lambda_sign)
 
 
 class RationalCoefficient:
@@ -107,32 +106,35 @@ class RationalCoefficient:
     __slots__ = ("poly", "poles0", "poles1")
 
     def __init__(self, poly=(), poles0=(), poles1=()):
-        self.poly = tuple(float(c) for c in poly)
-        self.poles0 = tuple(float(c) for c in poles0)
-        self.poles1 = tuple(float(c) for c in poles1)
+        self.poly = tuple(poly)
+        self.poles0 = tuple(poles0)
+        self.poles1 = tuple(poles1)
 
     def __call__(self, x):
-        x = np.asarray(x, dtype=float)
+        """Value at x: in floats, each coefficient as float(c), for float x
+        (a scalar or an array); exactly for an object array of Fractions."""
+        x = np.asarray(x)
+        x, num = (x, Fraction) if x.dtype == object else (np.asarray(x, dtype=float), float)
         out = np.zeros_like(x)
         for k in range(len(self.poly) - 1, -1, -1):
-            out = out * x + self.poly[k]
+            out = out * x + num(self.poly[k])
         for k, c in enumerate(self.poles0, start=1):
             if c:
-                out = out + c / x**k
+                out = out + num(c) / x**k
         for k, c in enumerate(self.poles1, start=1):
             if c:
-                out = out + c / (1.0 - x) ** k
+                out = out + num(c) / (1 - x) ** k
         return out
 
     def derivative(self) -> "RationalCoefficient":
         # d/dx c/x^k = -k c/x^(k+1); d/dx c/(1-x)^k = +k c/(1-x)^(k+1)
         poly = tuple((k + 1) * c for k, c in enumerate(self.poly[1:]))
         n0 = len(self.poles0)
-        poles0 = [0.0] * (n0 + 1 if n0 else 0)
+        poles0 = [0] * (n0 + 1 if n0 else 0)
         for k, c in enumerate(self.poles0, start=1):
             poles0[k] = -k * c
         n1 = len(self.poles1)
-        poles1 = [0.0] * (n1 + 1 if n1 else 0)
+        poles1 = [0] * (n1 + 1 if n1 else 0)
         for k, c in enumerate(self.poles1, start=1):
             poles1[k] = k * c
         return RationalCoefficient(poly, poles0, poles1)
@@ -248,88 +250,94 @@ def system(j: int, eps, m: float) -> FirstOrderSystem:
     return replace(SYSTEM_J0 if j == 0 else SYSTEM_J, eps=eps, m=m, a=math.sqrt(j * (j + 1)))
 
 
-def operator_K4(p_sq: float, a_sq: float) -> LinearDifferentialOperator:
-    """Fourth-order operator annihilating K(x), x = cos^2 r."""
-    p2, a2 = float(p_sq), float(a_sq)
-    c4 = RationalCoefficient(poly=(0.0, 0.0, 1.0))
-    c3 = RationalCoefficient(poly=(5.0, 7.0), poles1=(-5.0,))
+def _exact(v):
+    """An int or a Fraction as a Fraction, anything else as a float."""
+    return Fraction(v) if isinstance(v, (int, Fraction)) else float(v)
+
+
+def operator_K4(p_sq, a_sq) -> LinearDifferentialOperator:
+    """Fourth-order operator annihilating K(x), x = cos^2 r.  Its
+    coefficients stay exact for int or Fraction p_sq and a_sq."""
+    p2, a2 = _exact(p_sq), _exact(a_sq)
+    c4 = RationalCoefficient(poly=(0, 0, 1))
+    c3 = RationalCoefficient(poly=(5, 7), poles1=(-5,))
     c2 = RationalCoefficient(
-        poly=(10.0 - p2 / 2.0,),
-        poles1=((p2 + a2 - 28.0) / 2.0, (15.0 - 2.0 * a2) / 4.0),
+        poly=(10 - p2 / 2,),
+        poles1=((p2 + a2 - 28) / 2, (15 - 2 * a2) / 4),
     )
     c1 = RationalCoefficient(
-        poles0=(0.25,),
-        poles1=((3.0 * p2 - 7.0) / 4.0, -(3.0 * p2 + a2 - 9.0) / 4.0, a2 / 4.0),
+        poles0=(Fraction(1, 4),),
+        poles1=((3 * p2 - 7) / 4, -(3 * p2 + a2 - 9) / 4, a2 / 4),
     )
     c0 = RationalCoefficient(
-        poles0=((p2 - a2) / 8.0,),
+        poles0=((p2 - a2) / 8,),
         poles1=(
-            (p2 - a2) / 8.0,
-            (p2**2 + 2.0 * p2 - 2.0 * a2) / 16.0,
-            -a2 * (p2 - 1.0) / 8.0,
-            a2 * (a2 - 2.0) / 16.0,
+            (p2 - a2) / 8,
+            (p2**2 + 2 * p2 - 2 * a2) / 16,
+            -a2 * (p2 - 1) / 8,
+            a2 * (a2 - 2) / 16,
         ),
     )
     return LinearDifferentialOperator(4, (c0, c1, c2, c3, c4))
 
 
-def operator_M4(p_sq: float, a_sq: float) -> LinearDifferentialOperator:
+def operator_M4(p_sq, a_sq) -> LinearDifferentialOperator:
     """Companion fourth-order operator annihilating M(x); differs from the
     K operator by -1/4 in the (1-x)^-1 part of c1 and by the -1 and -3
     shifts in c0."""
-    p2, a2 = float(p_sq), float(a_sq)
+    p2, a2 = _exact(p_sq), _exact(a_sq)
     base = operator_K4(p_sq, a_sq)
     c1 = RationalCoefficient(
-        poles0=(0.25,),
-        poles1=((3.0 * p2 - 6.0) / 4.0, -(3.0 * p2 + a2 - 9.0) / 4.0, a2 / 4.0),
+        poles0=(Fraction(1, 4),),
+        poles1=((3 * p2 - 6) / 4, -(3 * p2 + a2 - 9) / 4, a2 / 4),
     )
     c0 = RationalCoefficient(
-        poles0=((p2 - a2 - 1.0) / 8.0,),
+        poles0=((p2 - a2 - 1) / 8,),
         poles1=(
-            (p2 - a2 - 1.0) / 8.0,
-            (p2**2 + 2.0 * p2 - 2.0 * a2 - 3.0) / 16.0,
-            -a2 * (p2 - 1.0) / 8.0,
-            a2 * (a2 - 2.0) / 16.0,
+            (p2 - a2 - 1) / 8,
+            (p2**2 + 2 * p2 - 2 * a2 - 3) / 16,
+            -a2 * (p2 - 1) / 8,
+            a2 * (a2 - 2) / 16,
         ),
     )
     return LinearDifferentialOperator(4, (c0, c1, base.coeffs[2], base.coeffs[3], base.coeffs[4]))
 
 
-def _outer_operator(shift: float, a_sq: float, p_sq: float) -> LinearDifferentialOperator:
-    p2, a2 = float(p_sq), float(a_sq)
-    c2 = RationalCoefficient(poly=(1.0,))
-    c1 = RationalCoefficient(poles0=(1.5,), poles1=(-3.5,))
+def _outer_operator(shift: int, a_sq, p_sq) -> LinearDifferentialOperator:
+    p2, a2 = _exact(p_sq), _exact(a_sq)
+    c2 = RationalCoefficient(poly=(1,))
+    c1 = RationalCoefficient(poles0=(Fraction(3, 2),), poles1=(Fraction(-7, 2),))
     c0 = RationalCoefficient(
-        poles0=((p2 - a2 - shift) / 4.0,),
-        poles1=((p2 - a2 - shift) / 4.0, -(a2 - 6.0) / 4.0),
+        poles0=((p2 - a2 - shift) / 4,),
+        poles1=((p2 - a2 - shift) / 4, -(a2 - 6) / 4),
     )
     return LinearDifferentialOperator(2, (c0, c1, c2))
 
 
-def _inner_operator(shift: float, a_sq: float, p_sq: float) -> LinearDifferentialOperator:
-    p2, a2 = float(p_sq), float(a_sq)
-    c2 = RationalCoefficient(poly=(1.0,))
-    c1 = RationalCoefficient(poles0=(0.5,), poles1=(-1.5,))
+def _inner_operator(shift: int, a_sq, p_sq) -> LinearDifferentialOperator:
+    p2, a2 = _exact(p_sq), _exact(a_sq)
+    c2 = RationalCoefficient(poly=(1,))
+    c1 = RationalCoefficient(poles0=(Fraction(1, 2),), poles1=(Fraction(-3, 2),))
     c0 = RationalCoefficient(
-        poles0=((p2 - a2 - shift) / 4.0,),
-        poles1=((p2 - a2 - shift) / 4.0, -a2 / 4.0),
+        poles0=((p2 - a2 - shift) / 4,),
+        poles1=((p2 - a2 - shift) / 4, -a2 / 4),
     )
     return LinearDifferentialOperator(2, (c0, c1, c2))
 
 
-def factor_pair_K(p_sq: float, a_sq: float) -> tuple[LinearDifferentialOperator, LinearDifferentialOperator]:
+def factor_pair_K(p_sq, a_sq) -> tuple[LinearDifferentialOperator, LinearDifferentialOperator]:
     """(outer, inner) second-order factors of the K operator.
 
     Both factors are monic; the fourth-order operator equals x^2 times the
     composition outer(inner(.)) -- the x^2 restores its leading coefficient.
     """
-    return _outer_operator(10.0, a_sq, p_sq), _inner_operator(0.0, a_sq, p_sq)
+    return _outer_operator(10, a_sq, p_sq), _inner_operator(0, a_sq, p_sq)
 
 
-def factor_pair_M(p_sq: float, a_sq: float) -> tuple[LinearDifferentialOperator, LinearDifferentialOperator]:
+def factor_pair_M(p_sq, a_sq) -> tuple[LinearDifferentialOperator, LinearDifferentialOperator]:
     """(outer, inner) factors of the M operator; c0 numerators carry the
     -9 (outer) and -1 (inner) shifts."""
-    return _outer_operator(9.0, a_sq, p_sq), _inner_operator(1.0, a_sq, p_sq)
+    return _outer_operator(9, a_sq, p_sq), _inner_operator(1, a_sq, p_sq)
 
 
 def indicial_exponents(j: int) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:

@@ -41,6 +41,7 @@ from dkradial.verify import (
     residual_operator_expr,
     wronskian4,
 )
+from factorization_battery import battery_residual
 
 ALL_FAMILIES = (Family.F1, Family.F2, Family.F3, Family.F4)
 
@@ -158,30 +159,32 @@ def test_criterion_3_closed_form_residuals():
 
 
 def test_criterion_4_factorization_identity():
-    """Composed outer.inner agrees with the direct fourth-order operator on
-    the battery to <= 1e-10 of term scale for 10 random (p^2, a^2) pairs;
-    1%-perturbation negative controls fail."""
+    """Composed outer.inner agrees with the direct fourth-order operator to
+    <= 1e-10 for 10 random (p^2, a^2) pairs, both coefficient by
+    coefficient and applied to the sampled battery of test functions;
+    1%-perturbation negative controls fail both checks."""
     rng = random.Random(41)
     pairs = [(rng.uniform(0.5, 30.0), j * (j + 1)) for j in
              [rng.randint(1, 6) for _ in range(10)]]
-    worst = 0.0
+    worst = battery_worst = 0.0
     controls_fail = True
     for idx, (p2, a2) in enumerate(pairs):
         for make_pair, make_direct in ((factor_pair_K, operator_K4), (factor_pair_M, operator_M4)):
             outer, inner = make_pair(p2, a2)
-            rep = factorization_identity(outer, inner, make_direct(p2, a2))
-            worst = max(worst, rep.max_rel_residual)
+            direct = make_direct(p2, a2)
+            worst = max(worst, factorization_identity(outer, inner, direct).max_rel_residual)
+            battery_worst = max(battery_worst, battery_residual(outer, inner, direct))
         if idx < 2:
             outer, inner = factor_pair_K(p2, a2)
             direct = operator_K4(p2, a2)
             for k in range(3):
-                bad = factorization_identity(outer.with_perturbed_coeff(k, 1.01), inner, direct)
-                controls_fail &= not bad.passed
-                bad = factorization_identity(outer, inner.with_perturbed_coeff(k, 1.01), direct)
-                controls_fail &= not bad.passed
-    ok = worst <= 1e-10 and controls_fail
+                for o, i in ((outer.with_perturbed_coeff(k, 1.01), inner),
+                             (outer, inner.with_perturbed_coeff(k, 1.01))):
+                    controls_fail &= not factorization_identity(o, i, direct).passed
+                    controls_fail &= battery_residual(o, i, direct) >= 1e-10
+    ok = worst <= 1e-10 and battery_worst <= 1e-10 and controls_fail
     report(4, "factorization identity + negative controls", ok,
-           f"worst {worst:.2e}, controls fail: {controls_fail}")
+           f"worst {worst:.2e}, battery {battery_worst:.2e}, controls fail: {controls_fail}")
 
 
 def test_criterion_5_fundamental_system_independence():

@@ -63,6 +63,8 @@ class TestWavefunctionCommand:
             capsys,
         )
         assert code == 0
+        comments = [l.split("=")[0] for l in out.splitlines() if l.startswith("#")]
+        assert comments == ["# family", "# j", "# n", "# p_sq", "# mass", "# lambda", "# eps"]
         rows = [l.split(",") for l in out.splitlines() if l and not l.startswith("#")][1:]
         assert len(rows) == 5
         mid = rows[2]
@@ -108,6 +110,15 @@ class TestExitCodes:
         assert proc.returncode == 0
         reports = json.loads(proc.stdout)
         assert all(r["pass"] for r in reports)
+
+    def test_verify_factorization_is_exact(self, capsys):
+        """The CLI passes the exact p^2 and a^2, so the identity holds with
+        no residual at all."""
+        code, out = run_main(["verify", "--suite", "factorization", "--j", "2", "--n", "0"], capsys)
+        reports = json.loads(out)
+        assert code == 0 and [r["check_name"] for r in reports] == [
+            "factorization-K[p2=15]", "factorization-M[p2=15]"]
+        assert [r["max_rel_residual"] for r in reports] == [0.0, 0.0]
 
     @pytest.mark.parametrize("argv", [
         ["verify", "--suite", "factorization"],
@@ -167,6 +178,7 @@ class TestExitCodes:
         ["spectrum", "--family", "f1", "--j", "1", "--mass", "1/0"],
         ["oracle", "--j", "1", "--mass", "abc"],
         ["spectrum", "--family", "f1", "--j", "1", "@latin1.cfg"],
+        ["wavefunction", "--family", "f1", "--j", "1", "--n", "0", "--delta", "-1"],
     ])
     def test_bad_value_is_usage_error(self, argv, tmp_path, monkeypatch, capsys):
         """A value the command cannot use exits 2 with a message, not a table or a traceback."""
@@ -182,6 +194,8 @@ class TestExitCodes:
         for option in ("--mass", "--J"):
             if option in argv:  # argparse names the option and the value
                 assert f"argument {option}: {argv[argv.index(option) + 1]!r} is not a rational number" in captured.err
+        if "@latin1.cfg" in argv:  # the message names the file and the codec error
+            assert "latin1.cfg" in captured.err and "can't decode byte 0xe9" in captured.err
 
     def test_readme_verify_report(self, capsys):
         code, out = run_main(["verify", "--suite", "all", "--j", "1", "--n", "0", "--mass", "0"], capsys)

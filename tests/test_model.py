@@ -167,6 +167,40 @@ class TestOperators:
         assert np.allclose(c.derivative()(x), num, rtol=1e-8)
 
 
+class TestExactCoefficients:
+    @staticmethod
+    def operators(p_sq, a_sq):
+        return [operator_K4(p_sq, a_sq), operator_M4(p_sq, a_sq),
+                *factor_pair_K(p_sq, a_sq), *factor_pair_M(p_sq, a_sq)]
+
+    @staticmethod
+    def values(op):
+        return [v for c in op.coeffs for v in c.poly + c.poles0 + c.poles1]
+
+    @pytest.mark.parametrize("p_sq,a_sq", [(8, 2), (0, 6), (35, 12), (Fraction(7, 3), 42)])
+    def test_exact_input_keeps_exact_coefficients(self, p_sq, a_sq):
+        for op in self.operators(p_sq, a_sq):
+            assert all(isinstance(v, (int, Fraction)) for v in self.values(op))
+
+    @pytest.mark.parametrize("p_sq,a_sq", [(8, 2), (15, 6), (24, 12), (63, 42)])
+    def test_float_input_is_float_of_exact(self, p_sq, a_sq):
+        """At float (p^2, a^2) every coefficient, and its first two
+        derivatives on a grid, is bit-identical to float() of the exact one."""
+        x = np.linspace(0.05, 0.95, 19)
+        for exact, fl in zip(self.operators(p_sq, a_sq), self.operators(float(p_sq), float(a_sq))):
+            assert [float(v) for v in self.values(exact)] == self.values(fl)
+            for ce, cf in zip(exact.coeffs, fl.coeffs):
+                for _ in range(3):
+                    assert np.array_equal(ce(x), cf(x))
+                    ce, cf = ce.derivative(), cf.derivative()
+
+    def test_fraction_points_evaluate_exactly(self):
+        c = RationalCoefficient(poly=(1, Fraction(1, 2)), poles0=(Fraction(1, 4),), poles1=(0, 3))
+        x = np.array([Fraction(1, 3), Fraction(3, 4)], dtype=object)
+        assert list(c(x)) == [1 + Fraction(1, 6) + Fraction(3, 4) + Fraction(27, 4),
+                              1 + Fraction(3, 8) + Fraction(1, 3) + 48]
+
+
 class TestFactorPairs:
     def test_inner_c1(self):
         _, inner = factor_pair_K(8.0, 2.0)

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -23,7 +24,6 @@ from dkradial.model import (
 from dkradial.verify import (
     chebyshev_grid,
     cross_consistency,
-    default_battery,
     factorization_identity,
     j0_pair_residual,
     residual_operator,
@@ -31,6 +31,7 @@ from dkradial.verify import (
     wronskian4,
     wronskian_report,
 )
+from factorization_battery import compose_apply, default_battery
 from finite_difference import fd_derivatives
 
 
@@ -109,12 +110,26 @@ class TestExprEvaluation:
 
 
 class TestFactorization:
-    @pytest.mark.parametrize("p_sq,a_sq", [(8.0, 2.0), (3.3, 6.0), (15.0, 12.0)])
+    # (8, 6) is j = 2 family ii n = 0, where every term of the direct K
+    # operator applied to phi = x vanishes at x = 1/2
+    @pytest.mark.parametrize("p_sq,a_sq", [(8.0, 2.0), (3.3, 6.0), (15.0, 12.0), (8.0, 6.0), (8, 6)])
     def test_identity(self, p_sq, a_sq):
         rep = factorization_identity(*factor_pair_K(p_sq, a_sq), operator_K4(p_sq, a_sq))
         assert rep.passed
         rep = factorization_identity(*factor_pair_M(p_sq, a_sq), operator_M4(p_sq, a_sq))
         assert rep.passed
+
+    def test_exact_input_gives_exact_zero(self):
+        """Every family level for j = 1..6, n <= 3, and integer p^2 off the
+        spectrum: the exact comparison leaves no residual at all."""
+        for j in range(1, 7):
+            a_sq = j * (j + 1)
+            levels = {spectrum(fam, j, n, 0).p_sq for fam in (Family.F1, Family.F2, Family.F3, Family.F4)
+                      for n in range(4)}
+            for p_sq in sorted(levels | {0, 2, 5, Fraction(7, 3)}):
+                for make_pair, make_direct in ((factor_pair_K, operator_K4), (factor_pair_M, operator_M4)):
+                    rep = factorization_identity(*make_pair(p_sq, a_sq), make_direct(p_sq, a_sq))
+                    assert rep.max_rel_residual == 0.0, (j, p_sq, make_direct.__name__)
 
     def test_constant_function_gives_c0(self):
         # phi == 1: both sides reduce to the zero-order coefficients
@@ -122,26 +137,29 @@ class TestFactorization:
         direct = operator_K4(8.0, 2.0)
         x = np.linspace(0.05, 0.95, 19)
         one = [np.ones_like(x)] + [np.zeros_like(x)] * 4
-        from dkradial.verify import compose_apply
-
         lhs = x**2 * compose_apply(outer, inner, x, one)
         rhs = direct.apply(x, one)
         assert np.allclose(lhs, direct.coeffs[0](x), rtol=1e-12)
         assert np.max(np.abs(lhs - rhs)) < 1e-12 * np.max(np.abs(rhs))
 
     def test_every_coefficient_perturbation_detected(self):
-        p_sq, a_sq = 8.0, 2.0
-        outer, inner = factor_pair_K(p_sq, a_sq)
-        direct = operator_K4(p_sq, a_sq)
-        for which, k in (("outer", 0), ("outer", 1), ("outer", 2),
-                         ("inner", 0), ("inner", 1), ("inner", 2)):
-            o, i = outer, inner
-            if which == "outer":
-                o = o.with_perturbed_coeff(k, 1.01)
-            else:
-                i = i.with_perturbed_coeff(k, 1.01)
-            rep = factorization_identity(o, i, direct)
-            assert not rep.passed, f"{which} c{k} perturbation went unnoticed"
+        for p_sq, a_sq, factor in ((8.0, 2.0, 1.01), (8, 2, Fraction(101, 100))):
+            outer, inner = factor_pair_K(p_sq, a_sq)
+            direct = operator_K4(p_sq, a_sq)
+            for which, k in (("outer", 0), ("outer", 1), ("outer", 2),
+                             ("inner", 0), ("inner", 1), ("inner", 2)):
+                o, i = outer, inner
+                if which == "outer":
+                    o = o.with_perturbed_coeff(k, factor)
+                else:
+                    i = i.with_perturbed_coeff(k, factor)
+                rep = factorization_identity(o, i, direct)
+                assert not rep.passed, f"{which} c{k} perturbation by {factor} went unnoticed"
+
+    @pytest.mark.parametrize("p_sq,a_sq", [(8.0, 2.0), (8, 2)])
+    def test_wrong_direct_operator_detected(self, p_sq, a_sq):
+        rep = factorization_identity(*factor_pair_K(p_sq, a_sq), operator_M4(p_sq, a_sq))
+        assert not rep.passed
 
 
 class TestWronskian:
