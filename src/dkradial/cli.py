@@ -4,8 +4,9 @@ maps, verification and oracle reports.
 Output contract: CSV with LF line endings and '#'-prefixed comment headers,
 floats in shortest round-trip form; JSON in UTF-8 with stable key order.
 Exit status 0 on success / all checks passing, 1 on a verification or
-comparison failure, 2 on usage errors.  An argument @FILE reads one
-`key=value` (`--key=value`) or bare `key` (`--key`) option per line.
+comparison failure or a failed oracle integration, 2 on usage errors.  An
+argument @FILE reads one `key=value` (`--key=value`) or bare `key`
+(`--key`) option per line.
 """
 
 from __future__ import annotations
@@ -346,6 +347,15 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _is_utf8(path: str) -> bool:
+    try:
+        with open(path, "rb") as fh:
+            fh.read().decode("utf-8")
+    except UnicodeDecodeError:
+        return False
+    return True
+
+
 def main(argv=None) -> int:
     ap = build_parser()
     try:
@@ -359,11 +369,13 @@ def main(argv=None) -> int:
         return args.func(args)
     except UnicodeDecodeError as exc:  # argparse reads an @file itself and does not name it
         files = [arg[1:] for arg in (sys.argv[1:] if argv is None else argv) if arg.startswith("@")]
-        print(f"dkradial: {', '.join(files)}: {exc}", file=sys.stderr)
+        # argparse reads the files left to right and stops at the first it cannot decode
+        failed = next((f for f in files if not _is_utf8(f)), ", ".join(files))
+        print(f"dkradial: {failed}: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, ZeroDivisionError) as exc:
+    except (ValueError, ZeroDivisionError, oracle.IntegrationError) as exc:
         print(f"dkradial: {exc}", file=sys.stderr)
-        return 2
+        return 1 if isinstance(exc, oracle.IntegrationError) else 2  # 1: the oracle has no result
 
 
 if __name__ == "__main__":

@@ -12,6 +12,9 @@ at r = 0, built from the Laurent series of 1/sin r and cot r.  The regular
 space at r = pi is the reflection D Y(pi - r) of the one at r = 0 (D the
 system's parity diagonal), so one integration gives both halves: at the
 equator the match matrix is [Y | D Y], 4x4 for j >= 1 and 2x2 for j = 0.
+
+scipy loads on the first integration, not on import: solve_ivp and brentq
+are thin functions, the seams that tests and perfbench's tracer patch.
 """
 
 from __future__ import annotations
@@ -20,13 +23,12 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.optimize import brentq
 
 from .closedform import SpectrumEntry
 from .model import SYSTEM_J0, FirstOrderSystem, system
 
 __all__ = [
+    "IntegrationError",
     "ShootingConfig",
     "OracleEigenvalue",
     "SpectrumComparison",
@@ -54,6 +56,22 @@ DET_TOLERANCE = 1e-8
 REL_TOL = 1e-5
 # Samples of the half solution r0..pi/2 a j = 0 node count reads.
 NODE_SAMPLES = 100
+
+
+class IntegrationError(RuntimeError):
+    """An integration from the Frobenius start to the equator failed."""
+
+
+def solve_ivp(*args, **kwargs):
+    """scipy.integrate.solve_ivp, imported on the first call."""
+    from scipy.integrate import solve_ivp
+    return solve_ivp(*args, **kwargs)
+
+
+def brentq(*args, **kwargs):
+    """scipy.optimize.brentq, imported on the first call."""
+    from scipy.optimize import brentq
+    return brentq(*args, **kwargs)
 
 
 @dataclass(frozen=True)
@@ -196,7 +214,7 @@ def _match(eps_vec: np.ndarray, m: float, j: int, r0: float, rtol: float, t_eval
         rtol=rtol, atol=INTEGRATOR_ATOL, method=METHOD, t_eval=t_eval,
     )
     if not sol.success:
-        raise RuntimeError(f"integration failed: {sol.message}")
+        raise IntegrationError(f"integration failed: {sol.message}")
     cols = sol.y.reshape(*shape, -1)
     Y = cols[..., -1]
     return np.concatenate([Y, sysm.D[:, None] * Y], axis=2), cols
@@ -234,7 +252,7 @@ def _shoot(m: float, j: int, config: ShootingConfig) -> list[OracleEigenvalue]:
 
     try:
         scanned = dets(eps_grid, SCAN_RTOL)
-    except RuntimeError:
+    except IntegrationError:
         r0, flags = r0 / 2, ["r-start-offset-halved"]
         scanned = dets(eps_grid, SCAN_RTOL)
 

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dkradial import cli
+from dkradial import cli, oracle
 from dkradial.cli import main
 
 
@@ -196,6 +196,33 @@ class TestExitCodes:
                 assert f"argument {option}: {argv[argv.index(option) + 1]!r} is not a rational number" in captured.err
         if "@latin1.cfg" in argv:  # the message names the file and the codec error
             assert "latin1.cfg" in captured.err and "can't decode byte 0xe9" in captured.err
+
+    @pytest.mark.parametrize("files", [["good.cfg", "latin1.cfg"], ["latin1.cfg", "missing.cfg"]])
+    def test_undecodable_file_is_named_alone(self, files, tmp_path, monkeypatch, capsys):
+        """Only the @file that is not UTF-8 is named: not a good one, nor
+        one argparse never reached."""
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "good.cfg").write_text("n-max=1\n", encoding="utf-8")
+        (tmp_path / "latin1.cfg").write_bytes("mass=0\n# \u00e9\n".encode("latin-1"))
+        code = main(["spectrum", "--family", "f1", "--j", "1", *(f"@{f}" for f in files)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("dkradial: latin1.cfg: 'utf-8' codec can't decode byte 0xe9")
+
+    def test_failed_oracle_integration_is_exit_one(self, monkeypatch, capsys):
+        """No oracle result: one line on stderr, no traceback, exit 1."""
+        real_ivp = oracle.solve_ivp
+
+        def failing(*a, **k):
+            sol = real_ivp(*a, **k)
+            sol.success, sol.message = False, "forced failure"
+            return sol
+
+        monkeypatch.setattr(oracle, "solve_ivp", failing)
+        code = main(["oracle", "--j", "1", "--mass", "0", "--eps-max", "2"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == "dkradial: integration failed: forced failure\n"
 
     def test_readme_verify_report(self, capsys):
         code, out = run_main(["verify", "--suite", "all", "--j", "1", "--n", "0", "--mass", "0"], capsys)

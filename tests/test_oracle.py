@@ -179,6 +179,29 @@ class TestSharedShooting:
         assert [ev.flags for ev in evs] == [["r-start-offset-halved"]] * len(clean)
         assert [ev.eps for ev in evs] == pytest.approx([ev.eps for ev in clean], abs=1e-9)
 
+    @pytest.mark.parametrize("first_failure", [1, 2], ids=["every", "in-brentq"])
+    @pytest.mark.parametrize("shoot", [
+        lambda cfg: shoot_j0(0.0, +1, cfg), lambda cfg: shoot_j(0.0, 1, +1, cfg),
+    ], ids=["j0", "j1"])
+    def test_failed_integration_raises_typed_error(self, monkeypatch, shoot, first_failure):
+        """From the first_failure-th integration on every one fails: when
+        that is the scan (and its retry) or a brentq objective call, no
+        level can be had and IntegrationError says why."""
+        real_ivp, calls = oracle.solve_ivp, []
+
+        def fail_from(*a, **k):
+            calls.append(k["rtol"])
+            sol = real_ivp(*a, **k)
+            if len(calls) >= first_failure:
+                sol.success, sol.message = False, "forced failure"
+            return sol
+
+        monkeypatch.setattr(oracle, "solve_ivp", fail_from)
+        with pytest.raises(oracle.IntegrationError, match="integration failed: forced failure"):
+            shoot(ShootingConfig(eps_scan=(1.6, 2.1, 0.05)))
+        scan, refine = oracle.SCAN_RTOL, oracle.INTEGRATOR_RTOL
+        assert calls == ([scan, scan] if first_failure == 1 else [scan, refine])
+
 
 class TestFrobeniusSeries:
     @pytest.mark.parametrize("j,lam", [(0, +1), (0, -1), (1, +1), (3, -1)])

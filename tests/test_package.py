@@ -1,10 +1,12 @@
 """The package surface: what each module lists in __all__ exists, every
 name one public module gives another is defined and listed there, and
-importing the closed-form side of the package does not load scipy."""
+only shooting loads scipy."""
 
 import ast
 import importlib
+import json
 import pkgutil
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -65,11 +67,45 @@ def test_modules_take_only_listed_names_from_each_other():
 
 
 def test_closed_form_modules_load_without_scipy():
+    """Importing the closed-form modules, the oracle or the CLI loads no
+    scipy; the oracle's solve_ivp and brentq stay patchable attributes."""
     code = (
         "import sys, dkradial\n"
         "loaded = [m for m in sys.modules if m.startswith('dkradial.')]\n"
-        "import dkradial.verify\n"
-        "print(loaded, [m for m in sys.modules if m.split('.')[0] == 'scipy'])\n"
+        "import dkradial.verify, dkradial.cli, dkradial.oracle as o\n"
+        "print(loaded, [m for m in sys.modules if m.split('.')[0] == 'scipy'],\n"
+        "      callable(o.solve_ivp), callable(o.brentq))\n"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
-    assert proc.stdout.strip() == "[] []"
+    assert proc.stdout.strip() == "[] [] True True"
+
+
+def test_only_the_oracle_command_needs_scipy(tmp_path):
+    """With scipy blocked, the five closed-form README commands exit 0;
+    unblocked, the oracle command loads it and its comparison passes."""
+    readme = (SOURCE.parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command line", 1)[1].split("```")[1]
+    commands = [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("dkradial ")]
+    for argv in commands:
+        if "--out" in argv:
+            argv[argv.index("--out") + 1] = str(tmp_path / "out.csv")
+    closed = [argv for argv in commands if argv[0] != "oracle"]
+    (shoot,) = [argv for argv in commands if argv[0] == "oracle"]
+    assert len(closed) == 5 and "--compare" in shoot
+    code = (
+        "import contextlib, io, json, sys\n"
+        "sys.modules['scipy'] = None\n"
+        "from dkradial.cli import main\n"
+        "def run(argv):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        return main(argv)\n"
+        "closed, shoot = json.loads(sys.argv[1])\n"
+        "codes = [run(argv) for argv in closed]\n"
+        "del sys.modules['scipy']\n"
+        "codes.append(run(shoot))\n"
+        "print(codes, 'scipy.integrate' in sys.modules)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code, json.dumps([closed, shoot])],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[0, 0, 0, 0, 0, 0] True"
