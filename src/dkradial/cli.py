@@ -218,7 +218,7 @@ def _closed_levels(j: int, mass: float, eps_min: float, eps_max: float) -> list:
 
 def cmd_oracle(args) -> int:
     mass = float(args.mass)
-    cfg = oracle.ShootingConfig(eps_scan=(args.eps_min, args.eps_max, args.eps_step))
+    cfg = oracle.ShootingConfig(eps_scan=(args.eps_min, args.eps_max))
     if args.j == 0:
         evs = oracle.shoot_j0(mass, args.lam, cfg)
     else:
@@ -332,7 +332,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda", dest="lam", type=int, choices=(-1, 1), default=1)
     p.add_argument("--eps-min", type=float, default=0.1)
     p.add_argument("--eps-max", type=float, default=5.0)
-    p.add_argument("--eps-step", type=float, default=0.02)
     p.add_argument("--compare", action="store_true",
                    help="match against the closed-form spectra; exit 1 on mismatch")
     common(p)

@@ -1,20 +1,18 @@
 """Eigenvalue recovery straight from the radial ODE systems.
 
-Nothing here touches the closed forms: bound states are located by
-integrating the regular solution space of model.system(j, eps, m), the
-first-order system verify reads too, from r = R_START_OFFSET to the equator
-and finding the energies where the matched solution matrix turns singular.
-Serves as the ground truth the hypergeometric construction is checked
-against.
+The ground truth the closed forms are checked against: bound states of
+model.system(j, eps, m), located by collocation and confirmed by shooting.
+As E^2 = -I, Y' = A(r) Y is eps Y = H Y with H = -E (d/dr - A(r)|eps=0),
+discretised on Chebyshev-Gauss points of (0, pi), which exclude the poles.
+One integration then carries the regular solution space from a Frobenius
+start at r = 0 (Laurent series of 1/sin r and cot r) to the equator for
+every level at once; the regular space at r = pi is its reflection
+D Y(pi - r) (D the parity diagonal), so the match matrix is [Y | D Y], 4x4
+for j >= 1 and 2x2 for j = 0, and its normalized determinant must change
+sign across each level.
 
-Regular initial data comes from a short Frobenius expansion of the system
-at r = 0, built from the Laurent series of 1/sin r and cot r.  The regular
-space at r = pi is the reflection D Y(pi - r) of the one at r = 0 (D the
-system's parity diagonal), so one integration gives both halves: at the
-equator the match matrix is [Y | D Y], 4x4 for j >= 1 and 2x2 for j = 0.
-
-scipy loads on the first integration, not on import: solve_ivp and brentq
-are thin functions, the seams that tests and perfbench's tracer patch.
+scipy loads on the first integration, not on import: solve_ivp is a thin
+function, the seam that tests and perfbench's tracer patch.
 """
 
 from __future__ import annotations
@@ -29,6 +27,7 @@ from .model import SYSTEM_J0, FirstOrderSystem, system
 
 __all__ = [
     "IntegrationError",
+    "SpectrumError",
     "ShootingConfig",
     "OracleEigenvalue",
     "SpectrumComparison",
@@ -38,21 +37,24 @@ __all__ = [
 ]
 
 FROBENIUS_TERMS = 5
-# Radius of the Frobenius start at r = 0; halved once when the scan
+# Radius of the Frobenius start at r = 0; halved once when the confirming
 # integration fails, and every level then carries "r-start-offset-halved".
 R_START_OFFSET = 1e-3
-# Integrator tolerances: the sign-change scan runs loose, root refinement tight.
 INTEGRATOR_RTOL = 1e-10
 INTEGRATOR_ATOL = 1e-13
-SCAN_RTOL = 1e-8
 METHOD = "DOP853"
-BISECT_XTOL = 1e-10
+# Collocation: the largest N tried (the drift solve then has 2N points), and
+# the two acceptance tests; DRIFT_TOL is relative to max(1, |eps|).
+COLLOCATION_MAX_N = 256
+DRIFT_TOL = 1e-10
+TAIL_TOL = 1e-8
+# Half-width of a level's confirming bracket, relative to max(1, eps).
+CONFIRM_DELTA = 1e-7
 # Smallest/largest singular value above this flags a weak singularity.
 DET_TOLERANCE = 1e-8
-# Relative accuracy an oracle eigenvalue is trusted to (both the j = 0 and
-# the j >= 1 levels are good to about 1e-10): compare_spectra's default
-# matching tolerance, and how far a root may lie outside its scan window
-# and still count as in it.
+# Relative accuracy an oracle eigenvalue is trusted to (collocation levels
+# are good to about 1e-13): compare_spectra's default matching tolerance,
+# and how far a level may lie outside its window and still count as in it.
 REL_TOL = 1e-5
 # Samples of the half solution r0..pi/2 a j = 0 node count reads.
 NODE_SAMPLES = 100
@@ -62,6 +64,11 @@ class IntegrationError(RuntimeError):
     """An integration from the Frobenius start to the equator failed."""
 
 
+class SpectrumError(ValueError):
+    """Not every level of a window could be established: collocation did not
+    resolve it, shooting did not confirm a level, or j = 0 nodes skip one."""
+
+
 def solve_ivp(*args, **kwargs):
     """scipy.integrate.solve_ivp, imported on the first call."""
     from scipy.integrate import solve_ivp
@@ -69,19 +76,22 @@ def solve_ivp(*args, **kwargs):
 
 
 def brentq(*args, **kwargs):
-    """scipy.optimize.brentq, imported on the first call."""
+    """scipy.optimize.brentq, imported on the first call.  Nothing here
+    calls it: it is kept only as the seam perfbench's tracer binds by name."""
     from scipy.optimize import brentq
     return brentq(*args, **kwargs)
 
 
 @dataclass(frozen=True)
 class ShootingConfig:
-    eps_scan: tuple[float, float, float] = (0.1, 5.0, 0.02)
+    """The energy window (lo, hi).  A trailing third entry, the step of the
+    old scan grid, is accepted and ignored: perfbench still passes one."""
+
+    eps_scan: tuple[float, ...] = (0.1, 5.0)
 
     def __post_init__(self):
-        lo, hi, step = self.eps_scan
-        if not (0 <= lo < hi and step > 0):
-            raise ValueError(f"bad eps scan range {self.eps_scan}")
+        if len(self.eps_scan) not in (2, 3) or not 0 <= self.eps_scan[0] < self.eps_scan[1]:
+            raise ValueError(f"bad eps window {self.eps_scan}")
 
 
 @dataclass
@@ -129,30 +139,6 @@ class SpectrumComparison:
         }
 
 
-def _scan_grid(config: ShootingConfig) -> np.ndarray:
-    """lo, lo + step, ... up to hi, and one step past hi: a level on hi then
-    lies inside a bracket instead of on the last point, where the loose scan
-    value has no reliable sign."""
-    lo, hi, step = config.eps_scan
-    eps_grid = np.arange(lo, hi + 2 * step, step)
-    return eps_grid[: np.count_nonzero(eps_grid <= hi + 1e-12) + 1]
-
-
-def _roots(eps_grid: np.ndarray, values: np.ndarray, objective, window):
-    """(bracket, root) for each sign change of the scanned values, in grid
-    order; each root is objective's zero refined by brentq.  Roots more than
-    REL_TOL outside the (lo, hi) window are dropped."""
-    lo, hi = window
-    for i in range(len(eps_grid) - 1):
-        a, b = values[i], values[i + 1]
-        if not (np.isfinite(a) and np.isfinite(b)) or np.sign(a) == np.sign(b):
-            continue
-        bracket = (float(eps_grid[i]), float(eps_grid[i + 1]))
-        root = brentq(objective, *bracket, xtol=BISECT_XTOL)
-        if lo - REL_TOL * abs(root) <= root <= hi + REL_TOL * abs(root):
-            yield bracket, root
-
-
 def _series_matrices(sysm: FirstOrderSystem) -> list:
     """A(r) = A_-1/r + A_0 + A_1 r + A_3 r^3 + ... around r=0; A_0 is
     stacked over the shape of sysm.eps, the other terms do not depend on eps."""
@@ -195,9 +181,9 @@ def _frobenius_initial(j: int, sysm: FirstOrderSystem, r0: float) -> np.ndarray:
     return np.stack(cols, axis=2)
 
 
-def _match(eps_vec: np.ndarray, m: float, j: int, r0: float, rtol: float, t_eval=None):
+def _match(eps_vec: np.ndarray, m: float, j: int, r0: float):
     """Stacked match matrices [Y | D Y] at the equator, and the regular
-    columns Y sampled at t_eval (the integrator's steps when None).
+    columns Y at NODE_SAMPLES points from r0 to pi/2.
 
     One solve_ivp carries every lane from r0 to pi/2; D Y(pi/2) is the
     regular space of r = pi brought to the equator by the reflection.
@@ -211,19 +197,14 @@ def _match(eps_vec: np.ndarray, m: float, j: int, r0: float, rtol: float, t_eval
 
     sol = solve_ivp(
         rhs, (r0, math.pi / 2), cols_init.reshape(-1),
-        rtol=rtol, atol=INTEGRATOR_ATOL, method=METHOD, t_eval=t_eval,
+        rtol=INTEGRATOR_RTOL, atol=INTEGRATOR_ATOL, method=METHOD,
+        t_eval=np.linspace(r0, math.pi / 2, NODE_SAMPLES),
     )
     if not sol.success:
         raise IntegrationError(f"integration failed: {sol.message}")
     cols = sol.y.reshape(*shape, -1)
     Y = cols[..., -1]
     return np.concatenate([Y, sysm.D[:, None] * Y], axis=2), cols
-
-
-def _unit_columns(mats: np.ndarray) -> np.ndarray:
-    """mats (..., n, n) with every nonzero column scaled to unit length."""
-    norms = np.linalg.norm(mats, axis=-2, keepdims=True)
-    return mats / np.where(norms > 0, norms, 1.0)
 
 
 def _j0_nodes(mat: np.ndarray, M: np.ndarray) -> int:
@@ -236,49 +217,101 @@ def _j0_nodes(mat: np.ndarray, M: np.ndarray) -> int:
     return int(np.sum(np.diff(np.sign(track)) != 0))
 
 
+def _collocation_matrix(j: int, m: float, N: int) -> tuple[np.ndarray, np.ndarray]:
+    """H = -E (d/dr - A(r)|eps=0) on the N Chebyshev-Gauss points
+    r = pi (1 - cos theta) / 2 of (0, pi), (n N, n N) in blocks by state
+    component, and the angles theta."""
+    theta = (2 * np.arange(N) + 1) * math.pi / (2 * N)
+    x, w = np.cos(theta), (-1.0) ** np.arange(N) * np.sin(theta)  # barycentric weights
+    Dx = w[None, :] / w[:, None] / (x[:, None] - x[None, :] + np.eye(N))  # d/dx off the diagonal
+    np.fill_diagonal(Dx, 0.0)
+    np.fill_diagonal(Dx, -Dx.sum(axis=1))  # the rows of a differentiation matrix sum to zero
+    sysm = system(j, 0.0, m)
+    H = (2 / math.pi) * sysm.E[:, None, :, None] * Dx[None, :, None, :]  # -E d/dr, d/dr = -(2/pi) d/dx
+    k = np.arange(N)
+    H[:, k, :, k] += sysm.E @ sysm.matrix(math.pi * (1 - x) / 2)
+    return H.reshape(len(sysm.E) * N, -1), theta
+
+
+def _chebyshev_tails(vecs: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """Per eigenvector (a column of vecs): the largest Chebyshev coefficient
+    of its last quarter over the largest of all, over every component."""
+    N = len(theta)
+    coef = np.abs(np.cos(np.outer(np.arange(N), theta)) @ vecs.reshape(len(vecs) // N, N, vecs.shape[-1]))
+    return coef[:, 3 * N // 4:].max(axis=(0, 1)) / coef.max(axis=(0, 1))
+
+
+def _locate(j: int, m: float, window: tuple[float, float]) -> np.ndarray:
+    """The levels of the window (up to REL_TOL outside it), in order: the
+    eigenvalues of H that drift by at most DRIFT_TOL between N and 2N points
+    and whose Chebyshev tail is at most TAIL_TOL.  N starts at 4 hi + 8 and
+    doubles until every eigenvalue in the window passes, or, past
+    COLLOCATION_MAX_N, raises SpectrumError: never a short list."""
+    lo, hi = window
+    N, tried = math.ceil(4 * hi) + 8, []
+    while N <= COLLOCATION_MAX_N:
+        H, theta = _collocation_matrix(j, m, N)
+        vals, vecs = np.linalg.eig(H)
+        slack = REL_TOL * np.abs(vals.real)
+        raw = (vals.real >= lo - slack) & (vals.real <= hi + slack)
+        eps, vecs = vals[raw], vecs[:, raw]
+        scale = DRIFT_TOL * np.maximum(1.0, np.abs(eps))
+        finer = np.linalg.eigvals(_collocation_matrix(j, m, 2 * N)[0])
+        drift = np.abs(eps[:, None] - finer[None, :]).min(axis=1)
+        ok = (np.abs(eps.imag) <= scale) & (drift <= scale) & (_chebyshev_tails(vecs, theta) <= TAIL_TOL)
+        # j = 0 has eps = +m at every N (component N = sin r, M singular at
+        # r = pi): the tail test must reject it, and every other one pass.
+        decoupled = (j == 0) & (np.abs(eps - m) <= scale)
+        tried.append(f"N={N}: {int(raw.sum())} raw, {int(ok.sum())} accepted")
+        if np.array_equal(ok, ~decoupled):
+            return np.sort(eps[ok].real)
+        N *= 2
+    raise SpectrumError(
+        f"collocation did not resolve eps in [{lo:g}, {hi:g}] (j={j}, m={m:g}): "
+        f"{'; '.join(tried) or 'no N'} up to COLLOCATION_MAX_N={COLLOCATION_MAX_N}"
+    )
+
+
 def _shoot(m: float, j: int, config: ShootingConfig) -> list[OracleEigenvalue]:
-    """Levels of the j system in the scan window: sign changes of the
-    normalized match determinant, refined by brentq; then one integration
-    at each root for its SVD diagnostics (and its node count at j = 0)."""
-    eps_grid = _scan_grid(config)
-    # The (L, N) elimination scale eps+m never vanishes off eps=|m|; skip a
-    # small window around it where the j >= 1 regular-space columns
-    # degenerate (no j = 0 level lies there: its p^2 is at least 3).
-    eps_grid = eps_grid[np.abs(eps_grid - abs(m)) > 1e-6]
-    r0, flags = R_START_OFFSET, []
-
-    def dets(eps, rtol):
-        return np.linalg.det(_unit_columns(_match(eps, m, j, r0, rtol)[0]))
-
+    """The collocation levels of the window, all confirmed in one integration:
+    the determinant must change sign across each level's bracket (eps -+
+    delta), and its eps lane gives the SVD diagnostics and j = 0 node count."""
+    levels = _locate(j, m, config.eps_scan[:2])
+    if not len(levels):
+        return []
+    delta = CONFIRM_DELTA * np.maximum(1.0, levels)
+    lanes = np.stack([levels - delta, levels, levels + delta], axis=1).ravel()
+    flags = []
     try:
-        scanned = dets(eps_grid, SCAN_RTOL)
+        mats, cols = _match(lanes, m, j, R_START_OFFSET)
     except IntegrationError:
-        r0, flags = r0 / 2, ["r-start-offset-halved"]
-        scanned = dets(eps_grid, SCAN_RTOL)
-
+        flags = ["r-start-offset-halved"]
+        mats, cols = _match(lanes, m, j, R_START_OFFSET / 2)
+    unit = mats / np.linalg.norm(mats, axis=-2, keepdims=True)  # no column of Y vanishes
+    below, _, above = np.linalg.det(unit).reshape(-1, 3).T
+    sv = np.linalg.svd(unit[1::3], compute_uv=False)
+    sv /= sv[:, :1]  # relative to the largest
     out = []
-    refined = _roots(eps_grid, scanned, lambda e: float(dets(e, INTEGRATOR_RTOL)[0]), config.eps_scan[:2])
-    for bracket, root in refined:
-        mats, cols = _match(root, m, j, r0, INTEGRATOR_RTOL, np.linspace(r0, math.pi / 2, NODE_SAMPLES))
-        mat = mats[0]
-        sv = np.linalg.svd(_unit_columns(mat), compute_uv=False)
-        ev_flags = list(flags)
-        if sv[0] > 0 and sv[-1] / sv[0] > DET_TOLERANCE:
-            ev_flags.append("weak-singularity")
+    for i, eps in enumerate(levels.tolist()):
+        if not below[i] * above[i] < 0:
+            raise SpectrumError(
+                f"shooting does not confirm the level eps={eps!r} (j={j}, m={m:g}): the "
+                f"determinant is {below[i]:.3e} at eps-{delta[i]:.1e} and {above[i]:.3e} at eps+{delta[i]:.1e}"
+            )
         out.append(
             OracleEigenvalue(
-                eps=root, p_sq=root * root - m * m, j=j, bracket=bracket,
-                node_count=_j0_nodes(mat, cols[0, 0, 0]) if j == 0 else None,
-                multiplicity=2 if sv[0] > 0 and sv[-2] / sv[0] < 1e-6 else 1,
-                matched_family_guess="j0" if j == 0 else None, flags=ev_flags,
+                eps=eps, p_sq=eps * eps - m * m, j=j, bracket=(eps - delta[i].item(), eps + delta[i].item()),
+                node_count=_j0_nodes(mats[3 * i + 1], cols[3 * i + 1, 0, 0]) if j == 0 else None,
+                multiplicity=2 if sv[i, -2] < 1e-6 else 1, matched_family_guess="j0" if j == 0 else None,
+                flags=flags + (["weak-singularity"] if sv[i, -1] > DET_TOLERANCE else []),
             )
         )
     return out
 
 
 def shoot_j0(m: float, lambda_sign: int = +1, config: ShootingConfig | None = None) -> list[OracleEigenvalue]:
-    """Eigenvalues of the j=0 problem in the configured scan range, in
-    order, with node counts 0, 1, 2, ... from the lowest level found.
+    """Eigenvalues of the j=0 problem in the configured window, in order,
+    with node counts 0, 1, 2, ... from the lowest level found.
 
     Always shoots the lambda = +1 pair; lambda_sign is accepted and
     ignored.  Its p^2 spectrum is the j=0 spectrum of both branches, but
@@ -286,9 +319,8 @@ def shoot_j0(m: float, lambda_sign: int = +1, config: ShootingConfig | None = No
     solution (M, N) = (0, sin r) at eps = m (p^2 = 0), which no closed form
     lists and which would show up here as an extra level.
 
-    Raises ValueError when two consecutive levels found differ by more
-    than one node: a level between them was missed (two levels inside
-    one scan step), and a smaller step is needed.
+    Raises SpectrumError when two consecutive levels found differ by more
+    than one node: a level between them was missed.
     """
     if m < 0:
         raise ValueError("mass must be non-negative")
@@ -296,10 +328,9 @@ def shoot_j0(m: float, lambda_sign: int = +1, config: ShootingConfig | None = No
     out = _shoot(m, 0, config or ShootingConfig())
     for lower, upper in zip(out, out[1:]):
         if upper.node_count - lower.node_count != 1:
-            raise ValueError(
+            raise SpectrumError(
                 f"j=0 levels at eps {lower.eps:.6g} and {upper.eps:.6g} have "
-                f"{lower.node_count} and {upper.node_count} nodes: a level between "
-                "them was missed; use a smaller eps scan step"
+                f"{lower.node_count} and {upper.node_count} nodes: a level between them was missed"
             )
     return out
 
@@ -307,9 +338,9 @@ def shoot_j0(m: float, lambda_sign: int = +1, config: ShootingConfig | None = No
 def shoot_j(m: float, j: int, lambda_sign: int = +1, config: ShootingConfig | None = None) -> list[OracleEigenvalue]:
     """Bound-state energies of the coupled j >= 1 system.
 
-    The two-parameter regular space is integrated from r = 0 to the
-    equator and matched to its reflection; eigenvalues are the sign changes
-    of the normalized 4x4 determinant, refined by brentq.
+    Levels are collocation eigenvalues, each confirmed by a sign change of
+    the normalized 4x4 determinant that matches the two-parameter regular
+    space at r = 0 to its reflection at the equator.
     """
     if j < 1:
         raise ValueError("shoot_j requires j >= 1; use shoot_j0")

@@ -63,7 +63,7 @@ def test_criterion_1_j0_spectrum_reproduction():
     ok = True
     for m in (0.0, 1.0, 2.0):
         hi = math.sqrt(m * m - 1 + 7.3**2)
-        cfg = ShootingConfig(eps_scan=(0.2, hi, 0.05))
+        cfg = ShootingConfig(eps_scan=(0.2, hi))
         evs = shoot_j0(m, +1, cfg)
         expect = [math.sqrt(m * m - 1 + (2 + n) ** 2) for n in range(6)]
         if len(evs) != 6:
@@ -83,10 +83,7 @@ def _scan_setup(j, m):
     p2_max = max(float(e.p_sq) for e in required)
     nxt = min(float(e.p_sq) for e in wider if float(e.p_sq) > p2_max + 1e-9)
     hi = math.sqrt((p2_max + nxt) / 2.0 + m * m)
-    eps_sorted = sorted(math.sqrt(float(e.eps_sq)) for e in required)
-    gap = min(b - a for a, b in zip(eps_sorted, eps_sorted[1:]))
-    step = min(0.02, gap / 3.0)
-    return required, ShootingConfig(eps_scan=(0.15, hi, step))
+    return required, ShootingConfig(eps_scan=(0.15, hi))
 
 
 def test_criterion_2_j_spectrum_reproduction():

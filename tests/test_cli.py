@@ -134,7 +134,7 @@ class TestExitCodes:
         ["spectrum", "--family", "f1", "--j", "1", "--n-max", "1"],
         ["wavefunction", "--family", "f1", "--j", "1", "--n", "0", "--grid", "5"],
         ["verify", "--suite", "operators"],
-        ["oracle", "--j", "0", "--eps-min", "0.5", "--eps-max", "3.2", "--eps-step", "0.05", "--compare"],
+        ["oracle", "--j", "0", "--eps-min", "0.5", "--eps-max", "3.2", "--compare"],
         ["oracle", "--j", "1", "--eps-max", "3.2"],
     ])
     def test_negative_mass_is_usage_error(self, argv, capsys):
@@ -179,6 +179,7 @@ class TestExitCodes:
         ["oracle", "--j", "1", "--mass", "abc"],
         ["spectrum", "--family", "f1", "--j", "1", "@latin1.cfg"],
         ["wavefunction", "--family", "f1", "--j", "1", "--n", "0", "--delta", "-1"],
+        ["oracle", "--j", "1", "--eps-step", "0.02"],  # there is no scan step any more
     ])
     def test_bad_value_is_usage_error(self, argv, tmp_path, monkeypatch, capsys):
         """A value the command cannot use exits 2 with a message, not a table or a traceback."""
@@ -242,18 +243,21 @@ class TestExitCodes:
 
     def test_oracle_j0_compare_honours_eps_min(self, capsys):
         code, out = run_main(
-            ["oracle", "--j", "0", "--mass", "0", "--eps-min", "3", "--eps-max", "5",
-             "--eps-step", "0.05", "--compare"], capsys,
+            ["oracle", "--j", "0", "--mass", "0", "--eps-min", "3", "--eps-max", "5", "--compare"], capsys,
         )
         cmp = json.loads(out)["comparison"]
         assert code == 0 and cmp["unmatched_closed"] == [] and len(cmp["matched"]) == 2
 
-    def test_oracle_j0_missed_level_is_usage_error(self, capsys):
-        code = main(["oracle", "--j", "0", "--mass", "0", "--eps-min", "0.2", "--eps-max", "6",
-                     "--eps-step", "1.2"])
+    def test_oracle_j0_missed_level_is_usage_error(self, monkeypatch, capsys):
+        """A level missing from the located list shows as a node-count gap:
+        the oracle's SpectrumError exits 2 with one line, no traceback."""
+        real = oracle._locate
+        monkeypatch.setattr(oracle, "_locate", lambda *a: np.delete(real(*a), 1))
+        code = main(["oracle", "--j", "0", "--mass", "0", "--eps-min", "0.2", "--eps-max", "6"])
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""
-        assert "smaller eps scan step" in captured.err
+        assert captured.err.startswith("dkradial: j=0 levels at eps ")
+        assert captured.err.endswith("have 0 and 2 nodes: a level between them was missed\n")
 
     def test_oracle_compare_fills_family_guess(self, capsys):
         code, out = run_main(["oracle", "--j", "1", "--mass", "0", "--eps-max", "4.5", "--compare"], capsys)
@@ -279,8 +283,7 @@ class TestExitCodes:
         real = cli._closed_levels
         monkeypatch.setattr(cli, "_closed_levels", lambda *a: real(*a)[1:])
         code, out = run_main(
-            ["oracle", "--j", "0", "--mass", "0", "--eps-min", "0.2", "--eps-max", "3.0",
-             "--eps-step", "0.05", "--compare"], capsys
+            ["oracle", "--j", "0", "--mass", "0", "--eps-min", "0.2", "--eps-max", "3.0", "--compare"], capsys
         )
         assert code == 1
         payload = json.loads(out)
@@ -290,8 +293,7 @@ class TestExitCodes:
         """The closed-form list covers every level up to --eps-max: here
         p^2 = 120 is the j = 0 level n = 9."""
         code, out = run_main(
-            ["oracle", "--j", "0", "--mass", "0", "--eps-min", "10.5", "--eps-max", "11.2",
-             "--eps-step", "0.05", "--compare"], capsys
+            ["oracle", "--j", "0", "--mass", "0", "--eps-min", "10.5", "--eps-max", "11.2", "--compare"], capsys
         )
         cmp = json.loads(out)["comparison"]
         assert code == 0 and cmp["unmatched_oracle"] == [] and cmp["unmatched_closed"] == []
@@ -367,7 +369,7 @@ class TestConfigFile:
     @pytest.mark.parametrize("text,compared", [("compare\n", True), ("", False)], ids=["bare-line", "absent"])
     def test_config_bool_flag(self, tmp_path, capsys, text, compared):
         cfg = tmp_path / "run.conf"
-        cfg.write_text(f"{text}eps-min=1.6\neps-max=1.85\neps-step=0.05\n")
+        cfg.write_text(f"{text}eps-min=1.6\neps-max=1.85\n")
         code, out = run_main(["oracle", "--j", "0", f"@{cfg}"], capsys)
         payload = json.loads(out)
         assert code == 0 and len(payload["eigenvalues"]) == 1

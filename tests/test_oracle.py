@@ -17,7 +17,7 @@ from dkradial.oracle import (
     shoot_j0,
 )
 
-J0_CFG = ShootingConfig(eps_scan=(0.2, 4.0, 0.05))
+J0_CFG = ShootingConfig(eps_scan=(0.2, 4.0))
 
 
 class TestShootJ0:
@@ -29,34 +29,57 @@ class TestShootJ0:
             assert abs(ev.eps - ex) / ex < 1e-6
 
     def test_massive_lowest(self):
-        evs = shoot_j0(1.0, +1, ShootingConfig(eps_scan=(1.2, 2.4, 0.05)))
+        evs = shoot_j0(1.0, +1, ShootingConfig(eps_scan=(1.2, 2.4)))
         assert len(evs) == 1
         assert abs(evs[0].eps - 2.0) < 1e-6
 
     def test_empty_scan_range(self):
-        assert shoot_j0(0.0, +1, ShootingConfig(eps_scan=(0.1, 1.0, 0.05))) == []
+        assert shoot_j0(0.0, +1, ShootingConfig(eps_scan=(0.1, 1.0))) == []
 
     @pytest.mark.parametrize("hi,levels", [(3.0, [3.0]), (2.99, [])])
     def test_window_edge(self, hi, levels):
-        """A level on hi (eps = 3 at m = 1) is found; the scan step past hi
-        returns nothing beyond the window."""
-        evs = shoot_j0(1.0, +1, ShootingConfig(eps_scan=(2.5, hi, 0.05)))
+        """A level on hi (eps = 3 at m = 1) is found; nothing beyond the
+        window is returned."""
+        evs = shoot_j0(1.0, +1, ShootingConfig(eps_scan=(2.5, hi)))
         assert [round(ev.eps, 6) for ev in evs] == levels
 
+    @pytest.mark.parametrize("window", [(2.5, 3.0 - 1e-9), (3.0 + 1e-9, 3.5)], ids=["hi", "lo"])
+    def test_level_just_outside_an_edge_is_kept(self, window):
+        """eps = 3 at m = 1 lies 1e-9 outside the window, well inside REL_TOL."""
+        evs = shoot_j0(1.0, +1, ShootingConfig(eps_scan=window))
+        assert [ev.eps for ev in evs] == pytest.approx([3.0], rel=1e-13)
+
     def test_node_counts_order_levels(self):
-        evs = shoot_j0(0.0, +1, ShootingConfig(eps_scan=(0.2, 5.0, 0.05)))
+        evs = shoot_j0(0.0, +1, ShootingConfig(eps_scan=(0.2, 5.0)))
         assert [ev.node_count for ev in evs] == list(range(len(evs)))
 
-    def test_missed_level_raises(self):
-        """eps = sqrt(15) and sqrt(24) share the scan step (3.8, 5.0): the
-        levels found have 1 and 4 nodes, and the gap is an error."""
-        with pytest.raises(ValueError, match="1 and 4 nodes.*smaller eps scan step"):
-            shoot_j0(0.0, +1, ShootingConfig(eps_scan=(0.2, 6.0, 1.2)))
+    def test_missed_level_raises(self, monkeypatch):
+        """With eps = sqrt(8) dropped from the located levels, the levels
+        confirmed have 0 and 2 nodes, and the gap is an error."""
+        real = oracle._locate
+        monkeypatch.setattr(oracle, "_locate", lambda *a: np.delete(real(*a), 1))
+        with pytest.raises(oracle.SpectrumError, match="0 and 2 nodes: a level between them was missed"):
+            shoot_j0(0.0, +1, ShootingConfig(eps_scan=(0.2, 6.0)))
+
+    def test_decoupled_eigenvalue_is_rejected(self, monkeypatch):
+        """eps = +m is a collocation eigenvalue at every N (N = sin r, with M
+        singular at r = pi): its Chebyshev tail is of order one, so it is
+        no level.  Without the tail test the window can never be resolved."""
+        H, theta = oracle._collocation_matrix(0, 1.0, 32)
+        vals, vecs = np.linalg.eig(H)
+        at_m = np.argmin(np.abs(vals - 1.0))
+        assert abs(vals[at_m] - 1.0) < 1e-12
+        assert oracle._chebyshev_tails(vecs[:, [at_m]], theta)[0] > 0.1
+        cfg = ShootingConfig(eps_scan=(0.5, 2.5))
+        assert [ev.eps for ev in shoot_j0(1.0, +1, cfg)] == pytest.approx([2.0], rel=1e-13)
+        monkeypatch.setattr(oracle, "TAIL_TOL", np.inf)
+        with pytest.raises(oracle.SpectrumError, match="collocation did not resolve"):
+            shoot_j0(1.0, +1, cfg)
 
     @pytest.mark.parametrize("m", [0.0, 1.0, 2.0])
     def test_criterion_1_windows_to_1e10(self, m):
         hi = math.sqrt(m * m - 1 + 7.3**2)
-        evs = shoot_j0(m, +1, ShootingConfig(eps_scan=(0.2, hi, 0.05)))
+        evs = shoot_j0(m, +1, ShootingConfig(eps_scan=(0.2, hi)))
         expect = [math.sqrt(m * m - 1 + (2 + n) ** 2) for n in range(6)]
         assert [ev.node_count for ev in evs] == list(range(6))
         for ev, ex in zip(evs, expect):
@@ -72,7 +95,7 @@ class TestShootJ0:
 
 class TestShootJ:
     def test_j1_levels_and_no_phantom(self):
-        cfg = ShootingConfig(eps_scan=(0.3, 4.3, 0.02))
+        cfg = ShootingConfig(eps_scan=(0.3, 4.3))
         evs = shoot_j(0.0, 1, +1, cfg)
         got = sorted(ev.p_sq for ev in evs)
         assert np.allclose(got, [3.0, 4.0, 8.0, 9.0, 15.0, 16.0], rtol=1e-6)
@@ -85,8 +108,8 @@ class TestShootJ:
 
     @pytest.mark.parametrize("lam", [+1, -1])
     @pytest.mark.parametrize("shoot", [
-        lambda m, lam: shoot_j(m, 1, lam, ShootingConfig(eps_scan=(0.5, 3.2, 0.05))),
-        lambda m, lam: shoot_j0(m, lam, ShootingConfig(eps_scan=(0.5, 3.2, 0.05))),
+        lambda m, lam: shoot_j(m, 1, lam, ShootingConfig(eps_scan=(0.5, 3.2))),
+        lambda m, lam: shoot_j0(m, lam, ShootingConfig(eps_scan=(0.5, 3.2))),
     ], ids=["shoot_j", "shoot_j0"])
     def test_negative_mass_rejected(self, shoot, lam):
         # Checked before lambda_sign flips the mass: m = -1 is no branch.
@@ -96,8 +119,8 @@ class TestShootJ:
     def test_shifted_runs_share_degenerate_values(self):
         # F2(j+1, n) = F1(j, n) and F3(j+1, n) = F4(j, n): the j=2 run must
         # reproduce the matching j=1 values.
-        evs1 = shoot_j(0.0, 1, +1, ShootingConfig(eps_scan=(0.3, 4.3, 0.02)))
-        evs2 = shoot_j(0.0, 2, +1, ShootingConfig(eps_scan=(0.3, 4.3, 0.02)))
+        evs1 = shoot_j(0.0, 1, +1, ShootingConfig(eps_scan=(0.3, 4.3)))
+        evs2 = shoot_j(0.0, 2, +1, ShootingConfig(eps_scan=(0.3, 4.3)))
         p1 = {round(ev.p_sq, 6) for ev in evs1}
         p2 = {round(ev.p_sq, 6) for ev in evs2}
         # j=1: F1(n=0) = 8 appears at j=2 as F2(n=0); F4(j=1,n=0) = 4 appears
@@ -107,7 +130,7 @@ class TestShootJ:
             assert any(abs(s - want) < 1e-5 for s in shared)
 
     def test_discretization_independence(self, monkeypatch):
-        cfg = ShootingConfig(eps_scan=(2.7, 2.95, 0.02))
+        cfg = ShootingConfig(eps_scan=(2.7, 2.95))
         base = shoot_j(0.0, 1, +1, cfg)
         assert len(base) == 1  # sqrt(8)
         monkeypatch.setattr(oracle, "R_START_OFFSET", oracle.R_START_OFFSET / 2)
@@ -115,7 +138,7 @@ class TestShootJ:
         assert abs(halved[0].eps - base[0].eps) < 1e-9
 
     def test_j0_pendant_discretization_independence(self, monkeypatch):
-        cfg = ShootingConfig(eps_scan=(1.6, 1.85, 0.05))
+        cfg = ShootingConfig(eps_scan=(1.6, 1.85))
         base = shoot_j0(0.0, +1, cfg)
         monkeypatch.setattr(oracle, "R_START_OFFSET", oracle.R_START_OFFSET / 2)
         halved = shoot_j0(0.0, +1, cfg)
@@ -124,7 +147,7 @@ class TestShootJ:
     def test_weak_singularity_flag(self, monkeypatch):
         """No level of the sqrt(8) window is weakly singular at the default
         DET_TOLERANCE; with the threshold at 0 every level is flagged."""
-        cfg = ShootingConfig(eps_scan=(2.7, 2.95, 0.02))
+        cfg = ShootingConfig(eps_scan=(2.7, 2.95))
         assert [ev.flags for ev in shoot_j(0.0, 1, +1, cfg)] == [[]]
         monkeypatch.setattr(oracle, "DET_TOLERANCE", 0.0)
         evs = shoot_j(0.0, 1, +1, cfg)
@@ -135,33 +158,31 @@ class TestSharedShooting:
     @pytest.mark.parametrize("shoot", [
         lambda cfg: shoot_j0(0.0, +1, cfg), lambda cfg: shoot_j(0.0, 1, +1, cfg),
     ], ids=["j0", "j1"])
-    def test_one_integration_per_objective_call(self, monkeypatch, shoot):
-        """One solve_ivp for the scan, one per brentq objective call and one
-        per root for its diagnostics."""
-        counts = {"ivp": 0, "fcalls": 0}
-        real_ivp, real_brentq = oracle.solve_ivp, oracle.brentq
+    def test_one_integration_per_shot(self, monkeypatch, shoot):
+        """Every level of the window is confirmed in a single solve_ivp
+        over three lanes per level; nothing is refined by brentq."""
+        real_ivp, lanes = oracle.solve_ivp, []
 
-        def ivp(*a, **k):
-            counts["ivp"] += 1
-            return real_ivp(*a, **k)
+        def ivp(fun, t_span, y0, **k):
+            lanes.append(len(y0))
+            return real_ivp(fun, t_span, y0, **k)
 
-        def counted_brentq(f, *a, **k):
-            def g(x):
-                counts["fcalls"] += 1
-                return f(x)
-            return real_brentq(g, *a, **k)
+        def no_brentq(*a, **k):
+            raise AssertionError("brentq called")
 
         monkeypatch.setattr(oracle, "solve_ivp", ivp)
-        monkeypatch.setattr(oracle, "brentq", counted_brentq)
-        evs = shoot(ShootingConfig(eps_scan=(1.6, 2.1, 0.05)))
-        assert evs
-        assert counts["ivp"] == 1 + counts["fcalls"] + len(evs)
+        monkeypatch.setattr(oracle, "brentq", no_brentq)
+        evs = shoot(ShootingConfig(eps_scan=(1.6, 3.0)))
+        n = 2 if evs[0].j == 0 else 8  # state entries per lane
+        assert len(evs) >= 2 and lanes == [3 * len(evs) * n]
 
     @pytest.mark.parametrize("shoot", [
         lambda cfg: shoot_j0(0.0, +1, cfg), lambda cfg: shoot_j(0.0, 1, +1, cfg),
     ], ids=["j0", "j1"])
     def test_failed_scan_halves_offset_and_says_so(self, monkeypatch, shoot):
-        cfg = ShootingConfig(eps_scan=(1.6, 2.1, 0.05))
+        """A failed confirming integration is run once more from the halved
+        start offset: two integrations, and every level says so."""
+        cfg = ShootingConfig(eps_scan=(1.6, 2.1))
         clean = shoot(cfg)
         real_ivp, seen = oracle.solve_ivp, []
 
@@ -174,19 +195,17 @@ class TestSharedShooting:
 
         monkeypatch.setattr(oracle, "solve_ivp", fail_once)
         evs = shoot(cfg)
-        assert seen[0] == oracle.R_START_OFFSET
-        assert set(seen[1:]) == {oracle.R_START_OFFSET / 2}
+        assert seen == [oracle.R_START_OFFSET, oracle.R_START_OFFSET / 2]
         assert [ev.flags for ev in evs] == [["r-start-offset-halved"]] * len(clean)
-        assert [ev.eps for ev in evs] == pytest.approx([ev.eps for ev in clean], abs=1e-9)
+        assert [ev.eps for ev in evs] == [ev.eps for ev in clean]
 
-    @pytest.mark.parametrize("first_failure", [1, 2], ids=["every", "in-brentq"])
+    @pytest.mark.parametrize("first_failure", [1], ids=["every"])
     @pytest.mark.parametrize("shoot", [
         lambda cfg: shoot_j0(0.0, +1, cfg), lambda cfg: shoot_j(0.0, 1, +1, cfg),
     ], ids=["j0", "j1"])
     def test_failed_integration_raises_typed_error(self, monkeypatch, shoot, first_failure):
-        """From the first_failure-th integration on every one fails: when
-        that is the scan (and its retry) or a brentq objective call, no
-        level can be had and IntegrationError says why."""
+        """When the confirming integration fails from both start offsets,
+        no level can be had and IntegrationError says why."""
         real_ivp, calls = oracle.solve_ivp, []
 
         def fail_from(*a, **k):
@@ -198,9 +217,37 @@ class TestSharedShooting:
 
         monkeypatch.setattr(oracle, "solve_ivp", fail_from)
         with pytest.raises(oracle.IntegrationError, match="integration failed: forced failure"):
-            shoot(ShootingConfig(eps_scan=(1.6, 2.1, 0.05)))
-        scan, refine = oracle.SCAN_RTOL, oracle.INTEGRATOR_RTOL
-        assert calls == ([scan, scan] if first_failure == 1 else [scan, refine])
+            shoot(ShootingConfig(eps_scan=(1.6, 2.1)))
+        assert calls == [oracle.INTEGRATOR_RTOL] * 2
+
+
+class TestLocateAndConfirm:
+    def test_levels_closer_than_the_old_scan_step(self):
+        """eps = sqrt(675) and 26 (j = 1, m = 0) lie 0.019 apart."""
+        evs = shoot_j(0.0, 1, +1, ShootingConfig(eps_scan=(25.9, 26.05)))
+        assert [ev.p_sq for ev in evs] == pytest.approx([675.0, 676.0], rel=1e-12)
+
+    def test_too_small_n_cap_raises(self, monkeypatch):
+        """At N = 26 two of the six j = 1 levels below 4.5 fail the tail
+        test; with no larger N allowed the window is an error, not a short
+        list, and the message names each N with its counts."""
+        monkeypatch.setattr(oracle, "COLLOCATION_MAX_N", 51)
+        with pytest.raises(oracle.SpectrumError, match=r"N=26: 6 raw, 4 accepted up to COLLOCATION_MAX_N=51"):
+            shoot_j(0.0, 1, +1, ShootingConfig(eps_scan=(0.1, 4.5)))
+
+    def test_window_past_the_cap_raises_at_once(self):
+        """hi = 63 would start at N = 260 > COLLOCATION_MAX_N: no N is tried."""
+        with pytest.raises(oracle.SpectrumError, match=r"\(j=1, m=0\): no N up to COLLOCATION_MAX_N=256"):
+            shoot_j(0.0, 1, +1, ShootingConfig(eps_scan=(62.5, 63.0)))
+
+    def test_unconfirmed_level_raises(self, monkeypatch):
+        """eps = 2.5 is no j = 0 level at m = 0: the shooting determinant
+        keeps its sign across the bracket, and the error names both values."""
+        monkeypatch.setattr(oracle, "_locate", lambda *a: np.array([2.5]))
+        with pytest.raises(oracle.SpectrumError,
+                           match=r"does not confirm the level eps=2\.5 \(j=0, m=0\): the determinant is "
+                                 r"\S+ at eps-2\.5e-07 and \S+ at eps\+2\.5e-07$"):
+            shoot_j0(0.0, +1, ShootingConfig(eps_scan=(2.0, 3.0)))
 
 
 class TestFrobeniusSeries:
@@ -227,7 +274,7 @@ class TestFrobeniusSeries:
 
 class TestCompare:
     def test_full_match(self):
-        cfg = ShootingConfig(eps_scan=(0.3, 4.3, 0.02))
+        cfg = ShootingConfig(eps_scan=(0.3, 4.3))
         evs = shoot_j(0.0, 1, +1, cfg)
         closed = [e for e in family_levels(1, 2, 0) if math.sqrt(float(e.eps_sq)) <= 4.3]
         cmp = compare_spectra(evs, closed)
@@ -249,8 +296,17 @@ class TestCompare:
 
 class TestConfig:
     def test_validation(self):
-        with pytest.raises(ValueError):
-            ShootingConfig(eps_scan=(3.0, 1.0, 0.1))
+        for window in [(3.0, 1.0), (3.0, 1.0, 0.1), (-0.1, 1.0), (1.0,), (0.1, 1.0, 0.02, 0.0)]:
+            with pytest.raises(ValueError, match="bad eps window"):
+                ShootingConfig(eps_scan=window)
+
+    def test_trailing_step_is_ignored(self):
+        """(lo, hi, step), the old scan window, still constructs; the step
+        changes nothing."""
+        want = shoot_j0(0.0, +1, ShootingConfig(eps_scan=(1.6, 2.1)))
+        for step in (0.05, 10.0):
+            got = shoot_j0(0.0, +1, ShootingConfig(eps_scan=(1.6, 2.1, step)))
+            assert [(ev.eps, ev.bracket) for ev in got] == [(ev.eps, ev.bracket) for ev in want]
 
     def test_one_field(self):
         assert [f.name for f in dataclasses.fields(ShootingConfig)] == ["eps_scan"]
