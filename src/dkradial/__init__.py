@@ -7,6 +7,5 @@ Modules (import each name from its module; importing the package loads none):
   closedform  exact wavefunctions and discrete spectra
   verify      residual / factorization / Wronskian checks
   oracle      shooting-method eigenvalues, independent of the closed forms
-              (the only module that needs scipy)
   cli         command-line interface
 """

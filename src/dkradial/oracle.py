@@ -11,14 +11,15 @@ D Y(pi - r) (D the parity diagonal), so the match matrix is [Y | D Y], 4x4
 for j >= 1 and 2x2 for j = 0, and its normalized determinant must change
 sign across each level.
 
-scipy loads on the first integration, not on import: solve_ivp is a thin
-function, the seam that tests and perfbench's tracer patch.
+solve_ivp, a numpy-only extrapolation integrator, is a module function:
+the seam that tests and perfbench's tracer patch.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -42,7 +43,7 @@ FROBENIUS_TERMS = 5
 R_START_OFFSET = 1e-3
 INTEGRATOR_RTOL = 1e-10
 INTEGRATOR_ATOL = 1e-13
-METHOD = "DOP853"
+GBS_STAGES = 6  # solve_ivp's modified-midpoint substeps: n = 2, 4, ..., 2 GBS_STAGES
 # Collocation: the largest N tried (the drift solve then has 2N points), and
 # the two acceptance tests; DRIFT_TOL is relative to max(1, |eps|).
 COLLOCATION_MAX_N = 256
@@ -69,15 +70,55 @@ class SpectrumError(ValueError):
     resolve it, shooting did not confirm a level, or j = 0 nodes skip one."""
 
 
-def solve_ivp(*args, **kwargs):
-    """scipy.integrate.solve_ivp, imported on the first call."""
-    from scipy.integrate import solve_ivp
-    return solve_ivp(*args, **kwargs)
+def solve_ivp(fun, t_span, y0, *, rtol, atol, t_eval=None) -> SimpleNamespace:
+    """y' = fun(t, y) over the increasing t_span by Gragg-Bulirsch-Stoer
+    extrapolation (Hairer, Norsett & Wanner, Solving ODEs I, II.9): modified
+    midpoint with n = 2, 4, ..., 2 GBS_STAGES substeps, Aitken-Neville in h^2,
+    a clipped power-law step factor from the RMS of the last two extrapolants
+    over atol + rtol |y|; steps end on each t_eval point (t_eval[0] is
+    t_span[0]; default: both ends).  Returns success, message, t, y (len(y0),
+    len(t)), nfev, naccept and nreject; a failure raises nothing, and its
+    message names the r where the step collapsed and the last step tried."""
+    stops = np.asarray(t_span if t_eval is None else t_eval, dtype=float)
+    ns, tiny = range(2, 2 * GBS_STAGES + 1, 2), 1e-14 * np.abs(stops).max()
+    t, y = stops[0], np.asarray(y0, dtype=float)
+    f, ys, nfev, naccept, nreject = fun(t, y), [y], 1, 0, 0
+    d0, d1 = (math.sqrt(np.mean((v / (atol + rtol * np.abs(y))) ** 2)) for v in (y, f))
+    h = 0.01 * d0 / d1 if min(d0, d1) > 1e-5 else 1e-6 * (stops[-1] - t)
+
+    def result(message, success=False):
+        return SimpleNamespace(success=success, message=message, t=stops[:len(ys)], y=np.stack(ys, axis=1),
+                               nfev=nfev, naccept=naccept, nreject=nreject)
+
+    for stop in stops[1:]:
+        while t < stop:
+            H = stop - t if h > 0.99 * (stop - t) else h
+            row = []
+            for k, n in enumerate(ns):
+                z0, z1 = y, y + H / n * f
+                for i in range(1, n):
+                    z0, z1 = z1, z0 + 2 * H / n * fun(t + i * H / n, z1)
+                row = [z1] + row  # row[l] is T(k-1, l-1) until it becomes T(k, l)
+                for l in range(1, k + 1):
+                    row[l] = row[l - 1] + (row[l - 1] - row[l]) / ((n / ns[k - l]) ** 2 - 1)
+            nfev += GBS_STAGES**2
+            scale = atol + rtol * np.maximum(np.abs(y), np.abs(row[-1]))
+            err = math.sqrt(np.mean(((row[-1] - row[-2]) / scale) ** 2))
+            h = H * min(4.0, max(0.2, 0.9 * max(err, 1e-10) ** (-1 / (2 * GBS_STAGES - 1))))
+            if not err <= 1:  # rejected, also when err is nan
+                nreject += 1
+                if h < tiny or not math.isfinite(err):
+                    return result(f"step collapsed at r = {t:.15g}: last step {H:.3e}, error estimate {err:.3g}")
+                continue
+            t, y, naccept = (stop if H == stop - t else t + H), row[-1], naccept + 1
+            f, nfev = fun(t, y), nfev + 1
+        ys.append(y)
+    return result("reached the end of the interval", success=True)
 
 
 def brentq(*args, **kwargs):
-    """scipy.optimize.brentq, imported on the first call.  Nothing here
-    calls it: it is kept only as the seam perfbench's tracer binds by name."""
+    """scipy.optimize.brentq, imported on the first call: the package's only
+    scipy reference, kept as the seam perfbench's tracer binds; nothing calls it."""
     from scipy.optimize import brentq
     return brentq(*args, **kwargs)
 
@@ -183,7 +224,7 @@ def _frobenius_initial(j: int, sysm: FirstOrderSystem, r0: float) -> np.ndarray:
 
 def _match(eps_vec: np.ndarray, m: float, j: int, r0: float):
     """Stacked match matrices [Y | D Y] at the equator, and the regular
-    columns Y at NODE_SAMPLES points from r0 to pi/2.
+    columns Y at r0 and pi/2 (j = 0: NODE_SAMPLES points from r0 to pi/2).
 
     One solve_ivp carries every lane from r0 to pi/2; D Y(pi/2) is the
     regular space of r = pi brought to the equator by the reflection.
@@ -196,9 +237,8 @@ def _match(eps_vec: np.ndarray, m: float, j: int, r0: float):
         return (sysm.matrix(r) @ y.reshape(shape)).reshape(-1)
 
     sol = solve_ivp(
-        rhs, (r0, math.pi / 2), cols_init.reshape(-1),
-        rtol=INTEGRATOR_RTOL, atol=INTEGRATOR_ATOL, method=METHOD,
-        t_eval=np.linspace(r0, math.pi / 2, NODE_SAMPLES),
+        rhs, (r0, math.pi / 2), cols_init.reshape(-1), rtol=INTEGRATOR_RTOL, atol=INTEGRATOR_ATOL,
+        t_eval=np.linspace(r0, math.pi / 2, NODE_SAMPLES) if j == 0 else None,
     )
     if not sol.success:
         raise IntegrationError(f"integration failed: {sol.message}")

@@ -1,8 +1,10 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp as reference_ivp
 
 from dkradial import oracle
 from dkradial.closedform import Family, family_levels, spectrum
@@ -16,6 +18,7 @@ from dkradial.oracle import (
     shoot_j,
     shoot_j0,
 )
+from test_acceptance import _scan_setup
 
 J0_CFG = ShootingConfig(eps_scan=(0.2, 4.0))
 
@@ -219,6 +222,83 @@ class TestSharedShooting:
         with pytest.raises(oracle.IntegrationError, match="integration failed: forced failure"):
             shoot(ShootingConfig(eps_scan=(1.6, 2.1)))
         assert calls == [oracle.INTEGRATOR_RTOL] * 2
+
+
+class TestIntegrator:
+    TOL = {"rtol": oracle.INTEGRATOR_RTOL, "atol": oracle.INTEGRATOR_ATOL}
+
+    def test_rotation_lands_on_t_eval(self):
+        """y' = [[0, w], [-w, 0]] y over five periods is (cos wt, -sin wt),
+        sampled exactly at every point of t_eval, both ends included."""
+        w, t_eval = 3.0, np.linspace(0.25, 0.25 + 10 * math.pi / 3.0, 37)
+        sol = oracle.solve_ivp(lambda t, y: np.array([[0, w], [-w, 0]]) @ y, (t_eval[0], t_eval[-1]),
+                               [math.cos(w * t_eval[0]), -math.sin(w * t_eval[0])], t_eval=t_eval, **self.TOL)
+        assert sol.success and sol.naccept > 0
+        assert np.array_equal(sol.t, t_eval)
+        assert np.abs(sol.y - [np.cos(w * t_eval), -np.sin(w * t_eval)]).max() <= 1e-8
+
+    def test_default_samples_are_both_ends(self):
+        sol = oracle.solve_ivp(lambda t, y: -y, (0.5, 2.0), [1.0, 2.0], **self.TOL)
+        assert sol.success and sol.t.tolist() == [0.5, 2.0]
+        assert sol.y[:, 0].tolist() == [1.0, 2.0]
+        assert sol.y[:, 1] == pytest.approx(np.exp(-1.5) * np.array([1.0, 2.0]), rel=1e-9)
+
+    def test_nfev_counts_every_rhs_call(self):
+        calls = []
+
+        def fun(t, y):
+            calls.append(t)
+            return np.array([y[1], -y[0]])
+
+        sol = oracle.solve_ivp(fun, (0.0, 7.0), [0.0, 1.0], t_eval=np.linspace(0.0, 7.0, 5), **self.TOL)
+        assert sol.success and sol.nfev == len(calls) > 0
+
+    def test_blow_up_fails_without_raising(self):
+        """y' = y^2, y(0) = 1 is 1 / (1 - t): the step collapses at the pole,
+        and the result says where."""
+        sol = oracle.solve_ivp(lambda t, y: y * y, (0.0, 2.0), [1.0], **self.TOL)
+        assert not sol.success and sol.nreject > 0
+        assert re.fullmatch(r"step collapsed at r = 1\.0000000\d*: last step \S+, error estimate \S+", sol.message)
+
+    def test_blow_up_through_match_is_integration_error(self, monkeypatch):
+        """y' = 4 (1 + y^2) is tan(4 r + c): it has a pole before the equator."""
+        real_ivp = oracle.solve_ivp
+        monkeypatch.setattr(oracle, "solve_ivp", lambda fun, *a, **k: real_ivp(lambda r, y: 4 * (1 + y * y), *a, **k))
+        with pytest.raises(oracle.IntegrationError, match=r"integration failed: step collapsed at r = 0\.39"):
+            oracle._match(np.array([2.0]), 0.0, 1, oracle.R_START_OFFSET)
+
+
+def _principal_sine(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Sine of the largest principal angle between the column spaces of
+    each pair of stacked matrices."""
+    qa, qb = np.linalg.qr(a)[0], np.linalg.qr(b)[0]
+    return np.linalg.norm(qb - qa @ (qa.swapaxes(-1, -2) @ qb), ord=2, axis=(-2, -1))
+
+
+class TestAgainstReferenceIntegrator:
+    @pytest.mark.parametrize("j,m,hi", [(0, 1.0, 7.4), (1, 0.0, 4.5), (3, 1.0, 12.0), (6, 0.0, 10.0)])
+    def test_equator_regular_space_matches_dop853(self, j, m, hi):
+        """The regular space _match carries to the equator agrees with
+        scipy's DOP853 at rtol 1e-13 from the same Frobenius start."""
+        levels = oracle._locate(j, m, (0.1, hi))
+        r0 = oracle.R_START_OFFSET
+        mats, _ = oracle._match(levels, m, j, r0)
+        sysm = system(j, levels, m)
+        start = _frobenius_initial(j, sysm, r0)
+        ref = reference_ivp(lambda r, y: (sysm.matrix(r) @ y.reshape(start.shape)).reshape(-1),
+                            (r0, math.pi / 2), start.reshape(-1), method="DOP853", rtol=1e-13, atol=1e-16)
+        assert ref.success
+        half = start.shape[-1]
+        assert _principal_sine(mats[..., :half], ref.y[:, -1].reshape(start.shape)).max() <= 1e-6
+
+    @pytest.mark.parametrize("j,m", [(0, 0.0), (0, 1.0), (0, 2.0), *((j, m) for m in (0.0, 1.0) for j in (1, 2, 3))])
+    def test_acceptance_windows_are_clean(self, j, m):
+        """Criteria 1 and 2: no level is flagged and every one is simple."""
+        if j == 0:
+            evs = shoot_j0(m, +1, ShootingConfig(eps_scan=(0.2, math.sqrt(m * m - 1 + 7.3**2))))
+        else:
+            evs = shoot_j(m, j, +1, _scan_setup(j, m)[1])
+        assert evs and [(ev.flags, ev.multiplicity) for ev in evs] == [([], 1)] * len(evs)
 
 
 class TestLocateAndConfirm:

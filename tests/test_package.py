@@ -1,6 +1,6 @@
 """The package surface: what each module lists in __all__ exists, every
 name one public module gives another is defined and listed there, and
-only shooting loads scipy."""
+no module or README command loads scipy."""
 
 import ast
 import importlib
@@ -68,44 +68,44 @@ def test_modules_take_only_listed_names_from_each_other():
 
 def test_closed_form_modules_load_without_scipy():
     """Importing the closed-form modules, the oracle or the CLI loads no
-    scipy; the oracle's solve_ivp and brentq stay patchable attributes."""
+    scipy, nor does shooting; the oracle's solve_ivp and brentq stay
+    patchable attributes."""
     code = (
         "import sys, dkradial\n"
         "loaded = [m for m in sys.modules if m.startswith('dkradial.')]\n"
         "import dkradial.verify, dkradial.cli, dkradial.oracle as o\n"
-        "print(loaded, [m for m in sys.modules if m.split('.')[0] == 'scipy'],\n"
+        "cfg = o.ShootingConfig(eps_scan=(1.6, 3.0))\n"
+        "shot = [len(o.shoot_j(0.0, 1, config=cfg)), len(o.shoot_j0(0.0, config=cfg))]\n"
+        "print(loaded, shot, [m for m in sys.modules if m.split('.')[0] == 'scipy'],\n"
         "      callable(o.solve_ivp), callable(o.brentq))\n"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
-    assert proc.stdout.strip() == "[] [] True True"
+    assert proc.stdout.strip() == "[] [4, 2] [] True True"
 
 
-def test_only_the_oracle_command_needs_scipy(tmp_path):
-    """With scipy blocked, the five closed-form README commands exit 0;
-    unblocked, the oracle command loads it and its comparison passes."""
+def test_readme_commands_need_no_scipy(tmp_path):
+    """With scipy blocked, all six README commands exit 0, and the oracle
+    command's comparison passes."""
     readme = (SOURCE.parents[1] / "README.md").read_text(encoding="utf-8")
     block = readme.split("## Command line", 1)[1].split("```")[1]
     commands = [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("dkradial ")]
     for argv in commands:
         if "--out" in argv:
             argv[argv.index("--out") + 1] = str(tmp_path / "out.csv")
-    closed = [argv for argv in commands if argv[0] != "oracle"]
     (shoot,) = [argv for argv in commands if argv[0] == "oracle"]
-    assert len(closed) == 5 and "--compare" in shoot
+    assert len(commands) == 6 and "--compare" in shoot
     code = (
         "import contextlib, io, json, sys\n"
         "sys.modules['scipy'] = None\n"
         "from dkradial.cli import main\n"
         "def run(argv):\n"
-        "    with contextlib.redirect_stdout(io.StringIO()):\n"
-        "        return main(argv)\n"
-        "closed, shoot = json.loads(sys.argv[1])\n"
-        "codes = [run(argv) for argv in closed]\n"
-        "del sys.modules['scipy']\n"
-        "codes.append(run(shoot))\n"
-        "print(codes, 'scipy.integrate' in sys.modules)\n"
+        "    out = io.StringIO()\n"
+        "    with contextlib.redirect_stdout(out):\n"
+        "        return main(argv), out.getvalue()\n"
+        "codes, outs = zip(*(run(argv) for argv in json.loads(sys.argv[1])))\n"
+        "print(list(codes), json.loads(outs[int(sys.argv[2])])['comparison']['pass'])\n"
     )
-    proc = subprocess.run([sys.executable, "-c", code, json.dumps([closed, shoot])],
+    proc = subprocess.run([sys.executable, "-c", code, json.dumps(commands), str(commands.index(shoot))],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[0, 0, 0, 0, 0, 0] True"
