@@ -219,10 +219,7 @@ def _closed_levels(j: int, mass: float, eps_min: float, eps_max: float) -> list:
 def cmd_oracle(args) -> int:
     mass = float(args.mass)
     cfg = oracle.ShootingConfig(eps_scan=(args.eps_min, args.eps_max))
-    if args.j == 0:
-        evs = oracle.shoot_j0(mass, args.lam, cfg)
-    else:
-        evs = oracle.shoot_j(mass, args.j, args.lam, cfg)
+    evs = oracle.shoot_j0(mass, config=cfg) if args.j == 0 else oracle.shoot_j(mass, args.j, args.lam, cfg)
     comparison = None
     if args.compare:
         # Matching fills in each eigenvalue's matched_family_guess.
@@ -236,7 +233,6 @@ def cmd_oracle(args) -> int:
                 "p_sq": e.p_sq,
                 "bracket": list(e.bracket),
                 "nodes": e.node_count,
-                "multiplicity": e.multiplicity,
                 "family_guess": e.matched_family_guess,
             }
             for e in evs

@@ -3,13 +3,13 @@
 The ground truth the closed forms are checked against: bound states of
 model.system(j, eps, m), located by collocation and confirmed by shooting.
 As E^2 = -I, Y' = A(r) Y is eps Y = H Y with H = -E (d/dr - A(r)|eps=0),
-discretised on Chebyshev-Gauss points of (0, pi), which exclude the poles.
-One integration then carries the regular solution space from a Frobenius
-start at r = 0 (Laurent series of 1/sin r and cot r) to the equator for
-every level at once; the regular space at r = pi is its reflection
-D Y(pi - r) (D the parity diagonal), so the match matrix is [Y | D Y], 4x4
-for j >= 1 and 2x2 for j = 0, and its normalized determinant must change
-sign across each level.
+discretised on Chebyshev-Gauss points of (0, pi), which exclude the poles;
+a j = 0 level's nodes are counted on its eigenvector's M block.  One
+integration carries the regular space from a Frobenius start at r = 0
+(Laurent series of 1/sin r and cot r) to the equator for every level at
+once; the regular space at r = pi is its reflection D Y(pi - r) (D the
+parity diagonal), so the match matrix is [Y | D Y], 4x4 for j >= 1 and 2x2
+for j = 0, and its normalized determinant must change sign across each level.
 
 solve_ivp, a numpy-only extrapolation integrator, is a module function:
 the seam that tests and perfbench's tracer patch.
@@ -24,7 +24,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .closedform import SpectrumEntry
-from .model import SYSTEM_J0, FirstOrderSystem, system
+from .model import FirstOrderSystem, system
 
 __all__ = [
     "IntegrationError",
@@ -57,8 +57,6 @@ DET_TOLERANCE = 1e-8
 # are good to about 1e-13): compare_spectra's default matching tolerance,
 # and how far a level may lie outside its window and still count as in it.
 REL_TOL = 1e-5
-# Samples of the half solution r0..pi/2 a j = 0 node count reads.
-NODE_SAMPLES = 100
 
 
 class IntegrationError(RuntimeError):
@@ -70,49 +68,45 @@ class SpectrumError(ValueError):
     resolve it, shooting did not confirm a level, or j = 0 nodes skip one."""
 
 
-def solve_ivp(fun, t_span, y0, *, rtol, atol, t_eval=None) -> SimpleNamespace:
-    """y' = fun(t, y) over the increasing t_span by Gragg-Bulirsch-Stoer
+def solve_ivp(fun, t_span, y0, *, rtol, atol) -> SimpleNamespace:
+    """y' = fun(t, y) from t_span[0] to t_span[1] > t_span[0] by Gragg-Bulirsch-Stoer
     extrapolation (Hairer, Norsett & Wanner, Solving ODEs I, II.9): modified
     midpoint with n = 2, 4, ..., 2 GBS_STAGES substeps, Aitken-Neville in h^2,
     a clipped power-law step factor from the RMS of the last two extrapolants
-    over atol + rtol |y|; steps end on each t_eval point (t_eval[0] is
-    t_span[0]; default: both ends).  Returns success, message, t, y (len(y0),
-    len(t)), nfev, naccept and nreject; a failure raises nothing, and its
+    over atol + rtol |y|.  Returns success, message, y (the state at
+    t_span[1]), nfev, naccept and nreject; a failure raises nothing, and its
     message names the r where the step collapsed and the last step tried."""
-    stops = np.asarray(t_span if t_eval is None else t_eval, dtype=float)
-    ns, tiny = range(2, 2 * GBS_STAGES + 1, 2), 1e-14 * np.abs(stops).max()
-    t, y = stops[0], np.asarray(y0, dtype=float)
-    f, ys, nfev, naccept, nreject = fun(t, y), [y], 1, 0, 0
+    t, end = (float(s) for s in t_span)
+    ns, tiny = range(2, 2 * GBS_STAGES + 1, 2), 1e-14 * max(abs(t), abs(end))
+    y = np.asarray(y0, dtype=float)
+    f, nfev, naccept, nreject = fun(t, y), 1, 0, 0
     d0, d1 = (math.sqrt(np.mean((v / (atol + rtol * np.abs(y))) ** 2)) for v in (y, f))
-    h = 0.01 * d0 / d1 if min(d0, d1) > 1e-5 else 1e-6 * (stops[-1] - t)
+    h = 0.01 * d0 / d1 if min(d0, d1) > 1e-5 else 1e-6 * (end - t)
 
     def result(message, success=False):
-        return SimpleNamespace(success=success, message=message, t=stops[:len(ys)], y=np.stack(ys, axis=1),
-                               nfev=nfev, naccept=naccept, nreject=nreject)
+        return SimpleNamespace(success=success, message=message, y=y, nfev=nfev, naccept=naccept, nreject=nreject)
 
-    for stop in stops[1:]:
-        while t < stop:
-            H = stop - t if h > 0.99 * (stop - t) else h
-            row = []
-            for k, n in enumerate(ns):
-                z0, z1 = y, y + H / n * f
-                for i in range(1, n):
-                    z0, z1 = z1, z0 + 2 * H / n * fun(t + i * H / n, z1)
-                row = [z1] + row  # row[l] is T(k-1, l-1) until it becomes T(k, l)
-                for l in range(1, k + 1):
-                    row[l] = row[l - 1] + (row[l - 1] - row[l]) / ((n / ns[k - l]) ** 2 - 1)
-            nfev += GBS_STAGES**2
-            scale = atol + rtol * np.maximum(np.abs(y), np.abs(row[-1]))
-            err = math.sqrt(np.mean(((row[-1] - row[-2]) / scale) ** 2))
-            h = H * min(4.0, max(0.2, 0.9 * max(err, 1e-10) ** (-1 / (2 * GBS_STAGES - 1))))
-            if not err <= 1:  # rejected, also when err is nan
-                nreject += 1
-                if h < tiny or not math.isfinite(err):
-                    return result(f"step collapsed at r = {t:.15g}: last step {H:.3e}, error estimate {err:.3g}")
-                continue
-            t, y, naccept = (stop if H == stop - t else t + H), row[-1], naccept + 1
-            f, nfev = fun(t, y), nfev + 1
-        ys.append(y)
+    while t < end:
+        H = end - t if h > 0.99 * (end - t) else h
+        row = []
+        for k, n in enumerate(ns):
+            z0, z1 = y, y + H / n * f
+            for i in range(1, n):
+                z0, z1 = z1, z0 + 2 * H / n * fun(t + i * H / n, z1)
+            row = [z1] + row  # row[l] is T(k-1, l-1) until it becomes T(k, l)
+            for l in range(1, k + 1):
+                row[l] = row[l - 1] + (row[l - 1] - row[l]) / ((n / ns[k - l]) ** 2 - 1)
+        nfev += GBS_STAGES**2
+        scale = atol + rtol * np.maximum(np.abs(y), np.abs(row[-1]))
+        err = math.sqrt(np.mean(((row[-1] - row[-2]) / scale) ** 2))
+        h = H * min(4.0, max(0.2, 0.9 * max(err, 1e-10) ** (-1 / (2 * GBS_STAGES - 1))))
+        if not err <= 1:  # rejected, also when err is nan
+            nreject += 1
+            if h < tiny or not math.isfinite(err):
+                return result(f"step collapsed at r = {t:.15g}: last step {H:.3e}, error estimate {err:.3g}")
+            continue
+        t, y, naccept = (end if H == end - t else t + H), row[-1], naccept + 1
+        f, nfev = fun(t, y), nfev + 1
     return result("reached the end of the interval", success=True)
 
 
@@ -142,7 +136,6 @@ class OracleEigenvalue:
     j: int
     bracket: tuple[float, float]
     node_count: int | None = None
-    multiplicity: int = 1
     matched_family_guess: str | None = None
     flags: list = field(default_factory=list)
 
@@ -222,13 +215,11 @@ def _frobenius_initial(j: int, sysm: FirstOrderSystem, r0: float) -> np.ndarray:
     return np.stack(cols, axis=2)
 
 
-def _match(eps_vec: np.ndarray, m: float, j: int, r0: float):
-    """Stacked match matrices [Y | D Y] at the equator, and the regular
-    columns Y at r0 and pi/2 (j = 0: NODE_SAMPLES points from r0 to pi/2).
-
-    One solve_ivp carries every lane from r0 to pi/2; D Y(pi/2) is the
-    regular space of r = pi brought to the equator by the reflection.
-    """
+def _match(eps_vec: np.ndarray, m: float, j: int, r0: float) -> np.ndarray:
+    """Stacked match matrices [Y | D Y] at the equator, Y the regular
+    columns there: one solve_ivp carries every lane from r0 to pi/2, and
+    D Y(pi/2) is the regular space of r = pi brought to the equator by the
+    reflection."""
     sysm = system(j, np.atleast_1d(np.asarray(eps_vec, dtype=float)), m)
     cols_init = _frobenius_initial(j, sysm, r0)
     shape = cols_init.shape  # (lanes, n, n/2)
@@ -236,25 +227,11 @@ def _match(eps_vec: np.ndarray, m: float, j: int, r0: float):
     def rhs(r, y):
         return (sysm.matrix(r) @ y.reshape(shape)).reshape(-1)
 
-    sol = solve_ivp(
-        rhs, (r0, math.pi / 2), cols_init.reshape(-1), rtol=INTEGRATOR_RTOL, atol=INTEGRATOR_ATOL,
-        t_eval=np.linspace(r0, math.pi / 2, NODE_SAMPLES) if j == 0 else None,
-    )
+    sol = solve_ivp(rhs, (r0, math.pi / 2), cols_init.reshape(-1), rtol=INTEGRATOR_RTOL, atol=INTEGRATOR_ATOL)
     if not sol.success:
         raise IntegrationError(f"integration failed: {sol.message}")
-    cols = sol.y.reshape(*shape, -1)
-    Y = cols[..., -1]
-    return np.concatenate([Y, sysm.D[:, None] * Y], axis=2), cols
-
-
-def _j0_nodes(mat: np.ndarray, M: np.ndarray) -> int:
-    """Interior nodes of M over (0, pi): the half solution M sampled on
-    r0..pi/2 and its mirror image c D_M M(pi - r), c = +-1 the parity that
-    matches the two halves at the equator (D Y(pi/2) = c Y(pi/2))."""
-    Y, DY = mat[:, 0], mat[:, 1]
-    track = np.concatenate([M, np.sign(Y @ DY) * SYSTEM_J0.D[0] * M[-2::-1]])
-    track = track[np.abs(track) > 1e-8 * np.abs(track).max()]
-    return int(np.sum(np.diff(np.sign(track)) != 0))
+    Y = sol.y.reshape(shape)
+    return np.concatenate([Y, sysm.D[:, None] * Y], axis=2)
 
 
 def _collocation_matrix(j: int, m: float, N: int) -> tuple[np.ndarray, np.ndarray]:
@@ -281,12 +258,22 @@ def _chebyshev_tails(vecs: np.ndarray, theta: np.ndarray) -> np.ndarray:
     return coef[:, 3 * N // 4:].max(axis=(0, 1)) / coef.max(axis=(0, 1))
 
 
-def _locate(j: int, m: float, window: tuple[float, float]) -> np.ndarray:
-    """The levels of the window (up to REL_TOL outside it), in order: the
-    eigenvalues of H that drift by at most DRIFT_TOL between N and 2N points
-    and whose Chebyshev tail is at most TAIL_TOL.  N starts at 4 hi + 8 and
-    doubles until every eigenvalue in the window passes, or, past
-    COLLOCATION_MAX_N, raises SpectrumError: never a short list."""
+def _sign_changes(block: np.ndarray) -> np.ndarray:
+    """Per column of block (eigenvector entries in order of rising r): its
+    sign changes once the column is turned real by the conjugate of its
+    largest entry; entries below 1e-8 of the largest carry no sign."""
+    real = (block * block[np.abs(block).argmax(axis=0), np.arange(block.shape[1])].conj()).real
+    kept = (col[np.abs(col) > 1e-8 * np.abs(col).max()] for col in real.T)
+    return np.array([np.count_nonzero(np.diff(np.sign(col))) for col in kept], dtype=int)
+
+
+def _locate(j: int, m: float, window: tuple[float, float]) -> tuple[np.ndarray, np.ndarray]:
+    """The levels of the window (up to REL_TOL outside it), in order, and the
+    sign changes of each one's first component, M at j = 0, over (0, pi).
+    Levels are the eigenvalues of H that drift by at most DRIFT_TOL between
+    N and 2N points and whose Chebyshev tail is at most TAIL_TOL.  N starts
+    at 4 hi + 8 and doubles until every eigenvalue in the window passes, or,
+    past COLLOCATION_MAX_N, raises SpectrumError: never a short list."""
     lo, hi = window
     N, tried = math.ceil(4 * hi) + 8, []
     while N <= COLLOCATION_MAX_N:
@@ -304,7 +291,8 @@ def _locate(j: int, m: float, window: tuple[float, float]) -> np.ndarray:
         decoupled = (j == 0) & (np.abs(eps - m) <= scale)
         tried.append(f"N={N}: {int(raw.sum())} raw, {int(ok.sum())} accepted")
         if np.array_equal(ok, ~decoupled):
-            return np.sort(eps[ok].real)
+            order = np.argsort(eps[ok].real)
+            return eps[ok].real[order], _sign_changes(vecs[:N, ok])[order]
         N *= 2
     raise SpectrumError(
         f"collocation did not resolve eps in [{lo:g}, {hi:g}] (j={j}, m={m:g}): "
@@ -315,18 +303,18 @@ def _locate(j: int, m: float, window: tuple[float, float]) -> np.ndarray:
 def _shoot(m: float, j: int, config: ShootingConfig) -> list[OracleEigenvalue]:
     """The collocation levels of the window, all confirmed in one integration:
     the determinant must change sign across each level's bracket (eps -+
-    delta), and its eps lane gives the SVD diagnostics and j = 0 node count."""
-    levels = _locate(j, m, config.eps_scan[:2])
+    delta), and its eps lane gives the SVD diagnostics."""
+    levels, nodes = _locate(j, m, config.eps_scan[:2])
     if not len(levels):
         return []
     delta = CONFIRM_DELTA * np.maximum(1.0, levels)
     lanes = np.stack([levels - delta, levels, levels + delta], axis=1).ravel()
     flags = []
     try:
-        mats, cols = _match(lanes, m, j, R_START_OFFSET)
+        mats = _match(lanes, m, j, R_START_OFFSET)
     except IntegrationError:
         flags = ["r-start-offset-halved"]
-        mats, cols = _match(lanes, m, j, R_START_OFFSET / 2)
+        mats = _match(lanes, m, j, R_START_OFFSET / 2)
     unit = mats / np.linalg.norm(mats, axis=-2, keepdims=True)  # no column of Y vanishes
     below, _, above = np.linalg.det(unit).reshape(-1, 3).T
     sv = np.linalg.svd(unit[1::3], compute_uv=False)
@@ -341,8 +329,7 @@ def _shoot(m: float, j: int, config: ShootingConfig) -> list[OracleEigenvalue]:
         out.append(
             OracleEigenvalue(
                 eps=eps, p_sq=eps * eps - m * m, j=j, bracket=(eps - delta[i].item(), eps + delta[i].item()),
-                node_count=_j0_nodes(mats[3 * i + 1], cols[3 * i + 1, 0, 0]) if j == 0 else None,
-                multiplicity=2 if sv[i, -2] < 1e-6 else 1, matched_family_guess="j0" if j == 0 else None,
+                node_count=int(nodes[i]) if j == 0 else None, matched_family_guess="j0" if j == 0 else None,
                 flags=flags + (["weak-singularity"] if sv[i, -1] > DET_TOLERANCE else []),
             )
         )

@@ -249,10 +249,11 @@ class TestExitCodes:
         assert code == 0 and cmp["unmatched_closed"] == [] and len(cmp["matched"]) == 2
 
     def test_oracle_j0_missed_level_is_usage_error(self, monkeypatch, capsys):
-        """A level missing from the located list shows as a node-count gap:
-        the oracle's SpectrumError exits 2 with one line, no traceback."""
+        """A level missing from the located list (with its node count) shows
+        as a node-count gap: the oracle's SpectrumError exits 2 with one
+        line, no traceback."""
         real = oracle._locate
-        monkeypatch.setattr(oracle, "_locate", lambda *a: np.delete(real(*a), 1))
+        monkeypatch.setattr(oracle, "_locate", lambda *a: tuple(np.delete(x, 1) for x in real(*a)))
         code = main(["oracle", "--j", "0", "--mass", "0", "--eps-min", "0.2", "--eps-max", "6"])
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""

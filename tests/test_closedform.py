@@ -302,3 +302,12 @@ class TestFamilyLevels:
         p_sqs = [e.p_sq for e in levels]
         assert Fraction(1) not in p_sqs
         assert sorted(p_sqs) == [3, 4, 8, 9, 15, 16, 24]
+
+    def test_levels_at_one_j_are_simple(self):
+        """No two bound family levels at one j share p^2 (nor, then, eps at
+        any mass): F1/F2 and F3/F4 differ in the parity of lam, and a
+        K-led p^2 = s^2 - 1 never equals an M-led t^2 for s >= 2."""
+        for j in range(1, 7):
+            p_sqs = [e.p_sq for e in family_levels(j, 10, 0)]
+            assert all(isinstance(p, Fraction) for p in p_sqs)
+            assert len(set(p_sqs)) == len(p_sqs) == 4 * 11 - 1  # F3 has no bound n = 0

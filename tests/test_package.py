@@ -1,6 +1,7 @@
 """The package surface: what each module lists in __all__ exists, every
-name one public module gives another is defined and listed there, and
-no module or README command loads scipy."""
+name one public module gives another is defined and listed there, no
+module or README command loads scipy, and the benchmark's tracer still
+finds the oracle functions it wraps."""
 
 import ast
 import importlib
@@ -9,6 +10,7 @@ import pkgutil
 import shlex
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import dkradial
@@ -109,3 +111,25 @@ def test_readme_commands_need_no_scipy(tmp_path):
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[0, 0, 0, 0, 0, 0] True"
+
+
+def test_benchmark_tracing_points_still_count():
+    """perfbench's tracer wraps oracle functions by name; run in-process,
+    it still sees one confirming integration per shot, three lanes per
+    level, its RHS evaluations and no failure."""
+    path = SOURCE.parents[1] / "perfbench" / "tracer.py"
+    tracer = types.ModuleType("perfbench_tracer")
+    exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), tracer.__dict__)
+    from dkradial import oracle
+
+    t = tracer.Tracer()
+    t.install()
+    try:
+        cfg = oracle.ShootingConfig(eps_scan=(1.6, 3.0))
+        levels = len(oracle.shoot_j0(0.0, config=cfg)) + len(oracle.shoot_j(0.0, 1, config=cfg))
+    finally:
+        t.uninstall()
+    metrics = tracer.layer_metrics(t.snapshot())
+    assert levels == 6
+    assert (metrics["oracle.scan_ivp_calls"], metrics["oracle.scan_lanes"]) == (2, 3 * levels)
+    assert metrics["oracle.scan_rhs_evals"] > 0 and metrics["oracle.ivp_failed"] == 0
