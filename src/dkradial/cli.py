@@ -217,6 +217,11 @@ def _closed_levels(j: int, mass: float, eps_min: float, eps_max: float) -> list:
 
 
 def cmd_oracle(args) -> int:
+    if args.j == 0 and args.lam == -1:
+        raise ValueError(
+            "oracle --j 0 takes only --lambda 1: the lambda = -1 pair has the extra "
+            "regular solution (0, sin r) at eps = m, which no closed form lists"
+        )
     mass = float(args.mass)
     cfg = oracle.ShootingConfig(eps_scan=(args.eps_min, args.eps_max))
     evs = oracle.shoot_j0(mass, config=cfg) if args.j == 0 else oracle.shoot_j(mass, args.j, args.lam, cfg)

@@ -178,8 +178,8 @@ def family_levels(j: int, n_max: int, m, families=tuple(FAMILIES)) -> list[Spect
 class RadialSolution:
     """Amplitudes sampled on an r-grid, with branch metadata.
 
-    j=0 solutions carry only (M, N); the auxiliary pair is C = lam*M,
-    D = lam*N.  Families i-iv carry the full (K, L, M, N).
+    j=0 solutions carry only (M, N); families i-iv carry the full
+    (K, L, M, N).
     """
 
     qn: QuantumNumbers

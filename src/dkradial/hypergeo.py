@@ -5,8 +5,6 @@ Terminating series (a negative-integer upper parameter) are summed exactly by
 Horner's rule, one pass over the array.  Non-terminating series use the
 defining power series for x <= 1/2 and the x -> 1-x connection formula
 beyond, element by element, which keeps the number of summed terms small.
-Derivatives come from the contiguous relation
-d/dx F(a,b;c;x) = (ab/c) F(a+1,b+1;c+1;x).
 """
 
 from __future__ import annotations
@@ -22,7 +20,6 @@ __all__ = [
     "Hyp2F1DegenerateError",
     "Hyp2F1ConvergenceError",
     "gauss_2f1",
-    "gauss_2f1_derivative",
 ]
 
 # Series control: stop once |term| < SERIES_RTOL*|sum| three times in a row.
@@ -75,13 +72,6 @@ class Hyp2F1Params:
     def raised(self, k: int) -> "Hyp2F1Params":
         """Parameters of the k-th contiguous derivative."""
         return Hyp2F1Params(self.alpha + k, self.beta + k, self.gamma + k)
-
-
-def _poch(v: float, k: int) -> float:
-    out = 1.0
-    for i in range(k):
-        out *= v + i
-    return out
 
 
 def _rgamma(v: float) -> float:
@@ -155,18 +145,3 @@ def gauss_2f1(params: Hyp2F1Params, x):
     else:
         out = np.array([_nonterminating(a, b, c, float(v)) for v in xs.flat]).reshape(xs.shape)
     return float(out) if xs.ndim == 0 else out
-
-
-def gauss_2f1_derivative(params: Hyp2F1Params, x, order: int):
-    """order-th derivative of 2F1 at x (scalar or array), any integer order >= 0.
-
-    Uses the contiguous relation recursively; accuracy inherits from
-    gauss_2f1.
-    """
-    if order < 0:
-        raise ValueError(f"order={order} must be non-negative")
-    a, b, c = params.alpha, params.beta, params.gamma
-    scale = _poch(a, order) * _poch(b, order) / _poch(c, order)
-    if scale == 0.0:
-        return 0.0 if np.ndim(x) == 0 else np.zeros(np.shape(x))
-    return scale * gauss_2f1(params.raised(order), x)

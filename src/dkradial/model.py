@@ -34,7 +34,6 @@ __all__ = [
     "operator_M4",
     "factor_pair_K",
     "factor_pair_M",
-    "indicial_exponents",
 ]
 
 
@@ -82,16 +81,12 @@ class ModeParams:
         return self.eps**2 - self.m**2
 
     @property
-    def eps_sign(self) -> int:
-        return -1 if self.eps < 0 else +1
-
-    @property
     def m_eff(self) -> float:
         return self.lambda_sign * self.m
 
     @classmethod
-    def from_p_sq(cls, m, p_sq, lambda_sign=+1, eps_sign=+1) -> "ModeParams":
-        eps = eps_sign * math.sqrt(float(p_sq) + float(m) ** 2)
+    def from_p_sq(cls, m, p_sq, lambda_sign=+1) -> "ModeParams":
+        eps = math.sqrt(float(p_sq) + float(m) ** 2)
         return cls(m=float(m), eps=eps, lambda_sign=lambda_sign)
 
 
@@ -338,22 +333,3 @@ def factor_pair_M(p_sq, a_sq) -> tuple[LinearDifferentialOperator, LinearDiffere
     """(outer, inner) factors of the M operator; c0 numerators carry the
     -9 (outer) and -1 (inner) shifts."""
     return _outer_operator(9, a_sq, p_sq), _inner_operator(1, a_sq, p_sq)
-
-
-def indicial_exponents(j: int) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
-    """Local exponents gamma of (K, M) ~ (1-x)^gamma at x=1, for j >= 1.
-
-    Returns (all four exponents, bound-state subset), each sorted
-    descending.  Only the positive pair can describe bound states.
-    """
-    if j < 1:
-        raise ValueError("indicial exponents defined for j >= 1")
-    all_four = (
-        Fraction(j + 2, 2),
-        Fraction(j, 2),
-        Fraction(1 - j, 2),
-        Fraction(-(j + 1), 2),
-    )
-    bound = (Fraction(j + 2, 2), Fraction(j, 2))
-    return all_four, bound
-

@@ -119,13 +119,14 @@ def brentq(*args, **kwargs):
 
 @dataclass(frozen=True)
 class ShootingConfig:
-    """The energy window (lo, hi).  A trailing third entry, the step of the
-    old scan grid, is accepted and ignored: perfbench still passes one."""
+    """The energy window (lo, hi), 0 <= lo < hi < inf.  A trailing third
+    entry, the step of the old scan grid, is accepted and ignored:
+    perfbench still passes one."""
 
     eps_scan: tuple[float, ...] = (0.1, 5.0)
 
     def __post_init__(self):
-        if len(self.eps_scan) not in (2, 3) or not 0 <= self.eps_scan[0] < self.eps_scan[1]:
+        if len(self.eps_scan) not in (2, 3) or not 0 <= self.eps_scan[0] < self.eps_scan[1] < math.inf:
             raise ValueError(f"bad eps window {self.eps_scan}")
 
 

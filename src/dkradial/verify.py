@@ -208,8 +208,9 @@ def cross_consistency(family: Family, qn: QuantumNumbers, params: ModeParams) ->
     lead = FAMILIES[family].lead
     direct, explicit = (K, M) if lead == "K" else (M, K)
     via = companion_from_relation(direct, p2, a2, lead)
-    diff = via.eval_x(x) - explicit.eval_x(x)
-    scale = np.maximum(np.abs(explicit.eval_x(x)), np.abs(via.eval_x(x))).max()
+    via_x, explicit_x = via.eval_x(x), explicit.eval_x(x)
+    diff = via_x - explicit_x
+    scale = np.maximum(np.abs(explicit_x), np.abs(via_x)).max()
     rep1 = _report(f"companion[{family.value}]", x, diff, np.full_like(x, scale), IDENTITY_TOL)
 
     r = np.arccos(np.sqrt(x))  # left-half radial points matching the x grid

@@ -25,7 +25,7 @@ from dkradial.closedform import (
     spectrum,
     wavefunction_family,
 )
-from dkradial.hypergeo import Hyp2F1Params, gauss_2f1, gauss_2f1_derivative
+from dkradial.hypergeo import Hyp2F1Params, gauss_2f1
 from dkradial.model import (
     ModeParams,
     QuantumNumbers,
@@ -283,14 +283,12 @@ def test_criterion_9_hypergeometric_kernel():
         a = rng.uniform(-3, 3)
         b = rng.uniform(-3, 3)
         c = rng.uniform(0.4, 4.0)
-        p = Hyp2F1Params(a, b, c)
+        kernel = hyp_expr(1.0, 0, 0, a, b, c)  # differentiated by Expr.diff, as verify does
         for x in np.linspace(0.02, 0.95, 50):
             s = c - a - b
             if x > 0.9 and abs(s - round(s)) <= 1e-8:
                 continue
-            f = gauss_2f1(p, float(x))
-            f1 = gauss_2f1_derivative(p, float(x), 1)
-            f2 = gauss_2f1_derivative(p, float(x), 2)
+            f, f1, f2 = kernel.derivative_column(float(x), 2)
             terms = [x * (1 - x) * f2, (c - (a + b + 1) * x) * f1, -a * b * f]
             worst_ode = max(worst_ode, abs(sum(terms)) / max(abs(t) for t in terms))
 

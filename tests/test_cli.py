@@ -301,6 +301,37 @@ class TestExitCodes:
         assert [(m["n"], m["p_sq_exact"]) for m in cmp["matched"]] == [(9, "120")]
 
 
+    @pytest.mark.parametrize("value", ["inf", "nan", "-inf"])
+    def test_oracle_non_finite_eps_max_is_usage_error(self, value, capsys):
+        """A window without a finite upper end exits 2 and names the window."""
+        code = main(["oracle", "--j", "0", "--mass", "1", f"--eps-max={value}"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == f"dkradial: bad eps window (0.1, {value})\n"
+
+    @pytest.mark.parametrize("via_file", [False, True], ids=["flag", "file"])
+    def test_oracle_j0_lambda_minus_one_is_usage_error(self, via_file, tmp_path, capsys):
+        """j = 0 shoots only the lambda = +1 pair, so lambda = -1 exits 2
+        instead of reporting levels of the other branch."""
+        argv = ["oracle", "--j", "0", "--mass", "1", "--eps-min", "1.6", "--eps-max", "1.85"]
+        if via_file:
+            cfg = tmp_path / "run.conf"
+            cfg.write_text("lambda=-1\n")
+            argv.append(f"@{cfg}")
+        else:
+            argv += ["--lambda", "-1"]
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("dkradial: ") and "(0, sin r) at eps = m" in captured.err
+
+    def test_oracle_j0_lambda_plus_one_is_the_default(self, capsys):
+        argv = ["oracle", "--j", "0", "--mass", "1", "--eps-min", "1.8", "--eps-max", "2.2", "--compare"]
+        code, out = run_main([*argv, "--lambda", "1"], capsys)
+        assert (code, out) == run_main(argv, capsys) and code == 0
+        assert len(json.loads(out)["eigenvalues"]) == 1
+
+
 class TestDeterminism:
     def test_byte_identical_reruns(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -12,7 +12,6 @@ from dkradial.model import (
     RationalCoefficient,
     factor_pair_K,
     factor_pair_M,
-    indicial_exponents,
     operator_K4,
     operator_M4,
     system,
@@ -22,14 +21,15 @@ from finite_difference import fd_derivatives
 
 class TestModeParams:
     def test_p_sq_single_source(self):
-        p = ModeParams(m=1.0, eps=2.0)
+        p = ModeParams(m=1.0, eps=-2.0)
         assert p.p_sq == 3.0
-        assert p.eps_sign == 1
+        assert p.m_eff == 1.0
 
     def test_from_p_sq(self):
-        p = ModeParams.from_p_sq(1.0, 8.0, eps_sign=-1)
-        assert p.eps == pytest.approx(-3.0)
+        p = ModeParams.from_p_sq(1.0, 8.0, lambda_sign=-1)
+        assert p.eps == pytest.approx(3.0)
         assert p.p_sq == pytest.approx(8.0)
+        assert p.m_eff == -1.0
 
     def test_branch_validation(self):
         with pytest.raises(ValueError):
@@ -231,29 +231,13 @@ class TestFactorPairs:
 
 
 class TestIndicial:
-    def test_j1(self):
-        all4, bound = indicial_exponents(1)
-        assert set(all4) == {Fraction(1, 2), Fraction(3, 2), Fraction(0), Fraction(-1)}
-        assert set(bound) == {Fraction(1, 2), Fraction(3, 2)}
-
-    def test_j2(self):
-        all4, _ = indicial_exponents(2)
-        assert set(all4) == {Fraction(1), Fraction(2), Fraction(-1, 2), Fraction(-3, 2)}
-
-    def test_bound_exponents_differ_by_one(self):
-        for j in range(1, 25):
-            _, bound = indicial_exponents(j)
-            assert max(bound) - min(bound) == 1
-
-    def test_j0_rejected(self):
-        with pytest.raises(ValueError):
-            indicial_exponents(0)
-
     @pytest.mark.parametrize("make", [operator_K4, operator_M4])
     def test_exponents_solve_operator_indicial_equation(self, make):
         """(1-x)^gamma balances the strongest x = 1 poles of the operator:
         sum_k (-1)^k gamma (gamma-1) ... (gamma-k+1) lead_k = 0 in exact
-        arithmetic, lead_k the (1-x)^-(4-k) coefficient of c_k."""
+        arithmetic, lead_k the (1-x)^-(4-k) coefficient of c_k.  The roots
+        are (j+2)/2 and j/2, the two that can carry bound states, and
+        (1-j)/2 and -(j+1)/2."""
         def indicial(op, g):
             leads = [Fraction(c.poles1[-1]) for c in op.coeffs[:4]] + [Fraction(1)]
             return sum((-1) ** k * math.prod(g - i for i in range(k)) * lead for k, lead in enumerate(leads))
@@ -262,8 +246,7 @@ class TestIndicial:
             op = make((j + 2) ** 2 - 1, j * (j + 1))
             assert op.coeffs[4].poly == (0.0, 0.0, 1.0)  # lead_4 = 1
             assert [len(c.poles1) for c in op.coeffs[:4]] == [4, 3, 2, 1]
-            all4, _ = indicial_exponents(j)
-            for g in all4:
+            for g in (Fraction(j + 2, 2), Fraction(j, 2), Fraction(1 - j, 2), Fraction(-(j + 1), 2)):
                 assert indicial(op, g) == 0
             assert indicial(op, Fraction(1, 3)) != 0
 

@@ -403,9 +403,15 @@ class TestCompare:
 
 class TestConfig:
     def test_validation(self):
-        for window in [(3.0, 1.0), (3.0, 1.0, 0.1), (-0.1, 1.0), (1.0,), (0.1, 1.0, 0.02, 0.0)]:
+        for window in [(3.0, 1.0), (3.0, 1.0, 0.1), (-0.1, 1.0), (1.0,), (0.1, 1.0, 0.02, 0.0),
+                       (0.1, math.inf), (0.1, math.nan), (0.1, -math.inf), (math.nan, 1.0)]:
             with pytest.raises(ValueError, match="bad eps window"):
                 ShootingConfig(eps_scan=window)
+
+    def test_unbounded_window_is_value_error(self):
+        """Not an OverflowError from sizing the collocation grid by hi."""
+        with pytest.raises(ValueError, match=r"bad eps window \(0\.1, inf\)"):
+            shoot_j(0.0, 1, +1, ShootingConfig(eps_scan=(0.1, math.inf)))
 
     def test_trailing_step_is_ignored(self):
         """(lo, hi, step), the old scan window, still constructs; the step
