@@ -4,7 +4,8 @@ An amplitude is a finite sum of terms
 
     coef * x^xp * (1-x)^yp * 2F1(a, b; c; x)
 
-with half-integer exponents.  The set is closed under d/dx (the contiguous
+with half-integer exponents held as floats (exact in binary, as are their
+sums) and a 2F1 on every term.  The set is closed under d/dx (the contiguous
 derivative raises the 2F1 parameters), under multiplication by powers of x and
 (1-x), and therefore under d/dr for both radial substitutions used by the
 model, x = cos^2 r (dx/dr = -2 x^{1/2} (1-x)^{1/2}) and x = (1-cos r)/2
@@ -17,26 +18,23 @@ of the sphere flips the sign of every term whose x-exponent is half-odd.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
 from .hypergeo import Hyp2F1Params, gauss_2f1
 
-HALF = Fraction(1, 2)
 # Below this x, terms with negative x-exponents are summed via their exact
 # Taylor behaviour to dodge the structural cancellation at x=0.
 NEAR_ZERO = 1e-5
 TAYLOR_ORDER = 4
 
 
-@dataclass(frozen=True)
-class Term:
+class Term(NamedTuple):
     coef: float
-    xp: Fraction
-    yp: Fraction
-    f: Hyp2F1Params | None = None
+    xp: float
+    yp: float
+    f: Hyp2F1Params
 
 
 class Expr:
@@ -51,10 +49,6 @@ class Expr:
             merged[key] = merged.get(key, 0.0) + t.coef
         self.terms = tuple(Term(c, xp, yp, f) for (xp, yp, f), c in merged.items() if c != 0.0)
 
-    @classmethod
-    def monomial(cls, coef, xp=0, yp=0, f: Hyp2F1Params | None = None) -> "Expr":
-        return cls([Term(float(coef), Fraction(xp), Fraction(yp), f)])
-
     def __add__(self, other: "Expr") -> "Expr":
         return Expr(self.terms + other.terms)
 
@@ -66,44 +60,36 @@ class Expr:
 
     def shift(self, dxp=0, dyp=0) -> "Expr":
         """Multiply by x^dxp * (1-x)^dyp."""
-        dxp, dyp = Fraction(dxp), Fraction(dyp)
         return Expr([Term(t.coef, t.xp + dxp, t.yp + dyp, t.f) for t in self.terms])
-
-    def mul_affine_x(self, c0: float, c1: float) -> "Expr":
-        """Multiply by c0 + c1*x."""
-        return self.scale(c0) + self.shift(dxp=1).scale(c1)
 
     def diff(self) -> "Expr":
         out = []
         for t in self.terms:
             if t.xp != 0:
-                out.append(Term(t.coef * float(t.xp), t.xp - 1, t.yp, t.f))
+                out.append(Term(t.coef * t.xp, t.xp - 1, t.yp, t.f))
             if t.yp != 0:
-                out.append(Term(-t.coef * float(t.yp), t.xp, t.yp - 1, t.f))
-            if t.f is not None:
-                fac = t.f.alpha * t.f.beta / t.f.gamma
-                if fac != 0.0:
-                    out.append(Term(t.coef * fac, t.xp, t.yp, t.f.raised(1)))
+                out.append(Term(-t.coef * t.yp, t.xp, t.yp - 1, t.f))
+            fac = t.f.alpha * t.f.beta / t.f.gamma
+            if fac != 0.0:
+                out.append(Term(t.coef * fac, t.xp, t.yp, t.f.raised(1)))
         return Expr(out)
 
     # d/dr for the two radial charts
     def diff_r_cos2(self) -> "Expr":
         """d/dr under x = cos^2 r (dx/dr = -2 sqrt(x) sqrt(1-x), signed)."""
-        return self.diff().shift(HALF, HALF).scale(-2.0)
+        return self.diff().shift(0.5, 0.5).scale(-2.0)
 
     def diff_r_half(self) -> "Expr":
         """d/dr under x = (1-cos r)/2 (dx/dr = sqrt(x(1-x)))."""
-        return self.diff().shift(HALF, HALF)
+        return self.diff().shift(0.5, 0.5)
 
     def _term_value(self, t: Term, x: np.ndarray) -> np.ndarray:
         v = np.full_like(x, t.coef)
         if t.xp != 0:
-            v = v * x ** float(t.xp)
+            v = v * x ** t.xp
         if t.yp != 0:
-            v = v * (1.0 - x) ** float(t.yp)
-        if t.f is not None:
-            v = v * gauss_2f1(t.f, x)
-        return v
+            v = v * (1.0 - x) ** t.yp
+        return v * gauss_2f1(t.f, x)
 
     def eval_x(self, x) -> np.ndarray:
         """Evaluate on the principal chart (x^{1/2} taken positive)."""
@@ -152,7 +138,7 @@ class Expr:
                         f"x^{q} contributions do not cancel at x=0; amplitude singular"
                     )
             else:
-                out += c * x ** float(q)
+                out += c * x ** q
         return out
 
     def eval_r_cos2(self, r) -> np.ndarray:
@@ -187,17 +173,15 @@ class Expr:
 
 
 def hyp_expr(coef, xp, yp, a, b, c) -> Expr:
-    return Expr.monomial(coef, xp, yp, Hyp2F1Params(float(a), float(b), float(c)))
+    return Expr([Term(float(coef), float(xp), float(yp), Hyp2F1Params(float(a), float(b), float(c)))])
 
 
-def _taylor_pref_f(yp: Fraction, f: Hyp2F1Params | None, upto: int) -> np.ndarray:
+def _taylor_pref_f(yp: float, f: Hyp2F1Params, upto: int) -> np.ndarray:
     """Taylor coefficients of (1-x)^yp * 2F1(a,b;c;x) around x=0."""
     b = np.zeros(upto + 1)
     b[0] = 1.0
     for k in range(upto):
-        b[k + 1] = b[k] * (k - float(yp)) / (k + 1)
-    if f is None:
-        return b
+        b[k + 1] = b[k] * (k - yp) / (k + 1)
     h = np.zeros(upto + 1)
     h[0] = 1.0
     for k in range(upto):

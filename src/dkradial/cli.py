@@ -67,6 +67,8 @@ def _mass(s: str) -> Fraction:
     mass = _rational(s)
     if mass < 0:
         raise argparse.ArgumentTypeError("mass must be non-negative")
+    if mass * mass > sys.float_info.max:  # eps^2 = p^2 + m^2 is printed and used as a float
+        raise argparse.ArgumentTypeError(f"mass must be at most {math.sqrt(sys.float_info.max):.6g}")
     return mass
 
 
@@ -144,6 +146,9 @@ def cmd_wavefunction(args) -> int:
             [r, xv, kv, lv, mv, nv]
             for r, xv, kv, lv, mv, nv in zip(grid, x, sol.K, sol.L, sol.M, sol.N)
         ]
+    bad = next((name for name in header[2:] if not np.isfinite(getattr(sol, name)).all()), None)
+    if bad is not None:
+        raise ValueError(f"{bad} has non-finite samples at n={args.n}: the terminating 2F1 coefficients overflow")
     _write(args.out, _csv(comments, header, rows))
     return 0
 
@@ -151,6 +156,8 @@ def cmd_wavefunction(args) -> int:
 def _verify_reports(args) -> list[verify.VerificationReport]:
     mass = float(args.mass)
     j, n = args.j, args.n
+    if n < 0:
+        raise ValueError("n must be non-negative")
     suites = (
         ("operators", "factorization", "wronskian", "cross", "j0")
         if args.suite == "all"

@@ -25,7 +25,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._exprs import Expr, hyp_expr, HALF
+from ._exprs import Expr, hyp_expr
 from .model import ModeParams, QuantumNumbers
 
 __all__ = [
@@ -95,15 +95,15 @@ class SpectrumEntry:
 
 class _Seed(NamedTuple):
     lead: str  # the amplitude given directly: "K" (lam^2 = p^2 + 1) or "M" (lam = p)
-    xp: Fraction  # x-exponent, 1/2 or 0
+    xp: float  # x-exponent, 1/2 or 0
     offset: int  # polynomial degree k = n + offset
 
 
 FAMILIES = {
-    Family.F1: _Seed("K", HALF, 0),
-    Family.F2: _Seed("K", Fraction(0), 0),
-    Family.F3: _Seed("M", HALF, -1),
-    Family.F4: _Seed("M", Fraction(0), 0),
+    Family.F1: _Seed("K", 0.5, 0),
+    Family.F2: _Seed("K", 0.0, 0),
+    Family.F3: _Seed("M", 0.5, -1),
+    Family.F4: _Seed("M", 0.0, 0),
 }
 
 
@@ -113,11 +113,11 @@ def _lam(family: Family, j, n: int):
     return j + 1 + int(2 * seed.xp) + 2 * (n + seed.offset)
 
 
-def _seed_expr(j: int, lam, xp: Fraction) -> Expr:
+def _seed_expr(j: int, lam, xp: float) -> Expr:
     """x^xp (1-x)^(j/2) F(c0 - lam/2, c0 + lam/2; 1/2 + 2 xp; x), c0 = (j+1)/2 + xp;
     x^{1/2} is the signed cos r, so the amplitude is smooth across the equator."""
     c0 = (j + 1) / 2 + xp
-    return hyp_expr(1.0, xp, Fraction(j, 2), c0 - lam / 2, c0 + lam / 2, 0.5 + 2 * xp)
+    return hyp_expr(1.0, xp, j / 2, c0 - lam / 2, c0 + lam / 2, 0.5 + 2 * xp)
 
 
 def _p_sq_formula(family: Family, j: Fraction, n: int) -> Fraction:
@@ -214,7 +214,7 @@ def wavefunction_j0(n: int, params: ModeParams, grid) -> RadialSolution:
             f"eps^2={eps*eps} is off the j=0 spectrum value {target} for n={n}"
         )
     ratio = j0_ratio(eps, m, params.lambda_sign)
-    N_expr = hyp_expr(1.0, HALF, HALF, -n - 1, 3 + n, 1.5)
+    N_expr = hyp_expr(1.0, 0.5, 0.5, -n - 1, 3 + n, 1.5)
     M_expr = hyp_expr(ratio, 1, 1, -n, 4 + n, 2.5)
     grid = np.asarray(grid, dtype=float)
     return RadialSolution(
@@ -238,7 +238,7 @@ def _family_companion_expr(family: Family, j: int, n: int) -> Expr:
     a = math.sqrt(j * (j + 1))
     k = n + offset
     g, b = 0.5 + 2 * xp, j + k + 1 + 2 * xp
-    c = float(j + 2 * xp + (1 if lead == "M" else 0))
+    c = j + 2 * xp + (1 if lead == "M" else 0)
     head = hyp_expr(2.0 * k, 1, 0, 1 - k, b, g) - hyp_expr(2.0 * k, 0, 0, 1 - k, b, g)
     sub = (
         hyp_expr(c, 1, 0, -k, b, g)
@@ -247,7 +247,7 @@ def _family_companion_expr(family: Family, j: int, n: int) -> Expr:
     )
     if xp:
         sub = sub + hyp_expr(-1.0, 0, 0, -k, b, g)
-    return (head - sub).shift(xp - HALF, Fraction(j, 2)).scale(1.0 / a)
+    return (head - sub).shift(xp - 0.5, j / 2).scale(1.0 / a)
 
 
 def family_KM_exprs(family: Family, j: int, n: int) -> tuple[Expr, Expr]:
@@ -276,11 +276,11 @@ def companion_from_relation(direct: Expr, p_sq: float, a_sq: float, source: str)
         raise ValueError("source must be 'K' or 'M'")
     lhs = (
         d2.shift(1, 1).scale(4.0)
-        + d1.mul_affine_x(2.0, -4.0)
+        + (d1.scale(2.0) + d1.shift(1).scale(-4.0))
         + direct.scale(pot0)
         - direct.shift(0, -1).scale(pole1)
     )
-    return lhs.shift(-HALF, 1).scale(1.0 / (2.0 * a))
+    return lhs.shift(-0.5, 1).scale(1.0 / (2.0 * a))
 
 
 def _elimination_LN(K: Expr, M: Expr, a: float, eps_plus_m: float) -> tuple[Expr, Expr]:
@@ -289,9 +289,9 @@ def _elimination_LN(K: Expr, M: Expr, a: float, eps_plus_m: float) -> tuple[Expr
     L = -(K'_r + (a/sin r) M) / (eps+m)
     N = -(M'_r + M/tan r + (a/sin r) K) / (eps+m)
     """
-    L = (K.diff_r_cos2() + M.shift(0, -HALF).scale(a)).scale(-1.0 / eps_plus_m)
+    L = (K.diff_r_cos2() + M.shift(0, -0.5).scale(a)).scale(-1.0 / eps_plus_m)
     N = (
-        M.diff_r_cos2() + M.shift(HALF, -HALF) + K.shift(0, -HALF).scale(a)
+        M.diff_r_cos2() + M.shift(0.5, -0.5) + K.shift(0, -0.5).scale(a)
     ).scale(-1.0 / eps_plus_m)
     return L, N
 

@@ -20,11 +20,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from types import SimpleNamespace
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .closedform import SpectrumEntry
 from .model import FirstOrderSystem, system
+
+if TYPE_CHECKING:  # the oracle never builds a closed form
+    from .closedform import SpectrumEntry
 
 __all__ = [
     "IntegrationError",

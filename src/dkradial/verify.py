@@ -23,7 +23,6 @@ from .closedform import (
     Family,
     RadialSolution,
     companion_from_relation,
-    family_KM_exprs,
     spectrum,
     wavefunction_family,
 )
@@ -202,10 +201,13 @@ def cross_consistency(family: Family, qn: QuantumNumbers, params: ModeParams) ->
     on chebyshev_grid(), plus the first-order system residual of the
     assembled quadruple."""
     x = chebyshev_grid()
+    r = np.arccos(np.sqrt(x))  # left-half radial points matching the x grid
+    r = np.concatenate([r, np.pi - r])
+    sol = wavefunction_family(family, qn, params, r)
     entry = spectrum(family, qn.j, qn.n, params.m)
     p2, a2 = float(entry.p_sq), qn.a_sq
-    K, M = family_KM_exprs(family, qn.j, qn.n)
     lead = FAMILIES[family].lead
+    K, M = sol.exprs["K"], sol.exprs["M"]
     direct, explicit = (K, M) if lead == "K" else (M, K)
     via = companion_from_relation(direct, p2, a2, lead)
     via_x, explicit_x = via.eval_x(x), explicit.eval_x(x)
@@ -213,9 +215,6 @@ def cross_consistency(family: Family, qn: QuantumNumbers, params: ModeParams) ->
     scale = np.maximum(np.abs(explicit_x), np.abs(via_x)).max()
     rep1 = _report(f"companion[{family.value}]", x, diff, np.full_like(x, scale), IDENTITY_TOL)
 
-    r = np.arccos(np.sqrt(x))  # left-half radial points matching the x grid
-    r = np.concatenate([r, np.pi - r])
-    sol = wavefunction_family(family, qn, params, r)
     resid, scale_r = _system_residual(sol)
     rep2 = _report(f"system[{family.value}]", r, resid, scale_r, IDENTITY_TOL)
     rep = rep1 if rep1.max_rel_residual >= rep2.max_rel_residual else rep2

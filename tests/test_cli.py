@@ -144,6 +144,38 @@ class TestExitCodes:
         assert exc.value.code == 2 and captured.out == ""
         assert "argument --mass: mass must be non-negative" in captured.err
 
+    @pytest.mark.parametrize("argv", [
+        ["spectrum", "--family", "f1", "--j", "1", "--mass", "1e200"],
+        ["wavefunction", "--family", "f1", "--j", "1", "--n", "0", "--grid", "5", "--mass", "1e200"],
+        ["verify", "--suite", "operators", "--mass", "1e200"],
+        ["oracle", "--j", "1", "--mass", "1e400"],
+    ])
+    def test_mass_whose_square_overflows_is_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        captured = capsys.readouterr()
+        assert exc.value.code == 2 and captured.out == ""
+        assert "argument --mass: mass must be at most 1.34078e+154" in captured.err
+
+    @pytest.mark.parametrize("suite", ["all", "operators", "factorization", "wronskian", "cross", "j0"])
+    def test_verify_negative_n_is_usage_error(self, suite, capsys):
+        code = main(["verify", "--suite", suite, "--j", "1", "--n", "-1"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == "dkradial: n must be non-negative\n"
+
+    @pytest.mark.parametrize("argv,message", [
+        (["--family", "f1", "--j", "1", "--n", "500"], "K has non-finite samples at n=500"),
+        (["--family", "j0", "--n", "2000"], "M has non-finite samples at n=2000"),
+    ])
+    def test_wavefunction_non_finite_samples_are_usage_error(self, argv, message, capsys):
+        """A table whose terminating 2F1 coefficients overflow exits 2 instead of printing NaN."""
+        with np.errstate(all="ignore"):
+            code = main(["wavefunction", *argv, "--grid", "5"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith(f"dkradial: {message}")
+
     @pytest.mark.parametrize("j", ["0", "-1"])
     def test_verify_needs_j_at_least_one(self, j, capsys):
         assert main(["verify", "--suite", "factorization", "--j", j]) == 2

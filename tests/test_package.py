@@ -70,19 +70,23 @@ def test_modules_take_only_listed_names_from_each_other():
 
 def test_closed_form_modules_load_without_scipy():
     """Importing the closed-form modules, the oracle or the CLI loads no
-    scipy, nor does shooting; the oracle's solve_ivp and brentq stay
-    patchable attributes."""
+    scipy, nor does shooting; the oracle alone, shooting included, loads
+    none of the closed-form modules; the oracle's solve_ivp and brentq
+    stay patchable attributes."""
     code = (
         "import sys, dkradial\n"
         "loaded = [m for m in sys.modules if m.startswith('dkradial.')]\n"
-        "import dkradial.verify, dkradial.cli, dkradial.oracle as o\n"
+        "import dkradial.oracle as o\n"
         "cfg = o.ShootingConfig(eps_scan=(1.6, 3.0))\n"
-        "shot = [len(o.shoot_j(0.0, 1, config=cfg)), len(o.shoot_j0(0.0, config=cfg))]\n"
-        "print(loaded, shot, [m for m in sys.modules if m.split('.')[0] == 'scipy'],\n"
+        "shot = [len(o.shoot_j(0.0, 1, config=cfg))]\n"
+        "closed = [m for m in ('closedform', '_exprs', 'hypergeo') if 'dkradial.' + m in sys.modules]\n"
+        "import dkradial.verify, dkradial.cli\n"
+        "shot.append(len(o.shoot_j0(0.0, config=cfg)))\n"
+        "print(loaded, closed, shot, [m for m in sys.modules if m.split('.')[0] == 'scipy'],\n"
         "      callable(o.solve_ivp), callable(o.brentq))\n"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
-    assert proc.stdout.strip() == "[] [4, 2] [] True True"
+    assert proc.stdout.strip() == "[] [] [4, 2] [] True True"
 
 
 def test_readme_commands_need_no_scipy(tmp_path):

@@ -97,8 +97,17 @@ class TestExprEvaluation:
         for expr in (K, M, K.diff().diff(), M.diff().diff().diff()):
             sizes.clear()
             expr.eval_x(x)
-            terms = sum(t.f is not None for t in expr.terms)
-            assert terms > 0 and sizes == [len(x)] * terms
+            assert expr.terms and sizes == [len(x)] * len(expr.terms)
+
+    def test_term_reached_two_ways_cancels(self):
+        """Exponents are floats whatever the caller passes, so x^(1/2) * x^(1/2)
+        and x^1 are one term and cancel."""
+        a, b, c = -2.0, 3.5, 1.5
+        half = hyp_expr(1, Fraction(1, 2), 0, a, b, c)
+        assert (half.shift(Fraction(1, 2)) - hyp_expr(1, 1, 0, a, b, c)).terms == ()
+        (term,) = hyp_expr(2, Fraction(-1, 2), 3, a, b, c).terms
+        assert [type(v) for v in term[:3]] == [float, float, float]
+        assert term[:3] == (2.0, -0.5, 3.0)
 
     def test_derivative_column_on_array(self):
         K, _ = family_KM_exprs(Family.F1, 1, 1)
