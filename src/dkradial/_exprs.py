@@ -45,9 +45,9 @@ class Expr:
     def __init__(self, terms):
         merged: dict = {}
         for t in terms:
-            key = (t.xp, t.yp, t.f)
-            merged[key] = merged.get(key, 0.0) + t.coef
-        self.terms = tuple(Term(c, xp, yp, f) for (xp, yp, f), c in merged.items() if c != 0.0)
+            key = (t.xp, t.yp, t.f.alpha, t.f.beta, t.f.gamma)  # floats hash faster than the dataclass
+            merged[key] = (merged.get(key, (0.0,))[0] + t.coef, t.f)
+        self.terms = tuple(Term(c, k[0], k[1], f) for k, (c, f) in merged.items() if c != 0.0)
 
     def __add__(self, other: "Expr") -> "Expr":
         return Expr(self.terms + other.terms)
@@ -83,36 +83,22 @@ class Expr:
         """d/dr under x = (1-cos r)/2 (dx/dr = sqrt(x(1-x)))."""
         return self.diff().shift(0.5, 0.5)
 
-    def _term_value(self, t: Term, x: np.ndarray) -> np.ndarray:
-        v = np.full_like(x, t.coef)
-        if t.xp != 0:
-            v = v * x ** t.xp
-        if t.yp != 0:
-            v = v * (1.0 - x) ** t.yp
-        return v * gauss_2f1(t.f, x)
-
     def eval_x(self, x) -> np.ndarray:
         """Evaluate on the principal chart (x^{1/2} taken positive)."""
-        x = np.asarray(x, dtype=float)
-        scalar = x.ndim == 0
-        x = np.atleast_1d(x)
-        out = np.zeros_like(x)
-        regular = [t for t in self.terms if t.xp >= 0]
+        return self._eval(_Factors(x))
+
+    def _eval(self, table: _Factors) -> np.ndarray:
+        """eval_x on the grid of table, taking each factor from it."""
+        out = np.zeros_like(table.x)
+        for t in self.terms:
+            if t.xp >= 0:
+                out += table.term(t)
         singular = [t for t in self.terms if t.xp < 0]
-        for t in regular:
-            out += self._term_value(t, x)
-        if singular:
-            near = x < NEAR_ZERO
-            far = ~near
-            if far.any():
-                xf = x[far]
-                acc = np.zeros_like(xf)
-                for t in singular:
-                    acc += self._term_value(t, xf)
-                out[far] += acc
-            if near.any():
-                out[near] += self._eval_singular_near_zero(singular, x[near])
-        return out[0] if scalar else out
+        if singular and table.far.any():
+            out[table.far] += sum((table.term(t) for t in singular), np.zeros_like(table.xf))
+        if singular and not table.far.all():
+            out[~table.far] += self._eval_singular_near_zero(singular, table.x[~table.far])
+        return out[0] if table.scalar else out
 
     def _eval_singular_near_zero(self, terms, x: np.ndarray) -> np.ndarray:
         # Each term expands to coef * x^(xp+t) per Taylor order t of its
@@ -143,20 +129,11 @@ class Expr:
 
     def eval_r_cos2(self, r) -> np.ndarray:
         """Evaluate at radial points under x = cos^2 r with signed sqrt(x)."""
-        r = np.asarray(r, dtype=float)
-        scalar = r.ndim == 0
-        r = np.atleast_1d(r)
-        u = np.cos(r)
-        x = u * u
-        sign = np.where(u >= 0, 1.0, -1.0)
-        out = np.zeros_like(r)
-        odd = [t for t in self.terms if (2 * t.xp) % 2 != 0]
-        even = [t for t in self.terms if (2 * t.xp) % 2 == 0]
-        if even:
-            out += Expr(even).eval_x(x)
-        if odd:
-            out += sign * Expr(odd).eval_x(x)
-        return out[0] if scalar else out
+        u = np.cos(np.asarray(r, dtype=float))
+        table = _Factors(u * u)  # one table for both halves
+        odd = Expr([t for t in self.terms if (2 * t.xp) % 2 != 0])
+        even = Expr([t for t in self.terms if (2 * t.xp) % 2 == 0])
+        return even._eval(table) + np.where(u >= 0, 1.0, -1.0) * odd._eval(table)
 
     def eval_r_half(self, r) -> np.ndarray:
         """Evaluate at radial points under x = (1-cos r)/2 (single cover)."""
@@ -166,10 +143,37 @@ class Expr:
     def derivative_column(self, x, upto: int) -> np.ndarray:
         """[y(x), y'(x), ..., y^(upto)(x)] on the principal chart; for an
         array x, row k holds y^(k) on x."""
+        table = _Factors(x)  # one table for every order
         exprs = [self]
         for _ in range(upto):
             exprs.append(exprs[-1].diff())
-        return np.array([e.eval_x(x) for e in exprs])
+        return np.array([e._eval(table) for e in exprs])
+
+
+class _Factors(dict):
+    """Factors of terms on one grid x, each evaluated once, when first asked
+    for: ("x", xp) -> x^xp, ("y", yp) -> (1-x)^yp, ("f", params) -> 2F1.  A
+    negative xp is taken on xf = x[far], the points >= NEAR_ZERO where its
+    terms are summed; the rest on all x."""
+
+    def __init__(self, x):
+        super().__init__()
+        x = np.asarray(x, dtype=float)
+        self.scalar, self.x = x.ndim == 0, np.atleast_1d(x)
+        self.far = ~(self.x < NEAR_ZERO)
+        self.xf = self.x[self.far]
+
+    def __missing__(self, key):
+        kind, v = key
+        x = self.xf if kind == "x" and v < 0 else self.x
+        self[key] = gauss_2f1(v, x) if kind == "f" else (1.0 - x if kind == "y" else x) ** v
+        return self[key]
+
+    def term(self, t: Term) -> np.ndarray:
+        """coef * x^xp * (1-x)^yp * 2F1, multiplied in that order (a zero
+        exponent gives a factor of exactly 1); on xf for a negative xp."""
+        part = slice(None) if t.xp >= 0 else self.far
+        return t.coef * self["x", t.xp] * self["y", t.yp][part] * self["f", t.f][part]
 
 
 def hyp_expr(coef, xp, yp, a, b, c) -> Expr:

@@ -90,6 +90,7 @@ def cmd_spectrum(args) -> int:
         j_or_J = args.J if fam is Family.DIRAC else (args.j or 0)
         for n in n_values:
             e = closedform.spectrum(fam, j_or_J, n, args.mass)
+            eps = e.eps(args.eps_sign)  # before float(p_sq): names n when eps^2 >= p^2 overflows
             partner = (
                 f"{e.degenerate_partner[0].value} j={e.degenerate_partner[1]} n={e.degenerate_partner[2]}"
                 if e.degenerate_partner
@@ -102,7 +103,7 @@ def cmd_spectrum(args) -> int:
                     n,
                     _fraction_str(e.p_sq),
                     float(e.p_sq),
-                    e.eps(args.eps_sign),
+                    eps,
                     "yes" if e.bound else "no",
                     partner,
                 ]

@@ -90,7 +90,11 @@ class SpectrumEntry:
     degenerate_partner: tuple[Family, int, int] | None = None
 
     def eps(self, eps_sign: int = +1) -> float:
-        return eps_sign * math.sqrt(float(self.eps_sq))
+        try:
+            eps_sq = float(self.eps_sq)
+        except OverflowError:
+            raise ValueError(f"eps^2 at n={self.n} is too large for a float") from None
+        return eps_sign * math.sqrt(eps_sq)
 
 
 class _Seed(NamedTuple):

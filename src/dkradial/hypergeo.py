@@ -141,6 +141,9 @@ def gauss_2f1(params: Hyp2F1Params, x):
         coeffs = [1.0]  # lowest power first; built once per call
         for k in range(params.degree):
             coeffs.append(coeffs[-1] * ((a + k) * (b + k) / ((c + k) * (k + 1))))
+            if not math.isfinite(coeffs[-1]):  # Horner's rule carries it to every x (inf * 0 is nan)
+                coeffs = [math.nan]
+                break
         out = np.polyval(coeffs[::-1], xs)
     else:
         out = np.array([_nonterminating(a, b, c, float(v)) for v in xs.flat]).reshape(xs.shape)

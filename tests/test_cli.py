@@ -12,10 +12,10 @@ from dkradial import cli, oracle
 from dkradial.cli import main
 
 
-def run_cli(args, tmp_path=None):
+def run_cli(args, tmp_path=None, timeout=None):
     proc = subprocess.run(
         [sys.executable, "-m", "dkradial.cli", *args],
-        capture_output=True, text=True,
+        capture_output=True, text=True, timeout=timeout,
     )
     return proc
 
@@ -175,6 +175,22 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""
         assert captured.err.startswith(f"dkradial: {message}")
+
+    @pytest.mark.parametrize("argv,message", [
+        (["wavefunction", "--family", "f1", "--j", "1", "--n", "500", "--grid", "5"],
+         "K has non-finite samples at n=500: the terminating 2F1 coefficients overflow"),
+        (["wavefunction", "--family", "j0", "--n", "123456789012345678901234567890", "--grid", "5"],
+         "M has non-finite samples at n=123456789012345678901234567890: "
+         "the terminating 2F1 coefficients overflow"),
+        (["spectrum", "--family", "f1", "--j", "1", "--n", "1" + "0" * 160],
+         f"eps^2 at n=1{'0' * 160} is too large for a float"),
+    ], ids=["wavefunction-f1-n500", "wavefunction-j0-n1e29", "spectrum-n1e160"])
+    def test_overflow_is_one_line_usage_error(self, argv, message):
+        """Overflowing levels and 2F1 coefficients exit 2 promptly, with the
+        message as the only stderr line: no numpy warning, no traceback."""
+        proc = run_cli(argv, timeout=5)
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr == f"dkradial: {message}\n"
 
     @pytest.mark.parametrize("j", ["0", "-1"])
     def test_verify_needs_j_at_least_one(self, j, capsys):

@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction
 
 import mpmath
@@ -286,6 +287,18 @@ class TestArrayArgument:
         assert isinstance(empty, np.ndarray) and empty.shape == (0,)
         assert type(gauss_2f1(params, 0.25)) is float
         assert type(gauss_2f1(params, np.float64(0.25))) is float
+
+    def test_overflowing_coefficients_give_nan_at_once(self):
+        """A non-finite coefficient makes Horner's sum non-finite at every x,
+        so the sum stops there: NaN everywhere and no numpy warning, however
+        high the degree (the CLI tests take n with 30 digits)."""
+        params = Hyp2F1Params(-2000.0, 2004.0, 2.5)  # M of the j = 0 state n = 2000
+        assert not any(math.isfinite(horner_loop(params, float(x))) for x in self.X)
+        for n in (2000, 10**6):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = gauss_2f1(Hyp2F1Params(-float(n), 4.0 + n, 2.5), self.X)
+            assert got.shape == self.X.shape and np.isnan(got).all()
 
 
 def test_degree_is_the_first_termination():

@@ -5,14 +5,16 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from dkradial._exprs import hyp_expr
+from dkradial._exprs import NEAR_ZERO, Expr, hyp_expr
 from dkradial.closedform import (
+    FAMILIES,
     Family,
     family_KM_exprs,
     general_basis,
     spectrum,
     wavefunction_j0,
 )
+from dkradial.hypergeo import gauss_2f1
 from dkradial.model import (
     ModeParams,
     QuantumNumbers,
@@ -79,9 +81,9 @@ class TestResidualOperator:
 
 
 class TestExprEvaluation:
-    def test_one_gauss_2f1_call_per_term(self, monkeypatch):
-        """eval_x on a 200-point grid calls gauss_2f1 once per hypergeometric
-        term with the whole grid, not once per point."""
+    @staticmethod
+    def count_gauss_2f1(monkeypatch):
+        """Patch _exprs.gauss_2f1 to record the grid size of every call."""
         from dkradial import _exprs
 
         sizes = []
@@ -92,12 +94,32 @@ class TestExprEvaluation:
             return original(params, x)
 
         monkeypatch.setattr(_exprs, "gauss_2f1", counted)
+        return sizes
+
+    def test_one_gauss_2f1_call_per_distinct_2f1(self, monkeypatch):
+        """eval_x on a 200-point grid calls gauss_2f1 once per distinct
+        hypergeometric factor with the whole grid, not once per term or point."""
+        sizes = self.count_gauss_2f1(monkeypatch)
         x = chebyshev_grid()
         K, M = family_KM_exprs(Family.F3, 2, 2)
         for expr in (K, M, K.diff().diff(), M.diff().diff().diff()):
             sizes.clear()
             expr.eval_x(x)
-            assert expr.terms and sizes == [len(x)] * len(expr.terms)
+            assert expr.terms and sizes == [len(x)] * len({t.f for t in expr.terms})
+
+    def test_derivative_column_shares_2f1_across_orders(self, monkeypatch):
+        """derivative_column(x, 4) evaluates each distinct 2F1 of all five
+        orders once, with the whole grid."""
+        sizes = self.count_gauss_2f1(monkeypatch)
+        x = chebyshev_grid()
+        K, _ = family_KM_exprs(Family.F1, 3, 2)
+        exprs = [K]
+        for _ in range(4):
+            exprs.append(exprs[-1].diff())
+        distinct = {t.f for e in exprs for t in e.terms}
+        K.derivative_column(x, 4)
+        assert sizes == [len(x)] * len(distinct)
+        assert len(distinct) < sum(len({t.f for t in e.terms}) for e in exprs)
 
     def test_term_reached_two_ways_cancels(self):
         """Exponents are floats whatever the caller passes, so x^(1/2) * x^(1/2)
@@ -116,6 +138,107 @@ class TestExprEvaluation:
         assert rows.shape == (5, 2)
         for i, x0 in enumerate(x):
             assert np.array_equal(rows[:, i], K.derivative_column(x0, 4))
+
+
+def reference_eval_x(expr, x):
+    """Reference: every term evaluated from scratch, its products in the
+    order coef, x^xp, (1-x)^yp, 2F1; terms with a negative x-exponent
+    summed apart, and through their Taylor series below NEAR_ZERO."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+
+    def term_value(t, x):
+        v = np.full_like(x, t.coef)
+        if t.xp != 0:
+            v = v * x ** t.xp
+        if t.yp != 0:
+            v = v * (1.0 - x) ** t.yp
+        return v * gauss_2f1(t.f, x)
+
+    out = np.zeros_like(x)
+    singular = [t for t in expr.terms if t.xp < 0]
+    for t in expr.terms:
+        if t.xp >= 0:
+            out += term_value(t, x)
+    if singular:
+        near = x < NEAR_ZERO
+        if (~near).any():
+            acc = np.zeros_like(x[~near])
+            for t in singular:
+                acc += term_value(t, x[~near])
+            out[~near] += acc
+        if near.any():
+            out[near] += expr._eval_singular_near_zero(singular, x[near])
+    return out
+
+
+def reference_eval_r_cos2(expr, r):
+    """Reference: the even and the half-odd x-exponent terms each through
+    reference_eval_x, the half-odd sum signed by cos r."""
+    u = np.cos(r)
+    out = np.zeros_like(r)
+    odd = [t for t in expr.terms if (2 * t.xp) % 2 != 0]
+    even = [t for t in expr.terms if (2 * t.xp) % 2 == 0]
+    if even:
+        out += reference_eval_x(Expr(even), u * u)
+    if odd:
+        out += np.where(u >= 0, 1.0, -1.0) * reference_eval_x(Expr(odd), u * u)
+    return out
+
+
+def same_bits(got, want):
+    """Equal bit for bit: the sign of a zero counts, as a CSV prints it."""
+    got, want = np.asarray(got), np.asarray(want)
+    return got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+class TestEvaluationBitIdentity:
+    """eval_x, eval_r_cos2 and derivative_column share each factor across
+    terms and orders; every value equals the per-term reference bit for bit."""
+
+    @staticmethod
+    def check(expr, size=200):
+        """Values on grids that reach below NEAR_ZERO (r = pi/2 is one of the
+        odd number of r points); x-derivatives, singular at x = 0 for a
+        half-odd x-exponent, on the Chebyshev grid."""
+        G = chebyshev_grid(size)
+        X = np.concatenate([G, [0.0, 1e-7, 0.5 * NEAR_ZERO, NEAR_ZERO, 0.5]])
+        R = np.linspace(1e-3, math.pi - 1e-3, size // 2 + 1)
+        assert (X < NEAR_ZERO).sum() == 3 and (np.cos(R) ** 2 < NEAR_ZERO).sum() == 1
+        assert same_bits(expr.eval_x(X), reference_eval_x(expr, X))
+        on_r = reference_eval_r_cos2(expr, R)
+        assert same_bits(expr.eval_r_cos2(R), on_r)
+        assert same_bits(expr.eval_r_cos2(R[size // 4]), on_r[size // 4])
+        want, e = [], expr
+        for _ in range(5):
+            want.append(reference_eval_x(e, G))
+            e = e.diff()
+        want = np.array(want)
+        assert same_bits(expr.derivative_column(G, 4), want)
+        assert same_bits(expr.derivative_column(G[7], 4), want[:, 7])
+
+    @pytest.mark.parametrize("j", [1, 2, 3, 4])
+    def test_family_states(self, j):
+        checked = 0
+        for fam, seed in FAMILIES.items():
+            for n in range(max(0, -seed.offset), 4):
+                for expr in family_KM_exprs(fam, j, n):
+                    self.check(expr)
+                    self.check(expr.diff_r_cos2())
+                    checked += 1
+        assert checked == 2 * 15
+
+    def test_general_basis_series_path(self):
+        for sol in general_basis(2, 2.3, ModeParams(m=0.0, eps=2.3), np.array([1.0])):
+            for name in "KLMN":
+                assert any(not t.f.terminating for t in sol.exprs[name].terms)
+                self.check(sol.exprs[name], size=20)  # the series sums point by point
+
+    def test_singular_terms_below_near_zero(self):
+        """M of family ii carries x^(-1/2) terms, summed apart on the far
+        points and through their Taylor series below NEAR_ZERO."""
+        _, M = family_KM_exprs(Family.F2, 2, 1)
+        assert any(t.xp < 0 for t in M.terms)
+        self.check(M)
 
 
 class TestFactorization:
