@@ -14,6 +14,10 @@ model, x = cos^2 r (dx/dr = -2 x^{1/2} (1-x)^{1/2}) and x = (1-cos r)/2
 Half-integer powers of x encode parity about r = pi/2 for the x = cos^2 r
 chart: x^{1/2} stands for the *signed* cos r, so evaluation on the right half
 of the sphere flips the sign of every term whose x-exponent is half-odd.
+
+Amplitudes and their r-derivatives carry x-exponents >= 0, so the plain sum
+of terms is finite at x = 0; x-derivatives, genuinely singular there, reach
+negative exponents and are summed the same way.
 """
 
 from __future__ import annotations
@@ -23,11 +27,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .hypergeo import Hyp2F1Params, gauss_2f1
-
-# Below this x, terms with negative x-exponents are summed via their exact
-# Taylor behaviour to dodge the structural cancellation at x=0.
-NEAR_ZERO = 1e-5
-TAYLOR_ORDER = 4
 
 
 class Term(NamedTuple):
@@ -91,41 +90,8 @@ class Expr:
         """eval_x on the grid of table, taking each factor from it."""
         out = np.zeros_like(table.x)
         for t in self.terms:
-            if t.xp >= 0:
-                out += table.term(t)
-        singular = [t for t in self.terms if t.xp < 0]
-        if singular and table.far.any():
-            out[table.far] += sum((table.term(t) for t in singular), np.zeros_like(table.xf))
-        if singular and not table.far.all():
-            out[~table.far] += self._eval_singular_near_zero(singular, table.x[~table.far])
+            out += table.term(t)
         return out[0] if table.scalar else out
-
-    def _eval_singular_near_zero(self, terms, x: np.ndarray) -> np.ndarray:
-        # Each term expands to coef * x^(xp+t) per Taylor order t of its
-        # analytic part; finiteness of the amplitude forces the total
-        # coefficient of every negative power to cancel (possibly across
-        # different xp).  Summing the Taylor residue avoids subtracting
-        # large floats.
-        total: dict = {}
-        xp_min = min(t.xp for t in terms)
-        for t in terms:
-            upto = TAYLOR_ORDER + int(2 * (t.xp - xp_min))
-            coefs = t.coef * _taylor_pref_f(t.yp, t.f, upto)
-            for order in range(upto + 1):
-                q = t.xp + order
-                if q <= xp_min + TAYLOR_ORDER:
-                    total[q] = total.get(q, 0.0) + coefs[order]
-        scale = sum(abs(t.coef) for t in terms) or 1.0
-        out = np.zeros_like(x)
-        for q, c in sorted(total.items()):
-            if q < 0:
-                if abs(c) > 1e-9 * scale:
-                    raise ArithmeticError(
-                        f"x^{q} contributions do not cancel at x=0; amplitude singular"
-                    )
-            else:
-                out += c * x ** q
-        return out
 
     def eval_r_cos2(self, r) -> np.ndarray:
         """Evaluate at radial points under x = cos^2 r with signed sqrt(x)."""
@@ -152,42 +118,24 @@ class Expr:
 
 class _Factors(dict):
     """Factors of terms on one grid x, each evaluated once, when first asked
-    for: ("x", xp) -> x^xp, ("y", yp) -> (1-x)^yp, ("f", params) -> 2F1.  A
-    negative xp is taken on xf = x[far], the points >= NEAR_ZERO where its
-    terms are summed; the rest on all x."""
+    for: ("x", xp) -> x^xp, ("y", yp) -> (1-x)^yp, ("f", params) -> 2F1."""
 
     def __init__(self, x):
         super().__init__()
         x = np.asarray(x, dtype=float)
         self.scalar, self.x = x.ndim == 0, np.atleast_1d(x)
-        self.far = ~(self.x < NEAR_ZERO)
-        self.xf = self.x[self.far]
 
     def __missing__(self, key):
         kind, v = key
-        x = self.xf if kind == "x" and v < 0 else self.x
-        self[key] = gauss_2f1(v, x) if kind == "f" else (1.0 - x if kind == "y" else x) ** v
+        self[key] = gauss_2f1(v, self.x) if kind == "f" else (1.0 - self.x if kind == "y" else self.x) ** v
         return self[key]
 
     def term(self, t: Term) -> np.ndarray:
         """coef * x^xp * (1-x)^yp * 2F1, multiplied in that order (a zero
-        exponent gives a factor of exactly 1); on xf for a negative xp."""
-        part = slice(None) if t.xp >= 0 else self.far
-        return t.coef * self["x", t.xp] * self["y", t.yp][part] * self["f", t.f][part]
+        exponent gives a factor of exactly 1)."""
+        return t.coef * self["x", t.xp] * self["y", t.yp] * self["f", t.f]
 
 
 def hyp_expr(coef, xp, yp, a, b, c) -> Expr:
     return Expr([Term(float(coef), float(xp), float(yp), Hyp2F1Params(float(a), float(b), float(c)))])
 
-
-def _taylor_pref_f(yp: float, f: Hyp2F1Params, upto: int) -> np.ndarray:
-    """Taylor coefficients of (1-x)^yp * 2F1(a,b;c;x) around x=0."""
-    b = np.zeros(upto + 1)
-    b[0] = 1.0
-    for k in range(upto):
-        b[k + 1] = b[k] * (k - yp) / (k + 1)
-    h = np.zeros(upto + 1)
-    h[0] = 1.0
-    for k in range(upto):
-        h[k + 1] = h[k] * (f.alpha + k) * (f.beta + k) / ((f.gamma + k) * (k + 1))
-    return np.convolve(b, h)[: upto + 1]

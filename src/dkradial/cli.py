@@ -53,7 +53,7 @@ def _csv(comments: list[str], header: list[str], rows: list[list]) -> str:
 
 
 def _json(payload) -> str:
-    return json.dumps(payload, indent=2, sort_keys=False) + "\n"
+    return json.dumps(payload, indent=2, sort_keys=False, allow_nan=False) + "\n"
 
 
 def _rational(s: str) -> Fraction:
@@ -207,6 +207,9 @@ def _verify_reports(args) -> list[verify.VerificationReport]:
 
 def cmd_verify(args) -> int:
     reports = _verify_reports(args)
+    bad = next((r.check_name for r in reports if not math.isfinite(r.max_rel_residual)), None)
+    if bad is not None:
+        raise ValueError(f"{bad} has a non-finite residual at n={args.n}: the terminating 2F1 coefficients overflow")
     _write(args.out, _json([r.to_dict() for r in reports]))
     return 0 if all(r.passed for r in reports) else 1
 

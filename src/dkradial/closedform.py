@@ -38,7 +38,6 @@ __all__ = [
     "spectrum",
     "family_levels",
     "family_KM_exprs",
-    "companion_from_relation",
     "wavefunction_j0",
     "wavefunction_family",
     "general_basis",
@@ -233,58 +232,36 @@ def wavefunction_j0(n: int, params: ModeParams, grid) -> RadialSolution:
 
 # -- families i-iv ----------------------------------------------------------
 
-def _family_companion_expr(family: Family, j: int, n: int) -> Expr:
-    """The lacking amplitude (M when K leads, K when M leads), explicitly:
-    x^(xp-1/2) (1-x)^(j/2) / a times the bracket, vanishing at x = 0 for xp = 0,
+def _km_exprs(j: int, lead: str, xp: float, lam) -> tuple[Expr, Expr]:
+    """(K, M) for one seed at any lam.  The lead amplitude is the seed
+    x^xp (1-x)^(j/2) F(-k, b; g; x); the lacking one (M when K leads, K when
+    M leads) is x^(xp-1/2) (1-x)^(j/2) / a times the bracket
         2k(x-1) F(1-k, b; g; x) - (cx + 2k(x-1) + d) F(-k, b; g; x),
-    g = 1/2 + 2xp, b = j+k+1+2xp, c = j + 2xp (+1 when M leads), d = -1 if xp = 1/2."""
-    lead, xp, offset = FAMILIES[family]
-    a = math.sqrt(j * (j + 1))
-    k = n + offset
-    g, b = 0.5 + 2 * xp, j + k + 1 + 2 * xp
+    k = (lam - j - 1 - 2xp)/2, not necessarily an integer, g = 1/2 + 2xp,
+    b = j+k+1+2xp, c = j + 2xp (+1 when M leads), d = -1 if xp = 1/2.  For
+    xp = 0 the contiguous relation F(1-k,b;g;x) - F(-k,b;g;x) =
+    (bx/g) F(1-k,b+1;g+1;x) (DLMF 15.5) takes an x out of the bracket, so it
+    reads x [-(2kb/g)(1-x) F(1-k,b+1;g+1;x) - c F(-k,b;g;x)] and no term
+    carries a negative power of x."""
+    direct = _seed_expr(j, lam, xp)
+    (seed,) = direct.terms
+    k, b, g = -seed.f.alpha, seed.f.beta, seed.f.gamma  # the seed's own 2F1, so L and N terms merge with it
     c = j + 2 * xp + (1 if lead == "M" else 0)
-    head = hyp_expr(2.0 * k, 1, 0, 1 - k, b, g) - hyp_expr(2.0 * k, 0, 0, 1 - k, b, g)
-    sub = (
-        hyp_expr(c, 1, 0, -k, b, g)
-        + hyp_expr(2.0 * k, 1, 0, -k, b, g)
-        - hyp_expr(2.0 * k, 0, 0, -k, b, g)
-    )
     if xp:
-        sub = sub + hyp_expr(-1.0, 0, 0, -k, b, g)
-    return (head - sub).shift(xp - 0.5, j / 2).scale(1.0 / a)
+        head = hyp_expr(2.0 * k, 1, 0, 1 - k, b, g) - hyp_expr(2.0 * k, 0, 0, 1 - k, b, g)
+        sub = hyp_expr(c, 1, 0, -k, b, g) + hyp_expr(2.0 * k, 1, 0, -k, b, g) - hyp_expr(2.0 * k, 0, 0, -k, b, g)
+        bracket = head - (sub + hyp_expr(-1.0, 0, 0, -k, b, g))
+    else:
+        bracket = hyp_expr(-2.0 * k * b / g, 1, 1, 1 - k, b + 1, g + 1) - hyp_expr(c, 1, 0, -k, b, g)
+    companion = bracket.shift(xp - 0.5, j / 2).scale(1.0 / math.sqrt(j * (j + 1)))
+    return (direct, companion) if lead == "K" else (companion, direct)
 
 
 def family_KM_exprs(family: Family, j: int, n: int) -> tuple[Expr, Expr]:
-    """(K, M) expression pair for one terminating family state: the lead
-    amplitude is the family's seed at its terminating lam."""
+    """(K, M) expression pair for one terminating family state: the family's
+    seed at its terminating lam."""
     seed = FAMILIES[family]
-    direct = _seed_expr(j, _lam(family, j, n), seed.xp)
-    companion = _family_companion_expr(family, j, n)
-    return (direct, companion) if seed.lead == "K" else (companion, direct)
-
-
-def companion_from_relation(direct: Expr, p_sq: float, a_sq: float, source: str) -> Expr:
-    """Partner amplitude through the coupled second-order relations.
-
-    source='K': M = (1-x)/(2a sqrt(x)) * [4x(1-x) K'' + 2(1-2x) K' + (p^2 - a^2/(1-x)) K]
-    source='M': K = same with the shifted potential (p^2+1, a^2+2).
-    """
-    a = math.sqrt(a_sq)
-    d1 = direct.diff()
-    d2 = d1.diff()
-    if source == "K":
-        pot0, pole1 = p_sq, a_sq
-    elif source == "M":
-        pot0, pole1 = p_sq + 1.0, a_sq + 2.0
-    else:
-        raise ValueError("source must be 'K' or 'M'")
-    lhs = (
-        d2.shift(1, 1).scale(4.0)
-        + (d1.scale(2.0) + d1.shift(1).scale(-4.0))
-        + direct.scale(pot0)
-        - direct.shift(0, -1).scale(pole1)
-    )
-    return lhs.shift(-0.5, 1).scale(1.0 / (2.0 * a))
+    return _km_exprs(j, seed.lead, seed.xp, _lam(family, j, n))
 
 
 def _elimination_LN(K: Expr, M: Expr, a: float, eps_plus_m: float) -> tuple[Expr, Expr]:
@@ -340,20 +317,16 @@ def general_basis(j: int, p: float, params: ModeParams, grid) -> list[RadialSolu
 
     The four seeds of families i-iv, in that order, at a real lam: two
     K-led ones (x-exponents 1/2 and 0, lam = sqrt(p^2+1)) and two M-led
-    ones (lam = p); the partner of each follows from the coupled relations.
+    ones (lam = p), each with its lacking amplitude from the same builder.
     """
     if j < 1:
         raise ValueError("general basis defined for j >= 1")
     if p <= 0:
         raise ValueError("p must be positive")
-    a_sq = j * (j + 1)
-    p_sq = p * p
-    lam = {"K": math.sqrt(p_sq + 1.0), "M": p}
+    lam = {"K": math.sqrt(p * p + 1.0), "M": p}
     out = []
     for lead, xp, _ in FAMILIES.values():
-        direct = _seed_expr(j, lam[lead], xp)
-        partner = companion_from_relation(direct, p_sq, a_sq, source=lead)
-        K, M = (direct, partner) if lead == "K" else (partner, direct)
+        K, M = _km_exprs(j, lead, xp, lam[lead])
         out.append(_km_solution(QuantumNumbers(j, 0), params, grid, K, M))
     return out
 

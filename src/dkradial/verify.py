@@ -22,7 +22,6 @@ from .closedform import (
     FAMILIES,
     Family,
     RadialSolution,
-    companion_from_relation,
     spectrum,
     wavefunction_family,
 )
@@ -196,6 +195,27 @@ def wronskian_report(w: float, x0: float, name: str) -> VerificationReport:
     )
 
 
+def _companion_from_relation(direct: Expr, p_sq: float, a_sq: float, source: str) -> Expr:
+    """Reference for the lacking amplitude, through the coupled second-order
+    relations (source is the lead amplitude, "K" or "M"):
+
+        M = (1-x)/(2a sqrt(x)) * [4x(1-x) K'' + 2(1-2x) K' + (p^2 - a^2/(1-x)) K]
+
+    and K the same from M with the shifted potential (p^2+1, a^2+2).  Its
+    x^(-1/2) and x^(-1) terms cancel at x = 0 only analytically, so it is
+    evaluated on chebyshev_grid (x >= 0.02) alone."""
+    pot0, pole1 = (p_sq, a_sq) if source == "K" else (p_sq + 1.0, a_sq + 2.0)
+    d1 = direct.diff()
+    d2 = d1.diff()
+    lhs = (
+        d2.shift(1, 1).scale(4.0)
+        + (d1.scale(2.0) + d1.shift(1).scale(-4.0))
+        + direct.scale(pot0)
+        - direct.shift(0, -1).scale(pole1)
+    )
+    return lhs.shift(-0.5, 1).scale(1.0 / (2.0 * math.sqrt(a_sq)))
+
+
 def cross_consistency(family: Family, qn: QuantumNumbers, params: ModeParams) -> VerificationReport:
     """Companion amplitude via the coupled relation vs the explicit formula
     on chebyshev_grid(), plus the first-order system residual of the
@@ -209,7 +229,7 @@ def cross_consistency(family: Family, qn: QuantumNumbers, params: ModeParams) ->
     lead = FAMILIES[family].lead
     K, M = sol.exprs["K"], sol.exprs["M"]
     direct, explicit = (K, M) if lead == "K" else (M, K)
-    via = companion_from_relation(direct, p2, a2, lead)
+    via = _companion_from_relation(direct, p2, a2, lead)
     via_x, explicit_x = via.eval_x(x), explicit.eval_x(x)
     diff = via_x - explicit_x
     scale = np.maximum(np.abs(explicit_x), np.abs(via_x)).max()

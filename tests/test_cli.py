@@ -20,6 +20,13 @@ def run_cli(args, tmp_path=None, timeout=None):
     return proc
 
 
+def strict_json(text):
+    """json.loads that refuses NaN and Infinity, which RFC 8259 does not allow."""
+    def refuse(token):
+        raise ValueError(f"{token} is not JSON")
+    return json.loads(text, parse_constant=refuse)
+
+
 def run_main(args, capsys):
     code = main(args)
     out = capsys.readouterr().out
@@ -51,7 +58,7 @@ class TestSpectrumCommand:
             ["spectrum", "--family", "f3", "--j", "2", "--n-max", "1", "--mass", "0", "--format", "json"],
             capsys,
         )
-        data = json.loads(out)
+        data = strict_json(out)
         assert data[0]["bound"] == "no" and data[1]["bound"] == "yes"
         assert data[1]["p_sq_exact"] == "16"
 
@@ -108,14 +115,14 @@ class TestExitCodes:
     def test_verify_passes(self):
         proc = run_cli(["verify", "--suite", "factorization", "--j", "1", "--n", "0"])
         assert proc.returncode == 0
-        reports = json.loads(proc.stdout)
+        reports = strict_json(proc.stdout)
         assert all(r["pass"] for r in reports)
 
     def test_verify_factorization_is_exact(self, capsys):
         """The CLI passes the exact p^2 and a^2, so the identity holds with
         no residual at all."""
         code, out = run_main(["verify", "--suite", "factorization", "--j", "2", "--n", "0"], capsys)
-        reports = json.loads(out)
+        reports = strict_json(out)
         assert code == 0 and [r["check_name"] for r in reports] == [
             "factorization-K[p2=15]", "factorization-M[p2=15]"]
         assert [r["max_rel_residual"] for r in reports] == [0.0, 0.0]
@@ -192,12 +199,29 @@ class TestExitCodes:
         assert proc.returncode == 2 and proc.stdout == ""
         assert proc.stderr == f"dkradial: {message}\n"
 
+    @pytest.mark.parametrize("argv,check", [
+        (["--suite", "j0", "--n", "2000"], "j0-pair[n=2000 lambda=+1]"),
+        (["--suite", "operators", "--j", "1", "--n", "2000"], "operator-K[f1 j=1 n=2000]"),
+        (["--suite", "cross", "--j", "2", "--n", "2000"], "cross-consistency[f1 j=2 n=2000]"),
+    ], ids=["j0", "operators", "cross"])
+    def test_verify_non_finite_residual_is_one_line_usage_error(self, argv, check):
+        """A report whose terminating 2F1 overflows exits 2, naming the check
+        and n, instead of printing NaN into the JSON."""
+        proc = run_cli(["verify", *argv], timeout=10)
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr == (
+            f"dkradial: {check} has a non-finite residual at n=2000: the terminating 2F1 coefficients overflow\n")
+
+    def test_json_refuses_non_finite_floats(self):
+        with pytest.raises(ValueError):
+            cli._json([{"max_rel_residual": math.nan}])
+
     @pytest.mark.parametrize("j", ["0", "-1"])
     def test_verify_needs_j_at_least_one(self, j, capsys):
         assert main(["verify", "--suite", "factorization", "--j", j]) == 2
         assert main(["verify", "--j", j]) == 2
         code, out = run_main(["verify", "--suite", "j0", "--j", j], capsys)
-        assert code == 0 and json.loads(out)[0]["check_name"] == "j0-pair[n=0 lambda=+1]"
+        assert code == 0 and strict_json(out)[0]["check_name"] == "j0-pair[n=0 lambda=+1]"
 
     @pytest.mark.parametrize("argv,message", [
         (["wavefunction", "--family", "f2", "--j", "0", "--n", "0"], "integer j >= 1, got 0"),
@@ -276,7 +300,7 @@ class TestExitCodes:
     def test_readme_verify_report(self, capsys):
         code, out = run_main(["verify", "--suite", "all", "--j", "1", "--n", "0", "--mass", "0"], capsys)
         assert code == 0
-        reports = json.loads(out)
+        reports = strict_json(out)
         assert [r["check_name"] for r in reports] == [
             *(f"operator-{km}[{f} j=1 n={n}]" for f, n in (("f1", 0), ("f2", 0), ("f3", 1), ("f4", 0))
               for km in "KM"),
@@ -293,7 +317,7 @@ class TestExitCodes:
         code, out = run_main(
             ["oracle", "--j", "0", "--mass", "0", "--eps-min", "3", "--eps-max", "5", "--compare"], capsys,
         )
-        cmp = json.loads(out)["comparison"]
+        cmp = strict_json(out)["comparison"]
         assert code == 0 and cmp["unmatched_closed"] == [] and len(cmp["matched"]) == 2
 
     def test_oracle_j0_missed_level_is_usage_error(self, monkeypatch, capsys):
@@ -310,7 +334,7 @@ class TestExitCodes:
 
     def test_oracle_compare_fills_family_guess(self, capsys):
         code, out = run_main(["oracle", "--j", "1", "--mass", "0", "--eps-max", "4.5", "--compare"], capsys)
-        payload = json.loads(out)
+        payload = strict_json(out)
         family = {m["eps_oracle"]: m["family"] for m in payload["comparison"]["matched"]}
         assert code == 0 and len(family) == len(payload["eigenvalues"]) == 6
         assert [e["family_guess"] for e in payload["eigenvalues"]] == [family[e["eps"]] for e in payload["eigenvalues"]]
@@ -322,7 +346,7 @@ class TestExitCodes:
     def test_oracle_compare_finds_level_on_eps_max(self, argv, capsys):
         """The closed-form level p^2 = 24 sits exactly on --eps-max 5."""
         code, out = run_main(["oracle", *argv, "--eps-max", "5", "--compare"], capsys)
-        cmp = json.loads(out)["comparison"]
+        cmp = strict_json(out)["comparison"]
         assert code == 0 and cmp["unmatched_closed"] == [] and cmp["unmatched_oracle"] == []
         assert "24" in [m["p_sq_exact"] for m in cmp["matched"]]
 
@@ -335,7 +359,7 @@ class TestExitCodes:
             ["oracle", "--j", "0", "--mass", "0", "--eps-min", "0.2", "--eps-max", "3.0", "--compare"], capsys
         )
         assert code == 1
-        payload = json.loads(out)
+        payload = strict_json(out)
         assert payload["comparison"]["unmatched_oracle"]
 
     def test_oracle_compare_reaches_high_levels(self, capsys):
@@ -344,7 +368,7 @@ class TestExitCodes:
         code, out = run_main(
             ["oracle", "--j", "0", "--mass", "0", "--eps-min", "10.5", "--eps-max", "11.2", "--compare"], capsys
         )
-        cmp = json.loads(out)["comparison"]
+        cmp = strict_json(out)["comparison"]
         assert code == 0 and cmp["unmatched_oracle"] == [] and cmp["unmatched_closed"] == []
         assert [(m["n"], m["p_sq_exact"]) for m in cmp["matched"]] == [(9, "120")]
 
@@ -377,7 +401,7 @@ class TestExitCodes:
         argv = ["oracle", "--j", "0", "--mass", "1", "--eps-min", "1.8", "--eps-max", "2.2", "--compare"]
         code, out = run_main([*argv, "--lambda", "1"], capsys)
         assert (code, out) == run_main(argv, capsys) and code == 0
-        assert len(json.loads(out)["eigenvalues"]) == 1
+        assert len(strict_json(out)["eigenvalues"]) == 1
 
 
 class TestDeterminism:
@@ -451,7 +475,7 @@ class TestConfigFile:
         cfg = tmp_path / "run.conf"
         cfg.write_text(f"{text}eps-min=1.6\neps-max=1.85\n")
         code, out = run_main(["oracle", "--j", "0", f"@{cfg}"], capsys)
-        payload = json.loads(out)
+        payload = strict_json(out)
         assert code == 0 and len(payload["eigenvalues"]) == 1
         assert ("comparison" in payload) is compared
 

@@ -2,16 +2,18 @@ import dataclasses
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
-from dkradial._exprs import NEAR_ZERO, Expr, hyp_expr
+from dkradial._exprs import Expr, hyp_expr
 from dkradial.closedform import (
     FAMILIES,
     Family,
     family_KM_exprs,
     general_basis,
     spectrum,
+    wavefunction_family,
     wavefunction_j0,
 )
 from dkradial.hypergeo import gauss_2f1
@@ -70,6 +72,17 @@ class TestResidualOperator:
         op = operator_K4(8.0, 2.0)
         with pytest.raises(ValueError):
             residual_operator(op, np.array([1e-8, 0.5]), [np.zeros(2)] * 5)
+
+    def test_grid_down_to_end_buffer(self):
+        """A grid the END_BUFFER admits: x-derivatives of x^(1/2) terms are
+        singular at x = 0 but finite on it, and every residual passes."""
+        x = np.array([1e-6, 2e-6, 5e-6, 0.5])
+        for fam in FAMILIES:
+            p_sq = float(spectrum(fam, 2, 1, 0).p_sq)
+            K, M = family_KM_exprs(fam, 2, 1)
+            for op, expr in ((operator_K4(p_sq, 6.0), K), (operator_M4(p_sq, 6.0), M)):
+                rep = residual_operator_expr(op, expr, x)
+                assert rep.passed and rep.sample_count == 4
 
     def test_report_deterministic(self):
         e = spectrum(Family.F2, 2, 1, 0)
@@ -142,32 +155,16 @@ class TestExprEvaluation:
 
 def reference_eval_x(expr, x):
     """Reference: every term evaluated from scratch, its products in the
-    order coef, x^xp, (1-x)^yp, 2F1; terms with a negative x-exponent
-    summed apart, and through their Taylor series below NEAR_ZERO."""
+    order coef, x^xp, (1-x)^yp, 2F1, and the terms summed in order."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
-
-    def term_value(t, x):
+    out = np.zeros_like(x)
+    for t in expr.terms:
         v = np.full_like(x, t.coef)
         if t.xp != 0:
             v = v * x ** t.xp
         if t.yp != 0:
             v = v * (1.0 - x) ** t.yp
-        return v * gauss_2f1(t.f, x)
-
-    out = np.zeros_like(x)
-    singular = [t for t in expr.terms if t.xp < 0]
-    for t in expr.terms:
-        if t.xp >= 0:
-            out += term_value(t, x)
-    if singular:
-        near = x < NEAR_ZERO
-        if (~near).any():
-            acc = np.zeros_like(x[~near])
-            for t in singular:
-                acc += term_value(t, x[~near])
-            out[~near] += acc
-        if near.any():
-            out[near] += expr._eval_singular_near_zero(singular, x[near])
+        out += v * gauss_2f1(t.f, x)
     return out
 
 
@@ -197,13 +194,13 @@ class TestEvaluationBitIdentity:
 
     @staticmethod
     def check(expr, size=200):
-        """Values on grids that reach below NEAR_ZERO (r = pi/2 is one of the
-        odd number of r points); x-derivatives, singular at x = 0 for a
+        """Values on grids that reach x = 0 (r = pi/2 is one of the odd
+        number of r points); x-derivatives, singular at x = 0 for a
         half-odd x-exponent, on the Chebyshev grid."""
         G = chebyshev_grid(size)
-        X = np.concatenate([G, [0.0, 1e-7, 0.5 * NEAR_ZERO, NEAR_ZERO, 0.5]])
+        X = np.concatenate([G, [0.0, 1e-7, 5e-6, 1e-5, 0.5]])
         R = np.linspace(1e-3, math.pi - 1e-3, size // 2 + 1)
-        assert (X < NEAR_ZERO).sum() == 3 and (np.cos(R) ** 2 < NEAR_ZERO).sum() == 1
+        assert (np.abs(np.cos(R)) < 1e-12).sum() == 1
         assert same_bits(expr.eval_x(X), reference_eval_x(expr, X))
         on_r = reference_eval_r_cos2(expr, R)
         assert same_bits(expr.eval_r_cos2(R), on_r)
@@ -228,17 +225,87 @@ class TestEvaluationBitIdentity:
         assert checked == 2 * 15
 
     def test_general_basis_series_path(self):
-        for sol in general_basis(2, 2.3, ModeParams(m=0.0, eps=2.3), np.array([1.0])):
+        """Every non-empty amplitude runs the series path.  At j = 2 the L of
+        the K-led seed with x-exponent 0 cancels term by term: it is empty and
+        exactly zero."""
+        empty = []
+        for i, sol in enumerate(general_basis(2, 2.3, ModeParams(m=0.0, eps=2.3), np.array([1.0]))):
             for name in "KLMN":
-                assert any(not t.f.terminating for t in sol.exprs[name].terms)
-                self.check(sol.exprs[name], size=20)  # the series sums point by point
+                expr = sol.exprs[name]
+                self.check(expr, size=20)  # the series sums point by point
+                if expr.terms:
+                    assert any(not t.f.terminating for t in expr.terms)
+                else:
+                    empty.append((i, name))
+                    assert not np.any(expr.eval_x(chebyshev_grid(20))) and not np.any(getattr(sol, name))
+        assert empty == [(1, "L")]
 
-    def test_singular_terms_below_near_zero(self):
-        """M of family ii carries x^(-1/2) terms, summed apart on the far
-        points and through their Taylor series below NEAR_ZERO."""
-        _, M = family_KM_exprs(Family.F2, 2, 1)
-        assert any(t.xp < 0 for t in M.terms)
-        self.check(M)
+
+class TestAmplitudesNearEquator:
+    """Amplitudes and their r-derivatives are sums of terms finite at x = 0
+    (r = pi/2), so one summation serves the whole interval."""
+
+    def test_no_negative_x_exponent(self):
+        solutions = []
+        for fam, seed in FAMILIES.items():
+            for j in range(1, 7):
+                for n in range(max(0, -seed.offset), 5):
+                    params = ModeParams.from_p_sq(1.0, float(spectrum(fam, j, n, 1).p_sq))
+                    solutions.append(wavefunction_family(fam, QuantumNumbers(j, n), params, np.array([1.0])))
+        for j in range(1, 7):
+            solutions += general_basis(j, 2.3, ModeParams(m=1.0, eps=math.sqrt(2.3**2 + 1)), np.array([1.0]))
+        assert len(solutions) == 4 * 6 * 5 - 6 + 4 * 6
+        for sol in solutions:
+            for name in "KLMN":
+                expr = sol.exprs[name]
+                for order in range(3):  # the amplitude and its first two r-derivatives
+                    assert all(t.xp >= 0 for t in expr.terms), (sol.qn, name, order)
+                    expr = expr.diff_r_cos2()
+
+    NEAR = (0.0, 1e-12, 1e-7, 5e-6)
+
+    @staticmethod
+    def reference(j, lead, xp, lam, x):
+        """(K, M) at x in 50 digits: the seed, and the lacking amplitude as
+        x^(xp-1/2) (1-x)^(j/2) / a times the bracket
+        2k(x-1) F(1-k, b; g; x) - (cx + 2k(x-1) + d) F(-k, b; g; x), whose
+        limit at x = 0 is 0 for xp = 0 (the bracket vanishes there)."""
+        with mpmath.workdps(50):
+            x, xp, lam = mpmath.mpf(x), mpmath.mpf(xp), mpmath.mpf(lam)
+            k = (lam - j - 1 - 2 * xp) / 2
+            g, b = mpmath.mpf(1) / 2 + 2 * xp, j + k + 1 + 2 * xp
+            c, d = j + 2 * xp + (1 if lead == "M" else 0), -1 if xp else 0
+            seed = x**xp * (1 - x) ** (mpmath.mpf(j) / 2) * mpmath.hyp2f1(-k, b, g, x)
+            if x == 0 and xp == 0:
+                lacking = mpmath.mpf(0)
+            else:
+                bracket = (2 * k * (x - 1) * mpmath.hyp2f1(1 - k, b, g, x)
+                           - (c * x + 2 * k * (x - 1) + d) * mpmath.hyp2f1(-k, b, g, x))
+                lacking = x ** (xp - mpmath.mpf(1) / 2) * (1 - x) ** (mpmath.mpf(j) / 2) * bracket
+                lacking /= mpmath.sqrt(j * (j + 1))
+            return [float(v) for v in ((seed, lacking) if lead == "K" else (lacking, seed))]
+
+    def check(self, j, lead, xp, lam, K, M):
+        x = np.concatenate([self.NEAR, chebyshev_grid(16)])
+        want = np.array([self.reference(j, lead, xp, lam, v) for v in x]).T
+        for got, ref in zip((K.eval_x(x), M.eval_x(x)), want):
+            assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("family", [Family.F2, Family.F4])
+    def test_families_against_mpmath(self, family):
+        seed = FAMILIES[family]
+        for j in (1, 2, 4):
+            for n in range(4):
+                lam = seed.xp * 2 + j + 1 + 2 * (n + seed.offset)
+                self.check(j, seed.lead, seed.xp, lam, *family_KM_exprs(family, j, n))
+
+    def test_general_basis_against_mpmath(self):
+        p = 2.3
+        for j in (1, 2, 3):
+            basis = general_basis(j, p, ModeParams(m=0.0, eps=p), np.array([1.0]))
+            for sol, (lead, xp, _) in zip(basis, FAMILIES.values()):
+                lam = math.sqrt(p * p + 1) if lead == "K" else p
+                self.check(j, lead, xp, lam, sol.exprs["K"], sol.exprs["M"])
 
 
 class TestFactorization:
