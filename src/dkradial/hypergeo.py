@@ -19,6 +19,7 @@ __all__ = [
     "Hyp2F1DomainError",
     "Hyp2F1DegenerateError",
     "Hyp2F1ConvergenceError",
+    "Hyp2F1OverflowError",
     "gauss_2f1",
 ]
 
@@ -40,6 +41,10 @@ class Hyp2F1DegenerateError(ValueError):
 
 class Hyp2F1ConvergenceError(ArithmeticError):
     """Series failed its tail bound within the iteration cap."""
+
+
+class Hyp2F1OverflowError(ValueError):
+    """A Gamma factor of the connection formula overflows a float."""
 
 
 def _nonpositive_int(v: float) -> bool:
@@ -104,8 +109,11 @@ def _connection(a: float, b: float, c: float, x: float) -> float:
     # F(a,b;c;x) via the two solutions at x=1; valid off integer c-a-b.
     s = c - a - b
     y = 1.0 - x
-    coef1 = math.gamma(c) * math.gamma(s) * _rgamma(c - a) * _rgamma(c - b)
-    coef2 = math.gamma(c) * math.gamma(-s) * _rgamma(a) * _rgamma(b)
+    try:
+        coef1 = math.gamma(c) * math.gamma(s) * _rgamma(c - a) * _rgamma(c - b)
+        coef2 = math.gamma(c) * math.gamma(-s) * _rgamma(a) * _rgamma(b)
+    except OverflowError:
+        raise Hyp2F1OverflowError(f"2F1(a={a}, b={b}; c={c}; x={x}): a connection-formula Gamma overflows") from None
     f1 = _series(a, b, 1.0 - s, y) if coef1 != 0.0 else 0.0
     f2 = _series(c - a, c - b, 1.0 + s, y) if coef2 != 0.0 else 0.0
     return coef1 * f1 + coef2 * y**s * f2

@@ -1,6 +1,12 @@
 """Numerical verification: operator residuals, factorization identity,
-Wronskian independence, cross-consistency between representations and the
-j=0 pair residual.  Every check returns a VerificationReport.
+Wronskian independence, cross-consistency of a family's four amplitudes and
+the j=0 pair residual.  Every check returns a VerificationReport.
+
+Cross-consistency is the residual of the coupled first-order system.  L and
+N are eliminated from its K' and M' rows, so its rows 2 and 4 (L' and N')
+are the coupled second-order relations that give the lacking amplitude from
+the lead one: one residual checks both the explicit formula and the
+elimination.
 
 Residuals are normalized by the largest participating term, not by the
 solution value, because the solutions vanish at the interval endpoints.
@@ -18,13 +24,7 @@ from fractions import Fraction
 import numpy as np
 
 from ._exprs import Expr
-from .closedform import (
-    FAMILIES,
-    Family,
-    RadialSolution,
-    spectrum,
-    wavefunction_family,
-)
+from .closedform import Family, RadialSolution, wavefunction_family
 from .model import FirstOrderSystem, LinearDifferentialOperator, ModeParams, QuantumNumbers, system
 
 __all__ = [
@@ -195,56 +195,23 @@ def wronskian_report(w: float, x0: float, name: str) -> VerificationReport:
     )
 
 
-def _companion_from_relation(direct: Expr, p_sq: float, a_sq: float, source: str) -> Expr:
-    """Reference for the lacking amplitude, through the coupled second-order
-    relations (source is the lead amplitude, "K" or "M"):
-
-        M = (1-x)/(2a sqrt(x)) * [4x(1-x) K'' + 2(1-2x) K' + (p^2 - a^2/(1-x)) K]
-
-    and K the same from M with the shifted potential (p^2+1, a^2+2).  Its
-    x^(-1/2) and x^(-1) terms cancel at x = 0 only analytically, so it is
-    evaluated on chebyshev_grid (x >= 0.02) alone."""
-    pot0, pole1 = (p_sq, a_sq) if source == "K" else (p_sq + 1.0, a_sq + 2.0)
-    d1 = direct.diff()
-    d2 = d1.diff()
-    lhs = (
-        d2.shift(1, 1).scale(4.0)
-        + (d1.scale(2.0) + d1.shift(1).scale(-4.0))
-        + direct.scale(pot0)
-        - direct.shift(0, -1).scale(pole1)
-    )
-    return lhs.shift(-0.5, 1).scale(1.0 / (2.0 * math.sqrt(a_sq)))
-
-
 def cross_consistency(family: Family, qn: QuantumNumbers, params: ModeParams) -> VerificationReport:
-    """Companion amplitude via the coupled relation vs the explicit formula
-    on chebyshev_grid(), plus the first-order system residual of the
-    assembled quadruple."""
-    x = chebyshev_grid()
-    r = np.arccos(np.sqrt(x))  # left-half radial points matching the x grid
+    """Residual of the coupled first-order system for the family's
+    (K, L, M, N) on the r points of chebyshev_grid(), mirrored across the
+    equator: at each point the worst row, relative to its largest term.
+    L and N come from rows 1 and 3 (K', M'); with them substituted, row 2
+    (L') is the coupled relation M = sin^2 r/(2a cos r) [K'' + (p^2 -
+    a^2/sin^2 r) K], and row 4 (N') the matching relation for K from M."""
+    r = np.arccos(np.sqrt(chebyshev_grid()))
     r = np.concatenate([r, np.pi - r])
     sol = wavefunction_family(family, qn, params, r)
-    entry = spectrum(family, qn.j, qn.n, params.m)
-    p2, a2 = float(entry.p_sq), qn.a_sq
-    lead = FAMILIES[family].lead
-    K, M = sol.exprs["K"], sol.exprs["M"]
-    direct, explicit = (K, M) if lead == "K" else (M, K)
-    via = _companion_from_relation(direct, p2, a2, lead)
-    via_x, explicit_x = via.eval_x(x), explicit.eval_x(x)
-    diff = via_x - explicit_x
-    scale = np.maximum(np.abs(explicit_x), np.abs(via_x)).max()
-    rep1 = _report(f"companion[{family.value}]", x, diff, np.full_like(x, scale), IDENTITY_TOL)
-
-    resid, scale_r = _system_residual(sol)
-    rep2 = _report(f"system[{family.value}]", r, resid, scale_r, IDENTITY_TOL)
-    rep = rep1 if rep1.max_rel_residual >= rep2.max_rel_residual else rep2
-    return VerificationReport(
-        check_name=f"cross-consistency[{family.value} j={qn.j} n={qn.n}]",
-        max_rel_residual=max(rep1.max_rel_residual, rep2.max_rel_residual),
-        sample_count=rep1.sample_count + rep2.sample_count,
-        tolerance=IDENTITY_TOL,
-        details=rep.details,
-    )
+    sysm = system(qn.j, params.eps, params.m_eff)
+    Y = [getattr(sol, k) for k in sysm.state]
+    dY = [sol.exprs[k].diff_r_cos2().eval_r_cos2(r) for k in sysm.state]
+    rows, scales = _system_rows(sysm, r, Y, dY)
+    rel = np.abs(rows) / np.where(scales > 0, scales, 1.0)
+    name = f"cross-consistency[{family.value} j={qn.j} n={qn.n}]"
+    return _report(name, r, rel.max(axis=0), np.ones_like(r), IDENTITY_TOL)
 
 
 def j0_pair_residual(sol: RadialSolution) -> VerificationReport:
@@ -270,17 +237,3 @@ def _system_rows(sysm: FirstOrderSystem, r, Y, dY) -> tuple[np.ndarray, np.ndarr
     rows = dY - terms.sum(axis=2).T
     scales = np.maximum(np.abs(dY), np.abs(terms).max(axis=2).T)
     return rows, scales
-
-
-def _system_residual(sol) -> tuple[np.ndarray, np.ndarray]:
-    """Pointwise residual of the coupled first-order system: the worst
-    equation at each point, with its term scale."""
-    sysm = system(sol.qn.j, sol.params.eps, sol.params.m_eff)
-    Y = [getattr(sol, k) for k in sysm.state]
-    dY = [sol.exprs[k].diff_r_cos2().eval_r_cos2(sol.grid) for k in sysm.state]
-    rows, scales = _system_rows(sysm, sol.grid, Y, dY)
-    rel = np.abs(rows) / np.where(scales > 0, scales, 1.0)
-    idx = rel.argmax(axis=0)
-    take = np.arange(rows.shape[1])
-    return rows[idx, take], scales[idx, take]
-

@@ -212,6 +212,15 @@ class TestExitCodes:
         assert proc.stderr == (
             f"dkradial: {check} has a non-finite residual at n=2000: the terminating 2F1 coefficients overflow\n")
 
+    @pytest.mark.parametrize("j", ["168", "300"])
+    def test_verify_gamma_overflow_is_one_line_usage_error(self, j):
+        """From j = 168 a Gamma factor of the general basis's connection
+        formula overflows: exit 2 with one line naming the 2F1, no traceback."""
+        proc = run_cli(["verify", "--suite", "wronskian", "--j", j], timeout=5)
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr.startswith("dkradial: 2F1(a=") and proc.stderr.count("\n") == 1
+        assert proc.stderr.endswith("; x=0.6): a connection-formula Gamma overflows\n")
+
     def test_json_refuses_non_finite_floats(self):
         with pytest.raises(ValueError):
             cli._json([{"max_rel_residual": math.nan}])
@@ -503,6 +512,7 @@ class TestRoundTrip:
         """Serialization keeps enough digits for the finite-difference
         re-verification of the fourth-order operator at 1e-5."""
         from dkradial.model import operator_K4
+        from dkradial.verify import residual_operator
         from finite_difference import fd_derivatives
 
         out = tmp_path / "wf.csv"
@@ -517,11 +527,9 @@ class TestRoundTrip:
         sel = (r < math.pi / 2 - 0.35) & (x > 0.1) & (x < 0.9)
         xs, Ks = x[sel][::3], K[sel][::3]
         derivs = [Ks] + [fd_derivatives(xs, Ks, k, stencil=11) for k in range(1, 5)]
-        op = operator_K4(24.0, 2.0)
         inner = slice(11, len(xs) - 11)
-        resid = op.apply(xs[inner], [d[inner] for d in derivs])
-        scale = op.term_magnitudes(xs[inner], [d[inner] for d in derivs]).max(axis=0)
-        assert np.max(np.abs(resid) / scale) < 1e-5
+        rep = residual_operator(operator_K4(24.0, 2.0), xs[inner], [d[inner] for d in derivs])
+        assert rep.max_rel_residual < 1e-5
 
 
 class TestReadme:

@@ -12,6 +12,7 @@ from dkradial.closedform import general_basis
 from dkradial.hypergeo import (
     Hyp2F1DegenerateError,
     Hyp2F1DomainError,
+    Hyp2F1OverflowError,
     Hyp2F1Params,
     gauss_2f1,
 )
@@ -124,6 +125,12 @@ class TestErrors:
         # c-a-b integer and x > 0.9: connection formula near-singular
         with pytest.raises(Hyp2F1DegenerateError):
             gauss_2f1(Hyp2F1Params(0.25, 0.75, 2.0), 0.95)
+
+    def test_connection_gamma_overflow_is_typed(self):
+        # c - a - b = -172.5: Gamma(172.5) is past the largest float
+        with pytest.raises(Hyp2F1OverflowError, match=r"a=87\.85, b=89\.15; c=4\.5; x=0\.6") as err:
+            gauss_2f1(Hyp2F1Params(87.85, 89.15, 4.5), 0.6)
+        assert isinstance(err.value, ValueError)
 
     def test_degenerate_falls_back_below_090(self):
         # same parameters are fine at x <= 0.9 via the direct series

@@ -1,7 +1,8 @@
 """The package surface: what each module lists in __all__ exists, every
-name one public module gives another is defined and listed there, no
-module or README command loads scipy, and the benchmark's tracer still
-finds the oracle functions it wraps."""
+name one public module gives another is defined and listed there, every
+module-level private name is used somewhere, no module or README command
+loads scipy, and the benchmark's tracer still finds the oracle functions
+it wraps."""
 
 import ast
 import importlib
@@ -66,6 +67,42 @@ def test_modules_take_only_listed_names_from_each_other():
         if not module.startswith("_") and name not in public[module]
     )
     assert bad == [], "names taken from a module that does not define and list them: " + ", ".join(bad)
+
+
+def _unreferenced_private(trees: dict) -> list:
+    """module.name for every module-level private function, class or
+    constant (one leading underscore, not a dunder) that no ast.Name or
+    ast.Attribute anywhere in trees refers to outside its own definition."""
+    defs, refs = [], []  # (module, top-level node index, name)
+    for module, tree in trees.items():
+        for i, node in enumerate(tree.body):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defs += [(module, i, node.name)]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defs += [(module, i, t.id) for t in targets if isinstance(t, ast.Name)]
+            for sub in ast.walk(node):
+                if isinstance(sub, ast.Name):
+                    refs.append((module, i, sub.id))
+                elif isinstance(sub, ast.Attribute):
+                    refs.append((module, i, sub.attr))
+    return sorted(
+        f"{module}.{name}"
+        for module, i, name in defs
+        if name.startswith("_") and not name.startswith("__")
+        and not any(n == name and (m, k) != (module, i) for m, k, n in refs)
+    )
+
+
+def test_no_unreferenced_private_names():
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in SOURCE.glob("*.py")}
+    assert _unreferenced_private(trees) == [], "private names nothing in the package uses"
+    # The guard sees an unused helper, and a use from another module or by attribute.
+    probe = {
+        "a": ast.parse("_LIMIT = 1\ndef _dead(): return _dead()\ndef _used(): return _LIMIT\nclass _Kept: pass"),
+        "b": ast.parse("from . import a\nfrom .a import _used\na._Kept\n_used()"),
+    }
+    assert _unreferenced_private(probe) == ["a._dead"]
 
 
 def test_closed_form_modules_load_without_scipy():

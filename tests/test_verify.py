@@ -438,6 +438,32 @@ class TestCrossConsistency:
         rep = cross_consistency(family, QuantumNumbers(j, n), params)
         assert rep.passed and rep.max_rel_residual < 1e-10
 
+    MUTATIONS = {
+        "scaled": lambda lack, j, xp: lack.scale(1 + 1e-8),
+        "first-term-dropped": lambda lack, j, xp: Expr(lack.terms[1:]),
+        "seed-shape-added": lambda lack, j, xp: lack + hyp_expr(1e-6, xp, j / 2, 0, 1, 1),
+    }
+
+    @pytest.mark.parametrize("mutation", list(MUTATIONS))
+    @pytest.mark.parametrize("family", list(FAMILIES))
+    def test_mutated_lacking_amplitude_fails(self, monkeypatch, family, mutation):
+        """A lacking amplitude (M when K leads, K when M leads) that is off in
+        any of three ways fails the system residual at every state."""
+        from dkradial import closedform
+
+        original, mutate = closedform._km_exprs, self.MUTATIONS[mutation]
+
+        def mutated(j, lead, xp, lam):
+            K, M = original(j, lead, xp, lam)
+            return (K, mutate(M, j, xp)) if lead == "K" else (mutate(K, j, xp), M)
+
+        monkeypatch.setattr(closedform, "_km_exprs", mutated)
+        for j in (1, 2, 3):
+            for n in range(-FAMILIES[family].offset, 4):
+                entry = spectrum(family, j, n, 1)
+                rep = cross_consistency(family, QuantumNumbers(j, n), ModeParams.from_p_sq(1.0, float(entry.p_sq)))
+                assert not rep.passed, (j, n, rep.max_rel_residual)
+
 
 class TestBattery:
     def test_derivatives_consistent(self):
