@@ -95,11 +95,7 @@ class Expr:
 
     def eval_r_cos2(self, r) -> np.ndarray:
         """Evaluate at radial points under x = cos^2 r with signed sqrt(x)."""
-        u = np.cos(np.asarray(r, dtype=float))
-        table = _Factors(u * u)  # one table for both halves
-        odd = Expr([t for t in self.terms if (2 * t.xp) % 2 != 0])
-        even = Expr([t for t in self.terms if (2 * t.xp) % 2 == 0])
-        return even._eval(table) + np.where(u >= 0, 1.0, -1.0) * odd._eval(table)
+        return eval_r_cos2_all([self], r)[0]
 
     def eval_r_half(self, r) -> np.ndarray:
         """Evaluate at radial points under x = (1-cos r)/2 (single cover)."""
@@ -134,6 +130,27 @@ class _Factors(dict):
         """coef * x^xp * (1-x)^yp * 2F1, multiplied in that order (a zero
         exponent gives a factor of exactly 1)."""
         return t.coef * self["x", t.xp] * self["y", t.yp] * self["f", t.f]
+
+
+def eval_r_cos2_all(exprs, r) -> list:
+    """Each Expr of exprs at radial points under x = cos^2 r with signed
+    sqrt(x), every factor from one table.  Per expression, the terms with
+    even and with half-odd x-exponent are summed apart, in term order, and
+    the result is even + sign(cos r) * odd; a scalar r gives scalars."""
+    u = np.cos(np.asarray(r, dtype=float))
+    table = _Factors(u * u)  # one table for both halves and every expression
+    sign = np.where(np.atleast_1d(u) >= 0, 1.0, -1.0)
+    out = []
+    for e in exprs:
+        even, odd = np.zeros_like(table.x), np.zeros_like(table.x)
+        for t in e.terms:
+            if (2 * t.xp) % 2 != 0:
+                odd += table.term(t)
+            else:
+                even += table.term(t)
+        v = even + sign * odd
+        out.append(v[0] if table.scalar else v)
+    return out
 
 
 def hyp_expr(coef, xp, yp, a, b, c) -> Expr:

@@ -25,7 +25,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._exprs import Expr, hyp_expr
+from ._exprs import Expr, eval_r_cos2_all, hyp_expr
 from .model import ModeParams, QuantumNumbers
 
 __all__ = [
@@ -265,7 +265,8 @@ def family_KM_exprs(family: Family, j: int, n: int) -> tuple[Expr, Expr]:
 
 
 def _elimination_LN(K: Expr, M: Expr, a: float, eps_plus_m: float) -> tuple[Expr, Expr]:
-    """L, N from the first two rows of the coupled system (x = cos^2 r).
+    """L, N from rows 1 and 3 (the K' and M' rows) of the coupled system
+    (x = cos^2 r).
 
     L = -(K'_r + (a/sin r) M) / (eps+m)
     N = -(M'_r + M/tan r + (a/sin r) K) / (eps+m)
@@ -288,7 +289,7 @@ def _km_solution(qn: QuantumNumbers, params: ModeParams, grid, K: Expr, M: Expr)
     L, N = _elimination_LN(K, M, qn.a, eps_plus_m)
     exprs = {"K": K, "L": L, "M": M, "N": N}
     grid = np.asarray(grid, dtype=float)
-    samples = {name: e.eval_r_cos2(grid) for name, e in exprs.items()}
+    samples = dict(zip(exprs, eval_r_cos2_all(exprs.values(), grid)))
     return RadialSolution(qn=qn, params=params, grid=grid, **samples, exprs=exprs)
 
 

@@ -44,7 +44,8 @@ class Hyp2F1ConvergenceError(ArithmeticError):
 
 
 class Hyp2F1OverflowError(ValueError):
-    """A Gamma factor of the connection formula overflows a float."""
+    """The connection formula overflows a float: a Gamma factor, or its
+    value from finite factors."""
 
 
 def _nonpositive_int(v: float) -> bool:
@@ -116,7 +117,10 @@ def _connection(a: float, b: float, c: float, x: float) -> float:
         raise Hyp2F1OverflowError(f"2F1(a={a}, b={b}; c={c}; x={x}): a connection-formula Gamma overflows") from None
     f1 = _series(a, b, 1.0 - s, y) if coef1 != 0.0 else 0.0
     f2 = _series(c - a, c - b, 1.0 + s, y) if coef2 != 0.0 else 0.0
-    return coef1 * f1 + coef2 * y**s * f2
+    out = coef1 * f1 + coef2 * y**s * f2
+    if not math.isfinite(out):  # finite Gamma factors whose products with the series overflow
+        raise Hyp2F1OverflowError(f"2F1(a={a}, b={b}; c={c}; x={x}): the connection formula overflows")
+    return out
 
 
 def _nonterminating(a: float, b: float, c: float, x: float) -> float:

@@ -153,22 +153,22 @@ class LinearDifferentialOperator:
         if len(self.coeffs) != self.order + 1:
             raise ValueError("need order+1 coefficient functions")
 
-    def apply(self, x, derivs) -> np.ndarray:
-        """Apply to a function given as derivative rows derivs[k] = y^(k)(x)."""
+    def term_rows(self, x, derivs) -> np.ndarray:
+        """Rows c_k(x) y^(k)(x), k = 0..order, of a function given as
+        derivative rows derivs[k] = y^(k)(x)."""
         x = np.asarray(x, dtype=float)
         if len(derivs) < self.order + 1:
             raise ValueError("not enough derivatives supplied")
-        out = np.zeros_like(x)
-        for k in range(self.order + 1):
-            out = out + self.coeffs[k](x) * np.asarray(derivs[k], dtype=float)
-        return out
+        return np.array([self.coeffs[k](x) * np.asarray(derivs[k], dtype=float) for k in range(self.order + 1)])
+
+    def apply(self, x, derivs) -> np.ndarray:
+        """Apply to a function given as derivative rows derivs[k] = y^(k)(x):
+        the term rows summed onto zeros, k = 0 first."""
+        return sum(self.term_rows(x, derivs), np.zeros_like(np.asarray(x, dtype=float)))
 
     def term_magnitudes(self, x, derivs) -> np.ndarray:
         """|c_k y^(k)| rows, for term-scaled relative residuals."""
-        x = np.asarray(x, dtype=float)
-        return np.array(
-            [np.abs(self.coeffs[k](x) * np.asarray(derivs[k], dtype=float)) for k in range(self.order + 1)]
-        )
+        return np.abs(self.term_rows(x, derivs))
 
     def with_perturbed_coeff(self, k: int, factor: float) -> "LinearDifferentialOperator":
         coeffs = list(self.coeffs)

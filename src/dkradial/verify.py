@@ -23,7 +23,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from ._exprs import Expr
+from ._exprs import Expr, eval_r_cos2_all
 from .closedform import Family, RadialSolution, wavefunction_family
 from .model import FirstOrderSystem, LinearDifferentialOperator, ModeParams, QuantumNumbers, system
 
@@ -98,9 +98,9 @@ def residual_operator(op: LinearDifferentialOperator, x, derivs,
     x = np.asarray(x, dtype=float)
     if np.any(x < END_BUFFER) or np.any(x > 1.0 - END_BUFFER):
         raise ValueError(f"grid touches the singular endpoints within {END_BUFFER}")
-    resid = op.apply(x, derivs)
-    scale = op.term_magnitudes(x, derivs).max(axis=0)
-    return _report(name, x, resid, scale, RESIDUAL_TOL)
+    rows = op.term_rows(x, derivs)  # each coefficient evaluated once
+    resid = sum(rows, np.zeros_like(x))  # as op.apply sums them
+    return _report(name, x, resid, np.abs(rows).max(axis=0), RESIDUAL_TOL)
 
 
 def residual_operator_expr(op: LinearDifferentialOperator, expr: Expr, x,
@@ -207,7 +207,7 @@ def cross_consistency(family: Family, qn: QuantumNumbers, params: ModeParams) ->
     sol = wavefunction_family(family, qn, params, r)
     sysm = system(qn.j, params.eps, params.m_eff)
     Y = [getattr(sol, k) for k in sysm.state]
-    dY = [sol.exprs[k].diff_r_cos2().eval_r_cos2(r) for k in sysm.state]
+    dY = eval_r_cos2_all([sol.exprs[k].diff_r_cos2() for k in sysm.state], r)
     rows, scales = _system_rows(sysm, r, Y, dY)
     rel = np.abs(rows) / np.where(scales > 0, scales, 1.0)
     name = f"cross-consistency[{family.value} j={qn.j} n={qn.n}]"

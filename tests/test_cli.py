@@ -212,14 +212,17 @@ class TestExitCodes:
         assert proc.stderr == (
             f"dkradial: {check} has a non-finite residual at n=2000: the terminating 2F1 coefficients overflow\n")
 
-    @pytest.mark.parametrize("j", ["168", "300"])
+    @pytest.mark.parametrize("j", ["167", "168", "300"])
     def test_verify_gamma_overflow_is_one_line_usage_error(self, j):
-        """From j = 168 a Gamma factor of the general basis's connection
-        formula overflows: exit 2 with one line naming the 2F1, no traceback."""
+        """From j = 167 the general basis's connection formula overflows: at
+        j = 167 and 168 its value from finite Gamma factors is the first to
+        overflow, at j = 300 a Gamma factor itself.  Exit 2 with one line
+        naming the 2F1, no traceback."""
         proc = run_cli(["verify", "--suite", "wronskian", "--j", j], timeout=5)
         assert proc.returncode == 2 and proc.stdout == ""
         assert proc.stderr.startswith("dkradial: 2F1(a=") and proc.stderr.count("\n") == 1
-        assert proc.stderr.endswith("; x=0.6): a connection-formula Gamma overflows\n")
+        cause = "a connection-formula Gamma overflows" if j == "300" else "the connection formula overflows"
+        assert proc.stderr.endswith(f"; x=0.6): {cause}\n")
 
     def test_json_refuses_non_finite_floats(self):
         with pytest.raises(ValueError):

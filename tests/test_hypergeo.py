@@ -132,6 +132,14 @@ class TestErrors:
             gauss_2f1(Hyp2F1Params(87.85, 89.15, 4.5), 0.6)
         assert isinstance(err.value, ValueError)
 
+    def test_connection_value_overflow_is_typed(self):
+        # c - a - b = -171.5: every Gamma factor is finite, but the formula's
+        # value overflows a float instead of coming back as inf
+        with pytest.raises(Hyp2F1OverflowError, match=r"a=87\.35, b=88\.65; c=4\.5; x=0\.6\): the connection formula"):
+            gauss_2f1(Hyp2F1Params(87.35, 88.65, 4.5), 0.6)
+        with pytest.raises(Hyp2F1OverflowError):
+            gauss_2f1(Hyp2F1Params(87.35, 88.65, 4.5), np.array([0.3, 0.6]))
+
     def test_degenerate_falls_back_below_090(self):
         # same parameters are fine at x <= 0.9 via the direct series
         v = gauss_2f1(Hyp2F1Params(0.25, 0.75, 2.0), 0.8)

@@ -6,7 +6,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from dkradial._exprs import Expr, hyp_expr
+from dkradial._exprs import Expr, eval_r_cos2_all, hyp_expr
 from dkradial.closedform import (
     FAMILIES,
     Family,
@@ -25,6 +25,7 @@ from dkradial.model import (
     operator_K4,
     operator_M4,
 )
+from dkradial import verify
 from dkradial.verify import (
     chebyshev_grid,
     cross_consistency,
@@ -84,6 +85,60 @@ class TestResidualOperator:
                 rep = residual_operator_expr(op, expr, x)
                 assert rep.passed and rep.sample_count == 4
 
+    @staticmethod
+    def family_states(j_max=3, n_max=3):
+        """(K4, M4, K, M) for every family state with j <= j_max, n <= n_max."""
+        for fam, seed in FAMILIES.items():
+            for j in range(1, j_max + 1):
+                for n in range(max(0, -seed.offset), n_max + 1):
+                    p_sq = float(spectrum(fam, j, n, 0).p_sq)
+                    yield (operator_K4(p_sq, j * (j + 1)), operator_M4(p_sq, j * (j + 1)),
+                           *family_KM_exprs(fam, j, n))
+
+    def test_same_bits_as_apply_and_term_magnitudes(self):
+        """The residual and scale from one pass over the term rows equal,
+        bit for bit, apply's sum (zeros, then k = 0..order) and the largest
+        term magnitude, each coefficient evaluated on its own."""
+        x = chebyshev_grid()
+        checked = 0
+        for K4, M4, K, M in self.family_states():
+            for op, expr in ((K4, K), (M4, M)):
+                derivs = expr.derivative_column(x, 4)
+                resid, mags = np.zeros_like(x), []
+                for k in range(5):
+                    resid = resid + op.coeffs[k](x) * derivs[k]
+                    mags.append(np.abs(op.coeffs[k](x) * derivs[k]))
+                want = verify._report("r", x, resid, np.array(mags).max(axis=0), verify.RESIDUAL_TOL)
+                got = residual_operator(op, x, derivs, "r")
+                assert repr(dataclasses.asdict(got)) == repr(dataclasses.asdict(want))
+                assert same_bits(op.apply(x, derivs), resid)
+                assert same_bits(op.term_magnitudes(x, derivs), np.array(mags))
+                checked += 1
+        assert checked == 2 * 3 * 15
+
+    @pytest.mark.parametrize("k", range(5))
+    def test_perturbed_coefficient_fails(self, k):
+        """Every family state with j, n <= 3 fails K4 and M4 with c_k off by
+        a factor 1 + 1e-6, unless its y^(k) vanishes identically (a
+        polynomial amplitude of degree below k, e.g. K = 1 - x)."""
+        x = chebyshev_grid()
+        checked = 0
+        for K4, M4, K, M in self.family_states():
+            for op, expr in ((K4, K), (M4, M)):
+                assert residual_operator_expr(op, expr, x).passed
+                if not np.any(expr.derivative_column(x, 4)[k]):
+                    continue
+                rep = residual_operator_expr(op.with_perturbed_coeff(k, 1 + 1e-6), expr, x)
+                assert not rep.passed, (k, rep.max_rel_residual)
+                checked += 1
+        assert checked >= 80
+
+    def test_too_few_derivative_rows(self):
+        x = chebyshev_grid(20)
+        op = operator_K4(8.0, 2.0)
+        with pytest.raises(ValueError, match="not enough derivatives"):
+            residual_operator(op, x, [np.zeros_like(x)] * 4)
+
     def test_report_deterministic(self):
         e = spectrum(Family.F2, 2, 1, 0)
         K, _ = family_KM_exprs(Family.F2, 2, 1)
@@ -96,43 +151,80 @@ class TestResidualOperator:
 class TestExprEvaluation:
     @staticmethod
     def count_gauss_2f1(monkeypatch):
-        """Patch _exprs.gauss_2f1 to record the grid size of every call."""
+        """Patch _exprs.gauss_2f1 to record (params, grid size) of every call."""
         from dkradial import _exprs
 
-        sizes = []
+        calls = []
         original = _exprs.gauss_2f1
 
         def counted(params, x):
-            sizes.append(np.size(x))
+            calls.append((params, np.size(x)))
             return original(params, x)
 
         monkeypatch.setattr(_exprs, "gauss_2f1", counted)
-        return sizes
+        return calls
+
+    @staticmethod
+    def distinct_2f1(exprs):
+        return {t.f for e in exprs for t in e.terms}
+
+    @staticmethod
+    def one_call_each(calls, params, size) -> bool:
+        """calls holds exactly one call per entry of params, each with size points."""
+        return sorted(calls, key=repr) == sorted(((f, size) for f in params), key=repr)
 
     def test_one_gauss_2f1_call_per_distinct_2f1(self, monkeypatch):
         """eval_x on a 200-point grid calls gauss_2f1 once per distinct
         hypergeometric factor with the whole grid, not once per term or point."""
-        sizes = self.count_gauss_2f1(monkeypatch)
+        calls = self.count_gauss_2f1(monkeypatch)
         x = chebyshev_grid()
         K, M = family_KM_exprs(Family.F3, 2, 2)
         for expr in (K, M, K.diff().diff(), M.diff().diff().diff()):
-            sizes.clear()
+            calls.clear()
             expr.eval_x(x)
-            assert expr.terms and sizes == [len(x)] * len({t.f for t in expr.terms})
+            assert expr.terms and self.one_call_each(calls, self.distinct_2f1([expr]), len(x))
 
     def test_derivative_column_shares_2f1_across_orders(self, monkeypatch):
         """derivative_column(x, 4) evaluates each distinct 2F1 of all five
         orders once, with the whole grid."""
-        sizes = self.count_gauss_2f1(monkeypatch)
+        calls = self.count_gauss_2f1(monkeypatch)
         x = chebyshev_grid()
         K, _ = family_KM_exprs(Family.F1, 3, 2)
         exprs = [K]
         for _ in range(4):
             exprs.append(exprs[-1].diff())
-        distinct = {t.f for e in exprs for t in e.terms}
+        distinct = self.distinct_2f1(exprs)
         K.derivative_column(x, 4)
-        assert sizes == [len(x)] * len(distinct)
-        assert len(distinct) < sum(len({t.f for t in e.terms}) for e in exprs)
+        assert self.one_call_each(calls, distinct, len(x))
+        assert len(distinct) < sum(len(self.distinct_2f1([e])) for e in exprs)
+
+    def test_sampled_solution_shares_2f1_across_amplitudes(self, monkeypatch):
+        """wavefunction_family samples K, L, M and N from one table: one
+        gauss_2f1 call per distinct 2F1 over the four amplitudes, with the
+        whole grid."""
+        calls = self.count_gauss_2f1(monkeypatch)
+        r = np.linspace(0.05, math.pi - 0.05, 101)
+        for fam in FAMILIES:
+            calls.clear()
+            entry = spectrum(fam, 2, 2, 1)
+            sol = wavefunction_family(fam, QuantumNumbers(2, 2), ModeParams.from_p_sq(1.0, float(entry.p_sq)), r)
+            distinct = self.distinct_2f1(sol.exprs.values())
+            assert self.one_call_each(calls, distinct, len(r))
+            assert len(distinct) < sum(len(self.distinct_2f1([e])) for e in sol.exprs.values())
+
+    def test_cross_consistency_two_tables(self, monkeypatch):
+        """cross_consistency calls gauss_2f1 once per distinct 2F1 of the
+        four amplitudes, and once per distinct 2F1 of their four
+        r-derivatives, each with all 400 r points."""
+        calls = self.count_gauss_2f1(monkeypatch)
+        for fam in FAMILIES:
+            entry = spectrum(fam, 3, 2, 1)
+            params = ModeParams.from_p_sq(1.0, float(entry.p_sq))
+            exprs = wavefunction_family(fam, QuantumNumbers(3, 2), params, np.array([1.0])).exprs.values()
+            calls.clear()
+            assert cross_consistency(fam, QuantumNumbers(3, 2), params).passed
+            want = [*self.distinct_2f1(exprs), *self.distinct_2f1(e.diff_r_cos2() for e in exprs)]
+            assert self.one_call_each(calls, want, 400)
 
     def test_term_reached_two_ways_cancels(self):
         """Exponents are floats whatever the caller passes, so x^(1/2) * x^(1/2)
@@ -223,6 +315,37 @@ class TestEvaluationBitIdentity:
                     self.check(expr.diff_r_cos2())
                     checked += 1
         assert checked == 2 * 15
+
+    @staticmethod
+    def check_all(exprs, size=200):
+        """eval_r_cos2_all on a list equals the reference for each entry, on
+        check's r grid and at a scalar r."""
+        R = np.linspace(1e-3, math.pi - 1e-3, size // 2 + 1)
+        got = eval_r_cos2_all(exprs, R)
+        assert len(got) == len(exprs)
+        for g, e in zip(got, exprs):
+            assert same_bits(g, reference_eval_r_cos2(e, R))
+        for i in (0, size // 4, size // 2):  # r = pi/2 (x = 0) included
+            for g, e in zip(eval_r_cos2_all(exprs, R[i]), exprs):
+                assert same_bits(g, reference_eval_r_cos2(e, R)[i])
+
+    @pytest.mark.parametrize("j", [1, 2, 3, 4])
+    def test_family_solutions_in_one_table(self, j):
+        """The four amplitudes of every family state, and their
+        r-derivatives, evaluated together."""
+        for fam, seed in FAMILIES.items():
+            for n in range(max(0, -seed.offset), 4):
+                params = ModeParams.from_p_sq(1.0, float(spectrum(fam, j, n, 1).p_sq))
+                exprs = list(wavefunction_family(fam, QuantumNumbers(j, n), params, np.array([1.0])).exprs.values())
+                self.check_all(exprs)
+                self.check_all([e.diff_r_cos2() for e in exprs])
+
+    def test_general_basis_in_one_table(self):
+        """The four amplitudes of each general-basis solution (one of them
+        empty) through the series path."""
+        for sol in general_basis(2, 2.3, ModeParams(m=0.0, eps=2.3), np.array([1.0])):
+            self.check_all(list(sol.exprs.values()), size=20)
+        self.check_all([])
 
     def test_general_basis_series_path(self):
         """Every non-empty amplitude runs the series path.  At j = 2 the L of
@@ -377,7 +500,7 @@ class TestWronskian:
                 w = wronskian4([b.exprs["K"] for b in basis], x0)
                 assert abs(w) > 1e-6
 
-    @pytest.mark.xfail(strict=True, reason="ROADMAP item 7: the equilibrated |W| falls with j")
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 4: the equilibrated |W| falls with j")
     def test_general_basis_independent_j3(self):
         """Known false failure: the j = 3 basis is independent (its raw Wronskian
         obeys Abel's identity), but the equilibrated |W| at x0 = 0.6 is 2.6e-7,
