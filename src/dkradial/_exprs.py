@@ -36,42 +36,72 @@ class Term(NamedTuple):
     f: Hyp2F1Params
 
 
-class Expr:
-    """Canonicalized sum of Terms."""
+def _merged(pairs) -> dict:
+    """Sum the coefficients of equal keys, each from 0.0 and in order, keep
+    the keys in first-occurrence order and drop those that sum to zero."""
+    out: dict = {}
+    get = out.get
+    for key, c in pairs:
+        out[key] = get(key, 0.0) + c
+    return {key: c for key, c in out.items() if c != 0.0}
 
-    __slots__ = ("terms",)
+
+class Expr:
+    """Canonicalized sum of terms, held as one dict from the float key
+    (xp, yp, alpha, beta, gamma) to its nonzero coefficient.
+
+    Keys keep the order of their first occurrence, and equal keys merge by
+    summing their coefficients from 0.0 in that order; a key whose sum is
+    zero is dropped.  shift and scale keep the order, + puts the left
+    operand's keys first, and diff emits, term by term, the x-lowered,
+    (1-x)-lowered and 2F1-raised keys.  Evaluation sums the terms in this
+    order, so these rules fix the bits of every value.  ``terms`` is a view
+    of the dict as Term tuples.
+    """
+
+    __slots__ = ("_coefs",)
 
     def __init__(self, terms):
-        merged: dict = {}
-        for t in terms:
-            key = (t.xp, t.yp, t.f.alpha, t.f.beta, t.f.gamma)  # floats hash faster than the dataclass
-            merged[key] = (merged.get(key, (0.0,))[0] + t.coef, t.f)
-        self.terms = tuple(Term(c, k[0], k[1], f) for k, (c, f) in merged.items() if c != 0.0)
+        self._coefs = _merged(((t.xp, t.yp, t.f.alpha, t.f.beta, t.f.gamma), t.coef) for t in terms)
+
+    @classmethod
+    def _of(cls, coefs: dict) -> "Expr":
+        e = cls.__new__(cls)
+        e._coefs = coefs
+        return e
+
+    @property
+    def terms(self) -> tuple:
+        return tuple(Term(c, k[0], k[1], Hyp2F1Params(*k[2:])) for k, c in self._coefs.items())
 
     def __add__(self, other: "Expr") -> "Expr":
-        return Expr(self.terms + other.terms)
+        return Expr._of(_merged([*self._coefs.items(), *other._coefs.items()]))
 
     def __sub__(self, other: "Expr") -> "Expr":
         return self + other.scale(-1.0)
 
     def scale(self, c: float) -> "Expr":
-        return Expr([Term(t.coef * c, t.xp, t.yp, t.f) for t in self.terms])
+        return Expr._of({k: s for k, v in self._coefs.items() if (s := v * c) != 0.0})
 
     def shift(self, dxp=0, dyp=0) -> "Expr":
-        """Multiply by x^dxp * (1-x)^dyp."""
-        return Expr([Term(t.coef, t.xp + dxp, t.yp + dyp, t.f) for t in self.terms])
+        """Multiply by x^dxp * (1-x)^dyp.  Shifting every key by the same
+        amount keeps distinct half-integer exponents distinct, so no two
+        terms merge."""
+        return Expr._of({(k[0] + dxp, k[1] + dyp, *k[2:]): c for k, c in self._coefs.items()})
 
     def diff(self) -> "Expr":
+        """d/dx, term by term: x-lowered, (1-x)-lowered, then the contiguous
+        derivative of the 2F1 at (alpha+1, beta+1, gamma+1)."""
         out = []
-        for t in self.terms:
-            if t.xp != 0:
-                out.append(Term(t.coef * t.xp, t.xp - 1, t.yp, t.f))
-            if t.yp != 0:
-                out.append(Term(-t.coef * t.yp, t.xp, t.yp - 1, t.f))
-            fac = t.f.alpha * t.f.beta / t.f.gamma
+        for (xp, yp, a, b, g), c in self._coefs.items():
+            if xp != 0:
+                out.append(((xp - 1, yp, a, b, g), c * xp))
+            if yp != 0:
+                out.append(((xp, yp - 1, a, b, g), -c * yp))
+            fac = a * b / g
             if fac != 0.0:
-                out.append(Term(t.coef * fac, t.xp, t.yp, t.f.raised(1)))
-        return Expr(out)
+                out.append(((xp, yp, a + 1, b + 1, g + 1), c * fac))
+        return Expr._of(_merged(out))
 
     # d/dr for the two radial charts
     def diff_r_cos2(self) -> "Expr":
@@ -89,8 +119,8 @@ class Expr:
     def _eval(self, table: _Factors) -> np.ndarray:
         """eval_x on the grid of table, taking each factor from it."""
         out = np.zeros_like(table.x)
-        for t in self.terms:
-            out += table.term(t)
+        for key, c in self._coefs.items():
+            out += table.term(key, c)
         return out[0] if table.scalar else out
 
     def eval_r_cos2(self, r) -> np.ndarray:
@@ -112,24 +142,32 @@ class Expr:
         return np.array([e._eval(table) for e in exprs])
 
 
-class _Factors(dict):
+class _Factors:
     """Factors of terms on one grid x, each evaluated once, when first asked
-    for: ("x", xp) -> x^xp, ("y", yp) -> (1-x)^yp, ("f", params) -> 2F1."""
+    for, and keyed by floats: x^xp by xp, (1-x)^yp by yp, and the 2F1 by
+    (alpha, beta, gamma)."""
+
+    __slots__ = ("scalar", "x", "_xpow", "_ypow", "_hyp")
 
     def __init__(self, x):
-        super().__init__()
         x = np.asarray(x, dtype=float)
         self.scalar, self.x = x.ndim == 0, np.atleast_1d(x)
+        self._xpow, self._ypow, self._hyp = {}, {}, {}
 
-    def __missing__(self, key):
-        kind, v = key
-        self[key] = gauss_2f1(v, self.x) if kind == "f" else (1.0 - self.x if kind == "y" else self.x) ** v
-        return self[key]
-
-    def term(self, t: Term) -> np.ndarray:
-        """coef * x^xp * (1-x)^yp * 2F1, multiplied in that order (a zero
-        exponent gives a factor of exactly 1)."""
-        return t.coef * self["x", t.xp] * self["y", t.yp] * self["f", t.f]
+    def term(self, key: tuple, coef: float) -> np.ndarray:
+        """coef * x^xp * (1-x)^yp * 2F1 for key (xp, yp, alpha, beta, gamma),
+        multiplied in that order (a zero exponent gives a factor of exactly 1)."""
+        xp, yp, abc = key[0], key[1], key[2:]
+        xf = self._xpow.get(xp)
+        if xf is None:
+            xf = self._xpow[xp] = self.x**xp
+        yf = self._ypow.get(yp)
+        if yf is None:
+            yf = self._ypow[yp] = (1.0 - self.x) ** yp
+        f = self._hyp.get(abc)
+        if f is None:
+            f = self._hyp[abc] = gauss_2f1(Hyp2F1Params(*abc), self.x)
+        return coef * xf * yf * f
 
 
 def eval_r_cos2_all(exprs, r) -> list:
@@ -143,16 +181,19 @@ def eval_r_cos2_all(exprs, r) -> list:
     out = []
     for e in exprs:
         even, odd = np.zeros_like(table.x), np.zeros_like(table.x)
-        for t in e.terms:
-            if (2 * t.xp) % 2 != 0:
-                odd += table.term(t)
+        for key, c in e._coefs.items():
+            if (2 * key[0]) % 2 != 0:
+                odd += table.term(key, c)
             else:
-                even += table.term(t)
+                even += table.term(key, c)
         v = even + sign * odd
         out.append(v[0] if table.scalar else v)
     return out
 
 
 def hyp_expr(coef, xp, yp, a, b, c) -> Expr:
-    return Expr([Term(float(coef), float(xp), float(yp), Hyp2F1Params(float(a), float(b), float(c)))])
-
+    """coef * x^xp * (1-x)^yp * 2F1(a, b; c; x); raises ValueError for a
+    non-positive integer c."""
+    f = Hyp2F1Params(float(a), float(b), float(c))  # validates c
+    coef = float(coef)
+    return Expr._of({(float(xp), float(yp), f.alpha, f.beta, f.gamma): coef} if coef != 0.0 else {})

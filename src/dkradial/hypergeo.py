@@ -1,10 +1,12 @@
 """Gauss hypergeometric function 2F1 on the real interval [0, 1), at a
 scalar x or on a whole array of x.
 
-Terminating series (a negative-integer upper parameter) are summed exactly by
-Horner's rule, one pass over the array.  Non-terminating series use the
-defining power series for x <= 1/2 and the x -> 1-x connection formula
-beyond, element by element, which keeps the number of summed terms small.
+Terminating series (a negative-integer upper parameter) are polynomials,
+summed in floats by Horner's rule in one pass over the array; the float sum
+is not exact and loses accuracy as the degree grows.  Non-terminating series
+use the defining power series for x <= 1/2 and the x -> 1-x connection
+formula beyond, element by element, which keeps the number of summed terms
+small.
 """
 
 from __future__ import annotations
@@ -74,10 +76,6 @@ class Hyp2F1Params:
         degrees = [int(-v) for v in (self.alpha, self.beta) if _nonpositive_int(v)]
         object.__setattr__(self, "terminating", bool(degrees))
         object.__setattr__(self, "degree", min(degrees) if degrees else None)
-
-    def raised(self, k: int) -> "Hyp2F1Params":
-        """Parameters of the k-th contiguous derivative."""
-        return Hyp2F1Params(self.alpha + k, self.beta + k, self.gamma + k)
 
 
 def _rgamma(v: float) -> float:

@@ -245,15 +245,20 @@ def system(j: int, eps, m: float) -> FirstOrderSystem:
     return replace(SYSTEM_J0 if j == 0 else SYSTEM_J, eps=eps, m=m, a=math.sqrt(j * (j + 1)))
 
 
-def _exact(v):
-    """An int or a Fraction as a Fraction, anything else as a float."""
-    return Fraction(v) if isinstance(v, (int, Fraction)) else float(v)
+def _exact(p_sq, a_sq) -> tuple:
+    """(p2, a2, num): p_sq and a_sq as Fractions, with num = Fraction, when
+    both are int or Fraction; otherwise both as floats, with num = float.
+    Operator coefficients are built from p2, a2 and constants num(k) / n."""
+    if isinstance(p_sq, (int, Fraction)) and isinstance(a_sq, (int, Fraction)):
+        return Fraction(p_sq), Fraction(a_sq), Fraction
+    return float(p_sq), float(a_sq), float
 
 
 def operator_K4(p_sq, a_sq) -> LinearDifferentialOperator:
     """Fourth-order operator annihilating K(x), x = cos^2 r.  Its
-    coefficients stay exact for int or Fraction p_sq and a_sq."""
-    p2, a2 = _exact(p_sq), _exact(a_sq)
+    coefficients are exact (ints and Fractions) when both p_sq and a_sq are
+    int or Fraction; otherwise they are floats."""
+    p2, a2, num = _exact(p_sq, a_sq)
     c4 = RationalCoefficient(poly=(0, 0, 1))
     c3 = RationalCoefficient(poly=(5, 7), poles1=(-5,))
     c2 = RationalCoefficient(
@@ -261,7 +266,7 @@ def operator_K4(p_sq, a_sq) -> LinearDifferentialOperator:
         poles1=((p2 + a2 - 28) / 2, (15 - 2 * a2) / 4),
     )
     c1 = RationalCoefficient(
-        poles0=(Fraction(1, 4),),
+        poles0=(num(1) / 4,),
         poles1=((3 * p2 - 7) / 4, -(3 * p2 + a2 - 9) / 4, a2 / 4),
     )
     c0 = RationalCoefficient(
@@ -280,10 +285,10 @@ def operator_M4(p_sq, a_sq) -> LinearDifferentialOperator:
     """Companion fourth-order operator annihilating M(x); differs from the
     K operator by -1/4 in the (1-x)^-1 part of c1 and by the -1 and -3
     shifts in c0."""
-    p2, a2 = _exact(p_sq), _exact(a_sq)
+    p2, a2, num = _exact(p_sq, a_sq)
     base = operator_K4(p_sq, a_sq)
     c1 = RationalCoefficient(
-        poles0=(Fraction(1, 4),),
+        poles0=(num(1) / 4,),
         poles1=((3 * p2 - 6) / 4, -(3 * p2 + a2 - 9) / 4, a2 / 4),
     )
     c0 = RationalCoefficient(
@@ -299,9 +304,9 @@ def operator_M4(p_sq, a_sq) -> LinearDifferentialOperator:
 
 
 def _outer_operator(shift: int, a_sq, p_sq) -> LinearDifferentialOperator:
-    p2, a2 = _exact(p_sq), _exact(a_sq)
+    p2, a2, num = _exact(p_sq, a_sq)
     c2 = RationalCoefficient(poly=(1,))
-    c1 = RationalCoefficient(poles0=(Fraction(3, 2),), poles1=(Fraction(-7, 2),))
+    c1 = RationalCoefficient(poles0=(num(3) / 2,), poles1=(num(-7) / 2,))
     c0 = RationalCoefficient(
         poles0=((p2 - a2 - shift) / 4,),
         poles1=((p2 - a2 - shift) / 4, -(a2 - 6) / 4),
@@ -310,9 +315,9 @@ def _outer_operator(shift: int, a_sq, p_sq) -> LinearDifferentialOperator:
 
 
 def _inner_operator(shift: int, a_sq, p_sq) -> LinearDifferentialOperator:
-    p2, a2 = _exact(p_sq), _exact(a_sq)
+    p2, a2, num = _exact(p_sq, a_sq)
     c2 = RationalCoefficient(poly=(1,))
-    c1 = RationalCoefficient(poles0=(Fraction(1, 2),), poles1=(Fraction(-3, 2),))
+    c1 = RationalCoefficient(poles0=(num(1) / 2,), poles1=(num(-3) / 2,))
     c0 = RationalCoefficient(
         poles0=((p2 - a2 - shift) / 4,),
         poles1=((p2 - a2 - shift) / 4, -a2 / 4),

@@ -56,10 +56,12 @@ TAIL_TOL = 1e-8
 CONFIRM_DELTA = 1e-7
 # Smallest/largest singular value above this flags a weak singularity.
 DET_TOLERANCE = 1e-8
-# Relative accuracy an oracle eigenvalue is trusted to (collocation levels
-# are good to about 1e-13): compare_spectra's default matching tolerance,
-# and how far a level may lie outside its window and still count as in it.
-REL_TOL = 1e-5
+# How far, relative to eps, a level may lie outside its window and still
+# count as in it.
+WINDOW_SLACK = 1e-5
+# compare_spectra's default matching tolerance: the relative accuracy an
+# oracle eigenvalue is trusted to (collocation levels are good to about 1e-13).
+MATCH_TOL = 1e-10
 
 
 class IntegrationError(RuntimeError):
@@ -272,18 +274,19 @@ def _sign_changes(block: np.ndarray) -> np.ndarray:
 
 
 def _locate(j: int, m: float, window: tuple[float, float]) -> tuple[np.ndarray, np.ndarray]:
-    """The levels of the window (up to REL_TOL outside it), in order, and the
-    sign changes of each one's first component, M at j = 0, over (0, pi).
-    Levels are the eigenvalues of H that drift by at most DRIFT_TOL between
-    N and 2N points and whose Chebyshev tail is at most TAIL_TOL.  N starts
-    at 4 hi + 8 and doubles until every eigenvalue in the window passes, or,
-    past COLLOCATION_MAX_N, raises SpectrumError: never a short list."""
+    """The levels of the window (up to WINDOW_SLACK outside it), in order,
+    and the sign changes of each one's first component, M at j = 0, over
+    (0, pi).  Levels are the eigenvalues of H that drift by at most
+    DRIFT_TOL between N and 2N points and whose Chebyshev tail is at most
+    TAIL_TOL.  N starts at 4 hi + 8 and doubles until every eigenvalue in
+    the window passes, or, past COLLOCATION_MAX_N, raises SpectrumError:
+    never a short list."""
     lo, hi = window
     N, tried = math.ceil(4 * hi) + 8, []
     while N <= COLLOCATION_MAX_N:
         H, theta = _collocation_matrix(j, m, N)
         vals, vecs = np.linalg.eig(H)
-        slack = REL_TOL * np.abs(vals.real)
+        slack = WINDOW_SLACK * np.abs(vals.real)
         raw = (vals.real >= lo - slack) & (vals.real <= hi + slack)
         eps, vecs = vals[raw], vecs[:, raw]
         scale = DRIFT_TOL * np.maximum(1.0, np.abs(eps))
@@ -381,8 +384,9 @@ def shoot_j(m: float, j: int, lambda_sign: int = +1, config: ShootingConfig | No
 
 
 def compare_spectra(oracle: list[OracleEigenvalue], closed: list[SpectrumEntry],
-                    rel_tol: float = REL_TOL) -> SpectrumComparison:
-    """Greedy nearest-eps matching of oracle eigenvalues to closed entries."""
+                    rel_tol: float = MATCH_TOL) -> SpectrumComparison:
+    """Greedy nearest-eps matching of oracle eigenvalues to closed entries;
+    a pair matches when their eps agree to rel_tol."""
     remaining = list(closed)
     matched, unmatched_oracle = [], []
     for ev in sorted(oracle, key=lambda e: e.eps):

@@ -242,10 +242,15 @@ class TestMpmathReference:
             assert gauss_2f1(p, x) == pytest.approx(self.reference(p, x), rel=1e-13)
 
 
+def raised(p: Hyp2F1Params, k: int) -> Hyp2F1Params:
+    """Parameters of the k-th contiguous derivative."""
+    return Hyp2F1Params(p.alpha + k, p.beta + k, p.gamma + k)
+
+
 def _terminating_params(deg):
     """Degree-deg polynomials with their contiguous derivative parameters."""
     ps = (Hyp2F1Params(float(-deg), deg + 4.0, 2.5), Hyp2F1Params(deg + 1.5, float(-deg), 0.5))
-    return [p.raised(k) for p in ps for k in range(deg + 1)]
+    return [raised(p, k) for p in ps for k in range(deg + 1)]
 
 
 def _general_basis_params(j):
@@ -253,7 +258,7 @@ def _general_basis_params(j):
     first three contiguous derivatives."""
     sols = general_basis(j, 2.3, ModeParams(m=0.0, eps=2.3), [0.5])
     params = {t.f for s in sols for k in "KM" for t in s.exprs[k].terms}
-    return sorted({p.raised(k) for p in params for k in range(4)}, key=repr)
+    return sorted({raised(p, k) for p in params for k in range(4)}, key=repr)
 
 
 class TestArrayArgument:

@@ -183,17 +183,21 @@ class TestExactCoefficients:
         for op in self.operators(p_sq, a_sq):
             assert all(isinstance(v, (int, Fraction)) for v in self.values(op))
 
-    @pytest.mark.parametrize("p_sq,a_sq", [(8, 2), (15, 6), (24, 12), (63, 42)])
+    @pytest.mark.parametrize("p_sq,a_sq", [(8, 2), (15, 6), (24, 12), (63, 42), (35, 0)])
     def test_float_input_is_float_of_exact(self, p_sq, a_sq):
-        """At float (p^2, a^2) every coefficient, and its first two
-        derivatives on a grid, is bit-identical to float() of the exact one."""
+        """At a float p^2, with a float or an int a^2, the operators are
+        built in floats (no coefficient is a Fraction), and every
+        coefficient, and its first two derivatives on a grid, is
+        bit-identical to float() of the exact one."""
         x = np.linspace(0.05, 0.95, 19)
-        for exact, fl in zip(self.operators(p_sq, a_sq), self.operators(float(p_sq), float(a_sq))):
-            assert [float(v) for v in self.values(exact)] == self.values(fl)
-            for ce, cf in zip(exact.coeffs, fl.coeffs):
-                for _ in range(3):
-                    assert np.array_equal(ce(x), cf(x))
-                    ce, cf = ce.derivative(), cf.derivative()
+        for a_in in (float(a_sq), a_sq):
+            for exact, fl in zip(self.operators(p_sq, a_sq), self.operators(float(p_sq), a_in)):
+                assert not any(isinstance(v, Fraction) for v in self.values(fl))
+                assert [float(v) for v in self.values(exact)] == self.values(fl)
+                for ce, cf in zip(exact.coeffs, fl.coeffs):
+                    for _ in range(3):
+                        assert np.array_equal(ce(x), cf(x))
+                        ce, cf = ce.derivative(), cf.derivative()
 
     def test_fraction_points_evaluate_exactly(self):
         c = RationalCoefficient(poly=(1, Fraction(1, 2)), poles0=(Fraction(1, 4),), poles1=(0, 3))

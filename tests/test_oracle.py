@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -53,7 +54,7 @@ class TestShootJ0:
 
     @pytest.mark.parametrize("window", [(2.5, 3.0 - 1e-9), (3.0 + 1e-9, 3.5)], ids=["hi", "lo"])
     def test_level_just_outside_an_edge_is_kept(self, window):
-        """eps = 3 at m = 1 lies 1e-9 outside the window, well inside REL_TOL."""
+        """eps = 3 at m = 1 lies 1e-9 outside the window, well inside WINDOW_SLACK."""
         evs = shoot_j0(1.0, +1, ShootingConfig(eps_scan=window))
         assert [ev.eps for ev in evs] == pytest.approx([3.0], rel=1e-13)
 
@@ -388,6 +389,20 @@ class TestCompare:
         assert cmp.passed
         fams = {(c.family, c.n) for _, c, _ in cmp.matched}
         assert (Family.F3, 1) in fams and (Family.F3, 0) not in fams
+
+    def test_level_off_by_1e8_fails(self):
+        """Negative control: a closed-form level moved by a relative 1e-8
+        is no longer matched by the default tolerance, though it lies well
+        inside the 1e-5 the acceptance criteria pass explicitly."""
+        evs = shoot_j(1.0, 2, +1, ShootingConfig(eps_scan=(0.5, 12.0)))
+        closed = [e for e in family_levels(2, 8, 1) if e.bound and e.eps() <= 12.0]
+        assert len(closed) >= 4 and compare_spectra(evs, closed).passed
+        moved = dataclasses.replace(closed[2], eps_sq=closed[2].eps_sq * Fraction(1 + 1e-8) ** 2)
+        assert moved.eps() / closed[2].eps() - 1 == pytest.approx(1e-8, rel=1e-6)
+        shifted = [*closed[:2], moved, *closed[3:]]
+        cmp = compare_spectra(evs, shifted)
+        assert not cmp.passed and cmp.unmatched_closed == [moved]
+        assert compare_spectra(evs, shifted, rel_tol=1e-5).passed
 
     def test_empty_oracle_reports_all_closed_unmatched(self):
         closed = [spectrum(Family.F1, 1, n, 0) for n in range(3)]

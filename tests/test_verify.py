@@ -6,7 +6,8 @@ import mpmath
 import numpy as np
 import pytest
 
-from dkradial._exprs import Expr, eval_r_cos2_all, hyp_expr
+from dkradial import closedform
+from dkradial._exprs import Expr, Term, eval_r_cos2_all, hyp_expr
 from dkradial.closedform import (
     FAMILIES,
     Family,
@@ -16,7 +17,7 @@ from dkradial.closedform import (
     wavefunction_family,
     wavefunction_j0,
 )
-from dkradial.hypergeo import gauss_2f1
+from dkradial.hypergeo import Hyp2F1Params, gauss_2f1
 from dkradial.model import (
     ModeParams,
     QuantumNumbers,
@@ -274,6 +275,51 @@ def reference_eval_r_cos2(expr, r):
     return out
 
 
+class ReferenceExpr:
+    """Reference: the term algebra as a tuple of Terms, merged on
+    (xp, yp, alpha, beta, gamma) by summing from 0.0 in order of first
+    occurrence and dropping zero sums, after every operation."""
+
+    def __init__(self, terms):
+        merged = {}
+        for t in terms:
+            key = (t.xp, t.yp, t.f.alpha, t.f.beta, t.f.gamma)
+            merged[key] = (merged.get(key, (0.0,))[0] + t.coef, t.f)
+        self.terms = tuple(Term(c, k[0], k[1], f) for k, (c, f) in merged.items() if c != 0.0)
+
+    def __add__(self, other):
+        return ReferenceExpr(self.terms + other.terms)
+
+    def __sub__(self, other):
+        return self + other.scale(-1.0)
+
+    def scale(self, c):
+        return ReferenceExpr([Term(t.coef * c, t.xp, t.yp, t.f) for t in self.terms])
+
+    def shift(self, dxp=0, dyp=0):
+        return ReferenceExpr([Term(t.coef, t.xp + dxp, t.yp + dyp, t.f) for t in self.terms])
+
+    def diff(self):
+        out = []
+        for t in self.terms:
+            if t.xp != 0:
+                out.append(Term(t.coef * t.xp, t.xp - 1, t.yp, t.f))
+            if t.yp != 0:
+                out.append(Term(-t.coef * t.yp, t.xp, t.yp - 1, t.f))
+            fac = t.f.alpha * t.f.beta / t.f.gamma
+            if fac != 0.0:
+                f = Hyp2F1Params(t.f.alpha + 1, t.f.beta + 1, t.f.gamma + 1)
+                out.append(Term(t.coef * fac, t.xp, t.yp, f))
+        return ReferenceExpr(out)
+
+    def diff_r_cos2(self):
+        return self.diff().shift(0.5, 0.5).scale(-2.0)
+
+
+def reference_hyp_expr(coef, xp, yp, a, b, c):
+    return ReferenceExpr([Term(float(coef), float(xp), float(yp), Hyp2F1Params(float(a), float(b), float(c)))])
+
+
 def same_bits(got, want):
     """Equal bit for bit: the sign of a zero counts, as a CSV prints it."""
     got, want = np.asarray(got), np.asarray(want)
@@ -362,6 +408,78 @@ class TestEvaluationBitIdentity:
                     empty.append((i, name))
                     assert not np.any(expr.eval_x(chebyshev_grid(20))) and not np.any(getattr(sol, name))
         assert empty == [(1, "L")]
+
+
+class TestTermAlgebraBitIdentity:
+    """Every Expr built by the amplitude builders, and each of its
+    derivatives, holds the terms of ReferenceExpr in the same order with the
+    same coefficient bits."""
+
+    @staticmethod
+    def same_terms(got, want) -> bool:
+        def key(e):
+            return [(t.coef.hex(), t.xp, t.yp, t.f) for t in e.terms]
+
+        return key(got) == key(want)
+
+    def check(self, monkeypatch, j, lead, xp, lam, eps_plus_m):
+        """(K, M) from _km_exprs, their diff chains to order 4, their
+        diff_r_cos2 and their (L, N) elimination, against the same
+        builders run on ReferenceExpr."""
+        K, M = closedform._km_exprs(j, lead, xp, lam)
+        with monkeypatch.context() as m:
+            m.setattr(closedform, "hyp_expr", reference_hyp_expr)
+            RK, RM = closedform._km_exprs(j, lead, xp, lam)
+        assert isinstance(RK, ReferenceExpr) and isinstance(RM, ReferenceExpr)
+        for e, r in ((K, RK), (M, RM)):
+            assert e.terms and self.same_terms(e, r)
+            assert self.same_terms(e.diff_r_cos2(), r.diff_r_cos2())
+            for _ in range(4):
+                e, r = e.diff(), r.diff()
+                assert self.same_terms(e, r)
+        a = math.sqrt(j * (j + 1))
+        for e, r in zip(closedform._elimination_LN(K, M, a, eps_plus_m),
+                        closedform._elimination_LN(RK, RM, a, eps_plus_m)):
+            assert self.same_terms(e, r)
+
+    @pytest.mark.parametrize("j", [1, 2, 3, 4])
+    def test_family_states(self, monkeypatch, j):
+        checked = 0
+        for fam, seed in FAMILIES.items():
+            for n in range(max(0, -seed.offset), 4):
+                eps_plus_m = spectrum(fam, j, n, 1).eps() + 1.0
+                self.check(monkeypatch, j, seed.lead, seed.xp, closedform._lam(fam, j, n), eps_plus_m)
+                checked += 1
+        assert checked == 15
+
+    @pytest.mark.parametrize("j", [1, 2, 3, 4])
+    def test_general_basis_seeds(self, monkeypatch, j):
+        p = 2.3
+        lam = {"K": math.sqrt(p * p + 1.0), "M": p}
+        for seed in FAMILIES.values():
+            self.check(monkeypatch, j, seed.lead, seed.xp, lam[seed.lead], p)
+
+    def test_diff_builds_no_hyp2f1_params(self, monkeypatch):
+        """diff works on the float keys alone; only .terms builds a
+        Hyp2F1Params."""
+        from dkradial import _exprs
+
+        built = []
+        original = _exprs.Hyp2F1Params
+
+        def counted(*args):
+            built.append(args)
+            return original(*args)
+
+        K, M = family_KM_exprs(Family.F2, 3, 2)
+        monkeypatch.setattr(_exprs, "Hyp2F1Params", counted)
+        for e in (K, M):
+            for _ in range(4):
+                e = e.diff()
+                e.diff_r_cos2()
+        assert built == []
+        terms = e.terms  # the patch is live: .terms builds one per term
+        assert terms and len(built) == len(terms)
 
 
 class TestAmplitudesNearEquator:
@@ -572,8 +690,6 @@ class TestCrossConsistency:
     def test_mutated_lacking_amplitude_fails(self, monkeypatch, family, mutation):
         """A lacking amplitude (M when K leads, K when M leads) that is off in
         any of three ways fails the system residual at every state."""
-        from dkradial import closedform
-
         original, mutate = closedform._km_exprs, self.MUTATIONS[mutation]
 
         def mutated(j, lead, xp, lam):
