@@ -7,13 +7,12 @@ An amplitude is a finite sum of terms
 with half-integer exponents held as floats (exact in binary, as are their
 sums) and a 2F1 on every term.  The set is closed under d/dx (the contiguous
 derivative raises the 2F1 parameters), under multiplication by powers of x and
-(1-x), and therefore under d/dr for both radial substitutions used by the
-model, x = cos^2 r (dx/dr = -2 x^{1/2} (1-x)^{1/2}) and x = (1-cos r)/2
-(dx/dr = +x^{1/2} (1-x)^{1/2}).
+(1-x), and therefore under d/dr in the one radial chart of the package,
+x = cos^2 r (dx/dr = -2 x^{1/2} (1-x)^{1/2}).
 
-Half-integer powers of x encode parity about r = pi/2 for the x = cos^2 r
-chart: x^{1/2} stands for the *signed* cos r, so evaluation on the right half
-of the sphere flips the sign of every term whose x-exponent is half-odd.
+Half-integer powers of x encode parity about r = pi/2: x^{1/2} stands for
+the *signed* cos r, so evaluation on the right half of the sphere flips the
+sign of every term whose x-exponent is half-odd.
 
 Amplitudes and their r-derivatives carry x-exponents >= 0, so the plain sum
 of terms is finite at x = 0; x-derivatives, genuinely singular there, reach
@@ -103,17 +102,12 @@ class Expr:
                 out.append(((xp, yp, a + 1, b + 1, g + 1), c * fac))
         return Expr._of(_merged(out))
 
-    # d/dr for the two radial charts
     def diff_r_cos2(self) -> "Expr":
         """d/dr under x = cos^2 r (dx/dr = -2 sqrt(x) sqrt(1-x), signed)."""
         return self.diff().shift(0.5, 0.5).scale(-2.0)
 
-    def diff_r_half(self) -> "Expr":
-        """d/dr under x = (1-cos r)/2 (dx/dr = sqrt(x(1-x)))."""
-        return self.diff().shift(0.5, 0.5)
-
     def eval_x(self, x) -> np.ndarray:
-        """Evaluate on the principal chart (x^{1/2} taken positive)."""
+        """Evaluate on the principal branch (x^{1/2} taken positive)."""
         return self._eval(_Factors(x))
 
     def _eval(self, table: _Factors) -> np.ndarray:
@@ -127,13 +121,8 @@ class Expr:
         """Evaluate at radial points under x = cos^2 r with signed sqrt(x)."""
         return eval_r_cos2_all([self], r)[0]
 
-    def eval_r_half(self, r) -> np.ndarray:
-        """Evaluate at radial points under x = (1-cos r)/2 (single cover)."""
-        r = np.asarray(r, dtype=float)
-        return self.eval_x((1.0 - np.cos(r)) / 2.0)
-
     def derivative_column(self, x, upto: int) -> np.ndarray:
-        """[y(x), y'(x), ..., y^(upto)(x)] on the principal chart; for an
+        """[y(x), y'(x), ..., y^(upto)(x)] on the principal branch; for an
         array x, row k holds y^(k) on x."""
         table = _Factors(x)  # one table for every order
         exprs = [self]

@@ -136,21 +136,14 @@ def cmd_wavefunction(args) -> int:
     ]
     if fam is Family.J0:
         sol = closedform.wavefunction_j0(args.n, params, grid)
-        x = (1.0 - np.cos(grid)) / 2.0
-        header = ["r", "x", "M", "N"]
-        rows = [[r, xv, mv, nv] for r, xv, mv, nv in zip(grid, x, sol.M, sol.N)]
     else:
         sol = closedform.wavefunction_family(fam, QuantumNumbers(args.j, args.n), params, grid)
-        x = np.cos(grid) ** 2
-        header = ["r", "x", "K", "L", "M", "N"]
-        rows = [
-            [r, xv, kv, lv, mv, nv]
-            for r, xv, kv, lv, mv, nv in zip(grid, x, sol.K, sol.L, sol.M, sol.N)
-        ]
-    bad = next((name for name in header[2:] if not np.isfinite(getattr(sol, name)).all()), None)
+    names = list(sol.exprs)
+    bad = next((name for name in names if not np.isfinite(getattr(sol, name)).all()), None)
     if bad is not None:
         raise ValueError(f"{bad} has non-finite samples at n={args.n}: the terminating 2F1 coefficients overflow")
-    _write(args.out, _csv(comments, header, rows))
+    columns = [grid, np.cos(grid) ** 2, *(getattr(sol, name) for name in names)]
+    _write(args.out, _csv(comments, ["r", "x", *names], zip(*columns)))
     return 0
 
 

@@ -5,9 +5,10 @@ x^xp (1-x)^(j/2) F(c0 - lam/2, c0 + lam/2; 1/2 + 2xp; x), c0 = (j+1)/2 + xp,
 in x = cos^2 r: each gives K (lam^2 = p^2 + 1) or M (lam = p) directly,
 with xp = 1/2 or 0.  Families i-iv are the seeds at the integer lam where
 the 2F1 terminates (one FAMILIES row each); twins share a lead amplitude
-and lam.  The j=0 sector reduces to a single second-order problem.  Spectra
-are exact rationals: integers (families iii, iv), integers minus one
-(i, ii and j=0), or squares of half-odd integers (spin-1/2 comparison).
+and lam.  The j=0 amplitudes are seeds too, at lam = n + 2 and times
+(1-x)^{1/2}: N from the j=0 seed, M from the j=1 one.  Spectra are exact
+rationals: integers (families iii, iv), integers minus one (i, ii and
+j=0), or squares of half-odd integers (spin-1/2 comparison).
 
 Family (iii) caution: its degree is n-1, so its p^2 formula (j+2n)^2 admits
 n=0, but p^2 = j^2 carries no normalizable state.  spectrum() still returns
@@ -205,10 +206,17 @@ def j0_ratio(eps: float, m: float, lambda_sign: int) -> float:
 
 
 def wavefunction_j0(n: int, params: ModeParams, grid) -> RadialSolution:
-    """j=0 solution pair in x = (1-cos r)/2, N0 = 1.
+    """j=0 solution pair, normalised so that N ~ r/2 at r = 0:
 
-    N = N0 sqrt(x(1-x)) F(-n-1, 3+n; 3/2; x)
-    M = M0 x(1-x)      F(-n,   4+n; 5/2; x)
+    N = sin((n+2) r) / (2(n+2)),  M = ratio sin^2 r C_n(cos r) / (4 C_n(1)),
+
+    C_n the Gegenbauer polynomial C^(2)_n and ratio = j0_ratio.  Both are
+    seeds at lam = n + 2 = sqrt(p^2+1) times (1-x)^{1/2}, x = cos^2 r:
+    N = x^xp (1-x)^{1/2} F(-k, k+1+2xp; 1/2+2xp; x) with 2k + 2xp = n + 1, and
+    M = x^xp (1-x) F(-k, k+2+2xp; 1/2+2xp; x) with 2k + 2xp = n, each scaled
+    by a closed form of its value at x = 1 (Chu-Vandermonde, F(-k, b; c; 1)
+    = (c-b)_k/(c)_k).  r = 0 and r = pi (x = 1) raise Hyp2F1DomainError, as
+    for the families.
     """
     eps, m = params.eps, params.m
     target = float(spectrum(Family.J0, 0, n, m).eps_sq)
@@ -217,16 +225,17 @@ def wavefunction_j0(n: int, params: ModeParams, grid) -> RadialSolution:
             f"eps^2={eps*eps} is off the j=0 spectrum value {target} for n={n}"
         )
     ratio = j0_ratio(eps, m, params.lambda_sign)
-    N_expr = hyp_expr(1.0, 0.5, 0.5, -n - 1, 3 + n, 1.5)
-    M_expr = hyp_expr(ratio, 1, 1, -n, 4 + n, 2.5)
+    xp_N = 0.0 if n % 2 else 0.5  # N has degree n + 1 in cos r, M degree n
+    xp_M = 0.5 - xp_N
+    k_N, k_M = (n + 1) // 2, n // 2
+    N_scale = (-1) ** k_N / (2 if xp_N else 2 * (2 * k_N + 1))
+    M_scale = ratio * (-1) ** k_M * 3 / (4 * (2 * k_M + 3) * (1 if xp_M else 2 * k_M + 1))
+    N_expr = _seed_expr(0, n + 2, xp_N).shift(0, 0.5).scale(N_scale)
+    M_expr = _seed_expr(1, n + 2, xp_M).shift(0, 0.5).scale(M_scale)
     grid = np.asarray(grid, dtype=float)
+    M, N = eval_r_cos2_all([M_expr, N_expr], grid)
     return RadialSolution(
-        qn=QuantumNumbers(0, n),
-        params=params,
-        grid=grid,
-        M=M_expr.eval_r_half(grid),
-        N=N_expr.eval_r_half(grid),
-        exprs={"M": M_expr, "N": N_expr},
+        qn=QuantumNumbers(0, n), params=params, grid=grid, M=M, N=N, exprs={"M": M_expr, "N": N_expr},
     )
 
 

@@ -6,7 +6,8 @@ Cross-consistency is the residual of the coupled first-order system.  L and
 N are eliminated from its K' and M' rows, so its rows 2 and 4 (L' and N')
 are the coupled second-order relations that give the lacking amplitude from
 the lead one: one residual checks both the explicit formula and the
-elimination.
+elimination.  The j=0 pair residual is the same residual of the (M, N)
+block.
 
 Residuals are normalized by the largest participating term, not by the
 solution value, because the solutions vanish at the interval endpoints.
@@ -25,7 +26,7 @@ import numpy as np
 
 from ._exprs import Expr, eval_r_cos2_all
 from .closedform import Family, RadialSolution, wavefunction_family
-from .model import FirstOrderSystem, LinearDifferentialOperator, ModeParams, QuantumNumbers, system
+from .model import LinearDifferentialOperator, ModeParams, QuantumNumbers, system
 
 __all__ = [
     "VerificationReport",
@@ -198,42 +199,31 @@ def wronskian_report(w: float, x0: float, name: str) -> VerificationReport:
 def cross_consistency(family: Family, qn: QuantumNumbers, params: ModeParams) -> VerificationReport:
     """Residual of the coupled first-order system for the family's
     (K, L, M, N) on the r points of chebyshev_grid(), mirrored across the
-    equator: at each point the worst row, relative to its largest term.
-    L and N come from rows 1 and 3 (K', M'); with them substituted, row 2
-    (L') is the coupled relation M = sin^2 r/(2a cos r) [K'' + (p^2 -
-    a^2/sin^2 r) K], and row 4 (N') the matching relation for K from M."""
+    equator.  L and N come from rows 1 and 3 (K', M'); with them
+    substituted, row 2 (L') is the coupled relation M = sin^2 r/(2a cos r)
+    [K'' + (p^2 - a^2/sin^2 r) K], and row 4 (N') the matching relation for
+    K from M."""
     r = np.arccos(np.sqrt(chebyshev_grid()))
     r = np.concatenate([r, np.pi - r])
     sol = wavefunction_family(family, qn, params, r)
-    sysm = system(qn.j, params.eps, params.m_eff)
-    Y = [getattr(sol, k) for k in sysm.state]
-    dY = eval_r_cos2_all([sol.exprs[k].diff_r_cos2() for k in sysm.state], r)
-    rows, scales = _system_rows(sysm, r, Y, dY)
-    rel = np.abs(rows) / np.where(scales > 0, scales, 1.0)
-    name = f"cross-consistency[{family.value} j={qn.j} n={qn.n}]"
-    return _report(name, r, rel.max(axis=0), np.ones_like(r), IDENTITY_TOL)
+    return _system_report(sol, f"cross-consistency[{family.value} j={qn.j} n={qn.n}]", IDENTITY_TOL)
 
 
 def j0_pair_residual(sol: RadialSolution) -> VerificationReport:
-    """Residual of the j=0 first-order pair for a wavefunction_j0 solution.
+    """Residual of the j=0 first-order pair (M, N)' = A(r) (M, N) for a
+    wavefunction_j0 solution, on its r-grid."""
+    return _system_report(sol, f"j0-pair[n={sol.qn.n} lambda={sol.params.lambda_sign:+d}]", RESIDUAL_TOL)
 
-    (M, N)' - A(r) (M, N) from system(0, ...) on the solution's r-grid, both
-    rows scaled by one solution-wide magnitude.
-    """
-    r, sysm = sol.grid, system(0, sol.params.eps, sol.params.m_eff)
+
+def _system_report(sol: RadialSolution, name: str, tol: float) -> VerificationReport:
+    """Rows dY - A(r) Y of system(j, eps, m) on sol's grid, with Y the
+    sampled amplitudes and dY their r-derivatives from the expressions: at
+    each point the worst row, relative to that row's largest term."""
+    r, sysm = sol.grid, system(sol.qn.j, sol.params.eps, sol.params.m_eff)
     Y = [getattr(sol, k) for k in sysm.state]
-    dY = [sol.exprs[k].diff_r_half().eval_r_half(r) for k in sysm.state]
-    rows, _ = _system_rows(sysm, r, Y, dY)
-    scale = max(np.abs(y).max() for y in Y) * max(abs(sysm.eps) + abs(sysm.m), 1.0)
-    name = f"j0-pair[n={sol.qn.n} lambda={sol.params.lambda_sign:+d}]"
-    return _report(name, r, np.abs(rows).max(axis=0), np.full_like(r, scale), RESIDUAL_TOL)
-
-
-def _system_rows(sysm: FirstOrderSystem, r, Y, dY) -> tuple[np.ndarray, np.ndarray]:
-    """Rows dY - A(r) Y of a first-order system on the grid r, and per row
-    the largest participating term."""
+    dY = np.asarray(eval_r_cos2_all([sol.exprs[k].diff_r_cos2() for k in sysm.state], r))
     terms = sysm.matrix(r) * np.transpose(Y)[:, None, :]  # (point, row, column)
-    dY = np.asarray(dY)
     rows = dY - terms.sum(axis=2).T
     scales = np.maximum(np.abs(dY), np.abs(terms).max(axis=2).T)
-    return rows, scales
+    rel = np.abs(rows) / np.where(scales > 0, scales, 1.0)
+    return _report(name, r, rel.max(axis=0), np.ones_like(r), tol)

@@ -236,15 +236,27 @@ def test_criterion_7_no_coincidence_with_dirac():
 def _j0_pair_residual(n: int, m: float, ratio: float, lambda_sign: int) -> float:
     """Term-scaled residual of the first-order pair for amplitudes built
     with the given connecting ratio M0/N0.  lambda=-1 is the mass-sign
-    substitution of the lambda=+1 pair."""
+    substitution of the lambda=+1 pair.
+
+    In x = cos^2 r, N = x^xp (1-x)^(1/2) F(-k, k+1+2xp; 1/2+2xp; x) with
+    2k + 2xp = n + 1 and M = x^xp (1-x) F(-k, k+2+2xp; 1/2+2xp; x) with
+    2k + 2xp = n, normalised at r -> 0 (x -> 1) to N ~ r/2 and
+    M ~ ratio sin^2 r / 4 by F(-k, b; c; 1) = (c-b)_k / (c)_k."""
     eps = math.sqrt(m * m - 1.0 + (2 + n) ** 2)
     meff = lambda_sign * m
-    N = hyp_expr(1.0, Fraction(1, 2), Fraction(1, 2), -n - 1, 3 + n, 1.5)
-    M = hyp_expr(ratio, 1, 1, -n, 4 + n, 2.5)
+
+    def amplitude(value_at_0, xp, yp, degree, b0):
+        k, c = int((degree - 2 * xp) / 2), 0.5 + 2 * xp
+        b = k + b0 + 2 * xp
+        at_1 = math.prod(c - b + i for i in range(k)) / math.prod(c + i for i in range(k))
+        return hyp_expr(value_at_0 / at_1, xp, yp, -k, b, c)
+
+    N = amplitude(0.5, Fraction(1, 2) * (n % 2 == 0), Fraction(1, 2), n + 1, 1)
+    M = amplitude(ratio / 4, Fraction(1, 2) * (n % 2 == 1), 1, n, 2)
     grid = np.linspace(0.15, math.pi - 0.15, 161)
-    Mv, Nv = M.eval_r_half(grid), N.eval_r_half(grid)
-    dM = M.diff_r_half().eval_r_half(grid)
-    dN = N.diff_r_half().eval_r_half(grid)
+    Mv, Nv = M.eval_r_cos2(grid), N.eval_r_cos2(grid)
+    dM = M.diff_r_cos2().eval_r_cos2(grid)
+    dN = N.diff_r_cos2().eval_r_cos2(grid)
     ct = 1.0 / np.tan(grid)
     r1 = dM + ct * Mv + (eps + meff) * Nv
     r2 = dN - ct * Nv - (eps - meff) * Mv

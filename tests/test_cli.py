@@ -212,6 +212,15 @@ class TestExitCodes:
         assert proc.stderr == (
             f"dkradial: {check} has a non-finite residual at n=2000: the terminating 2F1 coefficients overflow\n")
 
+    @pytest.mark.parametrize("n", ["10", "14"])
+    @pytest.mark.parametrize("branch", [[], ["--mass", "1", "--lambda", "-1"]], ids=["m0", "m1-lambda-1"])
+    def test_verify_j0_high_n_passes(self, n, branch, capsys):
+        """The j = 0 pair holds to 1e-10 at n = 10 and 14, where the
+        degree-(n+1) 2F1 of the (1 - cos r)/2 chart read 3.3e-9 and 3.1e-6."""
+        code, out = run_main(["verify", "--suite", "j0", "--n", n, *branch], capsys)
+        (report,) = strict_json(out)
+        assert code == 0 and report["pass"] is True and report["max_rel_residual"] <= 1e-10
+
     @pytest.mark.parametrize("j", ["167", "168", "300"])
     def test_verify_gamma_overflow_is_one_line_usage_error(self, j):
         """From j = 167 the general basis's connection formula overflows: at

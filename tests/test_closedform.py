@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from dkradial import closedform
+from dkradial._exprs import hyp_expr
 from dkradial.closedform import (
     DegeneratePair,
     EliminationSingularError,
@@ -19,6 +20,7 @@ from dkradial.closedform import (
     wavefunction_family,
     wavefunction_j0,
 )
+from dkradial.hypergeo import Hyp2F1DomainError
 from dkradial.model import ModeParams, QuantumNumbers
 
 
@@ -150,14 +152,64 @@ class TestWavefunctionJ0:
             grid = np.linspace(0.2, math.pi - 0.2, 101)
             sol = wavefunction_j0(n, ModeParams(m=m, eps=eps, lambda_sign=lam), grid)
             Me, Ne = sol.exprs["M"], sol.exprs["N"]
-            d2M = Me.diff_r_half().diff_r_half().eval_r_half(grid)
-            d2N = Ne.diff_r_half().diff_r_half().eval_r_half(grid)
+            d2M = Me.diff_r_cos2().diff_r_cos2().eval_r_cos2(grid)
+            d2N = Ne.diff_r_cos2().diff_r_cos2().eval_r_cos2(grid)
             p2 = eps * eps - m * m
             rM = d2M + (p2 - (1 + np.cos(grid) ** 2) / np.sin(grid) ** 2) * sol.M
             rN = d2N + (p2 + 1) * sol.N
             scale = max(np.abs(d2M).max(), np.abs(d2N).max())
             assert np.max(np.abs(rM)) / scale < 1e-9
             assert np.max(np.abs(rN)) / scale < 1e-9
+
+
+    @staticmethod
+    def j0_state(n, m, lam, grid):
+        eps = math.sqrt(m * m - 1 + (2 + n) ** 2)
+        return wavefunction_j0(n, ModeParams(m=m, eps=eps, lambda_sign=lam), grid), j0_ratio(eps, m, lam)
+
+    def test_exact_forms(self):
+        """N = sin((n+2) r)/(2(n+2)) and M = ratio sin^2 r C_n(cos r)/(4 C_n(1)),
+        C_n = C^(2)_n by its three-term recurrence, for n <= 14 on both
+        branches.  M holds to 1e-12 of its largest value; N to 5e-12, since
+        the float Horner sum of its degree-7 2F1 reads 3.0e-12 at n = 14."""
+        r = np.linspace(0.05, math.pi - 0.05, 101)
+        u = np.cos(r)
+        gegenbauer = [np.ones_like(u), 4 * u]
+        for i in range(2, 15):
+            gegenbauer.append((2 * (i + 1) * u * gegenbauer[-1] - (i + 2) * gegenbauer[-2]) / i)
+        worst_N = worst_M = 0.0
+        for n in range(15):
+            N = np.sin((n + 2) * r) / (2 * (n + 2))
+            for m in (0.0, 1.0):
+                for lam in (+1, -1):
+                    sol, ratio = self.j0_state(n, m, lam, r)
+                    M = ratio * np.sin(r) ** 2 * gegenbauer[n] / (4 * (n + 1) * (n + 2) * (n + 3) / 6)
+                    worst_N = max(worst_N, np.abs(sol.N - N).max() / np.abs(N).max())
+                    worst_M = max(worst_M, np.abs(sol.M - M).max() / np.abs(M).max())
+        assert worst_N <= 5e-12 and worst_M <= 1e-12
+
+    def test_matches_half_angle_construction(self):
+        """For n <= 3 the amplitudes equal the earlier construction in
+        x = (1 - cos r)/2, N = sqrt(x(1-x)) F(-n-1, n+3; 3/2; x) and
+        M = ratio x(1-x) F(-n, n+4; 5/2; x), to 5e-14 of the largest value;
+        that construction's own Horner error reaches 2.3e-14 at n = 3, r near pi."""
+        r = np.linspace(0.05, math.pi - 0.05, 101)
+        x = (1 - np.cos(r)) / 2
+        for n in range(4):
+            for m in (0.0, 1.0):
+                for lam in (+1, -1):
+                    sol, ratio = self.j0_state(n, m, lam, r)
+                    N = hyp_expr(1.0, 0.5, 0.5, -n - 1, 3 + n, 1.5).eval_x(x)
+                    M = hyp_expr(ratio, 1, 1, -n, 4 + n, 2.5).eval_x(x)
+                    big = max(np.abs(M).max(), np.abs(N).max())
+                    assert max(np.abs(sol.N - N).max(), np.abs(sol.M - M).max()) <= 5e-14 * big
+
+    def test_poles_are_outside_the_domain(self):
+        """r = 0 and r = pi are both x = cos^2 r = 1, where the 2F1 is not
+        evaluated."""
+        for r in (0.0, math.pi):
+            with pytest.raises(Hyp2F1DomainError):
+                self.j0_state(1, 1.0, +1, [r])
 
 
 class TestWavefunctionFamilies:

@@ -213,6 +213,17 @@ class TestExprEvaluation:
             assert self.one_call_each(calls, distinct, len(r))
             assert len(distinct) < sum(len(self.distinct_2f1([e])) for e in sol.exprs.values())
 
+    def test_wavefunction_j0_one_table(self, monkeypatch):
+        """wavefunction_j0 samples M and N from one table: one gauss_2f1
+        call per distinct 2F1, with the whole grid."""
+        calls = self.count_gauss_2f1(monkeypatch)
+        r = np.linspace(0.05, math.pi - 0.05, 101)
+        for n in (0, 1, 6):
+            calls.clear()
+            eps = math.sqrt(-1.0 + (n + 2) ** 2)
+            sol = wavefunction_j0(n, ModeParams(m=0.0, eps=eps), r)
+            assert self.one_call_each(calls, self.distinct_2f1(sol.exprs.values()), len(r))
+
     def test_cross_consistency_two_tables(self, monkeypatch):
         """cross_consistency calls gauss_2f1 once per distinct 2F1 of the
         four amplitudes, and once per distinct 2F1 of their four
@@ -666,6 +677,35 @@ class TestJ0Pair:
         sol = self.solution(1)
         rep = j0_pair_residual(dataclasses.replace(sol, M=sol.M * 1.01))
         assert not rep.passed
+
+    @staticmethod
+    def rebuilt(sol, **exprs):
+        """sol with some amplitudes replaced, all resampled on sol's grid."""
+        exprs = {**sol.exprs, **exprs}
+        M, N = eval_r_cos2_all([exprs["M"], exprs["N"]], sol.grid)
+        return dataclasses.replace(sol, M=M, N=N, exprs=exprs)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("lam", [1, -1])
+    def test_controls_fail(self, n, lam):
+        """The on-spectrum pair passes; a ratio 1% off, M with its 2F1
+        degree k off by one, and N from the seed with the other x-exponent
+        (a second solution of N'' = -(n+2)^2 N, matched to no M) fail."""
+        m = 1.0
+        sol = wavefunction_j0(n, ModeParams(m=m, eps=math.sqrt(m * m - 1 + (n + 2) ** 2), lambda_sign=lam),
+                              np.linspace(0.05, math.pi - 0.05, 101))
+        (M_seed,), (N_seed,) = sol.exprs["M"].terms, sol.exprs["N"].terms
+
+        def as_large_as(e, k):  # e scaled to the largest value of sol's amplitude k
+            return e.scale(np.abs(getattr(sol, k)).max() / np.abs(e.eval_r_cos2(sol.grid)).max())
+
+        M_k1 = as_large_as(closedform._seed_expr(1, n + 4, M_seed.xp).shift(0, 0.5), "M")
+        N_other = as_large_as(closedform._seed_expr(0, n + 2, 0.5 - N_seed.xp).shift(0, 0.5), "N")
+        assert j0_pair_residual(sol).max_rel_residual < 1e-12
+        assert M_k1.terms[0].f.alpha == M_seed.f.alpha - 1 and not N_other.terms[0].f.terminating
+        for bad in (self.rebuilt(sol, M=sol.exprs["M"].scale(1.01)),
+                    self.rebuilt(sol, M=M_k1), self.rebuilt(sol, N=N_other)):
+            assert not j0_pair_residual(bad).passed
 
 
 class TestCrossConsistency:
