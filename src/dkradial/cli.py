@@ -24,6 +24,8 @@ from .closedform import Family
 from .model import ModeParams, QuantumNumbers, factor_pair_K, factor_pair_M, operator_K4, operator_M4
 
 END_BUFFER = 1e-3
+# The two amplitudes with a fourth-order operator: (name, factor pair, operator).
+_SIDES = (("K", factor_pair_K, operator_K4), ("M", factor_pair_M, operator_M4))
 
 
 def _fmt(v) -> str:
@@ -54,6 +56,16 @@ def _csv(comments: list[str], header: list[str], rows: list[list]) -> str:
 
 def _json(payload) -> str:
     return json.dumps(payload, indent=2, sort_keys=False, allow_nan=False) + "\n"
+
+
+def _table(args, comments: list[str], header: list[str], rows: list[list]) -> int:
+    """Write a table command's rows: CSV, or with --format json a list of
+    objects keyed by header (the comments are CSV-only)."""
+    if args.format == "json":
+        _write(args.out, _json([dict(zip(header, r)) for r in rows]))
+    else:
+        _write(args.out, _csv(comments, header, rows))
+    return 0
 
 
 def _rational(s: str) -> Fraction:
@@ -110,12 +122,7 @@ def cmd_spectrum(args) -> int:
             )
     comments = [f"mass={args.mass}", f"eps_sign={args.eps_sign:+d}"]
     header = ["family", "j", "n", "p_sq_exact", "p_sq", "eps", "bound", "degenerate_partner"]
-    if args.format == "json":
-        payload = [dict(zip(header, r)) for r in rows]
-        _write(args.out, _json(payload))
-    else:
-        _write(args.out, _csv(comments, header, rows))
-    return 0
+    return _table(args, comments, header, rows)
 
 
 def cmd_wavefunction(args) -> int:
@@ -164,18 +171,14 @@ def _verify_reports(args) -> list[verify.VerificationReport]:
     if "operators" in suites:
         for fam, nn in fam_n.items():
             entry = closedform.spectrum(fam, j, nn, mass)
-            K, M = closedform.family_KM_exprs(fam, j, nn)
             p2, a2 = float(entry.p_sq), j * (j + 1)
-            reports.append(verify.residual_operator_expr(
-                operator_K4(p2, a2), K, xg, name=f"operator-K[{fam.value} j={j} n={nn}]"
-            ))
-            reports.append(verify.residual_operator_expr(
-                operator_M4(p2, a2), M, xg, name=f"operator-M[{fam.value} j={j} n={nn}]"
-            ))
+            for (side, _, direct), amp in zip(_SIDES, closedform.family_KM_exprs(fam, j, nn)):
+                reports.append(verify.residual_operator_expr(
+                    direct(p2, a2), amp, xg, name=f"operator-{side}[{fam.value} j={j} n={nn}]"))
     if "factorization" in suites:
         entry = closedform.spectrum(Family.F1, j, n, mass)
         p2, a2 = entry.p_sq, j * (j + 1)  # exact, so the identity check is exact
-        for side, pair, direct in (("K", factor_pair_K, operator_K4), ("M", factor_pair_M, operator_M4)):
+        for side, pair, direct in _SIDES:
             reports.append(verify.factorization_identity(
                 *pair(p2, a2), direct(p2, a2), name=f"factorization-{side}[p2={_fraction_str(p2)}]"))
     if "wronskian" in suites:
@@ -271,11 +274,7 @@ def cmd_degeneracy(args) -> int:
         for p in pairs
     ]
     comments = [f"j_max={args.j_max}", f"n_max={args.n_max}", f"pairs={len(rows)}"]
-    if args.format == "json":
-        _write(args.out, _json([dict(zip(header, r)) for r in rows]))
-    else:
-        _write(args.out, _csv(comments, header, rows))
-    return 0
+    return _table(args, comments, header, rows)
 
 
 class _Parser(argparse.ArgumentParser):

@@ -196,6 +196,18 @@ class RadialSolution:
     exprs: dict = field(default_factory=dict, repr=False)
 
 
+def _on_spectrum(entry: SpectrumEntry, params: ModeParams) -> None:
+    """Raise OffSpectrumError unless params.p_sq = eps^2 - m^2 is entry's p^2
+    to SPECTRUM_RTOL, plus 4 * 2^-52 eps^2: what the float difference cannot
+    resolve at large mass."""
+    p_sq = float(entry.p_sq)
+    if abs(params.p_sq - p_sq) > SPECTRUM_RTOL * max(1.0, p_sq) + 4 * np.finfo(float).eps * params.eps**2:
+        raise OffSpectrumError(
+            f"p^2={params.p_sq} is off the {entry.family.value} spectrum value "
+            f"{entry.p_sq} at j={entry.j_or_J}, n={entry.n}"
+        )
+
+
 def j0_ratio(eps: float, m: float, lambda_sign: int) -> float:
     """Amplitude ratio M0/N0 connecting the two j=0 functions.
 
@@ -218,13 +230,8 @@ def wavefunction_j0(n: int, params: ModeParams, grid) -> RadialSolution:
     = (c-b)_k/(c)_k).  r = 0 and r = pi (x = 1) raise Hyp2F1DomainError, as
     for the families.
     """
-    eps, m = params.eps, params.m
-    target = float(spectrum(Family.J0, 0, n, m).eps_sq)
-    if abs(eps * eps - target) > SPECTRUM_RTOL * max(1.0, abs(target)):
-        raise OffSpectrumError(
-            f"eps^2={eps*eps} is off the j=0 spectrum value {target} for n={n}"
-        )
-    ratio = j0_ratio(eps, m, params.lambda_sign)
+    _on_spectrum(spectrum(Family.J0, 0, n, params.m), params)
+    ratio = j0_ratio(params.eps, params.m, params.lambda_sign)
     xp_N = 0.0 if n % 2 else 0.5  # N has degree n + 1 in cos r, M degree n
     xp_M = 0.5 - xp_N
     k_N, k_M = (n + 1) // 2, n // 2
@@ -245,23 +252,21 @@ def _km_exprs(j: int, lead: str, xp: float, lam) -> tuple[Expr, Expr]:
     """(K, M) for one seed at any lam.  The lead amplitude is the seed
     x^xp (1-x)^(j/2) F(-k, b; g; x); the lacking one (M when K leads, K when
     M leads) is x^(xp-1/2) (1-x)^(j/2) / a times the bracket
-        2k(x-1) F(1-k, b; g; x) - (cx + 2k(x-1) + d) F(-k, b; g; x),
+        x [-(2kb/g)(1-x) F(1-k, b+1; g+1; x) - c F(-k, b; g; x)] + 2xp F(-k, b; g; x),
     k = (lam - j - 1 - 2xp)/2, not necessarily an integer, g = 1/2 + 2xp,
-    b = j+k+1+2xp, c = j + 2xp (+1 when M leads), d = -1 if xp = 1/2.  For
-    xp = 0 the contiguous relation F(1-k,b;g;x) - F(-k,b;g;x) =
-    (bx/g) F(1-k,b+1;g+1;x) (DLMF 15.5) takes an x out of the bracket, so it
-    reads x [-(2kb/g)(1-x) F(1-k,b+1;g+1;x) - c F(-k,b;g;x)] and no term
-    carries a negative power of x."""
+    b = j+k+1+2xp, c = j + 2xp (+1 when M leads).  It is
+    2k(x-1) F(1-k, b; g; x) - (cx + 2k(x-1) - 2xp) F(-k, b; g; x) with the
+    contiguous relation F(1-k,b;g;x) - F(-k,b;g;x) = (bx/g) F(1-k,b+1;g+1;x)
+    (DLMF 15.5), for any k, in place of the difference: no two terms cancel,
+    and no term carries a negative power of x."""
     direct = _seed_expr(j, lam, xp)
     (seed,) = direct.terms
     k, b, g = -seed.f.alpha, seed.f.beta, seed.f.gamma  # the seed's own 2F1, so L and N terms merge with it
     c = j + 2 * xp + (1 if lead == "M" else 0)
-    if xp:
-        head = hyp_expr(2.0 * k, 1, 0, 1 - k, b, g) - hyp_expr(2.0 * k, 0, 0, 1 - k, b, g)
-        sub = hyp_expr(c, 1, 0, -k, b, g) + hyp_expr(2.0 * k, 1, 0, -k, b, g) - hyp_expr(2.0 * k, 0, 0, -k, b, g)
-        bracket = head - (sub + hyp_expr(-1.0, 0, 0, -k, b, g))
-    else:
-        bracket = hyp_expr(-2.0 * k * b / g, 1, 1, 1 - k, b + 1, g + 1) - hyp_expr(c, 1, 0, -k, b, g)
+    bracket = (
+        hyp_expr(-2.0 * k * b / g, 1, 1, 1 - k, b + 1, g + 1) - hyp_expr(c, 1, 0, -k, b, g)
+        + hyp_expr(2 * xp, 0, 0, -k, b, g)
+    )
     companion = bracket.shift(xp - 0.5, j / 2).scale(1.0 / math.sqrt(j * (j + 1)))
     return (direct, companion) if lead == "K" else (companion, direct)
 
@@ -313,11 +318,7 @@ def wavefunction_family(family: Family, qn: QuantumNumbers, params: ModeParams, 
             f"family iii formula level n=0 (p^2=j^2={entry.p_sq}) carries no "
             "normalizable state; bound states exist for n >= 1"
         )
-    if abs(params.p_sq - float(entry.p_sq)) > SPECTRUM_RTOL * max(1.0, float(entry.p_sq)):
-        raise OffSpectrumError(
-            f"p^2={params.p_sq} is off the {family.value} spectrum value "
-            f"{entry.p_sq} at j={qn.j}, n={qn.n}"
-        )
+    _on_spectrum(entry, params)
     K, M = family_KM_exprs(family, qn.j, qn.n)
     return _km_solution(qn, params, grid, K, M)
 

@@ -113,26 +113,21 @@ class RationalCoefficient:
         out = np.zeros_like(x)
         for k in range(len(self.poly) - 1, -1, -1):
             out = out * x + num(self.poly[k])
-        for k, c in enumerate(self.poles0, start=1):
-            if c:
-                out = out + num(c) / x**k
-        for k, c in enumerate(self.poles1, start=1):
-            if c:
-                out = out + num(c) / (1 - x) ** k
+        for poles, base in ((self.poles0, x), (self.poles1, 1 - x)):
+            for k, c in enumerate(poles, start=1):
+                if c:
+                    out = out + num(c) / base**k
         return out
 
     def derivative(self) -> "RationalCoefficient":
         # d/dx c/x^k = -k c/x^(k+1); d/dx c/(1-x)^k = +k c/(1-x)^(k+1)
         poly = tuple((k + 1) * c for k, c in enumerate(self.poly[1:]))
-        n0 = len(self.poles0)
-        poles0 = [0] * (n0 + 1 if n0 else 0)
-        for k, c in enumerate(self.poles0, start=1):
-            poles0[k] = -k * c
-        n1 = len(self.poles1)
-        poles1 = [0] * (n1 + 1 if n1 else 0)
-        for k, c in enumerate(self.poles1, start=1):
-            poles1[k] = k * c
-        return RationalCoefficient(poly, poles0, poles1)
+        poles = []
+        for series, sign in ((self.poles0, -1), (self.poles1, 1)):
+            poles.append([0] * (len(series) + 1 if series else 0))
+            for k, c in enumerate(series, start=1):
+                poles[-1][k] = sign * k * c
+        return RationalCoefficient(poly, *poles)
 
     def perturbed(self, factor: float) -> "RationalCoefficient":
         return RationalCoefficient(
@@ -254,10 +249,10 @@ def _exact(p_sq, a_sq) -> tuple:
     return float(p_sq), float(a_sq), float
 
 
-def operator_K4(p_sq, a_sq) -> LinearDifferentialOperator:
-    """Fourth-order operator annihilating K(x), x = cos^2 r.  Its
-    coefficients are exact (ints and Fractions) when both p_sq and a_sq are
-    int or Fraction; otherwise they are floats."""
+def _operator4(p_sq, a_sq, shift: int) -> LinearDifferentialOperator:
+    """The fourth-order operator of K (shift 0) or M (shift 1).  The shift
+    enters only the (1-x)^-1 part of c1 and the c0 numerators, as it enters
+    the c0 numerators of the factor pairs."""
     p2, a2, num = _exact(p_sq, a_sq)
     c4 = RationalCoefficient(poly=(0, 0, 1))
     c3 = RationalCoefficient(poly=(5, 7), poles1=(-5,))
@@ -267,13 +262,13 @@ def operator_K4(p_sq, a_sq) -> LinearDifferentialOperator:
     )
     c1 = RationalCoefficient(
         poles0=(num(1) / 4,),
-        poles1=((3 * p2 - 7) / 4, -(3 * p2 + a2 - 9) / 4, a2 / 4),
+        poles1=((3 * p2 - (7 - shift)) / 4, -(3 * p2 + a2 - 9) / 4, a2 / 4),
     )
     c0 = RationalCoefficient(
-        poles0=((p2 - a2) / 8,),
+        poles0=((p2 - a2 - shift) / 8,),
         poles1=(
-            (p2 - a2) / 8,
-            (p2**2 + 2 * p2 - 2 * a2) / 16,
+            (p2 - a2 - shift) / 8,
+            (p2**2 + 2 * p2 - 2 * a2 - 3 * shift) / 16,
             -a2 * (p2 - 1) / 8,
             a2 * (a2 - 2) / 16,
         ),
@@ -281,48 +276,32 @@ def operator_K4(p_sq, a_sq) -> LinearDifferentialOperator:
     return LinearDifferentialOperator(4, (c0, c1, c2, c3, c4))
 
 
+def operator_K4(p_sq, a_sq) -> LinearDifferentialOperator:
+    """Fourth-order operator annihilating K(x), x = cos^2 r.  Its
+    coefficients are exact (ints and Fractions) when both p_sq and a_sq are
+    int or Fraction; otherwise they are floats."""
+    return _operator4(p_sq, a_sq, 0)
+
+
 def operator_M4(p_sq, a_sq) -> LinearDifferentialOperator:
-    """Companion fourth-order operator annihilating M(x); differs from the
-    K operator by -1/4 in the (1-x)^-1 part of c1 and by the -1 and -3
-    shifts in c0."""
+    """Companion fourth-order operator annihilating M(x): the K operator at
+    shift 1."""
+    return _operator4(p_sq, a_sq, 1)
+
+
+def _factor_pair(p_sq, a_sq, shift: int) -> tuple[LinearDifferentialOperator, LinearDifferentialOperator]:
+    """(outer, inner) factors of the K (shift 0) or M (shift 1) operator:
+    monic, with the shift 10 - shift (outer) and shift (inner) in their c0
+    numerators."""
     p2, a2, num = _exact(p_sq, a_sq)
-    base = operator_K4(p_sq, a_sq)
-    c1 = RationalCoefficient(
-        poles0=(num(1) / 4,),
-        poles1=((3 * p2 - 6) / 4, -(3 * p2 + a2 - 9) / 4, a2 / 4),
-    )
-    c0 = RationalCoefficient(
-        poles0=((p2 - a2 - 1) / 8,),
-        poles1=(
-            (p2 - a2 - 1) / 8,
-            (p2**2 + 2 * p2 - 2 * a2 - 3) / 16,
-            -a2 * (p2 - 1) / 8,
-            a2 * (a2 - 2) / 16,
-        ),
-    )
-    return LinearDifferentialOperator(4, (c0, c1, base.coeffs[2], base.coeffs[3], base.coeffs[4]))
 
+    def monic(h0, h1, s, q):
+        # d^2 + ((h0/2)/x + (h1/2)/(1-x)) d + (p2-a2-s)/4 (1/x + 1/(1-x)) + q/(1-x)^2
+        c0 = RationalCoefficient(poles0=((p2 - a2 - s) / 4,), poles1=((p2 - a2 - s) / 4, q))
+        c1 = RationalCoefficient(poles0=(num(h0) / 2,), poles1=(num(h1) / 2,))
+        return LinearDifferentialOperator(2, (c0, c1, RationalCoefficient(poly=(1,))))
 
-def _outer_operator(shift: int, a_sq, p_sq) -> LinearDifferentialOperator:
-    p2, a2, num = _exact(p_sq, a_sq)
-    c2 = RationalCoefficient(poly=(1,))
-    c1 = RationalCoefficient(poles0=(num(3) / 2,), poles1=(num(-7) / 2,))
-    c0 = RationalCoefficient(
-        poles0=((p2 - a2 - shift) / 4,),
-        poles1=((p2 - a2 - shift) / 4, -(a2 - 6) / 4),
-    )
-    return LinearDifferentialOperator(2, (c0, c1, c2))
-
-
-def _inner_operator(shift: int, a_sq, p_sq) -> LinearDifferentialOperator:
-    p2, a2, num = _exact(p_sq, a_sq)
-    c2 = RationalCoefficient(poly=(1,))
-    c1 = RationalCoefficient(poles0=(num(1) / 2,), poles1=(num(-3) / 2,))
-    c0 = RationalCoefficient(
-        poles0=((p2 - a2 - shift) / 4,),
-        poles1=((p2 - a2 - shift) / 4, -a2 / 4),
-    )
-    return LinearDifferentialOperator(2, (c0, c1, c2))
+    return monic(3, -7, 10 - shift, -(a2 - 6) / 4), monic(1, -3, shift, -a2 / 4)
 
 
 def factor_pair_K(p_sq, a_sq) -> tuple[LinearDifferentialOperator, LinearDifferentialOperator]:
@@ -331,10 +310,9 @@ def factor_pair_K(p_sq, a_sq) -> tuple[LinearDifferentialOperator, LinearDiffere
     Both factors are monic; the fourth-order operator equals x^2 times the
     composition outer(inner(.)) -- the x^2 restores its leading coefficient.
     """
-    return _outer_operator(10, a_sq, p_sq), _inner_operator(0, a_sq, p_sq)
+    return _factor_pair(p_sq, a_sq, 0)
 
 
 def factor_pair_M(p_sq, a_sq) -> tuple[LinearDifferentialOperator, LinearDifferentialOperator]:
-    """(outer, inner) factors of the M operator; c0 numerators carry the
-    -9 (outer) and -1 (inner) shifts."""
-    return _outer_operator(9, a_sq, p_sq), _inner_operator(1, a_sq, p_sq)
+    """(outer, inner) factors of the M operator: the K pair at shift 1."""
+    return _factor_pair(p_sq, a_sq, 1)

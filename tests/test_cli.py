@@ -221,6 +221,16 @@ class TestExitCodes:
         (report,) = strict_json(out)
         assert code == 0 and report["pass"] is True and report["max_rel_residual"] <= 1e-10
 
+    def test_verify_cross_large_mass_reports(self, capsys):
+        """At mass 1e5 the family states are on their spectrum to what floats
+        resolve of eps^2 - m^2: verify reports them (exit 1, the residual
+        reads eps - m to float precision) instead of refusing them."""
+        code, out = run_main(["verify", "--suite", "cross", "--j", "1", "--n", "0", "--mass", "100000"], capsys)
+        reports = strict_json(out)
+        assert code == 1 and len(reports) == 4
+        assert all(r["check_name"].startswith("cross-consistency[") for r in reports)
+        assert max(r["max_rel_residual"] for r in reports) < 1e-6
+
     @pytest.mark.parametrize("j", ["167", "168", "300"])
     def test_verify_gamma_overflow_is_one_line_usage_error(self, j):
         """From j = 167 the general basis's connection formula overflows: at
@@ -558,6 +568,22 @@ class TestReadme:
             assert main(argv) == 0, argv
             capsys.readouterr()
         assert (tmp_path / "wf.csv").read_text().startswith("# family=f1")
+
+    def test_table_commands_match_golden(self, capsys):
+        """The README spectrum and degeneracy commands print the golden
+        tables of the benchmark byte for byte."""
+        root = Path(__file__).resolve().parents[1]
+        block = (root / "README.md").read_text(encoding="utf-8").split("## Command line", 1)[1].split("```")[1]
+        tables = {}
+        for line in block.splitlines():
+            argv = shlex.split(line)[1:]
+            if argv and argv[0] in ("spectrum", "degeneracy"):
+                tables["spectrum_dirac" if "dirac" in argv else argv[0]] = argv
+        assert sorted(tables) == ["degeneracy", "spectrum", "spectrum_dirac"]
+        for name, argv in tables.items():
+            code, out = run_main(argv, capsys)
+            golden = (root / "perfbench" / "golden" / f"{name}.csv").read_bytes()
+            assert code == 0 and out.encode("utf-8") == golden, name
 
     def test_args_file_example_runs(self, tmp_path, monkeypatch, capsys):
         """The README @file example: write the file it shows, run its command."""

@@ -266,6 +266,47 @@ class TestWavefunctionFamilies:
             assert abs(second_diff) < 1e-8
 
 
+class TestOnSpectrum:
+    """Both constructors accept a level's own (m, eps) up to what floats
+    resolve of eps^2 - m^2, and reject the neighbouring level."""
+
+    MASSES = (1e2, 1e4, 1e5, 1e7)
+
+    @staticmethod
+    def params(entry, m, how):
+        if how == "from_p_sq":
+            return ModeParams.from_p_sq(m, float(entry.p_sq))
+        return ModeParams(m=m, eps=entry.eps())
+
+    @staticmethod
+    def family_states():
+        for fam, seed in closedform.FAMILIES.items():
+            for j in (1, 2, 3):
+                for n in range(max(0, -seed.offset), 4):
+                    yield fam, j, n
+
+    @pytest.mark.parametrize("how", ["from_p_sq", "eps"])
+    def test_large_mass_states_accepted(self, how):
+        for m in self.MASSES:
+            for fam, j, n in self.family_states():
+                params = self.params(spectrum(fam, j, n, m), m, how)
+                wavefunction_family(fam, QuantumNumbers(j, n), params, [1.0])
+            for n in range(5):
+                wavefunction_j0(n, self.params(spectrum(Family.J0, 0, n, m), m, how), [1.0])
+
+    @pytest.mark.parametrize("how", ["from_p_sq", "eps"])
+    @pytest.mark.parametrize("m", [1e3, 1e5, 1e6])
+    def test_neighbouring_level_rejected(self, how, m):
+        for fam, j, n in self.family_states():
+            params = self.params(spectrum(fam, j, n + 1, m), m, how)
+            with pytest.raises(OffSpectrumError, match=f"off the {fam.value} spectrum"):
+                wavefunction_family(fam, QuantumNumbers(j, n), params, [1.0])
+        for n in range(5):
+            params = self.params(spectrum(Family.J0, 0, n + 1, m), m, how)
+            with pytest.raises(OffSpectrumError, match=f"off the j0 spectrum value {(n + 2) ** 2 - 1} at j=0, n={n}"):
+                wavefunction_j0(n, params, [1.0])
+
+
 class TestGeneralBasis:
     def test_prefactor_carries_bound_exponent(self):
         # Every term of every basis amplitude carries at least (1-x)^(j/2):

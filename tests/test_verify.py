@@ -744,6 +744,32 @@ class TestCrossConsistency:
                 assert not rep.passed, (j, n, rep.max_rel_residual)
 
 
+class TestGeneralBasisSystem:
+    """Every general-basis solution, lead and lacking amplitude alike, meets
+    the first-order system at non-integer k, on the r-grid of
+    cross_consistency."""
+
+    _r = np.arccos(np.sqrt(chebyshev_grid()))
+    R = np.concatenate([_r, np.pi - _r])
+
+    @pytest.mark.parametrize("j", [1, 2, 3, 5])
+    def test_meets_identity_tol(self, j):
+        for p in (0.7, 2.3, 5.9):
+            for m in (0.0, 1.0):
+                basis = general_basis(j, p, ModeParams(m=m, eps=math.sqrt(p * p + m * m)), self.R)
+                for i, sol in enumerate(basis):
+                    rep = verify._system_report(sol, f"general-basis[{i}]", verify.IDENTITY_TOL)
+                    assert rep.passed, (j, p, m, i, rep.max_rel_residual)
+
+    def test_off_shell_params_fail(self):
+        """Control: the same solutions checked against an energy 1e-6 off
+        the p they were built at fail."""
+        p, m = 2.3, 1.0
+        basis = general_basis(2, p, ModeParams(m=m, eps=math.sqrt(p * p + m * m) * (1 + 1e-6)), self.R)
+        for sol in basis:
+            assert not verify._system_report(sol, "general-basis", verify.IDENTITY_TOL).passed
+
+
 class TestBattery:
     def test_derivatives_consistent(self):
         """Each listed derivative is the central difference of the one before."""
