@@ -84,6 +84,16 @@ def _mass(s: str) -> Fraction:
     return mass
 
 
+def _grid_size(s: str) -> int:
+    try:
+        size = int(s)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {s!r}") from None
+    if size < 1:
+        raise argparse.ArgumentTypeError(f"the grid needs at least 1 point, got {size}")
+    return size
+
+
 def _radial_grid(size: int) -> np.ndarray:
     return np.linspace(END_BUFFER, math.pi - END_BUFFER, size)
 
@@ -317,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mass", type=_mass, default="0")
     p.add_argument("--lambda", dest="lam", type=int, choices=(-1, 1), default=1)
     p.add_argument("--eps-sign", type=int, choices=(-1, 1), default=1)
-    p.add_argument("--grid", type=int, default=2001)
+    p.add_argument("--grid", type=_grid_size, default=2001)
     common(p)
     p.set_defaults(func=cmd_wavefunction)
 

@@ -39,6 +39,7 @@ __all__ = [
     "spectrum",
     "family_levels",
     "family_KM_exprs",
+    "family_exprs",
     "wavefunction_j0",
     "wavefunction_family",
     "general_basis",
@@ -239,11 +240,7 @@ def wavefunction_j0(n: int, params: ModeParams, grid) -> RadialSolution:
     M_scale = ratio * (-1) ** k_M * 3 / (4 * (2 * k_M + 3) * (1 if xp_M else 2 * k_M + 1))
     N_expr = _seed_expr(0, n + 2, xp_N).shift(0, 0.5).scale(N_scale)
     M_expr = _seed_expr(1, n + 2, xp_M).shift(0, 0.5).scale(M_scale)
-    grid = np.asarray(grid, dtype=float)
-    M, N = eval_r_cos2_all([M_expr, N_expr], grid)
-    return RadialSolution(
-        qn=QuantumNumbers(0, n), params=params, grid=grid, M=M, N=N, exprs={"M": M_expr, "N": N_expr},
-    )
+    return _sampled(QuantumNumbers(0, n), params, grid, {"M": M_expr, "N": N_expr})
 
 
 # -- families i-iv ----------------------------------------------------------
@@ -292,8 +289,8 @@ def _elimination_LN(K: Expr, M: Expr, a: float, eps_plus_m: float) -> tuple[Expr
     return L, N
 
 
-def _km_solution(qn: QuantumNumbers, params: ModeParams, grid, K: Expr, M: Expr) -> RadialSolution:
-    """(K, M) completed by the (L, N) elimination, all four sampled on grid."""
+def _completed(qn: QuantumNumbers, params: ModeParams, K: Expr, M: Expr) -> dict:
+    """{K, L, M, N}: (K, M) completed by the (L, N) elimination."""
     eps_plus_m = params.eps + params.m_eff
     if abs(eps_plus_m) < 1e-12:
         raise EliminationSingularError(
@@ -301,14 +298,22 @@ def _km_solution(qn: QuantumNumbers, params: ModeParams, grid, K: Expr, M: Expr)
             "singular at this parameter point"
         )
     L, N = _elimination_LN(K, M, qn.a, eps_plus_m)
-    exprs = {"K": K, "L": L, "M": M, "N": N}
+    return {"K": K, "L": L, "M": M, "N": N}
+
+
+def _sampled(qn: QuantumNumbers, params: ModeParams, grid, exprs: dict) -> RadialSolution:
+    """The amplitudes of exprs, all sampled on grid from one factor table."""
     grid = np.asarray(grid, dtype=float)
     samples = dict(zip(exprs, eval_r_cos2_all(exprs.values(), grid)))
     return RadialSolution(qn=qn, params=params, grid=grid, **samples, exprs=exprs)
 
 
-def wavefunction_family(family: Family, qn: QuantumNumbers, params: ModeParams, grid) -> RadialSolution:
-    """Terminating quasi-polynomial solution of one family at j >= 1."""
+def family_exprs(family: Family, qn: QuantumNumbers, params: ModeParams) -> dict:
+    """{K, L, M, N} expressions of one terminating family state at j >= 1:
+    the state is checked against the spectrum, (K, M) is the family's seed
+    pair and (L, N) come from the elimination.  wavefunction_family samples
+    them; cross-consistency samples them with their r-derivatives from one
+    factor table."""
     family = Family(family)
     if family not in FAMILIES:
         raise ValueError(f"wavefunction_family handles families i-iv, got {family}")
@@ -319,8 +324,13 @@ def wavefunction_family(family: Family, qn: QuantumNumbers, params: ModeParams, 
             "normalizable state; bound states exist for n >= 1"
         )
     _on_spectrum(entry, params)
-    K, M = family_KM_exprs(family, qn.j, qn.n)
-    return _km_solution(qn, params, grid, K, M)
+    return _completed(qn, params, *family_KM_exprs(family, qn.j, qn.n))
+
+
+def wavefunction_family(family: Family, qn: QuantumNumbers, params: ModeParams, grid) -> RadialSolution:
+    """Terminating quasi-polynomial solution of one family at j >= 1: the
+    family_exprs amplitudes sampled on grid."""
+    return _sampled(qn, params, grid, family_exprs(family, qn, params))
 
 
 def general_basis(j: int, p: float, params: ModeParams, grid) -> list[RadialSolution]:
@@ -335,10 +345,9 @@ def general_basis(j: int, p: float, params: ModeParams, grid) -> list[RadialSolu
     if p <= 0:
         raise ValueError("p must be positive")
     lam = {"K": math.sqrt(p * p + 1.0), "M": p}
-    out = []
+    qn, out = QuantumNumbers(j, 0), []
     for lead, xp, _ in FAMILIES.values():
-        K, M = _km_exprs(j, lead, xp, lam[lead])
-        out.append(_km_solution(QuantumNumbers(j, 0), params, grid, K, M))
+        out.append(_sampled(qn, params, grid, _completed(qn, params, *_km_exprs(j, lead, xp, lam[lead]))))
     return out
 
 

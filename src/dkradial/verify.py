@@ -7,7 +7,9 @@ N are eliminated from its K' and M' rows, so its rows 2 and 4 (L' and N')
 are the coupled second-order relations that give the lacking amplitude from
 the lead one: one residual checks both the explicit formula and the
 elimination.  The j=0 pair residual is the same residual of the (M, N)
-block.
+block.  A cross-consistency check samples the four amplitudes and their
+r-derivatives from one factor table, and both residuals add the terms of
+each row column by column.
 
 Residuals are normalized by the largest participating term, not by the
 solution value, because the solutions vanish at the interval endpoints.
@@ -25,7 +27,7 @@ from fractions import Fraction
 import numpy as np
 
 from ._exprs import Expr, eval_r_cos2_all
-from .closedform import Family, RadialSolution, wavefunction_family
+from .closedform import Family, RadialSolution, family_exprs
 from .model import LinearDifferentialOperator, ModeParams, QuantumNumbers, system
 
 __all__ = [
@@ -196,17 +198,24 @@ def wronskian_report(w: float, x0: float, name: str) -> VerificationReport:
     )
 
 
+# The r-grid of every cross-consistency check, built once: r = arccos sqrt(x)
+# on chebyshev_grid(), then its mirror pi - r.
+_CROSS_R = np.arccos(np.sqrt(chebyshev_grid()))
+_CROSS_R = np.concatenate([_CROSS_R, np.pi - _CROSS_R])
+
+
 def cross_consistency(family: Family, qn: QuantumNumbers, params: ModeParams) -> VerificationReport:
     """Residual of the coupled first-order system for the family's
     (K, L, M, N) on the r points of chebyshev_grid(), mirrored across the
     equator.  L and N come from rows 1 and 3 (K', M'); with them
     substituted, row 2 (L') is the coupled relation M = sin^2 r/(2a cos r)
     [K'' + (p^2 - a^2/sin^2 r) K], and row 4 (N') the matching relation for
-    K from M."""
-    r = np.arccos(np.sqrt(chebyshev_grid()))
-    r = np.concatenate([r, np.pi - r])
-    sol = wavefunction_family(family, qn, params, r)
-    return _system_report(sol, f"cross-consistency[{family.value} j={qn.j} n={qn.n}]", IDENTITY_TOL)
+    K from M.  The four amplitudes and their r-derivatives are sampled from
+    one factor table."""
+    exprs = family_exprs(family, qn, params)
+    K, L, M, N, *dY = eval_r_cos2_all([*exprs.values(), *(e.diff_r_cos2() for e in exprs.values())], _CROSS_R)
+    sol = RadialSolution(qn=qn, params=params, grid=_CROSS_R, K=K, L=L, M=M, N=N, exprs=exprs)
+    return _system_report(sol, f"cross-consistency[{family.value} j={qn.j} n={qn.n}]", IDENTITY_TOL, dY)
 
 
 def j0_pair_residual(sol: RadialSolution) -> VerificationReport:
@@ -215,15 +224,23 @@ def j0_pair_residual(sol: RadialSolution) -> VerificationReport:
     return _system_report(sol, f"j0-pair[n={sol.qn.n} lambda={sol.params.lambda_sign:+d}]", RESIDUAL_TOL)
 
 
-def _system_report(sol: RadialSolution, name: str, tol: float) -> VerificationReport:
+def _system_report(sol: RadialSolution, name: str, tol: float, dY=None) -> VerificationReport:
     """Rows dY - A(r) Y of system(j, eps, m) on sol's grid, with Y the
-    sampled amplitudes and dY their r-derivatives from the expressions: at
-    each point the worst row, relative to that row's largest term."""
+    sampled amplitudes and dY their r-derivatives in state order (from the
+    expressions, when not given): at each point the worst row, relative to
+    that row's largest term.  The terms A_ic Y_c are held as (row, column,
+    point) and added column by column, left to right, as a sum over the
+    columns of (point, row, column) terms adds them."""
     r, sysm = sol.grid, system(sol.qn.j, sol.params.eps, sol.params.m_eff)
-    Y = [getattr(sol, k) for k in sysm.state]
-    dY = np.asarray(eval_r_cos2_all([sol.exprs[k].diff_r_cos2() for k in sysm.state], r))
-    terms = sysm.matrix(r) * np.transpose(Y)[:, None, :]  # (point, row, column)
-    rows = dY - terms.sum(axis=2).T
-    scales = np.maximum(np.abs(dY), np.abs(terms).max(axis=2).T)
-    rel = np.abs(rows) / np.where(scales > 0, scales, 1.0)
+    Y = np.array([getattr(sol, k) for k in sysm.state])
+    if dY is None:
+        dY = eval_r_cos2_all([sol.exprs[k].diff_r_cos2() for k in sysm.state], r)
+    dY = np.asarray(dY)
+    terms = sysm.matrix(r).transpose(1, 2, 0) * Y  # (row, column, point)
+    total, big = terms[:, 0], np.abs(terms[:, 0])
+    for c in range(1, len(Y)):
+        total = total + terms[:, c]
+        big = np.maximum(big, np.abs(terms[:, c]))
+    scales = np.maximum(np.abs(dY), big)
+    rel = np.abs(dY - total) / np.where(scales > 0, scales, 1.0)
     return _report(name, r, rel.max(axis=0), np.ones_like(r), tol)

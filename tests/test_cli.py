@@ -164,6 +164,22 @@ class TestExitCodes:
         assert exc.value.code == 2 and captured.out == ""
         assert "argument --mass: mass must be at most 1.34078e+154" in captured.err
 
+    @pytest.mark.parametrize("grid", ["-3", "0"])
+    def test_wavefunction_grid_below_one_is_usage_error(self, grid, capsys):
+        """A negative --grid or --grid 0 exits 2 with a message that names
+        --grid, not with numpy's, nor with a table of no rows."""
+        with pytest.raises(SystemExit) as exc:
+            main(["wavefunction", "--family", "f1", "--j", "1", "--n", "0", "--grid", grid])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2 and captured.out == ""
+        assert f"argument --grid: the grid needs at least 1 point, got {grid}\n" in captured.err
+
+    def test_wavefunction_grid_of_one_point(self, capsys):
+        code, out = run_main(["wavefunction", "--family", "f1", "--j", "1", "--n", "0", "--grid", "1"], capsys)
+        rows = [line for line in out.splitlines() if not line.startswith("#")]
+        assert code == 0 and rows[0] == "r,x,K,L,M,N" and len(rows) == 2
+        assert rows[1].startswith(f"{cli.END_BUFFER!r},")
+
     @pytest.mark.parametrize("suite", ["all", "operators", "factorization", "wronskian", "cross", "j0"])
     def test_verify_negative_n_is_usage_error(self, suite, capsys):
         code = main(["verify", "--suite", suite, "--j", "1", "--n", "-1"])

@@ -19,12 +19,15 @@ from dkradial.closedform import (
 )
 from dkradial.hypergeo import Hyp2F1Params, gauss_2f1
 from dkradial.model import (
+    LinearDifferentialOperator,
     ModeParams,
     QuantumNumbers,
+    RationalCoefficient,
     factor_pair_K,
     factor_pair_M,
     operator_K4,
     operator_M4,
+    system,
 )
 from dkradial import verify
 from dkradial.verify import (
@@ -49,6 +52,35 @@ class TestGrid:
         # clustering: end gaps much smaller than the middle gap
         gaps = np.diff(g)
         assert gaps[0] < gaps[len(gaps) // 2] / 10
+
+    def test_default_nodes(self):
+        """200 points strictly inside (0.02, 0.98), the extreme ones at the
+        Chebyshev nodes 0.5 -+ 0.48 cos(pi/400), sorted and symmetric about 0.5."""
+        g = chebyshev_grid()
+        assert g.shape == (200,) and np.all(np.diff(g) > 0)
+        assert g[0] > 0.02 and g[-1] < 0.98
+        assert g[0] == pytest.approx(0.5 - 0.48 * math.cos(math.pi / 400), rel=1e-15)
+        assert g[-1] == pytest.approx(0.5 + 0.48 * math.cos(math.pi / 400), rel=1e-15)
+        assert np.allclose(g + g[::-1], 1.0, rtol=0, atol=1e-15)
+
+    def test_cross_consistency_grid(self, monkeypatch):
+        """cross_consistency samples r = arccos sqrt(x) on chebyshev_grid()
+        followed by its mirror pi - r: 400 points, every worst point among them."""
+        seen = []
+        original = verify._system_report
+
+        def recorded(sol, *args):
+            seen.append(sol.grid)
+            return original(sol, *args)
+
+        monkeypatch.setattr(verify, "_system_report", recorded)
+        r = np.arccos(np.sqrt(chebyshev_grid()))
+        want = np.concatenate([r, np.pi - r])
+        for fam in FAMILIES:
+            params = ModeParams.from_p_sq(1.0, float(spectrum(fam, 2, 1, 1).p_sq))
+            rep = cross_consistency(fam, QuantumNumbers(2, 1), params)
+            assert rep.sample_count == 400 and same_bits(seen.pop(), want)
+            assert all(p[0] in want for p in rep.details)
 
 
 class TestResidualOperator:
@@ -224,10 +256,10 @@ class TestExprEvaluation:
             sol = wavefunction_j0(n, ModeParams(m=0.0, eps=eps), r)
             assert self.one_call_each(calls, self.distinct_2f1(sol.exprs.values()), len(r))
 
-    def test_cross_consistency_two_tables(self, monkeypatch):
-        """cross_consistency calls gauss_2f1 once per distinct 2F1 of the
-        four amplitudes, and once per distinct 2F1 of their four
-        r-derivatives, each with all 400 r points."""
+    def test_cross_consistency_one_table(self, monkeypatch):
+        """cross_consistency samples the four amplitudes and their four
+        r-derivatives from one table: one gauss_2f1 call per distinct 2F1
+        of all eight, each with all 400 r points."""
         calls = self.count_gauss_2f1(monkeypatch)
         for fam in FAMILIES:
             entry = spectrum(fam, 3, 2, 1)
@@ -235,8 +267,9 @@ class TestExprEvaluation:
             exprs = wavefunction_family(fam, QuantumNumbers(3, 2), params, np.array([1.0])).exprs.values()
             calls.clear()
             assert cross_consistency(fam, QuantumNumbers(3, 2), params).passed
-            want = [*self.distinct_2f1(exprs), *self.distinct_2f1(e.diff_r_cos2() for e in exprs)]
-            assert self.one_call_each(calls, want, 400)
+            distinct = self.distinct_2f1([*exprs, *(e.diff_r_cos2() for e in exprs)])
+            assert self.one_call_each(calls, distinct, 400)
+            assert len(distinct) < len(self.distinct_2f1(exprs)) + len(self.distinct_2f1(e.diff_r_cos2() for e in exprs))
 
     def test_term_reached_two_ways_cancels(self):
         """Exponents are floats whatever the caller passes, so x^(1/2) * x^(1/2)
@@ -582,6 +615,29 @@ class TestFactorization:
                     rep = factorization_identity(*make_pair(p_sq, a_sq), make_direct(p_sq, a_sq))
                     assert rep.max_rel_residual == 0.0, (j, p_sq, make_direct.__name__)
 
+    @pytest.mark.parametrize("odd", range(1, 6))
+    def test_exact_path_uses_every_point(self, odd):
+        """outer = 1 and inner = d/dx + 1 compose, times x^2, to
+        x^2 d/dx + x^2.  A direct operator off from that by a degree-4
+        polynomial in c0 sets d = 4, so the exact path compares at the
+        d + 1 = 5 points k/6; a difference that vanishes at all of them but
+        k = odd must fail there."""
+        one = RationalCoefficient((1,))
+        outer = LinearDifferentialOperator(0, (one,))
+        inner = LinearDifferentialOperator(1, (one, one))
+        diff = (Fraction(1),)
+        for k in range(1, 6):
+            if k != odd:  # diff *= (x - k/6)
+                diff = tuple(a - Fraction(k, 6) * b for a, b in zip((0, *diff), (*diff, 0)))
+        square = (0, 0, 1)
+        c0 = tuple(a + b for a, b in zip((*square, 0, 0), diff))
+        direct = LinearDifferentialOperator(1, (RationalCoefficient(c0), RationalCoefficient(square)))
+        rep = factorization_identity(outer, inner, direct)
+        assert rep.sample_count == 5 and not rep.passed
+        assert rep.details[0][0] == odd / 6 and rep.details[1][1] == 0.0
+        exact = LinearDifferentialOperator(1, (RationalCoefficient(square), RationalCoefficient(square)))
+        assert factorization_identity(outer, inner, exact).max_rel_residual == 0.0
+
     def test_constant_function_gives_c0(self):
         # phi == 1: both sides reduce to the zero-order coefficients
         outer, inner = factor_pair_K(8.0, 2.0)
@@ -742,6 +798,76 @@ class TestCrossConsistency:
                 entry = spectrum(family, j, n, 1)
                 rep = cross_consistency(family, QuantumNumbers(j, n), ModeParams.from_p_sq(1.0, float(entry.p_sq)))
                 assert not rep.passed, (j, n, rep.max_rel_residual)
+
+
+def reference_system_report(sol, name, tol):
+    """Reference: the system residual with Y the solution's samples and dY
+    from a second table on its grid, the terms A_ic Y_c held as (point, row,
+    column) and summed over the last axis."""
+    r, sysm = sol.grid, system(sol.qn.j, sol.params.eps, sol.params.m_eff)
+    Y = [getattr(sol, k) for k in sysm.state]
+    dY = np.asarray(eval_r_cos2_all([sol.exprs[k].diff_r_cos2() for k in sysm.state], r))
+    terms = sysm.matrix(r) * np.transpose(Y)[:, None, :]
+    rows = dY - terms.sum(axis=2).T
+    scales = np.maximum(np.abs(dY), np.abs(terms).max(axis=2).T)
+    rel = np.abs(rows) / np.where(scales > 0, scales, 1.0)
+    return verify._report(name, r, rel.max(axis=0), np.ones_like(r), tol)
+
+
+def reference_cross_consistency(family, qn, params):
+    """Reference: wavefunction_family's samples on the mirrored r-grid,
+    then reference_system_report."""
+    r = np.arccos(np.sqrt(chebyshev_grid()))
+    sol = wavefunction_family(family, qn, params, np.concatenate([r, np.pi - r]))
+    name = f"cross-consistency[{family.value} j={qn.j} n={qn.n}]"
+    return reference_system_report(sol, name, verify.IDENTITY_TOL), sol
+
+
+class TestSystemReportBitIdentity:
+    """cross_consistency (one table, columns added one by one) and
+    j0_pair_residual give the reference's reports bit for bit."""
+
+    @staticmethod
+    def same_report(got, want) -> bool:
+        return repr(dataclasses.asdict(got)) == repr(dataclasses.asdict(want))
+
+    @pytest.mark.parametrize("j", [1, 2, 3, 4])
+    def test_cross_consistency(self, monkeypatch, j):
+        used = []
+        original = verify._system_report
+
+        def recorded(sol, *args):
+            used.append(sol)
+            return original(sol, *args)
+
+        monkeypatch.setattr(verify, "_system_report", recorded)
+        checked = 0
+        for fam, seed in FAMILIES.items():
+            for n in range(max(0, -seed.offset), 4):
+                p_sq = float(spectrum(fam, j, n, 0).p_sq)
+                for m in (0.0, 1.0, 3.7):
+                    for lam in (1, -1):
+                        params = ModeParams.from_p_sq(m, p_sq, lambda_sign=lam)
+                        got = cross_consistency(fam, QuantumNumbers(j, n), params)
+                        want, sol = reference_cross_consistency(fam, QuantumNumbers(j, n), params)
+                        assert self.same_report(got, want), (fam, j, n, m, lam)
+                        (sampled,) = used
+                        used.clear()
+                        for name in "KLMN":
+                            assert same_bits(getattr(sampled, name), getattr(sol, name)), (fam, j, n, name)
+                        checked += 1
+        assert checked == 15 * 3 * 2
+
+    @pytest.mark.parametrize("lam", [1, -1])
+    def test_j0_pair(self, lam):
+        grids = (np.linspace(0.05, math.pi - 0.05, 101), TestGeneralBasisSystem.R)
+        for n in range(8):
+            for m in (0.0, 1.0):
+                params = ModeParams(m=m, eps=spectrum(Family.J0, 0, n, m).eps(), lambda_sign=lam)
+                for r in grids:
+                    sol = wavefunction_j0(n, params, r)
+                    name = f"j0-pair[n={n} lambda={lam:+d}]"
+                    assert self.same_report(j0_pair_residual(sol), reference_system_report(sol, name, verify.RESIDUAL_TOL))
 
 
 class TestGeneralBasisSystem:
