@@ -17,6 +17,12 @@ sign of every term whose x-exponent is half-odd.
 Amplitudes and their r-derivatives carry x-exponents >= 0, so the plain sum
 of terms is finite at x = 0; x-derivatives, genuinely singular there, reach
 negative exponents and are summed the same way.
+
+Exact ones are taken from the key, not computed: a term is multiplied only by
+the factors that are not exactly 1, and x^0, (1-x)^0 and a 2F1 with a zero
+upper parameter are.  Multiplying by an exact 1 changes no bit, so skipping
+it is exact.  Every sum starts from its first term plus 0.0, as a sum onto
+zeros does, so an exact zero is +0.0.
 """
 
 from __future__ import annotations
@@ -58,15 +64,16 @@ class Expr:
     of the dict as Term tuples.
     """
 
-    __slots__ = ("_coefs",)
+    __slots__ = ("_coefs", "_dr")
 
     def __init__(self, terms):
         self._coefs = _merged(((t.xp, t.yp, t.f.alpha, t.f.beta, t.f.gamma), t.coef) for t in terms)
+        self._dr = None
 
     @classmethod
     def _of(cls, coefs: dict) -> "Expr":
         e = cls.__new__(cls)
-        e._coefs = coefs
+        e._coefs, e._dr = coefs, None
         return e
 
     @property
@@ -103,8 +110,14 @@ class Expr:
         return Expr._of(_merged(out))
 
     def diff_r_cos2(self) -> "Expr":
-        """d/dr under x = cos^2 r (dx/dr = -2 sqrt(x) sqrt(1-x), signed)."""
-        return self.diff().shift(0.5, 0.5).scale(-2.0)
+        """d/dr under x = cos^2 r (dx/dr = -2 sqrt(x) sqrt(1-x), signed): diff,
+        then every key shifted by (1/2, 1/2) and every coefficient scaled by
+        -2 (exact, and never zero: diff keeps no zero coefficient), in one
+        pass.  An Expr never changes, so it is built once and kept."""
+        if self._dr is None:
+            self._dr = Expr._of({(xp + 0.5, yp + 0.5, a, b, g): c * -2.0
+                                 for (xp, yp, a, b, g), c in self.diff()._coefs.items()})
+        return self._dr
 
     def eval_x(self, x) -> np.ndarray:
         """Evaluate on the principal branch (x^{1/2} taken positive)."""
@@ -112,9 +125,9 @@ class Expr:
 
     def _eval(self, table: _Factors) -> np.ndarray:
         """eval_x on the grid of table, taking each factor from it."""
-        out = np.zeros_like(table.x)
-        for key, c in self._coefs.items():
-            out += table.term(key, c)
+        out = table.sum_terms(self._coefs.items())
+        if out is None:
+            out = np.zeros_like(table.x)
         return out[0] if table.scalar else out
 
     def eval_r_cos2(self, r) -> np.ndarray:
@@ -145,37 +158,62 @@ class _Factors:
 
     def term(self, key: tuple, coef: float) -> np.ndarray:
         """coef * x^xp * (1-x)^yp * 2F1 for key (xp, yp, alpha, beta, gamma),
-        multiplied in that order (a zero exponent gives a factor of exactly 1)."""
+        multiplied in that order by each factor that is not exactly 1.  A 2F1
+        with a zero upper parameter is still evaluated once, which validates
+        x, but not multiplied by."""
         xp, yp, abc = key[0], key[1], key[2:]
-        xf = self._xpow.get(xp)
-        if xf is None:
-            xf = self._xpow[xp] = self.x**xp
-        yf = self._ypow.get(yp)
-        if yf is None:
-            yf = self._ypow[yp] = (1.0 - self.x) ** yp
-        f = self._hyp.get(abc)
-        if f is None:
-            f = self._hyp[abc] = gauss_2f1(Hyp2F1Params(*abc), self.x)
-        return coef * xf * yf * f
+        out = coef
+        if xp != 0.0:
+            xf = self._xpow.get(xp)
+            if xf is None:
+                xf = self._xpow[xp] = self.x**xp
+            out = out * xf
+        if yp != 0.0:
+            yf = self._ypow.get(yp)
+            if yf is None:
+                yf = self._ypow[yp] = (1.0 - self.x) ** yp
+            out = out * yf
+        if abc in self._hyp:
+            f = self._hyp[abc]
+        else:
+            f = gauss_2f1(Hyp2F1Params(*abc), self.x)
+            f = self._hyp[abc] = None if abc[0] == 0.0 or abc[1] == 0.0 else f
+        if f is not None:
+            out = out * f
+        return out if isinstance(out, np.ndarray) else np.full_like(self.x, coef)
+
+    def sum_terms(self, items):
+        """The terms of items, (key, coef) pairs, summed in order from the
+        first term plus 0.0; None when there are none."""
+        out = None
+        for key, c in items:
+            if out is None:
+                out = self.term(key, c)  # a new array
+                out += 0.0
+            else:
+                out += self.term(key, c)
+        return out
 
 
 def eval_r_cos2_all(exprs, r) -> list:
     """Each Expr of exprs at radial points under x = cos^2 r with signed
     sqrt(x), every factor from one table.  Per expression, the terms with
     even and with half-odd x-exponent are summed apart, in term order, and
-    the result is even + sign(cos r) * odd; a scalar r gives scalars."""
+    the result is even + sign(cos r) * odd; a scalar r gives scalars.  An
+    empty half is left out: neither sum is ever -0.0, so adding a signed
+    zero to it changes nothing, and an empty even half leaves
+    sign(cos r) * odd + 0.0."""
     u = np.cos(np.asarray(r, dtype=float))
     table = _Factors(u * u)  # one table for both halves and every expression
     sign = np.where(np.atleast_1d(u) >= 0, 1.0, -1.0)
     out = []
     for e in exprs:
-        even, odd = np.zeros_like(table.x), np.zeros_like(table.x)
-        for key, c in e._coefs.items():
-            if (2 * key[0]) % 2 != 0:
-                odd += table.term(key, c)
-            else:
-                even += table.term(key, c)
-        v = even + sign * odd
+        even = table.sum_terms((key, c) for key, c in e._coefs.items() if (2 * key[0]) % 2 == 0)
+        odd = table.sum_terms((key, c) for key, c in e._coefs.items() if (2 * key[0]) % 2 != 0)
+        if odd is not None:
+            v = sign * odd + 0.0 if even is None else even + sign * odd
+        else:
+            v = np.zeros_like(table.x) if even is None else even
         out.append(v[0] if table.scalar else v)
     return out
 

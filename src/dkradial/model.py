@@ -3,7 +3,8 @@
 Everything is kept as evaluable closed-form coefficient data so that the
 verification and oracle modules can sample operators on arbitrary grids;
 system(j, eps, m) is the one builder of the radial first-order system both
-of them integrate or check.
+of them integrate or check.  Coefficients are evaluated together, from one
+table of 1 - x and of the pole powers x^k and (1-x)^k, each computed once.
 Units: curvature radius 1, radial coordinate r in (0, pi), natural units for
 the mass and energy.
 
@@ -108,15 +109,30 @@ class RationalCoefficient:
     def __call__(self, x):
         """Value at x: in floats, each coefficient as float(c), for float x
         (a scalar or an array); exactly for an object array of Fractions."""
+        return RationalCoefficient.values((self,), x)[0]
+
+    @staticmethod
+    def values(coeffs, x) -> list:
+        """[c(x) for c in coeffs] from one table: 1 - x and each pole power
+        x^k or (1-x)^k is computed once, when a nonzero pole first needs it.
+        Each value is the Horner sum of poly, then the nonzero poles added
+        in order, x first."""
         x = np.asarray(x)
         x, num = (x, Fraction) if x.dtype == object else (np.asarray(x, dtype=float), float)
-        out = np.zeros_like(x)
-        for k in range(len(self.poly) - 1, -1, -1):
-            out = out * x + num(self.poly[k])
-        for poles, base in ((self.poles0, x), (self.poles1, 1 - x)):
-            for k, c in enumerate(poles, start=1):
-                if c:
-                    out = out + num(c) / base**k
+        bases, powers = (x, 1 - x), {}
+        out = []
+        for c in coeffs:
+            v = np.zeros_like(x)
+            for k in range(len(c.poly) - 1, -1, -1):
+                v = v * x + num(c.poly[k])
+            for side, poles in enumerate((c.poles0, c.poles1)):
+                for k, p in enumerate(poles, start=1):
+                    if p:
+                        power = powers.get((side, k))
+                        if power is None:
+                            power = powers[side, k] = bases[side] ** k
+                        v = v + num(p) / power
+            out.append(v)
         return out
 
     def derivative(self) -> "RationalCoefficient":
@@ -154,7 +170,8 @@ class LinearDifferentialOperator:
         x = np.asarray(x, dtype=float)
         if len(derivs) < self.order + 1:
             raise ValueError("not enough derivatives supplied")
-        return np.array([self.coeffs[k](x) * np.asarray(derivs[k], dtype=float) for k in range(self.order + 1)])
+        values = RationalCoefficient.values(self.coeffs, x)
+        return np.array([values[k] * np.asarray(derivs[k], dtype=float) for k in range(self.order + 1)])
 
     def apply(self, x, derivs) -> np.ndarray:
         """Apply to a function given as derivative rows derivs[k] = y^(k)(x):

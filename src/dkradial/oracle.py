@@ -221,6 +221,20 @@ def _frobenius_initial(j: int, sysm: FirstOrderSystem, r0: float) -> np.ndarray:
     return np.stack(cols, axis=2)
 
 
+def _rhs(sysm: FirstOrderSystem, shape: tuple):
+    """y' = A(r) y for the lanes of sysm.eps, y flat and (lanes, n, cols)
+    when reshaped.  eps E + m U is added once, (a/sin r) S + (cot r) T at
+    every call, in the order of FirstOrderSystem.matrix, so A(r) and the
+    product are its bit for bit."""
+    const = np.asarray(sysm.eps)[..., None, None] * sysm.E + sysm.m * sysm.U
+
+    def rhs(r, y):
+        A = const + sysm.a * (1.0 / np.sin(r)) * sysm.S + 1.0 / np.tan(r) * sysm.T
+        return (A @ y.reshape(shape)).reshape(-1)
+
+    return rhs
+
+
 def _match(eps_vec: np.ndarray, m: float, j: int, r0: float) -> np.ndarray:
     """Stacked match matrices [Y | D Y] at the equator, Y the regular
     columns there: one solve_ivp carries every lane from r0 to pi/2, and
@@ -228,15 +242,11 @@ def _match(eps_vec: np.ndarray, m: float, j: int, r0: float) -> np.ndarray:
     reflection."""
     sysm = system(j, np.atleast_1d(np.asarray(eps_vec, dtype=float)), m)
     cols_init = _frobenius_initial(j, sysm, r0)
-    shape = cols_init.shape  # (lanes, n, n/2)
-
-    def rhs(r, y):
-        return (sysm.matrix(r) @ y.reshape(shape)).reshape(-1)
-
+    rhs = _rhs(sysm, cols_init.shape)
     sol = solve_ivp(rhs, (r0, math.pi / 2), cols_init.reshape(-1), rtol=INTEGRATOR_RTOL, atol=INTEGRATOR_ATOL)
     if not sol.success:
         raise IntegrationError(f"integration failed: {sol.message}")
-    Y = sol.y.reshape(shape)
+    Y = sol.y.reshape(cols_init.shape)
     return np.concatenate([Y, sysm.D[:, None] * Y], axis=2)
 
 

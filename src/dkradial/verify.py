@@ -11,6 +11,13 @@ block.  A cross-consistency check samples the four amplitudes and their
 r-derivatives from one factor table, and both residuals add the terms of
 each row column by column.
 
+Structural zeros are taken from the constant matrices, not computed: the
+system residuals form only the nonzero entries of A(r), each from its
+nonzero parts.  A structural zero adds only a signed zero, and every
+report takes absolute values, so the reports are those of the dense
+matrix bit for bit.  The factorization check evaluates every coefficient
+from one table of pole powers.
+
 Residuals are normalized by the largest participating term, not by the
 solution value, because the solutions vanish at the interval endpoints.
 Each check passes against a fixed gate (RESIDUAL_TOL, IDENTITY_TOL, or 1e6
@@ -28,7 +35,15 @@ import numpy as np
 
 from ._exprs import Expr, eval_r_cos2_all
 from .closedform import Family, RadialSolution, family_exprs
-from .model import LinearDifferentialOperator, ModeParams, QuantumNumbers, system
+from .model import (
+    SYSTEM_J,
+    SYSTEM_J0,
+    LinearDifferentialOperator,
+    ModeParams,
+    QuantumNumbers,
+    RationalCoefficient,
+    system,
+)
 
 __all__ = [
     "VerificationReport",
@@ -148,12 +163,15 @@ def factorization_identity(outer: LinearDifferentialOperator, inner: LinearDiffe
         x = np.array([Fraction(k, d + 2) for k in range(1, d + 2)], dtype=object)
     else:
         x = np.linspace(0.05, 0.95, 91)
-    ov, nv = [c(x) for c in outer.coeffs], [[c(x) for c in row] for row in dn]
-    resid, scale = [], []
+    # every coefficient from one table of pole powers, taken in this order
+    values = iter(RationalCoefficient.values([*outer.coeffs, *(c for row in dn for c in row), *direct.coeffs], x))
+    ov = [next(values) for _ in outer.coeffs]
+    nv = [[next(values) for _ in row] for row in dn]
+    x2, resid, scale = x**2, [], []
     for s in range(direct.order + 1):
-        terms = [math.comb(i, l) * x**2 * ov[i] * nv[s - l][i - l]
+        terms = [math.comb(i, l) * x2 * ov[i] * nv[s - l][i - l]
                  for i in range(outer.order + 1) for l in range(i + 1) if 0 <= s - l <= inner.order]
-        straight = direct.coeffs[s](x)
+        straight = next(values)
         resid.append(sum(terms) - straight)
         scale.append(np.maximum(np.abs(straight), np.max(np.abs(terms), axis=0)))
     scale = np.array(scale)
@@ -224,23 +242,51 @@ def j0_pair_residual(sol: RadialSolution) -> VerificationReport:
     return _system_report(sol, f"j0-pair[n={sol.qn.n} lambda={sol.params.lambda_sign:+d}]", RESIDUAL_TOL)
 
 
+# The nonzero entries of A(r) row by row, for the j >= 1 system and the j = 0
+# block (keyed by the state size), taken once from the constant matrices:
+# (column, parts), each part (k, constant) for the k-th of E, U, S, T.
+_ENTRIES = {
+    len(sysm.state): [
+        [(c, parts) for c in range(len(sysm.state))
+         if (parts := [(k, float(M[i, c])) for k, M in enumerate((sysm.E, sysm.U, sysm.S, sysm.T)) if M[i, c]])]
+        for i in range(len(sysm.state))
+    ]
+    for sysm in (SYSTEM_J, SYSTEM_J0)
+}
+
+
 def _system_report(sol: RadialSolution, name: str, tol: float, dY=None) -> VerificationReport:
     """Rows dY - A(r) Y of system(j, eps, m) on sol's grid, with Y the
     sampled amplitudes and dY their r-derivatives in state order (from the
     expressions, when not given): at each point the worst row, relative to
-    that row's largest term.  The terms A_ic Y_c are held as (row, column,
-    point) and added column by column, left to right, as a sum over the
-    columns of (point, row, column) terms adds them."""
+    that row's largest term.
+
+    Only the nonzero entries of A(r) are formed (10 of 16 for j >= 1; the
+    j = 0 block is dense), each as the nonzero parts of the left-to-right
+    sum eps E + m U + (a/sin r) S + (cot r) T that FirstOrderSystem.matrix
+    adds, and the terms A_ic Y_c of a row are added column by column, left
+    to right.  A structural zero adds a signed zero, which changes a sum
+    only in the sign of a zero, and the report takes absolute values, so
+    the report is that of the dense matrix bit for bit."""
     r, sysm = sol.grid, system(sol.qn.j, sol.params.eps, sol.params.m_eff)
-    Y = np.array([getattr(sol, k) for k in sysm.state])
+    Y = [getattr(sol, k) for k in sysm.state]
     if dY is None:
         dY = eval_r_cos2_all([sol.exprs[k].diff_r_cos2() for k in sysm.state], r)
+    weights = (sysm.eps, sysm.m, sysm.a * (1.0 / np.sin(r)), 1.0 / np.tan(r))
+    total, big = [], []
+    for row in _ENTRIES[len(Y)]:
+        terms = []
+        for c, parts in row:
+            a = None
+            for k, const in parts:
+                a = weights[k] * const if a is None else a + weights[k] * const
+            terms.append(a * Y[c])
+        t, b = terms[0], np.abs(terms[0])
+        for term in terms[1:]:
+            t, b = t + term, np.maximum(b, np.abs(term))
+        total.append(t)
+        big.append(b)
     dY = np.asarray(dY)
-    terms = sysm.matrix(r).transpose(1, 2, 0) * Y  # (row, column, point)
-    total, big = terms[:, 0], np.abs(terms[:, 0])
-    for c in range(1, len(Y)):
-        total = total + terms[:, c]
-        big = np.maximum(big, np.abs(terms[:, c]))
     scales = np.maximum(np.abs(dY), big)
-    rel = np.abs(dY - total) / np.where(scales > 0, scales, 1.0)
+    rel = np.abs(dY - np.array(total)) / np.where(scales > 0, scales, 1.0)
     return _report(name, r, rel.max(axis=0), np.ones_like(r), tol)

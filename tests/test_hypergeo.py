@@ -75,6 +75,17 @@ class TestValues:
             v = gauss_2f1(Hyp2F1Params(1.0, 0.75, 2.25), x)
             assert v == pytest.approx(brute_series(1.0, 0.75, 2.25, x, 40000), rel=1e-11)
 
+    @pytest.mark.parametrize("x, value", [
+        (0.3, "0x1.428a38893e2c3p+3"), (0.9, "0x1.aba5bbf490c0bp+18"), (0.95, "0x1.fd1d405984a44p+23"),
+    ])
+    def test_power_series_pinned(self, x, value):
+        """The direct series stops after three terms in a row below
+        SERIES_RTOL of the sum: its value is pinned bit for bit, and at
+        x = 0.9 and 0.95 one term more or less changes the last bits."""
+        from dkradial.hypergeo import _series
+
+        assert _series(2.6, 4.1, 1.5, x) == float.fromhex(value)
+
     def test_binomial_identity(self):
         # F(a, b; b; x) = (1-x)^-a
         for x in (0.12, 0.48, 0.63):

@@ -288,12 +288,44 @@ class TestIntegrator:
         assert not sol.success and sol.nreject > 0
         assert re.fullmatch(r"step collapsed at r = 1\.0000000\d*: last step \S+, error estimate \S+", sol.message)
 
+    def test_step_counts_pinned(self):
+        """Van der Pol at mu = 3 from (2, 0) over (0, 7.9) rejects some steps:
+        the accepted, rejected and RHS-call counts pin the acceptance test
+        err <= 1 and the rule that stretches a step within 0.99 of the end."""
+        sol = oracle.solve_ivp(lambda t, y: np.array([y[1], 3.0 * (1 - y[0] ** 2) * y[1] - y[0]]),
+                               (0.0, 7.9), [2.0, 0.0], **self.TOL)
+        assert sol.success
+        assert (sol.naccept, sol.nreject, sol.nfev) == (53, 9, 2286)
+
+    def test_blow_up_collapse_pinned(self):
+        """y' = y^2, y(0) = 1: the step falls under the floor 1e-14 max|t| at
+        a pinned r with a pinned last step."""
+        sol = oracle.solve_ivp(lambda t, y: y * y, (0.0, 2.0), [1.0], **self.TOL)
+        assert sol.message.startswith("step collapsed at r = 1.00000000002427: last step 2.601e-14,")
+        assert (sol.naccept, sol.nreject, sol.nfev) == (113, 111, 8178)
+
     def test_blow_up_through_match_is_integration_error(self, monkeypatch):
         """y' = 4 (1 + y^2) is tan(4 r + c): it has a pole before the equator."""
         real_ivp = oracle.solve_ivp
         monkeypatch.setattr(oracle, "solve_ivp", lambda fun, *a, **k: real_ivp(lambda r, y: 4 * (1 + y * y), *a, **k))
         with pytest.raises(oracle.IntegrationError, match=r"integration failed: step collapsed at r = 0\.39"):
             oracle._match(np.array([2.0]), 0.0, 1, oracle.R_START_OFFSET)
+
+
+class TestMatchRHS:
+    @pytest.mark.parametrize("j, m", [(0, 0.0), (1, 0.0), (1, 2.5), (3, 1.3)])
+    def test_equals_matrix_times_state(self, j, m):
+        """The RHS _match integrates, eps E + m U formed once per
+        integration, equals system(j, eps, m).matrix(r) @ y bit for bit at
+        50 r with 18 lanes."""
+        eps = np.linspace(0.3, 14.0, 18)
+        n = 2 if j == 0 else 4
+        shape = (18, n, n // 2)
+        y = np.random.default_rng(j).standard_normal(math.prod(shape))
+        rhs = oracle._rhs(system(j, eps, m), shape)
+        for r in np.linspace(oracle.R_START_OFFSET, math.pi / 2, 50):
+            want = (system(j, eps, m).matrix(r) @ y.reshape(shape)).reshape(-1)
+            assert rhs(r, y).tobytes() == want.tobytes()
 
 
 def _principal_sine(a: np.ndarray, b: np.ndarray) -> np.ndarray:
