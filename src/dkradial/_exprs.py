@@ -158,9 +158,8 @@ class _Factors:
 
     def term(self, key: tuple, coef: float) -> np.ndarray:
         """coef * x^xp * (1-x)^yp * 2F1 for key (xp, yp, alpha, beta, gamma),
-        multiplied in that order by each factor that is not exactly 1.  A 2F1
-        with a zero upper parameter is still evaluated once, which validates
-        x, but not multiplied by."""
+        multiplied in that order by each factor that is not exactly 1 (an
+        exact-one 2F1 is still evaluated once: that validates x)."""
         xp, yp, abc = key[0], key[1], key[2:]
         out = coef
         if xp != 0.0:
@@ -200,9 +199,8 @@ def eval_r_cos2_all(exprs, r) -> list:
     sqrt(x), every factor from one table.  Per expression, the terms with
     even and with half-odd x-exponent are summed apart, in term order, and
     the result is even + sign(cos r) * odd; a scalar r gives scalars.  An
-    empty half is left out: neither sum is ever -0.0, so adding a signed
-    zero to it changes nothing, and an empty even half leaves
-    sign(cos r) * odd + 0.0."""
+    empty half is left out (no sum is ever -0.0, so a signed zero added to
+    it changes nothing): an empty even half leaves sign(cos r) * odd + 0.0."""
     u = np.cos(np.asarray(r, dtype=float))
     table = _Factors(u * u)  # one table for both halves and every expression
     sign = np.where(np.atleast_1d(u) >= 0, 1.0, -1.0)

@@ -223,10 +223,10 @@ def _frobenius_initial(j: int, sysm: FirstOrderSystem, r0: float) -> np.ndarray:
 
 def _rhs(sysm: FirstOrderSystem, shape: tuple):
     """y' = A(r) y for the lanes of sysm.eps, y flat and (lanes, n, cols)
-    when reshaped.  eps E + m U is added once, (a/sin r) S + (cot r) T at
-    every call, in the order of FirstOrderSystem.matrix, so A(r) and the
-    product are its bit for bit."""
-    const = np.asarray(sysm.eps)[..., None, None] * sysm.E + sysm.m * sysm.U
+    when reshaped.  eps E + m U (the series' A_0) is formed once, and
+    (a/sin r) S + (cot r) T added to it at every call, in the order of
+    FirstOrderSystem.matrix, so A(r) and the product are its bit for bit."""
+    const = _series_matrices(sysm)[1]
 
     def rhs(r, y):
         A = const + sysm.a * (1.0 / np.sin(r)) * sysm.S + 1.0 / np.tan(r) * sysm.T

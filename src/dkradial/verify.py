@@ -259,15 +259,11 @@ def _system_report(sol: RadialSolution, name: str, tol: float, dY=None) -> Verif
     """Rows dY - A(r) Y of system(j, eps, m) on sol's grid, with Y the
     sampled amplitudes and dY their r-derivatives in state order (from the
     expressions, when not given): at each point the worst row, relative to
-    that row's largest term.
-
-    Only the nonzero entries of A(r) are formed (10 of 16 for j >= 1; the
-    j = 0 block is dense), each as the nonzero parts of the left-to-right
-    sum eps E + m U + (a/sin r) S + (cot r) T that FirstOrderSystem.matrix
-    adds, and the terms A_ic Y_c of a row are added column by column, left
-    to right.  A structural zero adds a signed zero, which changes a sum
-    only in the sign of a zero, and the report takes absolute values, so
-    the report is that of the dense matrix bit for bit."""
+    that row's largest term.  Each nonzero entry of A(r) (10 of 16 for
+    j >= 1; the j = 0 block is dense) is the sum of its nonzero parts of
+    eps E + m U + (a/sin r) S + (cot r) T, left to right as
+    FirstOrderSystem.matrix adds them, and the terms A_ic Y_c of a row are
+    added column by column, left to right."""
     r, sysm = sol.grid, system(sol.qn.j, sol.params.eps, sol.params.m_eff)
     Y = [getattr(sol, k) for k in sysm.state]
     if dY is None:
