@@ -140,8 +140,8 @@ def cmd_wavefunction(args) -> int:
     grid = _radial_grid(args.grid)
     fam = Family(args.family)
     entry = closedform.spectrum(fam, args.j, args.n, mass)
-    eps = entry.eps(args.eps_sign)
-    params = ModeParams(m=mass, eps=eps, lambda_sign=args.lam)
+    entry.eps()  # names n when eps^2 is too large for a float
+    params = ModeParams.from_p_sq(mass, entry.p_sq, args.lam, args.eps_sign)
     comments = [
         f"family={fam.value}",
         f"j={_fraction_str(entry.j_or_J)}",
@@ -149,7 +149,7 @@ def cmd_wavefunction(args) -> int:
         f"p_sq={_fraction_str(entry.p_sq)}",
         f"mass={args.mass}",
         f"lambda={args.lam:+d}",
-        f"eps={eps!r}",
+        f"eps={params.eps!r}",
     ]
     if fam is Family.J0:
         sol = closedform.wavefunction_j0(args.n, params, grid)
@@ -193,19 +193,19 @@ def _verify_reports(args) -> list[verify.VerificationReport]:
                 *pair(p2, a2), direct(p2, a2), name=f"factorization-{side}[p2={_fraction_str(p2)}]"))
     if "wronskian" in suites:
         p = 2.3
-        params = ModeParams(m=mass, eps=math.sqrt(p * p + mass * mass))
-        basis = closedform.general_basis(j, p, params, np.array([1.0]))
+        basis = closedform.general_basis(j, p, ModeParams.from_p_sq(mass, p * p), np.array([1.0]))
         for x0 in (0.3, 0.6):
             w = verify.wronskian4([b.exprs["K"] for b in basis], x0)
             reports.append(verify.wronskian_report(w, x0, f"wronskian[j={j} p={p} x0={x0}]"))
     if "cross" in suites:
         for fam, nn in fam_n.items():
             entry = closedform.spectrum(fam, j, nn, mass)
-            params = ModeParams.from_p_sq(mass, float(entry.p_sq), lambda_sign=args.lam)
+            params = ModeParams.from_p_sq(mass, entry.p_sq, args.lam)
             reports.append(verify.cross_consistency(fam, QuantumNumbers(j, nn), params))
     if "j0" in suites:
-        eps = closedform.spectrum(Family.J0, 0, n, mass).eps()
-        params = ModeParams(m=mass, eps=eps, lambda_sign=args.lam)
+        entry = closedform.spectrum(Family.J0, 0, n, mass)
+        entry.eps()  # names n when eps^2 is too large for a float
+        params = ModeParams.from_p_sq(mass, entry.p_sq, args.lam)
         grid = np.linspace(0.05, math.pi - 0.05, 101)
         reports.append(verify.j0_pair_residual(closedform.wavefunction_j0(n, params, grid)))
     return reports

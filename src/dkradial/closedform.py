@@ -198,9 +198,9 @@ class RadialSolution:
 
 
 def _on_spectrum(entry: SpectrumEntry, params: ModeParams) -> None:
-    """Raise OffSpectrumError unless params.p_sq = eps^2 - m^2 is entry's p^2
-    to SPECTRUM_RTOL, plus 4 * 2^-52 eps^2: what the float difference cannot
-    resolve at large mass."""
+    """Raise OffSpectrumError unless params.p_sq is entry's p^2 to
+    SPECTRUM_RTOL, plus 4 * 2^-52 eps^2: what eps^2 - m^2, the p^2 that
+    ModeParams(m=..., eps=...) derives, cannot resolve at large mass."""
     p_sq = float(entry.p_sq)
     if abs(params.p_sq - p_sq) > SPECTRUM_RTOL * max(1.0, p_sq) + 4 * np.finfo(float).eps * params.eps**2:
         raise OffSpectrumError(
@@ -209,13 +209,10 @@ def _on_spectrum(entry: SpectrumEntry, params: ModeParams) -> None:
         )
 
 
-def j0_ratio(eps: float, m: float, lambda_sign: int) -> float:
-    """Amplitude ratio M0/N0 connecting the two j=0 functions.
-
-    Branch-dependent: -(2/3)(eps + m) on the lambda=+1 pair and
-    -(2/3)(eps - m) on the lambda=-1 pair (the mass-sign substitution).
-    """
-    return -(2.0 / 3.0) * (eps + lambda_sign * m)
+def j0_ratio(params: ModeParams) -> float:
+    """Amplitude ratio M0/N0 connecting the two j=0 functions:
+    -(2/3)(eps + lambda m), so -(2/3)(eps - m) on the lambda=-1 pair."""
+    return -(2.0 / 3.0) * params.eps_pm[0]
 
 
 def wavefunction_j0(n: int, params: ModeParams, grid) -> RadialSolution:
@@ -232,7 +229,7 @@ def wavefunction_j0(n: int, params: ModeParams, grid) -> RadialSolution:
     for the families.
     """
     _on_spectrum(spectrum(Family.J0, 0, n, params.m), params)
-    ratio = j0_ratio(params.eps, params.m, params.lambda_sign)
+    ratio = j0_ratio(params)
     xp_N = 0.0 if n % 2 else 0.5  # N has degree n + 1 in cos r, M degree n
     xp_M = 0.5 - xp_N
     k_N, k_M = (n + 1) // 2, n // 2
@@ -291,7 +288,7 @@ def _elimination_LN(K: Expr, M: Expr, a: float, eps_plus_m: float) -> tuple[Expr
 
 def _completed(qn: QuantumNumbers, params: ModeParams, K: Expr, M: Expr) -> dict:
     """{K, L, M, N}: (K, M) completed by the (L, N) elimination."""
-    eps_plus_m = params.eps + params.m_eff
+    eps_plus_m = params.eps_pm[0]
     if abs(eps_plus_m) < 1e-12:
         raise EliminationSingularError(
             f"eps+m={eps_plus_m}: cannot recover (L, N); the elimination is "

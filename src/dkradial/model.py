@@ -8,16 +8,17 @@ table of 1 - x and of the pole powers x^k and (1-x)^k, each computed once.
 Units: curvature radius 1, radial coordinate r in (0, pi), natural units for
 the mass and energy.
 
-Branch conventions: the constraint branch lambda = -1 is realized by the
-mass-sign substitution m -> -m; no separate coefficient tables exist for
-it.  The reflection-parity branch delta enters no radial equation, so
-nothing here carries it.
+Branch conventions: the constraint branch lambda enters only through
+eps + lambda m and eps - lambda m, which ModeParams forms (system takes the
+effective mass lambda m); no separate coefficient tables exist for it.  The
+reflection-parity branch delta enters no radial equation, so nothing here
+carries it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 import numpy as np
@@ -61,15 +62,15 @@ class QuantumNumbers:
 
 @dataclass(frozen=True)
 class ModeParams:
-    """Mass, energy and the constraint branch lambda.
-
-    eps and m are the single source of truth; p_sq is derived.  The
-    effective mass (lambda_sign * m) realizes the lambda = -1 branch.
-    """
+    """Mass, energy and the constraint branch lambda, the one place the mass
+    meets the radial problem: as eps +- mu, mu = lambda m (eps_pm).
+    ModeParams(m=..., eps=...) derives p_sq = eps^2 - m^2; from_p_sq keeps
+    the p^2 it is given, in no public field."""
 
     m: float
     eps: float
     lambda_sign: int = +1
+    _p_sq: float | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.m < 0:
@@ -79,16 +80,25 @@ class ModeParams:
 
     @property
     def p_sq(self) -> float:
-        return self.eps**2 - self.m**2
+        return self.eps**2 - self.m**2 if self._p_sq is None else self._p_sq
 
     @property
-    def m_eff(self) -> float:
-        return self.lambda_sign * self.m
+    def eps_pm(self) -> tuple[float, float]:
+        """(eps + mu, eps - mu): the one that adds like signs is a sum and the
+        other p^2 over it, so neither cancels, at either sign of eps or lambda."""
+        mu = self.lambda_sign * self.m
+        if (self.eps < 0) != (mu < 0):
+            minus = self.eps - mu
+            return self.p_sq / minus, minus
+        plus = self.eps + mu
+        return plus, self.p_sq / plus if plus else 0.0  # plus = 0 only at eps = mu = 0
 
     @classmethod
-    def from_p_sq(cls, m, p_sq, lambda_sign=+1) -> "ModeParams":
-        eps = math.sqrt(float(p_sq) + float(m) ** 2)
-        return cls(m=float(m), eps=eps, lambda_sign=lambda_sign)
+    def from_p_sq(cls, m, p_sq, lambda_sign=+1, eps_sign=+1) -> "ModeParams":
+        """eps = eps_sign sqrt(p_sq + m^2), with p_sq kept."""
+        params = cls(float(m), eps_sign * math.sqrt(float(p_sq) + float(m) ** 2), lambda_sign)
+        object.__setattr__(params, "_p_sq", float(p_sq))
+        return params
 
 
 class RationalCoefficient:
@@ -250,7 +260,6 @@ def system(j: int, eps, m: float) -> FirstOrderSystem:
         N' =  (a/sin r) L + (eps-m) M + (cot r) N
     j = 0, state (M, N), where a = 0 decouples (K, L):
         M' = -(cot r) M - (eps+m) N,  N' = (cot r) N + (eps-m) M.
-    m is lambda_sign times the mass: lambda = -1 is m -> -m.
     """
     if j < 0:
         raise ValueError(f"j={j} must be non-negative")

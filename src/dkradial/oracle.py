@@ -1,15 +1,18 @@
 """Eigenvalue recovery straight from the radial ODE systems.
 
-The ground truth the closed forms are checked against: bound states of
-model.system(j, eps, m), located by collocation and confirmed by shooting.
-As E^2 = -I, Y' = A(r) Y is eps Y = H Y with H = -E (d/dr - A(r)|eps=0),
-discretised on Chebyshev-Gauss points of (0, pi), which exclude the poles;
-a j = 0 level's nodes are counted on its eigenvector's M block.  One
-integration carries the regular space from a Frobenius start at r = 0
-(Laurent series of 1/sin r and cot r) to the equator for every level at
-once; the regular space at r = pi is its reflection D Y(pi - r) (D the
-parity diagonal), so the match matrix is [Y | D Y], 4x4 for j >= 1 and 2x2
-for j = 0, and its normalized determinant must change sign across each level.
+The ground truth the closed forms are checked against, solved in p: with
+mu = lambda m, p = sqrt(eps^2 - m^2) and kappa = (eps + mu)/p, (K, L, M, N)
+-> (K, kappa L, M, kappa N) takes system(j, eps, mu) onto the mass-free
+system(j, p, 0), on which levels are located by collocation and confirmed
+by shooting; a level p is reported at eps = hypot(p, m).  As E^2 = -I,
+Y' = A(r) Y is p Y = H Y with H = -E (d/dr - A(r)|p=0), discretised on
+Chebyshev-Gauss points of (0, pi), which exclude the poles; a j = 0 level's
+nodes are counted on its eigenvector's M block.  One integration carries the
+regular space from a Frobenius start at r = 0 (Laurent series of 1/sin r and
+cot r) to the equator for every level at once; the regular space at r = pi
+is its reflection D Y(pi - r) (D the parity diagonal), so the match matrix
+is [Y | D Y], 4x4 for j >= 1 and 2x2 for j = 0, and its normalized
+determinant must change sign across each level.
 
 solve_ivp, a numpy-only extrapolation integrator, is a module function:
 the seam that tests and perfbench's tracer patch.
@@ -48,19 +51,25 @@ INTEGRATOR_RTOL = 1e-10
 INTEGRATOR_ATOL = 1e-13
 GBS_STAGES = 6  # solve_ivp's modified-midpoint substeps: n = 2, 4, ..., 2 GBS_STAGES
 # Collocation: the largest N tried (the drift solve then has 2N points), and
-# the two acceptance tests; DRIFT_TOL is relative to max(1, |eps|).
+# the two acceptance tests; DRIFT_TOL is relative to max(1, |p|).
 COLLOCATION_MAX_N = 256
 DRIFT_TOL = 1e-10
 TAIL_TOL = 1e-8
-# Half-width of a level's confirming bracket, relative to max(1, eps).
+# The p = 0 rule: at j = 0 and p = 0 the M row decouples (M' = -cot r M),
+# and collocation holds a double eigenvalue, the level (0, sin r) at
+# eps = -mu, which no closed form lists, and its twin 1/sin r, split by
+# rounding to at most 3.5e-8 (N from 16 to 512), far above DRIFT_TOL.  Both
+# lie within this cut, far below the lowest j = 0 level sqrt(3): no level.
+P_ZERO_CUT = 1e-6
+# Half-width of a level's confirming bracket, relative to max(1, p).
 CONFIRM_DELTA = 1e-7
 # Smallest/largest singular value above this flags a weak singularity.
 DET_TOLERANCE = 1e-8
-# How far, relative to eps, a level may lie outside its window and still
+# How far, relative to p, a level may lie outside its window and still
 # count as in it.
 WINDOW_SLACK = 1e-5
-# compare_spectra's default matching tolerance: the relative accuracy an
-# oracle eigenvalue is trusted to (collocation levels are good to about 1e-13).
+# compare_spectra's default matching tolerance, relative in p^2: the
+# accuracy an oracle level is trusted to (collocation gives about 1e-13).
 MATCH_TOL = 1e-10
 
 
@@ -235,12 +244,12 @@ def _rhs(sysm: FirstOrderSystem, shape: tuple):
     return rhs
 
 
-def _match(eps_vec: np.ndarray, m: float, j: int, r0: float) -> np.ndarray:
-    """Stacked match matrices [Y | D Y] at the equator, Y the regular
-    columns there: one solve_ivp carries every lane from r0 to pi/2, and
-    D Y(pi/2) is the regular space of r = pi brought to the equator by the
-    reflection."""
-    sysm = system(j, np.atleast_1d(np.asarray(eps_vec, dtype=float)), m)
+def _match(p_vec: np.ndarray, j: int, r0: float) -> np.ndarray:
+    """Stacked match matrices [Y | D Y] of system(j, p, 0) at the equator, Y
+    the regular columns there: one solve_ivp carries every lane from r0 to
+    pi/2, and D Y(pi/2) is the regular space of r = pi brought to the
+    equator by the reflection."""
+    sysm = system(j, np.atleast_1d(np.asarray(p_vec, dtype=float)), 0.0)
     cols_init = _frobenius_initial(j, sysm, r0)
     rhs = _rhs(sysm, cols_init.shape)
     sol = solve_ivp(rhs, (r0, math.pi / 2), cols_init.reshape(-1), rtol=INTEGRATOR_RTOL, atol=INTEGRATOR_ATOL)
@@ -250,16 +259,16 @@ def _match(eps_vec: np.ndarray, m: float, j: int, r0: float) -> np.ndarray:
     return np.concatenate([Y, sysm.D[:, None] * Y], axis=2)
 
 
-def _collocation_matrix(j: int, m: float, N: int) -> tuple[np.ndarray, np.ndarray]:
-    """H = -E (d/dr - A(r)|eps=0) on the N Chebyshev-Gauss points
-    r = pi (1 - cos theta) / 2 of (0, pi), (n N, n N) in blocks by state
-    component, and the angles theta."""
+def _collocation_matrix(j: int, N: int) -> tuple[np.ndarray, np.ndarray]:
+    """H = -E (d/dr - A(r)|p=0) of system(j, p, 0) on the N Chebyshev-Gauss
+    points r = pi (1 - cos theta) / 2 of (0, pi), (n N, n N) in blocks by
+    state component, and the angles theta."""
     theta = (2 * np.arange(N) + 1) * math.pi / (2 * N)
     x, w = np.cos(theta), (-1.0) ** np.arange(N) * np.sin(theta)  # barycentric weights
     Dx = w[None, :] / w[:, None] / (x[:, None] - x[None, :] + np.eye(N))  # d/dx off the diagonal
     np.fill_diagonal(Dx, 0.0)
     np.fill_diagonal(Dx, -Dx.sum(axis=1))  # the rows of a differentiation matrix sum to zero
-    sysm = system(j, 0.0, m)
+    sysm = system(j, 0.0, 0.0)
     H = (2 / math.pi) * sysm.E[:, None, :, None] * Dx[None, :, None, :]  # -E d/dr, d/dr = -(2/pi) d/dx
     k = np.arange(N)
     H[:, k, :, k] += sysm.E @ sysm.matrix(math.pi * (1 - x) / 2)
@@ -283,69 +292,69 @@ def _sign_changes(block: np.ndarray) -> np.ndarray:
     return np.array([np.count_nonzero(np.diff(np.sign(col))) for col in kept], dtype=int)
 
 
-def _locate(j: int, m: float, window: tuple[float, float]) -> tuple[np.ndarray, np.ndarray]:
-    """The levels of the window (up to WINDOW_SLACK outside it), in order,
+def _locate(j: int, window: tuple[float, float]) -> tuple[np.ndarray, np.ndarray]:
+    """The levels p of the window (up to WINDOW_SLACK outside it), in order,
     and the sign changes of each one's first component, M at j = 0, over
-    (0, pi).  Levels are the eigenvalues of H that drift by at most
-    DRIFT_TOL between N and 2N points and whose Chebyshev tail is at most
-    TAIL_TOL.  N starts at 4 hi + 8 and doubles until every eigenvalue in
-    the window passes, or, past COLLOCATION_MAX_N, raises SpectrumError:
-    never a short list."""
+    (0, pi).  Levels are the eigenvalues of H, less the p = 0 pair at j = 0,
+    that drift by at most DRIFT_TOL between N and 2N points and whose
+    Chebyshev tail is at most TAIL_TOL.  N starts at 4 hi + 8 and doubles
+    until every eigenvalue in the window passes, or, past COLLOCATION_MAX_N,
+    raises SpectrumError: never a short list."""
     lo, hi = window
     N, tried = math.ceil(4 * hi) + 8, []
     while N <= COLLOCATION_MAX_N:
-        H, theta = _collocation_matrix(j, m, N)
+        H, theta = _collocation_matrix(j, N)
         vals, vecs = np.linalg.eig(H)
         slack = WINDOW_SLACK * np.abs(vals.real)
-        raw = (vals.real >= lo - slack) & (vals.real <= hi + slack)
-        eps, vecs = vals[raw], vecs[:, raw]
-        scale = DRIFT_TOL * np.maximum(1.0, np.abs(eps))
-        finer = np.linalg.eigvals(_collocation_matrix(j, m, 2 * N)[0])
-        drift = np.abs(eps[:, None] - finer[None, :]).min(axis=1)
-        ok = (np.abs(eps.imag) <= scale) & (drift <= scale) & (_chebyshev_tails(vecs, theta) <= TAIL_TOL)
-        # j = 0 has eps = +m at every N (component N = sin r, M singular at
-        # r = pi): the tail test must reject it, and every other one pass.
-        decoupled = (j == 0) & (np.abs(eps - m) <= scale)
+        raw = (vals.real >= lo - slack) & (vals.real <= hi + slack) & ((j > 0) | (np.abs(vals) > P_ZERO_CUT))
+        p, vecs = vals[raw], vecs[:, raw]
+        scale = DRIFT_TOL * np.maximum(1.0, np.abs(p))
+        finer = np.linalg.eigvals(_collocation_matrix(j, 2 * N)[0])
+        drift = np.abs(p[:, None] - finer[None, :]).min(axis=1)
+        ok = (np.abs(p.imag) <= scale) & (drift <= scale) & (_chebyshev_tails(vecs, theta) <= TAIL_TOL)
         tried.append(f"N={N}: {int(raw.sum())} raw, {int(ok.sum())} accepted")
-        if np.array_equal(ok, ~decoupled):
-            order = np.argsort(eps[ok].real)
-            return eps[ok].real[order], _sign_changes(vecs[:N, ok])[order]
+        if ok.all():
+            order = np.argsort(p.real)
+            return p.real[order], _sign_changes(vecs[:N])[order]
         N *= 2
     raise SpectrumError(
-        f"collocation did not resolve eps in [{lo:g}, {hi:g}] (j={j}, m={m:g}): "
+        f"collocation did not resolve p in [{lo:g}, {hi:g}] (j={j}): "
         f"{'; '.join(tried) or 'no N'} up to COLLOCATION_MAX_N={COLLOCATION_MAX_N}"
     )
 
 
 def _shoot(m: float, j: int, config: ShootingConfig) -> list[OracleEigenvalue]:
-    """The collocation levels of the window, all confirmed in one integration:
-    the determinant must change sign across each level's bracket (eps -+
-    delta), and its eps lane gives the SVD diagnostics."""
-    levels, nodes = _locate(j, m, config.eps_scan[:2])
+    """The levels of the eps window, as p = sqrt(max(eps^2 - m^2, 0)), all
+    confirmed in one integration: the determinant must change sign across
+    each level's bracket (p -+ delta), and its p lane gives the SVD
+    diagnostics.  p and the bracket ends are reported as eps = hypot(p, m)."""
+    if m < 0:
+        raise ValueError("mass must be non-negative")
+    levels, nodes = _locate(j, tuple(math.sqrt(max(e * e - m * m, 0.0)) for e in config.eps_scan[:2]))
     if not len(levels):
         return []
     delta = CONFIRM_DELTA * np.maximum(1.0, levels)
     lanes = np.stack([levels - delta, levels, levels + delta], axis=1).ravel()
     flags = []
     try:
-        mats = _match(lanes, m, j, R_START_OFFSET)
+        mats = _match(lanes, j, R_START_OFFSET)
     except IntegrationError:
         flags = ["r-start-offset-halved"]
-        mats = _match(lanes, m, j, R_START_OFFSET / 2)
+        mats = _match(lanes, j, R_START_OFFSET / 2)
     unit = mats / np.linalg.norm(mats, axis=-2, keepdims=True)  # no column of Y vanishes
     below, _, above = np.linalg.det(unit).reshape(-1, 3).T
     sv = np.linalg.svd(unit[1::3], compute_uv=False)
     sv /= sv[:, :1]  # relative to the largest
     out = []
-    for i, eps in enumerate(levels.tolist()):
+    for i, (p, d) in enumerate(zip(levels.tolist(), delta.tolist())):
         if not below[i] * above[i] < 0:
             raise SpectrumError(
-                f"shooting does not confirm the level eps={eps!r} (j={j}, m={m:g}): the "
-                f"determinant is {below[i]:.3e} at eps-{delta[i]:.1e} and {above[i]:.3e} at eps+{delta[i]:.1e}"
+                f"shooting does not confirm the level p={p!r} (j={j}): the "
+                f"determinant is {below[i]:.3e} at p-{d:.1e} and {above[i]:.3e} at p+{d:.1e}"
             )
         out.append(
             OracleEigenvalue(
-                eps=eps, p_sq=eps * eps - m * m, j=j, bracket=(eps - delta[i].item(), eps + delta[i].item()),
+                eps=math.hypot(p, m), p_sq=p * p, j=j, bracket=(math.hypot(p - d, m), math.hypot(p + d, m)),
                 node_count=int(nodes[i]) if j == 0 else None, matched_family_guess="j0" if j == 0 else None,
                 flags=flags + (["weak-singularity"] if sv[i, -1] > DET_TOLERANCE else []),
             )
@@ -355,19 +364,13 @@ def _shoot(m: float, j: int, config: ShootingConfig) -> list[OracleEigenvalue]:
 
 def shoot_j0(m: float, lambda_sign: int = +1, config: ShootingConfig | None = None) -> list[OracleEigenvalue]:
     """Eigenvalues of the j=0 problem in the configured window, in order,
-    with node counts 0, 1, 2, ... from the lowest level found.
-
-    Always shoots the lambda = +1 pair; lambda_sign is accepted and
-    ignored.  Its p^2 spectrum is the j=0 spectrum of both branches, but
-    the lambda = -1 realization (m -> -m) also has the decoupled regular
-    solution (M, N) = (0, sin r) at eps = m (p^2 = 0), which no closed form
-    lists and which would show up here as an extra level.
+    with node counts 0, 1, 2, ... from the lowest level found.  The p
+    spectrum does not depend on lambda, so lambda_sign is accepted and
+    ignored; the p = 0 level is never reported (P_ZERO_CUT).
 
     Raises SpectrumError when two consecutive levels found differ by more
     than one node: a level between them was missed.
     """
-    if m < 0:
-        raise ValueError("mass must be non-negative")
     del lambda_sign
     out = _shoot(m, 0, config or ShootingConfig())
     for lower, upper in zip(out, out[1:]):
@@ -384,26 +387,26 @@ def shoot_j(m: float, j: int, lambda_sign: int = +1, config: ShootingConfig | No
 
     Levels are collocation eigenvalues, each confirmed by a sign change of
     the normalized 4x4 determinant that matches the two-parameter regular
-    space at r = 0 to its reflection at the equator.
+    space at r = 0 to its reflection at the equator.  The p spectrum does
+    not depend on lambda, so lambda_sign is accepted and ignored.
     """
     if j < 1:
         raise ValueError("shoot_j requires j >= 1; use shoot_j0")
-    if m < 0:
-        raise ValueError("mass must be non-negative")
-    return _shoot(lambda_sign * m, j, config or ShootingConfig())
+    del lambda_sign
+    return _shoot(m, j, config or ShootingConfig())
 
 
 def compare_spectra(oracle: list[OracleEigenvalue], closed: list[SpectrumEntry],
                     rel_tol: float = MATCH_TOL) -> SpectrumComparison:
-    """Greedy nearest-eps matching of oracle eigenvalues to closed entries;
-    a pair matches when their eps agree to rel_tol."""
+    """Greedy nearest-p^2 matching of oracle eigenvalues to closed entries;
+    a pair matches when their p^2 agree to rel_tol."""
     remaining = list(closed)
     matched, unmatched_oracle = [], []
-    for ev in sorted(oracle, key=lambda e: e.eps):
+    for ev in sorted(oracle, key=lambda e: e.p_sq):
         best, best_rel = None, None
         for entry in remaining:
-            target = entry.eps()
-            rel = abs(ev.eps - target) / max(abs(target), 1e-300)
+            target = float(entry.p_sq)
+            rel = abs(ev.p_sq - target) / max(abs(target), 1e-300)
             if best_rel is None or rel < best_rel:
                 best, best_rel = entry, rel
         if best is not None and best_rel <= rel_tol:

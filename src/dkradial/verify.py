@@ -12,11 +12,12 @@ r-derivatives from one factor table, and both residuals add the terms of
 each row column by column.
 
 Structural zeros are taken from the constant matrices, not computed: the
-system residuals form only the nonzero entries of A(r), each from its
-nonzero parts.  A structural zero adds only a signed zero, and every
-report takes absolute values, so the reports are those of the dense
-matrix bit for bit.  The factorization check evaluates every coefficient
-from one table of pole powers.
+system residuals form only the nonzero entries of A(r), each one weight
+(eps +- mu from ModeParams, a/sin r or cot r) times a constant.  A
+structural zero adds only a signed zero, and every report takes absolute
+values, so the reports are those of the dense matrix bit for bit.  The
+factorization check evaluates every coefficient from one table of pole
+powers.
 
 Residuals are normalized by the largest participating term, not by the
 solution value, because the solutions vanish at the interval endpoints.
@@ -42,7 +43,6 @@ from .model import (
     ModeParams,
     QuantumNumbers,
     RationalCoefficient,
-    system,
 )
 
 __all__ = [
@@ -244,11 +244,12 @@ def j0_pair_residual(sol: RadialSolution) -> VerificationReport:
 
 # The nonzero entries of A(r) row by row, for the j >= 1 system and the j = 0
 # block (keyed by the state size), taken once from the constant matrices:
-# (column, parts), each part (k, constant) for the k-th of E, U, S, T.
+# (column, k, constant) for the k-th of (E + U)/2, (E - U)/2, S and T, which
+# weigh eps + mu, eps - mu, a/sin r and cot r and share no entry.
 _ENTRIES = {
     len(sysm.state): [
-        [(c, parts) for c in range(len(sysm.state))
-         if (parts := [(k, float(M[i, c])) for k, M in enumerate((sysm.E, sysm.U, sysm.S, sysm.T)) if M[i, c]])]
+        [(c, k, float(X[i, c])) for c in range(len(sysm.state))
+         for k, X in enumerate(((sysm.E + sysm.U) / 2, (sysm.E - sysm.U) / 2, sysm.S, sysm.T)) if X[i, c]]
         for i in range(len(sysm.state))
     ]
     for sysm in (SYSTEM_J, SYSTEM_J0)
@@ -256,32 +257,22 @@ _ENTRIES = {
 
 
 def _system_report(sol: RadialSolution, name: str, tol: float, dY=None) -> VerificationReport:
-    """Rows dY - A(r) Y of system(j, eps, m) on sol's grid, with Y the
+    """Rows dY - A(r) Y of the system at sol.params on sol's grid, with Y the
     sampled amplitudes and dY their r-derivatives in state order (from the
     expressions, when not given): at each point the worst row, relative to
-    that row's largest term.  Each nonzero entry of A(r) (10 of 16 for
-    j >= 1; the j = 0 block is dense) is the sum of its nonzero parts of
-    eps E + m U + (a/sin r) S + (cot r) T, left to right as
-    FirstOrderSystem.matrix adds them, and the terms A_ic Y_c of a row are
-    added column by column, left to right."""
-    r, sysm = sol.grid, system(sol.qn.j, sol.params.eps, sol.params.m_eff)
-    Y = [getattr(sol, k) for k in sysm.state]
+    that row's largest term.  Only the nonzero entries of A(r) are formed
+    (10 of 16 for j >= 1; the j = 0 block is dense), eps + mu and eps - mu
+    as ModeParams gives them, and the terms A_ic Y_c of a row are added
+    column by column, left to right."""
+    r = sol.grid
+    state = (SYSTEM_J0 if sol.qn.j == 0 else SYSTEM_J).state
+    Y = [getattr(sol, k) for k in state]
     if dY is None:
-        dY = eval_r_cos2_all([sol.exprs[k].diff_r_cos2() for k in sysm.state], r)
-    weights = (sysm.eps, sysm.m, sysm.a * (1.0 / np.sin(r)), 1.0 / np.tan(r))
-    total, big = [], []
-    for row in _ENTRIES[len(Y)]:
-        terms = []
-        for c, parts in row:
-            a = None
-            for k, const in parts:
-                a = weights[k] * const if a is None else a + weights[k] * const
-            terms.append(a * Y[c])
-        t, b = terms[0], np.abs(terms[0])
-        for term in terms[1:]:
-            t, b = t + term, np.maximum(b, np.abs(term))
-        total.append(t)
-        big.append(b)
+        dY = eval_r_cos2_all([sol.exprs[k].diff_r_cos2() for k in state], r)
+    weights = (*sol.params.eps_pm, sol.qn.a * (1.0 / np.sin(r)), 1.0 / np.tan(r))
+    rows = [[weights[k] * const * Y[c] for c, k, const in row] for row in _ENTRIES[len(Y)]]
+    total = [sum(terms[1:], terms[0]) for terms in rows]  # left to right
+    big = [np.abs(terms).max(axis=0) for terms in rows]
     dY = np.asarray(dY)
     scales = np.maximum(np.abs(dY), big)
     rel = np.abs(dY - np.array(total)) / np.where(scales > 0, scales, 1.0)

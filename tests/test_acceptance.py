@@ -138,7 +138,7 @@ def test_criterion_3_closed_form_residuals():
 
         params = ModeParams.from_p_sq(1.0, p2)
         sol = wavefunction_family(fam, QuantumNumbers(j, n), params, rg)
-        eps, meff, a = params.eps, params.m_eff, math.sqrt(a2)
+        eps, meff, a = params.eps, params.lambda_sign * params.m, math.sqrt(a2)
         d = {k: sol.exprs[k].diff_r_cos2().eval_r_cos2(rg) for k in "KLMN"}
         s, ct = 1 / np.sin(rg), 1 / np.tan(rg)
         rows = [

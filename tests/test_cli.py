@@ -238,14 +238,39 @@ class TestExitCodes:
         assert code == 0 and report["pass"] is True and report["max_rel_residual"] <= 1e-10
 
     def test_verify_cross_large_mass_reports(self, capsys):
-        """At mass 1e5 the family states are on their spectrum to what floats
-        resolve of eps^2 - m^2: verify reports them (exit 1, the residual
-        reads eps - m to float precision) instead of refusing them."""
-        code, out = run_main(["verify", "--suite", "cross", "--j", "1", "--n", "0", "--mass", "100000"], capsys)
-        reports = strict_json(out)
-        assert code == 1 and len(reports) == 4
-        assert all(r["check_name"].startswith("cross-consistency[") for r in reports)
-        assert max(r["max_rel_residual"] for r in reports) < 1e-6
+        """At mass 1e5 the rows take eps + mu and eps - mu from the exact p^2,
+        neither by cancellation: every check passes on both branches (it read
+        3.4e-7 when eps - m was a float difference)."""
+        for lam in ("1", "-1"):
+            argv = ["verify", "--suite", "cross", "--j", "1", "--n", "0", "--mass", "100000", "--lambda", lam]
+            code, out = run_main(argv, capsys)
+            reports = strict_json(out)
+            assert code == 0 and len(reports) == 4
+            assert all(r["check_name"].startswith("cross-consistency[") for r in reports)
+            assert max(r["max_rel_residual"] for r in reports) < 1e-12
+
+    @pytest.mark.parametrize("j,mass,window,levels", [
+        ("1", "100", ("100", "100.6"), 19),
+        ("1", "1000", ("1000", "1000.06"), 19),
+        ("2", "10000", ("10000", "10000.006"), 17),
+    ])
+    def test_oracle_large_mass_windows_match(self, j, mass, window, levels, capsys):
+        """Levels are located and confirmed in p, so a window far above 62 in
+        eps is a window of p below 11 (these exited 2 with "no N" when
+        collocation ran in eps)."""
+        argv = ["oracle", "--j", j, "--mass", mass, "--eps-min", window[0], "--eps-max", window[1], "--compare"]
+        code, out = run_main(argv, capsys)
+        cmp = strict_json(out)["comparison"]
+        assert code == 0 and len(cmp["matched"]) == levels
+        assert cmp["unmatched_oracle"] == [] and cmp["unmatched_closed"] == []
+
+    def test_oracle_window_past_the_p_cap_is_usage_error(self, capsys):
+        """sqrt(120^2 - 100^2) = 66.3 is above the p collocation can reach."""
+        code = main(["oracle", "--j", "1", "--mass", "100", "--eps-min", "100", "--eps-max", "120"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == ("dkradial: collocation did not resolve p in [0, 66.3325] (j=1): "
+                                "no N up to COLLOCATION_MAX_N=256\n")
 
     @pytest.mark.parametrize("j", ["167", "168", "300"])
     def test_verify_gamma_overflow_is_one_line_usage_error(self, j):

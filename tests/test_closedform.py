@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from dkradial import closedform
-from dkradial._exprs import hyp_expr
+from dkradial._exprs import eval_r_cos2_all, hyp_expr
 from dkradial.closedform import (
     DegeneratePair,
     EliminationSingularError,
@@ -13,6 +13,7 @@ from dkradial.closedform import (
     OffSpectrumError,
     degeneracy_map,
     family_KM_exprs,
+    family_exprs,
     family_levels,
     general_basis,
     j0_ratio,
@@ -21,7 +22,8 @@ from dkradial.closedform import (
     wavefunction_j0,
 )
 from dkradial.hypergeo import Hyp2F1DomainError
-from dkradial.model import ModeParams, QuantumNumbers
+from dkradial.model import ModeParams, QuantumNumbers, system
+from dkradial.verify import _CROSS_R
 
 
 class TestSpectrum:
@@ -114,8 +116,8 @@ class TestSpectrum:
 class TestWavefunctionJ0:
     def test_ratio_is_branch_dependent(self):
         # lam=+1 pair carries -(2/3)(eps+m); lam=-1 the printed -(2/3)(eps-m)
-        assert j0_ratio(2.0, 1.0, -1) == pytest.approx(-2.0 / 3.0)
-        assert j0_ratio(2.0, 1.0, +1) == pytest.approx(-2.0)
+        assert j0_ratio(ModeParams(m=1.0, eps=2.0, lambda_sign=-1)) == pytest.approx(-2.0 / 3.0)
+        assert j0_ratio(ModeParams(m=1.0, eps=2.0, lambda_sign=+1)) == pytest.approx(-2.0)
 
     def test_n0_values_at_equator(self):
         params = ModeParams(m=1.0, eps=2.0, lambda_sign=-1)
@@ -165,7 +167,7 @@ class TestWavefunctionJ0:
     @staticmethod
     def j0_state(n, m, lam, grid):
         eps = math.sqrt(m * m - 1 + (2 + n) ** 2)
-        return wavefunction_j0(n, ModeParams(m=m, eps=eps, lambda_sign=lam), grid), j0_ratio(eps, m, lam)
+        return wavefunction_j0(n, ModeParams(m=m, eps=eps, lambda_sign=lam), grid), -(2.0 / 3.0) * (eps + lam * m)
 
     def test_exact_forms(self):
         """N = sin((n+2) r)/(2(n+2)) and M = ratio sin^2 r C_n(cos r)/(4 C_n(1)),
@@ -305,6 +307,31 @@ class TestOnSpectrum:
             params = self.params(spectrum(Family.J0, 0, n + 1, m), m, how)
             with pytest.raises(OffSpectrumError, match=f"off the j0 spectrum value {(n + 2) ** 2 - 1} at j=0, n={n}"):
                 wavefunction_j0(n, params, [1.0])
+
+
+class TestMassRescaling:
+    """With mu = lam m, sigma the sign of eps and kappa = (eps + mu)/(sigma p),
+    (K, kappa L, M, kappa N) of a massive state solves the mass-free
+    system(j, sigma p, 0): the mass is one scalar on L and N."""
+
+    @pytest.mark.parametrize("m,lam,sigma", [(0.5, +1, +1), (3.7, -1, +1), (2.0, +1, -1), (1e5, +1, +1)])
+    def test_rescaled_state_meets_the_massless_system(self, m, lam, sigma):
+        r, worst = _CROSS_R, 0.0
+        for fam in closedform.FAMILIES:
+            for j in (1, 2, 3):
+                for n in (1, 2):
+                    p_sq = spectrum(fam, j, n, 0).p_sq
+                    params = ModeParams.from_p_sq(m, p_sq, lam, sigma)
+                    exprs = family_exprs(fam, QuantumNumbers(j, n), params)
+                    q = sigma * math.sqrt(p_sq)
+                    kappa = params.eps_pm[0] / q
+                    amps = [exprs["K"], exprs["L"].scale(kappa), exprs["M"], exprs["N"].scale(kappa)]
+                    Y = np.array(eval_r_cos2_all(amps, r))
+                    dY = np.array(eval_r_cos2_all([e.diff_r_cos2() for e in amps], r))
+                    terms = system(j, q, 0.0).matrix(r).transpose(1, 2, 0) * Y  # (row, column, point)
+                    scale = np.maximum(np.abs(dY), np.abs(terms).max(axis=1))
+                    worst = max(worst, (np.abs(dY - terms.sum(axis=1)) / scale).max())
+        assert worst <= 1e-12
 
 
 class TestGeneralBasis:

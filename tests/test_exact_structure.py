@@ -143,15 +143,25 @@ def reference_factorization_identity(outer, inner, direct, name="factorization-i
     return verify._report(name, x.astype(float), rel, np.ones(len(x)), verify.IDENTITY_TOL)
 
 
+def reference_matrix(sol) -> np.ndarray:
+    """The dense A(r) stack (point, row, column) at sol.params on sol's grid:
+    (eps + mu)(E + U)/2 + (eps - mu)(E - U)/2 + (a/sin r) S + (cot r) T, every
+    entry of all four matrices formed, with eps +- mu as ModeParams gives them."""
+    r, sysm = sol.grid, system(sol.qn.j, 0.0, 0.0)
+    weights = (*sol.params.eps_pm, sysm.a * (1.0 / np.sin(r)), 1.0 / np.tan(r))
+    w = [np.asarray(v)[..., None, None] for v in weights]
+    return w[0] * ((sysm.E + sysm.U) / 2) + w[1] * ((sysm.E - sysm.U) / 2) + w[2] * sysm.S + w[3] * sysm.T
+
+
 def reference_system_report(sol, name, tol, dY=None):
     """The system residual from the dense A(r) stack, its terms held as
     (row, column, point) and added column by column, left to right."""
-    r, sysm = sol.grid, system(sol.qn.j, sol.params.eps, sol.params.m_eff)
-    Y = np.array([getattr(sol, k) for k in sysm.state])
+    r, state = sol.grid, system(sol.qn.j, 0.0, 0.0).state
+    Y = np.array([getattr(sol, k) for k in state])
     if dY is None:
-        dY = reference_eval_r_cos2_all([reference_diff_r_cos2(sol.exprs[k]) for k in sysm.state], r)
+        dY = reference_eval_r_cos2_all([reference_diff_r_cos2(sol.exprs[k]) for k in state], r)
     dY = np.asarray(dY)
-    terms = sysm.matrix(r).transpose(1, 2, 0) * Y
+    terms = reference_matrix(sol).transpose(1, 2, 0) * Y
     total, big = terms[:, 0], np.abs(terms[:, 0])
     for c in range(1, len(Y)):
         total = total + terms[:, c]

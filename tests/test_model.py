@@ -2,6 +2,7 @@ import dataclasses
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
@@ -24,13 +25,43 @@ class TestModeParams:
     def test_p_sq_single_source(self):
         p = ModeParams(m=1.0, eps=-2.0)
         assert p.p_sq == 3.0
-        assert p.m_eff == 1.0
+        assert p.eps_pm == (-1.0, -3.0)
 
     def test_from_p_sq(self):
         p = ModeParams.from_p_sq(1.0, 8.0, lambda_sign=-1)
         assert p.eps == pytest.approx(3.0)
         assert p.p_sq == pytest.approx(8.0)
-        assert p.m_eff == -1.0
+        assert p.eps_pm == (2.0, 4.0)
+
+    def test_from_p_sq_keeps_p_sq(self):
+        """At m = 1e5, eps^2 - m^2 no longer holds p^2 = 35; from_p_sq keeps it,
+        in no public field, and compares equal to the params of its (m, eps)."""
+        kept = ModeParams.from_p_sq(1e5, 35, eps_sign=-1)
+        derived = ModeParams(m=1e5, eps=kept.eps)
+        assert kept.p_sq == 35.0 and derived.p_sq != 35.0 and kept == derived
+        assert [f.name for f in dataclasses.fields(kept) if not f.name.startswith("_")] == ["m", "eps", "lambda_sign"]
+        assert "_p_sq" not in repr(kept)
+        assert ModeParams.from_p_sq(1.0, 8.0, eps_sign=-1).eps == -3.0
+
+    @pytest.mark.parametrize("m", [0.7, 1e5, 1e9])
+    @pytest.mark.parametrize("lam", [+1, -1])
+    @pytest.mark.parametrize("eps_sign", [+1, -1])
+    def test_eps_pm_does_not_cancel(self, m, lam, eps_sign):
+        """eps + mu and eps - mu, mu = lam m, to a few ulp of their exact
+        values (50 digits, from the kept p^2 and the float eps) on both
+        branches and at both signs of eps: the like-signed one is a sum, the
+        other p^2 over it."""
+        p_sq = 24
+        params = ModeParams.from_p_sq(m, p_sq, lam, eps_sign)
+        with mpmath.workdps(50):
+            eps = eps_sign * mpmath.sqrt(p_sq + mpmath.mpf(m) ** 2)
+            exact = (eps + lam * m, eps - lam * m)
+            for got, want in zip(params.eps_pm, exact):
+                assert abs(got - want) <= 4 * np.finfo(float).eps * abs(want)
+
+    def test_eps_pm_at_zero(self):
+        assert ModeParams(m=0.0, eps=0.0).eps_pm == (0.0, 0.0)
+        assert ModeParams(m=3.0, eps=-3.0).eps_pm[0] == 0.0
 
     def test_branch_validation(self):
         with pytest.raises(ValueError):
@@ -53,7 +84,7 @@ class TestSystems:
 
     def test_j0_lambda_branch_is_mass_flip(self):
         params = ModeParams(m=1.0, eps=2.0, lambda_sign=-1)
-        A = system(0, params.eps, params.m_eff).matrix(math.pi / 2)
+        A = system(0, params.eps, params.lambda_sign * params.m).matrix(math.pi / 2)
         assert np.allclose(A, [[0, -1], [3, 0]], atol=1e-15)
 
     def test_j_massless_at_equator(self):
@@ -264,7 +295,7 @@ class TestVariableChangeConsistency:
     @pytest.mark.parametrize("j,eps,m", [(1, 2.1, 0.0), (2, 3.3, 1.0)])
     def test_fd_residual(self, j, eps, m):
         params = ModeParams(m=m, eps=eps)
-        sysm = system(j, params.eps, params.m_eff)
+        sysm = system(j, params.eps, params.lambda_sign * params.m)
         # Window keeps x = cos^2 r away from x=0, where generic solutions
         # carry an x^(1/2) branch with unbounded higher derivatives.
         r = np.arange(0.45, 1.25, 1e-3)

@@ -70,20 +70,32 @@ class TestShootJ0:
         with pytest.raises(oracle.SpectrumError, match="0 and 2 nodes: a level between them was missed"):
             shoot_j0(0.0, +1, ShootingConfig(eps_scan=(0.2, 6.0)))
 
-    def test_decoupled_eigenvalue_is_rejected(self, monkeypatch):
-        """eps = +m is a collocation eigenvalue at every N (N = sin r, with M
-        singular at r = pi): its Chebyshev tail is of order one, so it is
-        no level.  Without the tail test the window can never be resolved."""
-        H, theta = oracle._collocation_matrix(0, 1.0, 32)
-        vals, vecs = np.linalg.eig(H)
-        at_m = np.argmin(np.abs(vals - 1.0))
-        assert abs(vals[at_m] - 1.0) < 1e-12
-        assert oracle._chebyshev_tails(vecs[:, [at_m]], theta)[0] > 0.1
-        cfg = ShootingConfig(eps_scan=(0.5, 2.5))
-        assert [ev.eps for ev in shoot_j0(1.0, +1, cfg)] == pytest.approx([2.0], rel=1e-13)
-        monkeypatch.setattr(oracle, "TAIL_TOL", np.inf)
+    @pytest.mark.parametrize("N", [16, 64, 512])
+    def test_p_zero_pair_lies_within_the_cut(self, N):
+        """At p = 0 the M row decouples: the j = 0 collocation holds exactly
+        two eigenvalues within P_ZERO_CUT, the level (0, sin r) and its
+        singular twin, split by rounding to far more than DRIFT_TOL."""
+        vals = np.linalg.eigvals(oracle._collocation_matrix(0, N)[0])
+        near = np.abs(vals[np.abs(vals) < 0.5])
+        assert len(near) == 2 and near.max() <= oracle.P_ZERO_CUT and near.max() > oracle.DRIFT_TOL
+
+    @pytest.mark.parametrize("m,levels", [
+        (3.0, [math.sqrt(12.0), math.sqrt(17.0), math.sqrt(24.0)]),
+        (0.0, [math.sqrt(3.0)]),
+    ])
+    def test_window_from_zero_drops_the_p_zero_pair(self, m, levels):
+        """A window from eps = 0 maps to p from 0: the p = 0 pair is no
+        level, and the levels above it keep nodes 0, 1, 2, ..."""
+        evs = shoot_j0(m, +1, ShootingConfig(eps_scan=(0.0, 5.0 if m else 2.0)))
+        assert [ev.eps for ev in evs] == pytest.approx(levels, rel=1e-12)
+        assert [ev.node_count for ev in evs] == list(range(len(levels)))
+
+    def test_p_zero_cut_at_drift_tol_fails(self, monkeypatch):
+        """Negative control: the pair's split is above DRIFT_TOL, so a cut
+        there leaves an eigenvalue that never resolves."""
+        monkeypatch.setattr(oracle, "P_ZERO_CUT", oracle.DRIFT_TOL)
         with pytest.raises(oracle.SpectrumError, match="collocation did not resolve"):
-            shoot_j0(1.0, +1, cfg)
+            shoot_j0(3.0, +1, ShootingConfig(eps_scan=(0.0, 5.0)))
 
     @pytest.mark.parametrize("m", [0.0, 1.0, 2.0])
     def test_criterion_1_windows_to_1e10(self, m):
@@ -309,7 +321,7 @@ class TestIntegrator:
         real_ivp = oracle.solve_ivp
         monkeypatch.setattr(oracle, "solve_ivp", lambda fun, *a, **k: real_ivp(lambda r, y: 4 * (1 + y * y), *a, **k))
         with pytest.raises(oracle.IntegrationError, match=r"integration failed: step collapsed at r = 0\.39"):
-            oracle._match(np.array([2.0]), 0.0, 1, oracle.R_START_OFFSET)
+            oracle._match(np.array([2.0]), 1, oracle.R_START_OFFSET)
 
 
 class TestMatchRHS:
@@ -336,20 +348,40 @@ def _principal_sine(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 class TestAgainstReferenceIntegrator:
-    @pytest.mark.parametrize("j,m,hi", [(0, 1.0, 7.4), (1, 0.0, 4.5), (3, 1.0, 12.0), (6, 0.0, 10.0)])
-    def test_equator_regular_space_matches_dop853(self, j, m, hi):
-        """The regular space _match carries to the equator agrees with
-        scipy's DOP853 at rtol 1e-13 from the same Frobenius start."""
-        levels, _ = oracle._locate(j, m, (0.1, hi))
+    @staticmethod
+    def check(j, m, lam, hi):
+        """The regular space _match carries to the equator in p, mapped by
+        diag(1, 1/kappa, 1, 1/kappa) (diag(1, 1/kappa) at j = 0), kappa =
+        (eps + lam m)/p, agrees with scipy's DOP853 at rtol 1e-13 on the
+        massive system(j, eps, lam m) from its own Frobenius start, at the
+        levels of the window and 0.25 above each; at m > 0 the unmapped
+        space does not, off the levels."""
+        p, _ = oracle._locate(j, (0.1, math.sqrt(hi * hi - m * m)))
+        p = np.concatenate([p, p + 0.25])
         r0 = oracle.R_START_OFFSET
-        mats = oracle._match(levels, m, j, r0)
-        sysm = system(j, levels, m)
+        mats = oracle._match(p, j, r0)
+        eps = np.hypot(p, m)
+        sysm = system(j, eps, lam * m)
         start = _frobenius_initial(j, sysm, r0)
         ref = reference_ivp(lambda r, y: (sysm.matrix(r) @ y.reshape(start.shape)).reshape(-1),
                             (r0, math.pi / 2), start.reshape(-1), method="DOP853", rtol=1e-13, atol=1e-16)
-        assert ref.success
-        half = start.shape[-1]
-        assert _principal_sine(mats[..., :half], ref.y[:, -1].reshape(start.shape)).max() <= 1e-6
+        assert ref.success and len(p) >= 3
+        ref, unmapped = ref.y[:, -1].reshape(start.shape), mats[..., :start.shape[-1]]
+        unkappa = np.ones(start.shape[:2])
+        unkappa[:, 1::2] = (p / (eps + lam * m))[:, None]
+        assert _principal_sine(unkappa[..., None] * unmapped, ref).max() <= 1e-6
+        assert m == 0 or _principal_sine(unmapped, ref)[len(p) // 2:].min() > 1e-3
+
+    @pytest.mark.parametrize("j,m,hi", [(0, 1.0, 7.4), (1, 0.0, 4.5), (3, 1.0, 12.0), (6, 0.0, 10.0)])
+    def test_equator_regular_space_matches_dop853(self, j, m, hi):
+        self.check(j, m, +1, hi)
+
+    @pytest.mark.parametrize("lam", [+1, -1])
+    @pytest.mark.parametrize("m", [0.5, 3.7])
+    @pytest.mark.parametrize("j", [0, 2])
+    def test_mass_term_matches_dop853(self, j, m, lam):
+        """The levels with p up to 9, at both branches."""
+        self.check(j, m, lam, math.hypot(9.0, m))
 
     @pytest.mark.parametrize("j,m", [(0, 0.0), (0, 1.0), (0, 2.0), *((j, m) for m in (0.0, 1.0) for j in (1, 2, 3))])
     def test_acceptance_windows_are_clean(self, j, m):
@@ -376,18 +408,21 @@ class TestLocateAndConfirm:
             shoot_j(0.0, 1, +1, ShootingConfig(eps_scan=(0.1, 4.5)))
 
     def test_window_past_the_cap_raises_at_once(self):
-        """hi = 63 would start at N = 260 > COLLOCATION_MAX_N: no N is tried."""
-        with pytest.raises(oracle.SpectrumError, match=r"\(j=1, m=0\): no N up to COLLOCATION_MAX_N=256"):
-            shoot_j(0.0, 1, +1, ShootingConfig(eps_scan=(62.5, 63.0)))
+        """p_hi = 63, or sqrt(120^2 - 100^2) = 66.3 at m = 100, would start at
+        N = 260 or more > COLLOCATION_MAX_N: no N is tried."""
+        for m, window, p_window in ((0.0, (62.5, 63.0), "[62.5, 63]"), (100.0, (100.0, 120.0), "[0, 66.3325]")):
+            with pytest.raises(oracle.SpectrumError, match=re.escape(
+                    f"did not resolve p in {p_window} (j=1): no N up to COLLOCATION_MAX_N=256")):
+                shoot_j(m, 1, +1, ShootingConfig(eps_scan=window))
 
     def test_unconfirmed_level_raises(self, monkeypatch):
-        """eps = 2.5 is no j = 0 level at m = 0: the shooting determinant
-        keeps its sign across the bracket, and the error names both values."""
+        """p = 2.5 is no j = 0 level: the shooting determinant keeps its
+        sign across the bracket, and the error names both values."""
         monkeypatch.setattr(oracle, "_locate", lambda *a: (np.array([2.5]), np.array([2])))
         with pytest.raises(oracle.SpectrumError,
-                           match=r"does not confirm the level eps=2\.5 \(j=0, m=0\): the determinant is "
-                                 r"\S+ at eps-2\.5e-07 and \S+ at eps\+2\.5e-07$"):
-            shoot_j0(0.0, +1, ShootingConfig(eps_scan=(2.0, 3.0)))
+                           match=r"does not confirm the level p=2\.5 \(j=0\): the determinant is "
+                                 r"\S+ at p-2\.5e-07 and \S+ at p\+2\.5e-07$"):
+            shoot_j0(1.0, +1, ShootingConfig(eps_scan=(2.0, 3.0)))
 
 
 class TestFrobeniusSeries:
@@ -423,14 +458,14 @@ class TestCompare:
         assert (Family.F3, 1) in fams and (Family.F3, 0) not in fams
 
     def test_level_off_by_1e8_fails(self):
-        """Negative control: a closed-form level moved by a relative 1e-8
-        is no longer matched by the default tolerance, though it lies well
-        inside the 1e-5 the acceptance criteria pass explicitly."""
+        """Negative control: a closed-form level whose p^2 is moved by a
+        relative 1e-8 is no longer matched by the default tolerance, though
+        it lies well inside the 1e-5 the acceptance criteria pass explicitly."""
         evs = shoot_j(1.0, 2, +1, ShootingConfig(eps_scan=(0.5, 12.0)))
         closed = [e for e in family_levels(2, 8, 1) if e.bound and e.eps() <= 12.0]
         assert len(closed) >= 4 and compare_spectra(evs, closed).passed
-        moved = dataclasses.replace(closed[2], eps_sq=closed[2].eps_sq * Fraction(1 + 1e-8) ** 2)
-        assert moved.eps() / closed[2].eps() - 1 == pytest.approx(1e-8, rel=1e-6)
+        moved = dataclasses.replace(closed[2], p_sq=closed[2].p_sq * Fraction(1 + 1e-8))
+        assert float(moved.p_sq / closed[2].p_sq) - 1 == pytest.approx(1e-8, rel=1e-6)
         shifted = [*closed[:2], moved, *closed[3:]]
         cmp = compare_spectra(evs, shifted)
         assert not cmp.passed and cmp.unmatched_closed == [moved]

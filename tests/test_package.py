@@ -1,8 +1,8 @@
 """The package surface: what each module lists in __all__ exists, every
 name one public module gives another is defined and listed there, every
 module-level private name is used somewhere, no module or README command
-loads scipy, and the benchmark's tracer still finds the oracle functions
-it wraps."""
+loads scipy, the benchmark's tracer still finds the oracle functions it
+wraps, and the benchmark's self-test passes."""
 
 import ast
 import importlib
@@ -174,3 +174,15 @@ def test_benchmark_tracing_points_still_count():
     assert levels == 6
     assert (metrics["oracle.scan_ivp_calls"], metrics["oracle.scan_lanes"]) == (2, 3 * levels)
     assert metrics["oracle.scan_rhs_evals"] > 0 and metrics["oracle.ivp_failed"] == 0
+
+
+def test_benchmark_selftest_passes():
+    """perfbench/selftest.py runs each workload on its tiny inputs through the
+    calls the benchmark makes (ShootingConfig with a trailing step, lambda
+    by position, ModeParams(m=..., eps=...), the tracer's bindings), so a
+    broken seam fails here, not first in a benchmark run.  It writes only
+    under the git-ignored perfbench/_out/."""
+    selftest = SOURCE.parents[1] / "perfbench" / "selftest.py"
+    proc = subprocess.run([sys.executable, str(selftest)], capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
+    assert proc.stdout.rstrip().endswith("selftest: all checks passed")

@@ -42,6 +42,7 @@ from dkradial.verify import (
 )
 from factorization_battery import compose_apply, default_battery
 from finite_difference import fd_derivatives
+from test_exact_structure import reference_matrix
 
 
 class TestGrid:
@@ -804,10 +805,10 @@ def reference_system_report(sol, name, tol):
     """Reference: the system residual with Y the solution's samples and dY
     from a second table on its grid, the terms A_ic Y_c held as (point, row,
     column) and summed over the last axis."""
-    r, sysm = sol.grid, system(sol.qn.j, sol.params.eps, sol.params.m_eff)
-    Y = [getattr(sol, k) for k in sysm.state]
-    dY = np.asarray(eval_r_cos2_all([sol.exprs[k].diff_r_cos2() for k in sysm.state], r))
-    terms = sysm.matrix(r) * np.transpose(Y)[:, None, :]
+    r, state = sol.grid, system(sol.qn.j, 0.0, 0.0).state
+    Y = [getattr(sol, k) for k in state]
+    dY = np.asarray(eval_r_cos2_all([sol.exprs[k].diff_r_cos2() for k in state], r))
+    terms = reference_matrix(sol) * np.transpose(Y)[:, None, :]
     rows = dY - terms.sum(axis=2).T
     scales = np.maximum(np.abs(dY), np.abs(terms).max(axis=2).T)
     rel = np.abs(rows) / np.where(scales > 0, scales, 1.0)
