@@ -2,8 +2,8 @@
 
 Modules (import each name from its module; importing the package loads none):
   hypergeo    Gauss 2F1 evaluation (terminating and generic parameters)
-  model       the radial system (system(j, eps, m) for every j), fourth-order
-              operators, factorizations
+  model       the radial system (system(j, eps + mu, eps - mu) for every j),
+              fourth-order operators, factorizations
   closedform  exact wavefunctions and discrete spectra
   verify      residual / factorization / Wronskian checks
   oracle      shooting-method eigenvalues, independent of the closed forms

@@ -177,11 +177,13 @@ def _verify_reports(args) -> list[verify.VerificationReport]:
     reports = []
     xg = verify.chebyshev_grid()
     if "operators" in suites or "cross" in suites:
-        fam_n = {fam: max(n, -seed.offset) for fam, seed in closedform.FAMILIES.items()}
+        entries = [closedform.spectrum(fam, j, max(n, -seed.offset), mass)
+                   for fam, seed in closedform.FAMILIES.items()]
+        for entry in entries:
+            entry.eps()  # names n when eps^2 is too large for a float
     if "operators" in suites:
-        for fam, nn in fam_n.items():
-            entry = closedform.spectrum(fam, j, nn, mass)
-            p2, a2 = float(entry.p_sq), j * (j + 1)
+        for entry in entries:
+            fam, nn, p2, a2 = entry.family, entry.n, float(entry.p_sq), j * (j + 1)
             for (side, _, direct), amp in zip(_SIDES, closedform.family_KM_exprs(fam, j, nn)):
                 reports.append(verify.residual_operator_expr(
                     direct(p2, a2), amp, xg, name=f"operator-{side}[{fam.value} j={j} n={nn}]"))
@@ -198,10 +200,9 @@ def _verify_reports(args) -> list[verify.VerificationReport]:
             w = verify.wronskian4([b.exprs["K"] for b in basis], x0)
             reports.append(verify.wronskian_report(w, x0, f"wronskian[j={j} p={p} x0={x0}]"))
     if "cross" in suites:
-        for fam, nn in fam_n.items():
-            entry = closedform.spectrum(fam, j, nn, mass)
+        for entry in entries:
             params = ModeParams.from_p_sq(mass, entry.p_sq, args.lam)
-            reports.append(verify.cross_consistency(fam, QuantumNumbers(j, nn), params))
+            reports.append(verify.cross_consistency(entry.family, QuantumNumbers(j, entry.n), params))
     if "j0" in suites:
         entry = closedform.spectrum(Family.J0, 0, n, mass)
         entry.eps()  # names n when eps^2 is too large for a float

@@ -2,17 +2,18 @@
 
 Everything is kept as evaluable closed-form coefficient data so that the
 verification and oracle modules can sample operators on arbitrary grids;
-system(j, eps, m) is the one builder of the radial first-order system both
-of them integrate or check.  Coefficients are evaluated together, from one
-table of 1 - x and of the pole powers x^k and (1-x)^k, each computed once.
+system(j, plus, minus) is the one builder of the radial first-order system
+both of them integrate or check.  Coefficients are evaluated together, from
+one table of 1 - x and of the pole powers x^k and (1-x)^k, each computed once.
 Units: curvature radius 1, radial coordinate r in (0, pi), natural units for
 the mass and energy.
 
-Branch conventions: the constraint branch lambda enters only through
-eps + lambda m and eps - lambda m, which ModeParams forms (system takes the
-effective mass lambda m); no separate coefficient tables exist for it.  The
-reflection-parity branch delta enters no radial equation, so nothing here
-carries it.
+Branch conventions: the mass and the constraint branch lambda enter only
+through plus = eps + lambda m and minus = eps - lambda m, which
+ModeParams.eps_pm forms and system takes; as plus minus = p^2, (K, L, M, N)
+-> (K, kappa L, M, kappa N), kappa = plus/p, takes system(j, plus, minus)
+onto the mass-free system(j, p, p).  The reflection-parity branch delta
+enters no radial equation, so nothing here carries it.
 """
 
 from __future__ import annotations
@@ -200,70 +201,67 @@ class LinearDifferentialOperator:
 
 @dataclass(frozen=True, eq=False)
 class FirstOrderSystem:
-    """dY/dr = A(r) Y with A(r) = eps E + m U + (a/sin r) S + (cot r) T.
+    """dY/dr = A(r) Y with A(r) = plus P + minus Q + (a/sin r) S + (cot r) T.
 
-    E, U, S and T are constant matrices with entries in {0, +-1}; SYSTEM_J
-    holds them with eps = m = a = 0, SYSTEM_J0 is its (M, N) block (where S
-    vanishes), and system(j, eps, m) picks the block and fills in the
-    parameters.  m is the effective mass, so the lambda = -1 branch is
-    m -> -m.  A(r) has simple poles at r=0 and r=pi.
+    P, Q, S and T are constant matrices with entries in {0, +-1} and no
+    nonzero entry in common; E = P + Q has E^2 = -I.  SYSTEM_J holds them
+    with plus = minus = a = 0, SYSTEM_J0 is its (M, N) block (where S
+    vanishes), and system(j, plus, minus) picks the block and fills in the
+    weights.  A(r) has simple poles at r=0 and r=pi.
 
     D is the diagonal of the reflection parity, D A(pi - r) D = -A(r): if
-    Y(r) solves the system, so does D Y(pi - r), for every eps, m and a.
+    Y(r) solves the system, so does D Y(pi - r), for every plus, minus and a.
     """
 
     state: tuple[str, ...]
-    E: np.ndarray
-    U: np.ndarray
+    P: np.ndarray
+    Q: np.ndarray
     S: np.ndarray
     T: np.ndarray
     D: np.ndarray
-    eps: float | np.ndarray = 0.0
-    m: float = 0.0
+    plus: float | np.ndarray = 0.0
+    minus: float | np.ndarray = 0.0
     a: float = 0.0
 
+    def constant(self) -> np.ndarray:
+        """plus P + minus Q, stacked over the shape of the weights: (..., n, n)."""
+        return np.multiply.outer(self.plus, self.P) + np.multiply.outer(self.minus, self.Q)
+
     def matrix(self, r) -> np.ndarray:
-        """A(r), stacked over the broadcast shape of eps and r: (..., n, n)."""
-        eps, inv_sin, cot = (
-            np.asarray(w)[..., None, None] for w in (self.eps, self.a * (1.0 / np.sin(r)), 1.0 / np.tan(r))
-        )
-        return eps * self.E + self.m * self.U + inv_sin * self.S + cot * self.T
+        """A(r), stacked over the broadcast shape of the weights and r: (..., n, n)."""
+        outer = np.multiply.outer
+        return self.constant() + outer(self.a * (1.0 / np.sin(r)), self.S) + outer(1.0 / np.tan(r), self.T)
 
 
 SYSTEM_J = FirstOrderSystem(
     state=("K", "L", "M", "N"),
-    E=np.array([[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]], dtype=float),
-    U=np.array([[0, -1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, -1], [0, 0, -1, 0]], dtype=float),
+    P=np.array([[0, -1, 0, 0], [0, 0, 0, 0], [0, 0, 0, -1], [0, 0, 0, 0]], dtype=float),
+    Q=np.array([[0, 0, 0, 0], [1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 1, 0]], dtype=float),
     S=np.array([[0, 0, -1, 0], [0, 0, 0, 1], [-1, 0, 0, 0], [0, 1, 0, 0]], dtype=float),
     T=np.diag([0.0, 0.0, -1.0, 1.0]),
     D=np.array([1.0, -1.0, -1.0, 1.0]),
 )
 
-SYSTEM_J0 = FirstOrderSystem(
-    state=SYSTEM_J.state[2:],
-    E=SYSTEM_J.E[2:, 2:],
-    U=SYSTEM_J.U[2:, 2:],
-    S=SYSTEM_J.S[2:, 2:],
-    T=SYSTEM_J.T[2:, 2:],
-    D=SYSTEM_J.D[2:],
+SYSTEM_J0 = replace(
+    SYSTEM_J, state=SYSTEM_J.state[2:], D=SYSTEM_J.D[2:], **{k: getattr(SYSTEM_J, k)[2:, 2:] for k in "PQST"}
 )
 
 
-def system(j: int, eps, m: float) -> FirstOrderSystem:
-    """The radial system at angular momentum j, energy eps (a float or an
-    array of lanes) and effective mass m; a = sqrt(j(j+1)).
+def system(j: int, plus, minus) -> FirstOrderSystem:
+    """The radial system at angular momentum j, with the weights plus = eps + mu
+    and minus = eps - mu (floats or arrays of lanes); a = sqrt(j(j+1)).
 
     j >= 1, state (K, L, M, N):
-        K' = -(eps+m) L - (a/sin r) M
-        L' =  (eps-m) K + (a/sin r) N
-        M' = -(a/sin r) K - (cot r) M - (eps+m) N
-        N' =  (a/sin r) L + (eps-m) M + (cot r) N
+        K' = -(eps+mu) L - (a/sin r) M
+        L' =  (eps-mu) K + (a/sin r) N
+        M' = -(a/sin r) K - (cot r) M - (eps+mu) N
+        N' =  (a/sin r) L + (eps-mu) M + (cot r) N
     j = 0, state (M, N), where a = 0 decouples (K, L):
-        M' = -(cot r) M - (eps+m) N,  N' = (cot r) N + (eps-m) M.
+        M' = -(cot r) M - (eps+mu) N,  N' = (cot r) N + (eps-mu) M.
     """
     if j < 0:
         raise ValueError(f"j={j} must be non-negative")
-    return replace(SYSTEM_J0 if j == 0 else SYSTEM_J, eps=eps, m=m, a=math.sqrt(j * (j + 1)))
+    return replace(SYSTEM_J0 if j == 0 else SYSTEM_J, plus=plus, minus=minus, a=math.sqrt(j * (j + 1)))
 
 
 def _exact(p_sq, a_sq) -> tuple:

@@ -2,10 +2,11 @@
 
 The ground truth the closed forms are checked against, solved in p: with
 mu = lambda m, p = sqrt(eps^2 - m^2) and kappa = (eps + mu)/p, (K, L, M, N)
--> (K, kappa L, M, kappa N) takes system(j, eps, mu) onto the mass-free
-system(j, p, 0), on which levels are located by collocation and confirmed
-by shooting; a level p is reported at eps = hypot(p, m).  As E^2 = -I,
-Y' = A(r) Y is p Y = H Y with H = -E (d/dr - A(r)|p=0), discretised on
+-> (K, kappa L, M, kappa N) takes system(j, eps + mu, eps - mu) onto the
+mass-free system(j, p, p), on which levels are located by collocation and
+confirmed by shooting; a level p is reported at eps = hypot(p, m).  There
+A(r) = p E + A(r)|p=0, E = P + Q, and as E^2 = -I, Y' = A(r) Y is
+p Y = H Y with H = -E (d/dr - A(r)|p=0), discretised on
 Chebyshev-Gauss points of (0, pi), which exclude the poles; a j = 0 level's
 nodes are counted on its eigenvector's M block.  One integration carries the
 regular space from a Frobenius start at r = 0 (Laurent series of 1/sin r and
@@ -190,24 +191,23 @@ class SpectrumComparison:
 
 def _series_matrices(sysm: FirstOrderSystem) -> list:
     """A(r) = A_-1/r + A_0 + A_1 r + A_3 r^3 + ... around r=0; A_0 is
-    stacked over the shape of sysm.eps, the other terms do not depend on eps."""
+    sysm.constant(), over the lanes of the weights; no other term has them."""
     # 1/sin r = 1/r + r/6 + 7 r^3/360 + ...; cot r = 1/r - r/3 - r^3/45 - ...
     aS, T = sysm.a * sysm.S, sysm.T
-    A_0 = np.asarray(sysm.eps)[..., None, None] * sysm.E + sysm.m * sysm.U
-    return [aS + T, A_0, aS / 6 - T / 3, np.zeros_like(T), 7 * aS / 360 - T / 45]
+    return [aS + T, sysm.constant(), aS / 6 - T / 3, np.zeros_like(T), 7 * aS / 360 - T / 45]
 
 
 def _frobenius_initial(j: int, sysm: FirstOrderSystem, r0: float) -> np.ndarray:
-    """Regular columns at r0 for every lane of sysm.eps, (lanes, n, n/2): (K, L, M, N)
+    """Regular columns at r0 for every lane of sysm.plus, (lanes, n, n/2): (K, L, M, N)
     with leading powers r^j and r^(j+1) for j >= 1, (M, N) ~ (0, r) for j = 0.
 
     Resonant orders (s+k an exponent of A_-1) are solved in the
     least-squares sense; any homogeneous admixture only re-mixes the
-    regular basis.  A_-1 - (s+k) I does not depend on eps, so each order is
+    regular basis.  A_-1 - (s+k) I does not depend on p, so each order is
     one least-squares solve with every lane as a right-hand side.
     """
     mats = _series_matrices(sysm)
-    A_m1, lanes, a = mats[0], len(sysm.eps), sysm.a
+    A_m1, lanes, a = mats[0], len(sysm.plus), sysm.a
     if j == 0:
         seeds = [(1, np.array([0.0, 1.0]))]
     else:
@@ -231,11 +231,10 @@ def _frobenius_initial(j: int, sysm: FirstOrderSystem, r0: float) -> np.ndarray:
 
 
 def _rhs(sysm: FirstOrderSystem, shape: tuple):
-    """y' = A(r) y for the lanes of sysm.eps, y flat and (lanes, n, cols)
-    when reshaped.  eps E + m U (the series' A_0) is formed once, and
-    (a/sin r) S + (cot r) T added to it at every call, in the order of
-    FirstOrderSystem.matrix, so A(r) and the product are its bit for bit."""
-    const = _series_matrices(sysm)[1]
+    """y' = A(r) y for the lanes of sysm.plus, y flat and (lanes, n, cols)
+    when reshaped: sysm.constant(), taken once, with (a/sin r) S + (cot r) T
+    added per call as FirstOrderSystem.matrix adds them, bit for bit."""
+    const = sysm.constant()
 
     def rhs(r, y):
         A = const + sysm.a * (1.0 / np.sin(r)) * sysm.S + 1.0 / np.tan(r) * sysm.T
@@ -245,11 +244,11 @@ def _rhs(sysm: FirstOrderSystem, shape: tuple):
 
 
 def _match(p_vec: np.ndarray, j: int, r0: float) -> np.ndarray:
-    """Stacked match matrices [Y | D Y] of system(j, p, 0) at the equator, Y
-    the regular columns there: one solve_ivp carries every lane from r0 to
-    pi/2, and D Y(pi/2) is the regular space of r = pi brought to the
-    equator by the reflection."""
-    sysm = system(j, np.atleast_1d(np.asarray(p_vec, dtype=float)), 0.0)
+    """Stacked match matrices [Y | D Y] of system(j, p, p) at the equator
+    for the float array p_vec, Y the regular columns there: one solve_ivp
+    carries every lane from r0 to pi/2, and D Y(pi/2) is the regular space of
+    r = pi brought to the equator by the reflection."""
+    sysm = system(j, p_vec, p_vec)
     cols_init = _frobenius_initial(j, sysm, r0)
     rhs = _rhs(sysm, cols_init.shape)
     sol = solve_ivp(rhs, (r0, math.pi / 2), cols_init.reshape(-1), rtol=INTEGRATOR_RTOL, atol=INTEGRATOR_ATOL)
@@ -260,7 +259,7 @@ def _match(p_vec: np.ndarray, j: int, r0: float) -> np.ndarray:
 
 
 def _collocation_matrix(j: int, N: int) -> tuple[np.ndarray, np.ndarray]:
-    """H = -E (d/dr - A(r)|p=0) of system(j, p, 0) on the N Chebyshev-Gauss
+    """H = -E (d/dr - A(r)|p=0) of system(j, p, p) on the N Chebyshev-Gauss
     points r = pi (1 - cos theta) / 2 of (0, pi), (n N, n N) in blocks by
     state component, and the angles theta."""
     theta = (2 * np.arange(N) + 1) * math.pi / (2 * N)
@@ -269,10 +268,11 @@ def _collocation_matrix(j: int, N: int) -> tuple[np.ndarray, np.ndarray]:
     np.fill_diagonal(Dx, 0.0)
     np.fill_diagonal(Dx, -Dx.sum(axis=1))  # the rows of a differentiation matrix sum to zero
     sysm = system(j, 0.0, 0.0)
-    H = (2 / math.pi) * sysm.E[:, None, :, None] * Dx[None, :, None, :]  # -E d/dr, d/dr = -(2/pi) d/dx
+    E = sysm.P + sysm.Q
+    H = (2 / math.pi) * E[:, None, :, None] * Dx[None, :, None, :]  # -E d/dr, d/dr = -(2/pi) d/dx
     k = np.arange(N)
-    H[:, k, :, k] += sysm.E @ sysm.matrix(math.pi * (1 - x) / 2)
-    return H.reshape(len(sysm.E) * N, -1), theta
+    H[:, k, :, k] += E @ sysm.matrix(math.pi * (1 - x) / 2)
+    return H.reshape(len(E) * N, -1), theta
 
 
 def _chebyshev_tails(vecs: np.ndarray, theta: np.ndarray) -> np.ndarray:

@@ -244,12 +244,12 @@ def j0_pair_residual(sol: RadialSolution) -> VerificationReport:
 
 # The nonzero entries of A(r) row by row, for the j >= 1 system and the j = 0
 # block (keyed by the state size), taken once from the constant matrices:
-# (column, k, constant) for the k-th of (E + U)/2, (E - U)/2, S and T, which
-# weigh eps + mu, eps - mu, a/sin r and cot r and share no entry.
+# (column, k, constant) for the k-th of P, Q, S and T, which weigh eps + mu,
+# eps - mu, a/sin r and cot r and share no entry.
 _ENTRIES = {
     len(sysm.state): [
         [(c, k, float(X[i, c])) for c in range(len(sysm.state))
-         for k, X in enumerate(((sysm.E + sysm.U) / 2, (sysm.E - sysm.U) / 2, sysm.S, sysm.T)) if X[i, c]]
+         for k, X in enumerate((sysm.P, sysm.Q, sysm.S, sysm.T)) if X[i, c]]
         for i in range(len(sysm.state))
     ]
     for sysm in (SYSTEM_J, SYSTEM_J0)

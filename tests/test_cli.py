@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import shlex
@@ -207,7 +208,12 @@ class TestExitCodes:
          "the terminating 2F1 coefficients overflow"),
         (["spectrum", "--family", "f1", "--j", "1", "--n", "1" + "0" * 160],
          f"eps^2 at n=1{'0' * 160} is too large for a float"),
-    ], ids=["wavefunction-f1-n500", "wavefunction-j0-n1e29", "spectrum-n1e160"])
+        (["verify", "--suite", "cross", "--j", "1", "--n", "1" + "0" * 160],
+         f"eps^2 at n=1{'0' * 160} is too large for a float"),
+        (["verify", "--suite", "operators", "--j", "1", "--n", "1" + "0" * 160],
+         f"eps^2 at n=1{'0' * 160} is too large for a float"),
+    ], ids=["wavefunction-f1-n500", "wavefunction-j0-n1e29", "spectrum-n1e160", "verify-cross-n1e160",
+            "verify-operators-n1e160"])
     def test_overflow_is_one_line_usage_error(self, argv, message):
         """Overflowing levels and 2F1 coefficients exit 2 promptly, with the
         message as the only stderr line: no numpy warning, no traceback."""
@@ -625,6 +631,25 @@ class TestReadme:
             code, out = run_main(argv, capsys)
             golden = (root / "perfbench" / "golden" / f"{name}.csv").read_bytes()
             assert code == 0 and out.encode("utf-8") == golden, name
+
+    def test_numeric_commands_match_golden(self, tmp_path, capsys):
+        """The README verify and oracle commands print tests/golden/verify.json
+        and oracle.json byte for byte, and the README wavefunction CSV has the
+        sha256 in tests/golden/wavefunction.sha256."""
+        root = Path(__file__).resolve().parents[1]
+        golden = root / "tests" / "golden"
+        block = (root / "README.md").read_text(encoding="utf-8").split("## Command line", 1)[1].split("```")[1]
+        commands = {argv[0]: argv for argv in (shlex.split(line)[1:] for line in block.splitlines())
+                    if argv and argv[0] in ("verify", "oracle", "wavefunction")}
+        assert sorted(commands) == ["oracle", "verify", "wavefunction"]
+        for name in ("verify", "oracle"):
+            code, out = run_main(commands[name], capsys)
+            assert code == 0 and out.encode("utf-8") == (golden / f"{name}.json").read_bytes(), name
+        argv = commands["wavefunction"]
+        argv[argv.index("--out") + 1] = str(tmp_path / "wf.csv")
+        assert run_main(argv, capsys) == (0, "")
+        digest = hashlib.sha256((tmp_path / "wf.csv").read_bytes()).hexdigest()
+        assert digest == (golden / "wavefunction.sha256").read_text().strip()
 
     def test_args_file_example_runs(self, tmp_path, monkeypatch, capsys):
         """The README @file example: write the file it shows, run its command."""

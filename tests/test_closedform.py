@@ -312,7 +312,7 @@ class TestOnSpectrum:
 class TestMassRescaling:
     """With mu = lam m, sigma the sign of eps and kappa = (eps + mu)/(sigma p),
     (K, kappa L, M, kappa N) of a massive state solves the mass-free
-    system(j, sigma p, 0): the mass is one scalar on L and N."""
+    system(j, sigma p, sigma p): the mass is one scalar on L and N."""
 
     @pytest.mark.parametrize("m,lam,sigma", [(0.5, +1, +1), (3.7, -1, +1), (2.0, +1, -1), (1e5, +1, +1)])
     def test_rescaled_state_meets_the_massless_system(self, m, lam, sigma):
@@ -328,7 +328,7 @@ class TestMassRescaling:
                     amps = [exprs["K"], exprs["L"].scale(kappa), exprs["M"], exprs["N"].scale(kappa)]
                     Y = np.array(eval_r_cos2_all(amps, r))
                     dY = np.array(eval_r_cos2_all([e.diff_r_cos2() for e in amps], r))
-                    terms = system(j, q, 0.0).matrix(r).transpose(1, 2, 0) * Y  # (row, column, point)
+                    terms = system(j, q, q).matrix(r).transpose(1, 2, 0) * Y  # (row, column, point)
                     scale = np.maximum(np.abs(dY), np.abs(terms).max(axis=1))
                     worst = max(worst, (np.abs(dY - terms.sum(axis=1)) / scale).max())
         assert worst <= 1e-12

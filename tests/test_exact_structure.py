@@ -144,13 +144,10 @@ def reference_factorization_identity(outer, inner, direct, name="factorization-i
 
 
 def reference_matrix(sol) -> np.ndarray:
-    """The dense A(r) stack (point, row, column) at sol.params on sol's grid:
-    (eps + mu)(E + U)/2 + (eps - mu)(E - U)/2 + (a/sin r) S + (cot r) T, every
-    entry of all four matrices formed, with eps +- mu as ModeParams gives them."""
-    r, sysm = sol.grid, system(sol.qn.j, 0.0, 0.0)
-    weights = (*sol.params.eps_pm, sysm.a * (1.0 / np.sin(r)), 1.0 / np.tan(r))
-    w = [np.asarray(v)[..., None, None] for v in weights]
-    return w[0] * ((sysm.E + sysm.U) / 2) + w[1] * ((sysm.E - sysm.U) / 2) + w[2] * sysm.S + w[3] * sysm.T
+    """The dense A(r) stack (point, row, column) at sol.params on sol's grid,
+    every entry of P, Q, S and T formed: system(j, eps + mu, eps - mu).matrix,
+    with eps +- mu as ModeParams gives them."""
+    return system(sol.qn.j, *sol.params.eps_pm).matrix(sol.grid)
 
 
 def reference_system_report(sol, name, tol, dY=None):

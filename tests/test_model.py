@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 from fractions import Fraction
 
@@ -8,6 +9,8 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from dkradial.model import (
+    SYSTEM_J,
+    SYSTEM_J0,
     ModeParams,
     QuantumNumbers,
     RationalCoefficient,
@@ -79,12 +82,12 @@ class TestSystems:
         assert np.allclose(A, 0.0, atol=1e-15)
 
     def test_j0_values(self):
-        A = system(0, 2.0, 1.0).matrix(math.pi / 2)
+        A = system(0, *ModeParams(m=1.0, eps=2.0).eps_pm).matrix(math.pi / 2)
         assert np.allclose(A, [[0, -3], [1, 0]], atol=1e-15)
 
     def test_j0_lambda_branch_is_mass_flip(self):
         params = ModeParams(m=1.0, eps=2.0, lambda_sign=-1)
-        A = system(0, params.eps, params.lambda_sign * params.m).matrix(math.pi / 2)
+        A = system(0, *params.eps_pm).matrix(math.pi / 2)
         assert np.allclose(A, [[0, -1], [3, 0]], atol=1e-15)
 
     def test_j_massless_at_equator(self):
@@ -98,17 +101,18 @@ class TestSystems:
         assert np.allclose(A, expect, atol=1e-15)
 
     def test_j_coupling_entries(self):
-        A = system(1, 1.0, 1.0).matrix(math.pi / 2)
+        A = system(1, *ModeParams(m=1.0, eps=1.0).eps_pm).matrix(math.pi / 2)
         assert A[0, 1] == pytest.approx(-2.0)  # K' <- L is -(eps+m)
         assert A[1, 0] == pytest.approx(0.0)   # eps-m = 0
 
     def test_negative_j_rejected(self):
         with pytest.raises(ValueError, match="non-negative"):
-            system(-1, 1.0, 0.0)
+            system(-1, 1.0, 1.0)
 
     def test_sector_follows_j(self):
         """j = 0 is the (M, N) block with a = 0; j >= 1 the full system."""
-        j0, j2 = system(0, 2.3, 0.7), system(2, 2.3, 0.7)
+        weights = ModeParams(m=0.7, eps=2.3).eps_pm
+        j0, j2 = system(0, *weights), system(2, *weights)
         assert (j0.state, j0.a) == (("M", "N"), 0.0)
         assert (j2.state, j2.a) == (("K", "L", "M", "N"), math.sqrt(6))
 
@@ -117,9 +121,10 @@ class TestSystems:
     def test_docstring_equations(self, r, lam):
         eps, m = 2.3, 0.7
         em_plus, em_minus = eps + lam * m, eps - lam * m
+        weights = ModeParams(m=m, eps=eps, lambda_sign=lam).eps_pm
         ct = 1.0 / math.tan(r)
         np.testing.assert_allclose(
-            system(0, eps, lam * m).matrix(r), [[-ct, -em_plus], [em_minus, ct]], rtol=1e-15, atol=0
+            system(0, *weights).matrix(r), [[-ct, -em_plus], [em_minus, ct]], rtol=1e-15, atol=0
         )
         for j in (1, 3):
             s = math.sqrt(j * (j + 1)) / math.sin(r)
@@ -130,14 +135,14 @@ class TestSystems:
                 [0.0, s, em_minus, ct],
             ]
             np.testing.assert_allclose(
-                system(j, eps, lam * m).matrix(r), expect, rtol=1e-15, atol=0
+                system(j, *weights).matrix(r), expect, rtol=1e-15, atol=0
             )
 
     def test_matrix_stacks_over_r_and_eps(self):
         r = np.array([0.3, 1.1, 2.6])
-        sysm = system(2, 2.3, 0.7)
+        sysm = system(2, *ModeParams(m=0.7, eps=2.3).eps_pm)
         assert np.array_equal(sysm.matrix(r), [sysm.matrix(float(t)) for t in r])
-        lanes = dataclasses.replace(sysm, eps=np.array([0.5, 2.3]))
+        lanes = dataclasses.replace(sysm, plus=np.array([0.5, sysm.plus]), minus=np.array([0.1, sysm.minus]))
         stacked = lanes.matrix(1.1)
         assert stacked.shape == (2, 4, 4)
         assert np.array_equal(stacked[1], sysm.matrix(1.1))
@@ -145,7 +150,8 @@ class TestSystems:
     @pytest.mark.parametrize("lam", [+1, -1])
     def test_reflection_parity(self, lam):
         """D A(pi - r) D = -A(r): D Y(pi - r) solves the system when Y does."""
-        for sysm in (system(0, 2.3, lam * 0.7), system(2, 2.3, lam * 0.7)):
+        weights = ModeParams(m=0.7, eps=2.3, lambda_sign=lam).eps_pm
+        for sysm in (system(0, *weights), system(2, *weights)):
             D = np.diag(sysm.D)
             for r in (0.3, 1.1, 2.6):
                 np.testing.assert_allclose(
@@ -160,10 +166,46 @@ class TestSystems:
         r = np.array([0.3, 1.1, 2.6])
         Y = np.stack([np.zeros_like(r), np.sin(r)], axis=-1)[..., None]
         dY = np.stack([np.zeros_like(r), np.cos(r)], axis=-1)[..., None]
-        minus = system(0, m, -m)
+        minus = system(0, 0.0, 2 * m)  # eps + mu = 0, eps - mu = 2m
         np.testing.assert_allclose(minus.matrix(r) @ Y, dY, rtol=0, atol=1e-15)
-        plus = system(0, m, m)
+        plus = system(0, 2 * m, 0.0)
         assert np.abs(plus.matrix(r) @ Y - dY).max() > 0.1
+
+
+class TestConstantMatrices:
+    """The facts the sparse system residual and the mass-free p path rest on."""
+
+    BASES = pytest.mark.parametrize("base", [SYSTEM_J, SYSTEM_J0], ids=["j", "j0"])
+
+    @BASES
+    def test_no_shared_nonzero_entry(self, base):
+        support = [X != 0 for X in (base.P, base.Q, base.S, base.T)]
+        for one, other in itertools.combinations(support, 2):
+            assert not (one & other).any()
+
+    @BASES
+    def test_E_squares_to_minus_identity(self, base):
+        E = base.P + base.Q
+        assert np.array_equal(E @ E, -np.eye(len(E)))
+
+    @BASES
+    def test_minus_E_times_each_part_is_symmetric(self, base):
+        """-E X symmetric for X in {E, P - Q, S, T}: the collocation operator
+        -E (d/dr - A(r)) is built from these products."""
+        E = base.P + base.Q
+        for X in (E, base.P - base.Q, base.S, base.T):
+            assert np.array_equal(-E @ X, (-E @ X).T)
+
+    @pytest.mark.parametrize("p", [2.7, -2.7, np.array([0.4, -1.9, 13.0])], ids=["p", "minus-p", "lanes"])
+    @pytest.mark.parametrize("j", [0, 1, 3])
+    def test_mass_free_matrix_is_p_E(self, j, p):
+        """system(j, p, p).matrix(r) is p E + (a/sin r) S + (cot r) T bit for
+        bit, signed zeros included."""
+        sysm = system(j, p, p)
+        E = sysm.P + sysm.Q
+        for r in (0.1, 1.1, 3.0):
+            want = np.multiply.outer(p, E) + sysm.a * (1.0 / np.sin(r)) * sysm.S + 1.0 / np.tan(r) * sysm.T
+            assert sysm.matrix(r).tobytes() == want.tobytes()
 
 
 class TestOperators:
@@ -295,7 +337,7 @@ class TestVariableChangeConsistency:
     @pytest.mark.parametrize("j,eps,m", [(1, 2.1, 0.0), (2, 3.3, 1.0)])
     def test_fd_residual(self, j, eps, m):
         params = ModeParams(m=m, eps=eps)
-        sysm = system(j, params.eps, params.lambda_sign * params.m)
+        sysm = system(j, *params.eps_pm)
         # Window keeps x = cos^2 r away from x=0, where generic solutions
         # carry an x^(1/2) branch with unbounded higher derivatives.
         r = np.arange(0.45, 1.25, 1e-3)

@@ -24,6 +24,12 @@ from test_acceptance import _scan_setup
 J0_CFG = ShootingConfig(eps_scan=(0.2, 4.0))
 
 
+def _weights(m: float, lam: int, eps) -> np.ndarray:
+    """(plus, minus) lanes, eps + mu and eps - mu from ModeParams, one lane
+    per entry of eps."""
+    return np.array([ModeParams(m=m, eps=float(e), lambda_sign=lam).eps_pm for e in eps]).T
+
+
 def _criterion_1_config(m: float) -> ShootingConfig:
     """The acceptance window that holds the six lowest j = 0 levels."""
     return ShootingConfig(eps_scan=(0.2, math.sqrt(m * m - 1 + 7.3**2)))
@@ -327,16 +333,16 @@ class TestIntegrator:
 class TestMatchRHS:
     @pytest.mark.parametrize("j, m", [(0, 0.0), (1, 0.0), (1, 2.5), (3, 1.3)])
     def test_equals_matrix_times_state(self, j, m):
-        """The RHS _match integrates, eps E + m U formed once per
-        integration, equals system(j, eps, m).matrix(r) @ y bit for bit at
-        50 r with 18 lanes."""
-        eps = np.linspace(0.3, 14.0, 18)
+        """The RHS _match integrates, plus P + minus Q formed once per
+        integration, equals system(j, plus, minus).matrix(r) @ y bit for bit
+        at 50 r with 18 lanes."""
+        sysm = system(j, *_weights(m, +1, np.linspace(0.3, 14.0, 18)))
         n = 2 if j == 0 else 4
         shape = (18, n, n // 2)
         y = np.random.default_rng(j).standard_normal(math.prod(shape))
-        rhs = oracle._rhs(system(j, eps, m), shape)
+        rhs = oracle._rhs(sysm, shape)
         for r in np.linspace(oracle.R_START_OFFSET, math.pi / 2, 50):
-            want = (system(j, eps, m).matrix(r) @ y.reshape(shape)).reshape(-1)
+            want = (sysm.matrix(r) @ y.reshape(shape)).reshape(-1)
             assert rhs(r, y).tobytes() == want.tobytes()
 
 
@@ -353,22 +359,22 @@ class TestAgainstReferenceIntegrator:
         """The regular space _match carries to the equator in p, mapped by
         diag(1, 1/kappa, 1, 1/kappa) (diag(1, 1/kappa) at j = 0), kappa =
         (eps + lam m)/p, agrees with scipy's DOP853 at rtol 1e-13 on the
-        massive system(j, eps, lam m) from its own Frobenius start, at the
-        levels of the window and 0.25 above each; at m > 0 the unmapped
-        space does not, off the levels."""
+        massive system(j, eps + lam m, eps - lam m) from its own Frobenius
+        start, at the levels of the window and 0.25 above each; at m > 0 the
+        unmapped space does not, off the levels."""
         p, _ = oracle._locate(j, (0.1, math.sqrt(hi * hi - m * m)))
         p = np.concatenate([p, p + 0.25])
         r0 = oracle.R_START_OFFSET
         mats = oracle._match(p, j, r0)
-        eps = np.hypot(p, m)
-        sysm = system(j, eps, lam * m)
+        plus, minus = _weights(m, lam, np.hypot(p, m))
+        sysm = system(j, plus, minus)
         start = _frobenius_initial(j, sysm, r0)
         ref = reference_ivp(lambda r, y: (sysm.matrix(r) @ y.reshape(start.shape)).reshape(-1),
                             (r0, math.pi / 2), start.reshape(-1), method="DOP853", rtol=1e-13, atol=1e-16)
         assert ref.success and len(p) >= 3
         ref, unmapped = ref.y[:, -1].reshape(start.shape), mats[..., :start.shape[-1]]
         unkappa = np.ones(start.shape[:2])
-        unkappa[:, 1::2] = (p / (eps + lam * m))[:, None]
+        unkappa[:, 1::2] = (p / plus)[:, None]
         assert _principal_sine(unkappa[..., None] * unmapped, ref).max() <= 1e-6
         assert m == 0 or _principal_sine(unmapped, ref)[len(p) // 2:].min() > 1e-3
 
@@ -428,7 +434,7 @@ class TestLocateAndConfirm:
 class TestFrobeniusSeries:
     @pytest.mark.parametrize("j,lam", [(0, +1), (0, -1), (1, +1), (3, -1)])
     def test_truncation_error_is_fifth_order(self, j, lam):
-        sysm = system(j, 2.3, lam * 0.7)
+        sysm = system(j, *ModeParams(m=0.7, eps=2.3, lambda_sign=lam).eps_pm)
         A_m1, A_0, A_1, A_2, A_3 = _series_matrices(sysm)
         err = [
             np.abs(A_m1 / r + A_0 + A_1 * r + A_2 * r**2 + A_3 * r**3 - sysm.matrix(r)).max()
@@ -438,12 +444,14 @@ class TestFrobeniusSeries:
 
     @pytest.mark.parametrize("j,m", [(0, 0.7), (1, 0.0), (3, -0.7)])
     def test_batched_start_equals_single_lanes(self, j, m):
+        """m < 0 is the lambda = -1 branch at mass |m|."""
         eps = np.array([0.4, 1.7, 2.3, 5.1])
-        batched = _frobenius_initial(j, system(j, eps, m), 1e-3)
+        lam = -1 if m < 0 else +1
+        batched = _frobenius_initial(j, system(j, *_weights(abs(m), lam, eps)), 1e-3)
         n = 2 if j == 0 else 4
         assert batched.shape == (len(eps), n, n // 2)
         for lane, e in enumerate(eps):
-            single = _frobenius_initial(j, system(j, np.array([e]), m), 1e-3)[0]
+            single = _frobenius_initial(j, system(j, *_weights(abs(m), lam, [e])), 1e-3)[0]
             assert np.allclose(batched[lane], single, rtol=1e-15, atol=0)
 
 
