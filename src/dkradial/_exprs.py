@@ -31,7 +31,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .hypergeo import Hyp2F1Params, gauss_2f1
+from .hypergeo import Hyp2F1Params, gauss_2f1, in_domain
 
 
 class Term(NamedTuple):
@@ -147,19 +147,19 @@ class Expr:
 class _Factors:
     """Factors of terms on one grid x, each evaluated once, when first asked
     for, and keyed by floats: x^xp by xp, (1-x)^yp by yp, and the 2F1 by
-    (alpha, beta, gamma)."""
+    (alpha, beta, gamma).  The table checks once that x lies in [0, 1), so
+    a table of exact ones raises Hyp2F1DomainError as any other does."""
 
     __slots__ = ("scalar", "x", "_xpow", "_ypow", "_hyp")
 
     def __init__(self, x):
-        x = np.asarray(x, dtype=float)
+        x = in_domain(x)  # the one check of x, for every factor of the table
         self.scalar, self.x = x.ndim == 0, np.atleast_1d(x)
         self._xpow, self._ypow, self._hyp = {}, {}, {}
 
     def term(self, key: tuple, coef: float) -> np.ndarray:
         """coef * x^xp * (1-x)^yp * 2F1 for key (xp, yp, alpha, beta, gamma),
-        multiplied in that order by each factor that is not exactly 1 (an
-        exact-one 2F1 is still evaluated once: that validates x)."""
+        multiplied in that order by each factor that is not exactly 1."""
         xp, yp, abc = key[0], key[1], key[2:]
         out = coef
         if xp != 0.0:
@@ -172,12 +172,10 @@ class _Factors:
             if yf is None:
                 yf = self._ypow[yp] = (1.0 - self.x) ** yp
             out = out * yf
-        if abc in self._hyp:
-            f = self._hyp[abc]
-        else:
-            f = gauss_2f1(Hyp2F1Params(*abc), self.x)
-            f = self._hyp[abc] = None if abc[0] == 0.0 or abc[1] == 0.0 else f
-        if f is not None:
+        if abc[0] != 0.0 and abc[1] != 0.0:
+            f = self._hyp.get(abc)
+            if f is None:
+                f = self._hyp[abc] = gauss_2f1(Hyp2F1Params(*abc), self.x)
             out = out * f
         return out if isinstance(out, np.ndarray) else np.full_like(self.x, coef)
 

@@ -113,23 +113,9 @@ def cmd_spectrum(args) -> int:
         for n in n_values:
             e = closedform.spectrum(fam, j_or_J, n, args.mass)
             eps = e.eps(args.eps_sign)  # before float(p_sq): names n when eps^2 >= p^2 overflows
-            partner = (
-                f"{e.degenerate_partner[0].value} j={e.degenerate_partner[1]} n={e.degenerate_partner[2]}"
-                if e.degenerate_partner
-                else ""
-            )
-            rows.append(
-                [
-                    fam.value,
-                    _fraction_str(e.j_or_J),
-                    n,
-                    _fraction_str(e.p_sq),
-                    float(e.p_sq),
-                    eps,
-                    "yes" if e.bound else "no",
-                    partner,
-                ]
-            )
+            twin = e.degenerate_partner
+            rows.append([fam.value, _fraction_str(e.j_or_J), n, _fraction_str(e.p_sq), float(e.p_sq), eps,
+                         "yes" if e.bound else "no", f"{twin[0].value} j={twin[1]} n={twin[2]}" if twin else ""])
     comments = [f"mass={args.mass}", f"eps_sign={args.eps_sign:+d}"]
     header = ["family", "j", "n", "p_sq_exact", "p_sq", "eps", "bound", "degenerate_partner"]
     return _table(args, comments, header, rows)
@@ -206,9 +192,7 @@ def _verify_reports(args) -> list[verify.VerificationReport]:
     if "j0" in suites:
         entry = closedform.spectrum(Family.J0, 0, n, mass)
         entry.eps()  # names n when eps^2 is too large for a float
-        params = ModeParams.from_p_sq(mass, entry.p_sq, args.lam)
-        grid = np.linspace(0.05, math.pi - 0.05, 101)
-        reports.append(verify.j0_pair_residual(closedform.wavefunction_j0(n, params, grid)))
+        reports.append(verify.j0_pair_residual(n, ModeParams.from_p_sq(mass, entry.p_sq, args.lam)))
     return reports
 
 

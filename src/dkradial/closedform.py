@@ -40,6 +40,7 @@ __all__ = [
     "family_levels",
     "family_KM_exprs",
     "family_exprs",
+    "j0_exprs",
     "wavefunction_j0",
     "wavefunction_family",
     "general_basis",
@@ -65,7 +66,7 @@ class OffSpectrumError(ValueError):
 
 
 class EliminationSingularError(ZeroDivisionError):
-    """eps + m = 0: the first-order elimination for (L, N) is singular."""
+    """eps + mu = 0, mu = lambda m: the first-order elimination for (L, N) is singular."""
 
 
 def _as_fraction(v) -> Fraction:
@@ -118,11 +119,16 @@ def _lam(family: Family, j, n: int):
     return j + 1 + int(2 * seed.xp) + 2 * (n + seed.offset)
 
 
+def _seed_2f1(j: int, lam, xp: float) -> tuple:
+    """The seed's 2F1 parameters (c0 - lam/2, c0 + lam/2, 1/2 + 2 xp), c0 = (j+1)/2 + xp."""
+    c0 = (j + 1) / 2 + xp
+    return c0 - lam / 2, c0 + lam / 2, 0.5 + 2 * xp
+
+
 def _seed_expr(j: int, lam, xp: float) -> Expr:
     """x^xp (1-x)^(j/2) F(c0 - lam/2, c0 + lam/2; 1/2 + 2 xp; x), c0 = (j+1)/2 + xp;
     x^{1/2} is the signed cos r, so the amplitude is smooth across the equator."""
-    c0 = (j + 1) / 2 + xp
-    return hyp_expr(1.0, xp, j / 2, c0 - lam / 2, c0 + lam / 2, 0.5 + 2 * xp)
+    return hyp_expr(1.0, xp, j / 2, *_seed_2f1(j, lam, xp))
 
 
 def _p_sq_formula(family: Family, j: Fraction, n: int) -> Fraction:
@@ -215,8 +221,9 @@ def j0_ratio(params: ModeParams) -> float:
     return -(2.0 / 3.0) * params.eps_pm[0]
 
 
-def wavefunction_j0(n: int, params: ModeParams, grid) -> RadialSolution:
-    """j=0 solution pair, normalised so that N ~ r/2 at r = 0:
+def j0_exprs(n: int, params: ModeParams) -> dict:
+    """{M, N} expressions of the j=0 level n, checked against the spectrum and
+    normalised so that N ~ r/2 at r = 0:
 
     N = sin((n+2) r) / (2(n+2)),  M = ratio sin^2 r C_n(cos r) / (4 C_n(1)),
 
@@ -225,8 +232,7 @@ def wavefunction_j0(n: int, params: ModeParams, grid) -> RadialSolution:
     N = x^xp (1-x)^{1/2} F(-k, k+1+2xp; 1/2+2xp; x) with 2k + 2xp = n + 1, and
     M = x^xp (1-x) F(-k, k+2+2xp; 1/2+2xp; x) with 2k + 2xp = n, each scaled
     by a closed form of its value at x = 1 (Chu-Vandermonde, F(-k, b; c; 1)
-    = (c-b)_k/(c)_k).  r = 0 and r = pi (x = 1) raise Hyp2F1DomainError, as
-    for the families.
+    = (c-b)_k/(c)_k).  wavefunction_j0 and the j=0 pair residual sample them.
     """
     _on_spectrum(spectrum(Family.J0, 0, n, params.m), params)
     ratio = j0_ratio(params)
@@ -237,7 +243,12 @@ def wavefunction_j0(n: int, params: ModeParams, grid) -> RadialSolution:
     M_scale = ratio * (-1) ** k_M * 3 / (4 * (2 * k_M + 3) * (1 if xp_M else 2 * k_M + 1))
     N_expr = _seed_expr(0, n + 2, xp_N).shift(0, 0.5).scale(N_scale)
     M_expr = _seed_expr(1, n + 2, xp_M).shift(0, 0.5).scale(M_scale)
-    return _sampled(QuantumNumbers(0, n), params, grid, {"M": M_expr, "N": N_expr})
+    return {"M": M_expr, "N": N_expr}
+
+
+def wavefunction_j0(n: int, params: ModeParams, grid) -> RadialSolution:
+    """The j0_exprs pair sampled on grid; r = 0 and pi (x = 1) raise Hyp2F1DomainError."""
+    return _sampled(QuantumNumbers(0, n), params, grid, j0_exprs(n, params))
 
 
 # -- families i-iv ----------------------------------------------------------
@@ -253,9 +264,8 @@ def _km_exprs(j: int, lead: str, xp: float, lam) -> tuple[Expr, Expr]:
     contiguous relation F(1-k,b;g;x) - F(-k,b;g;x) = (bx/g) F(1-k,b+1;g+1;x)
     (DLMF 15.5), for any k, in place of the difference: no two terms cancel,
     and no term carries a negative power of x."""
-    direct = _seed_expr(j, lam, xp)
-    (seed,) = direct.terms
-    k, b, g = -seed.f.alpha, seed.f.beta, seed.f.gamma  # the seed's own 2F1, so L and N terms merge with it
+    a, b, g = _seed_2f1(j, lam, xp)  # the seed's own 2F1, so L and N terms merge with it
+    direct, k = hyp_expr(1.0, xp, j / 2, a, b, g), -a
     c = j + 2 * xp + (1 if lead == "M" else 0)
     bracket = (
         hyp_expr(-2.0 * k * b / g, 1, 1, 1 - k, b + 1, g + 1) - hyp_expr(c, 1, 0, -k, b, g)
@@ -272,29 +282,29 @@ def family_KM_exprs(family: Family, j: int, n: int) -> tuple[Expr, Expr]:
     return _km_exprs(j, seed.lead, seed.xp, _lam(family, j, n))
 
 
-def _elimination_LN(K: Expr, M: Expr, a: float, eps_plus_m: float) -> tuple[Expr, Expr]:
+def _elimination_LN(K: Expr, M: Expr, a: float, eps_plus_mu: float) -> tuple[Expr, Expr]:
     """L, N from rows 1 and 3 (the K' and M' rows) of the coupled system
-    (x = cos^2 r).
+    (x = cos^2 r), with eps_plus_mu = eps + mu, mu = lambda m.
 
-    L = -(K'_r + (a/sin r) M) / (eps+m)
-    N = -(M'_r + M/tan r + (a/sin r) K) / (eps+m)
+    L = -(K'_r + (a/sin r) M) / (eps + mu)
+    N = -(M'_r + M/tan r + (a/sin r) K) / (eps + mu)
     """
-    L = (K.diff_r_cos2() + M.shift(0, -0.5).scale(a)).scale(-1.0 / eps_plus_m)
+    L = (K.diff_r_cos2() + M.shift(0, -0.5).scale(a)).scale(-1.0 / eps_plus_mu)
     N = (
         M.diff_r_cos2() + M.shift(0.5, -0.5) + K.shift(0, -0.5).scale(a)
-    ).scale(-1.0 / eps_plus_m)
+    ).scale(-1.0 / eps_plus_mu)
     return L, N
 
 
 def _completed(qn: QuantumNumbers, params: ModeParams, K: Expr, M: Expr) -> dict:
     """{K, L, M, N}: (K, M) completed by the (L, N) elimination."""
-    eps_plus_m = params.eps_pm[0]
-    if abs(eps_plus_m) < 1e-12:
+    eps_plus_mu = params.eps_pm[0]
+    if abs(eps_plus_mu) < 1e-12:
         raise EliminationSingularError(
-            f"eps+m={eps_plus_m}: cannot recover (L, N); the elimination is "
+            f"eps+mu={eps_plus_mu}: cannot recover (L, N); the elimination is "
             "singular at this parameter point"
         )
-    L, N = _elimination_LN(K, M, qn.a, eps_plus_m)
+    L, N = _elimination_LN(K, M, qn.a, eps_plus_mu)
     return {"K": K, "L": L, "M": M, "N": N}
 
 

@@ -23,6 +23,7 @@ __all__ = [
     "Hyp2F1ConvergenceError",
     "Hyp2F1OverflowError",
     "gauss_2f1",
+    "in_domain",
 ]
 
 # Series control: stop once |term| < SERIES_RTOL*|sum| three times in a row.
@@ -139,13 +140,19 @@ def _nonterminating(a: float, b: float, c: float, x: float) -> float:
     return _connection(a, b, c, x)
 
 
-def gauss_2f1(params: Hyp2F1Params, x):
-    """Evaluate 2F1(alpha, beta; gamma; x) for x in [0, 1): a float for a
-    scalar x, an array of its shape for an array x."""
+def in_domain(x) -> np.ndarray:
+    """x as a float array, every value in [0, 1) or Hyp2F1DomainError."""
     xs = np.asarray(x, dtype=float)
     outside = ~((xs >= 0.0) & (xs < 1.0))  # NaN included
     if outside.any():
         raise Hyp2F1DomainError(f"x={xs[outside][0]} outside [0, 1)")
+    return xs
+
+
+def gauss_2f1(params: Hyp2F1Params, x):
+    """Evaluate 2F1(alpha, beta; gamma; x) for x in [0, 1): a float for a
+    scalar x, an array of its shape for an array x."""
+    xs = in_domain(x)
     a, b, c = params.alpha, params.beta, params.gamma
     if params.terminating:
         coeffs = [1.0]  # lowest power first; built once per call

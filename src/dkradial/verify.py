@@ -7,9 +7,9 @@ N are eliminated from its K' and M' rows, so its rows 2 and 4 (L' and N')
 are the coupled second-order relations that give the lacking amplitude from
 the lead one: one residual checks both the explicit formula and the
 elimination.  The j=0 pair residual is the same residual of the (M, N)
-block.  A cross-consistency check samples the four amplitudes and their
-r-derivatives from one factor table, and both residuals add the terms of
-each row column by column.
+block.  Both sample their amplitudes and r-derivatives from one factor
+table, on an r-grid of this module, and add the terms of each row column by
+column.
 
 Structural zeros are taken from the constant matrices, not computed: the
 system residuals form only the nonzero entries of A(r), each one weight
@@ -22,7 +22,8 @@ powers.
 Residuals are normalized by the largest participating term, not by the
 solution value, because the solutions vanish at the interval endpoints.
 Each check passes against a fixed gate (RESIDUAL_TOL, IDENTITY_TOL, or 1e6
-on the inverse Wronskian) that no caller can change.  All checks are pure
+on the inverse Wronskian) that no caller can change, and keeps its worst
+points by falling residual, ties in grid order.  All checks are pure
 functions of their inputs and deterministic for a fixed grid.
 """
 
@@ -35,7 +36,7 @@ from fractions import Fraction
 import numpy as np
 
 from ._exprs import Expr, eval_r_cos2_all
-from .closedform import Family, RadialSolution, family_exprs
+from .closedform import Family, family_exprs, j0_exprs
 from .model import (
     SYSTEM_J,
     SYSTEM_J0,
@@ -94,17 +95,23 @@ def chebyshev_grid(n: int = 200, lo: float = 0.02, hi: float = 0.98) -> np.ndarr
     return np.sort(0.5 * (lo + hi) + 0.5 * (hi - lo) * nodes)
 
 
-def _report(name, x, resid, scale, tol, keep=3) -> VerificationReport:
-    scale = np.where(scale > 0, scale, 1.0)
-    rel = np.abs(resid) / scale
-    worst = np.argsort(rel)[::-1][:keep]
-    return VerificationReport(
-        check_name=name,
-        max_rel_residual=float(np.max(rel)),
-        sample_count=len(np.atleast_1d(x)),
-        tolerance=tol,
-        details=[(float(np.atleast_1d(x)[i]), float(rel[i])) for i in worst],
-    )
+def _relative(resid, scale):
+    """|resid| / scale, with a zero scale read as 1."""
+    return np.abs(resid) / np.where(scale > 0, scale, 1.0)
+
+
+def _worst(rel: np.ndarray, keep: int) -> np.ndarray:
+    """np.argsort(-rel, kind="stable")[:keep] (falling rel, ties by index), by partial selection."""
+    neg, idx = -rel, np.arange(rel.size)
+    if rel.size > keep:  # only values at or above the keep-th largest (or NaN ones) can rank
+        idx = idx[~(neg > np.partition(neg, keep - 1)[keep - 1])]
+    return idx[np.lexsort((idx, neg[idx]))[:keep]]
+
+
+def _report(name, x, rel, tol, keep=3) -> VerificationReport:
+    x = np.atleast_1d(x)
+    return VerificationReport(name, float(np.max(rel)), len(x), tol,
+                              [(float(x[i]), float(rel[i])) for i in _worst(rel, keep)])
 
 
 def residual_operator(op: LinearDifferentialOperator, x, derivs,
@@ -118,12 +125,11 @@ def residual_operator(op: LinearDifferentialOperator, x, derivs,
         raise ValueError(f"grid touches the singular endpoints within {END_BUFFER}")
     rows = op.term_rows(x, derivs)  # each coefficient evaluated once
     resid = sum(rows, np.zeros_like(x))  # as op.apply sums them
-    return _report(name, x, resid, np.abs(rows).max(axis=0), RESIDUAL_TOL)
+    return _report(name, x, _relative(resid, np.abs(rows).max(axis=0)), RESIDUAL_TOL)
 
 
 def residual_operator_expr(op: LinearDifferentialOperator, expr: Expr, x,
                            name: str = "operator-residual") -> VerificationReport:
-    x = np.asarray(x, dtype=float)
     return residual_operator(op, x, expr.derivative_column(x, op.order), name)
 
 
@@ -174,9 +180,8 @@ def factorization_identity(outer: LinearDifferentialOperator, inner: LinearDiffe
         straight = next(values)
         resid.append(sum(terms) - straight)
         scale.append(np.maximum(np.abs(straight), np.max(np.abs(terms), axis=0)))
-    scale = np.array(scale)
-    rel = (np.abs(np.array(resid)) / np.where(scale > 0, scale, 1)).max(axis=0).astype(float)
-    return _report(name, x.astype(float), rel, np.ones(len(x)), IDENTITY_TOL)
+    rel = _relative(np.array(resid), np.array(scale)).max(axis=0).astype(float)
+    return _report(name, x.astype(float), rel, IDENTITY_TOL)
 
 
 def wronskian4(solutions, x0: float) -> float:
@@ -216,10 +221,11 @@ def wronskian_report(w: float, x0: float, name: str) -> VerificationReport:
     )
 
 
-# The r-grid of every cross-consistency check, built once: r = arccos sqrt(x)
-# on chebyshev_grid(), then its mirror pi - r.
+# The r-grids of the system checks, built once: r = arccos sqrt(x) on
+# chebyshev_grid() and its mirror pi - r; 101 even steps for the j = 0 pair.
 _CROSS_R = np.arccos(np.sqrt(chebyshev_grid()))
 _CROSS_R = np.concatenate([_CROSS_R, np.pi - _CROSS_R])
+_J0_R = np.linspace(0.05, np.pi - 0.05, 101)
 
 
 def cross_consistency(family: Family, qn: QuantumNumbers, params: ModeParams) -> VerificationReport:
@@ -228,18 +234,16 @@ def cross_consistency(family: Family, qn: QuantumNumbers, params: ModeParams) ->
     equator.  L and N come from rows 1 and 3 (K', M'); with them
     substituted, row 2 (L') is the coupled relation M = sin^2 r/(2a cos r)
     [K'' + (p^2 - a^2/sin^2 r) K], and row 4 (N') the matching relation for
-    K from M.  The four amplitudes and their r-derivatives are sampled from
-    one factor table."""
-    exprs = family_exprs(family, qn, params)
-    K, L, M, N, *dY = eval_r_cos2_all([*exprs.values(), *(e.diff_r_cos2() for e in exprs.values())], _CROSS_R)
-    sol = RadialSolution(qn=qn, params=params, grid=_CROSS_R, K=K, L=L, M=M, N=N, exprs=exprs)
-    return _system_report(sol, f"cross-consistency[{family.value} j={qn.j} n={qn.n}]", IDENTITY_TOL, dY)
+    K from M."""
+    return _system_report(family_exprs(family, qn, params), qn, params, _CROSS_R,
+                          f"cross-consistency[{family.value} j={qn.j} n={qn.n}]", IDENTITY_TOL)
 
 
-def j0_pair_residual(sol: RadialSolution) -> VerificationReport:
-    """Residual of the j=0 first-order pair (M, N)' = A(r) (M, N) for a
-    wavefunction_j0 solution, on its r-grid."""
-    return _system_report(sol, f"j0-pair[n={sol.qn.n} lambda={sol.params.lambda_sign:+d}]", RESIDUAL_TOL)
+def j0_pair_residual(n: int, params: ModeParams) -> VerificationReport:
+    """Residual of the j=0 first-order pair (M, N)' = A(r) (M, N) for the
+    j0_exprs amplitudes of level n, on 101 r points across the sphere."""
+    return _system_report(j0_exprs(n, params), QuantumNumbers(0, n), params, _J0_R,
+                          f"j0-pair[n={n} lambda={params.lambda_sign:+d}]", RESIDUAL_TOL)
 
 
 # The nonzero entries of A(r) row by row, for the j >= 1 system and the j = 0
@@ -256,24 +260,21 @@ _ENTRIES = {
 }
 
 
-def _system_report(sol: RadialSolution, name: str, tol: float, dY=None) -> VerificationReport:
-    """Rows dY - A(r) Y of the system at sol.params on sol's grid, with Y the
-    sampled amplitudes and dY their r-derivatives in state order (from the
-    expressions, when not given): at each point the worst row, relative to
+def _system_report(exprs: dict, qn: QuantumNumbers, params: ModeParams, r, name: str,
+                   tol: float) -> VerificationReport:
+    """Rows dY - A(r) Y of the system at params on the grid r, with Y the
+    amplitudes of exprs in state order and dY their r-derivatives, all
+    sampled from one factor table: at each point the worst row, relative to
     that row's largest term.  Only the nonzero entries of A(r) are formed
     (10 of 16 for j >= 1; the j = 0 block is dense), eps + mu and eps - mu
     as ModeParams gives them, and the terms A_ic Y_c of a row are added
     column by column, left to right."""
-    r = sol.grid
-    state = (SYSTEM_J0 if sol.qn.j == 0 else SYSTEM_J).state
-    Y = [getattr(sol, k) for k in state]
-    if dY is None:
-        dY = eval_r_cos2_all([sol.exprs[k].diff_r_cos2() for k in state], r)
-    weights = (*sol.params.eps_pm, sol.qn.a * (1.0 / np.sin(r)), 1.0 / np.tan(r))
-    rows = [[weights[k] * const * Y[c] for c, k, const in row] for row in _ENTRIES[len(Y)]]
+    state = (SYSTEM_J0 if qn.j == 0 else SYSTEM_J).state
+    sampled = eval_r_cos2_all([*(exprs[k] for k in state), *(exprs[k].diff_r_cos2() for k in state)], r)
+    Y, dY = sampled[:len(state)], np.array(sampled[len(state):])
+    weights = (*params.eps_pm, qn.a * (1.0 / np.sin(r)), 1.0 / np.tan(r))
+    rows = [[weights[k] * const * Y[c] for c, k, const in row] for row in _ENTRIES[len(state)]]
     total = [sum(terms[1:], terms[0]) for terms in rows]  # left to right
     big = [np.abs(terms).max(axis=0) for terms in rows]
-    dY = np.asarray(dY)
-    scales = np.maximum(np.abs(dY), big)
-    rel = np.abs(dY - np.array(total)) / np.where(scales > 0, scales, 1.0)
-    return _report(name, r, rel.max(axis=0), np.ones_like(r), tol)
+    rel = _relative(dY - np.array(total), np.maximum(np.abs(dY), big))
+    return _report(name, r, rel.max(axis=0), tol)

@@ -635,21 +635,43 @@ class TestReadme:
     def test_numeric_commands_match_golden(self, tmp_path, capsys):
         """The README verify and oracle commands print tests/golden/verify.json
         and oracle.json byte for byte, and the README wavefunction CSV has the
-        sha256 in tests/golden/wavefunction.sha256."""
+        sha256 in tests/golden/wavefunction.sha256.  An output change that
+        CHANGES.md lists is written there by tests/golden/regenerate.py."""
         root = Path(__file__).resolve().parents[1]
         golden = root / "tests" / "golden"
         block = (root / "README.md").read_text(encoding="utf-8").split("## Command line", 1)[1].split("```")[1]
         commands = {argv[0]: argv for argv in (shlex.split(line)[1:] for line in block.splitlines())
                     if argv and argv[0] in ("verify", "oracle", "wavefunction")}
         assert sorted(commands) == ["oracle", "verify", "wavefunction"]
+        stale = "differs from tests/golden; regenerate.py there rewrites it for a change CHANGES.md lists"
         for name in ("verify", "oracle"):
             code, out = run_main(commands[name], capsys)
-            assert code == 0 and out.encode("utf-8") == (golden / f"{name}.json").read_bytes(), name
+            assert code == 0 and out.encode("utf-8") == (golden / f"{name}.json").read_bytes(), f"{name} {stale}"
         argv = commands["wavefunction"]
         argv[argv.index("--out") + 1] = str(tmp_path / "wf.csv")
         assert run_main(argv, capsys) == (0, "")
         digest = hashlib.sha256((tmp_path / "wf.csv").read_bytes()).hexdigest()
-        assert digest == (golden / "wavefunction.sha256").read_text().strip()
+        assert digest == (golden / "wavefunction.sha256").read_text().strip(), f"wavefunction {stale}"
+
+    def test_verify_output_independent_of_sort_kind(self, monkeypatch, capsys):
+        """The README verify command prints the same bytes whichever
+        algorithm np.argsort uses: worst points keep ties in grid order."""
+        block = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        block = block.split("## Command line", 1)[1].split("```")[1]
+        (argv,) = [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("dkradial verify ")]
+        original, outputs = np.argsort, set()
+
+        def forced(kind):
+            def argsort(a, axis=-1, **asked):  # the kind a caller asks for is overridden
+                return original(a, axis, kind=kind)
+            return argsort
+
+        for kind in ("quicksort", "heapsort", "stable"):
+            monkeypatch.setattr(np, "argsort", forced(kind))
+            code, out = run_main(argv, capsys)
+            assert code == 0
+            outputs.add(out)
+        assert len(outputs) == 1
 
     def test_args_file_example_runs(self, tmp_path, monkeypatch, capsys):
         """The README @file example: write the file it shows, run its command."""

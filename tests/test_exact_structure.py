@@ -140,7 +140,7 @@ def reference_factorization_identity(outer, inner, direct, name="factorization-i
         scale.append(np.maximum(np.abs(straight), np.max(np.abs(terms), axis=0)))
     scale = np.array(scale)
     rel = (np.abs(np.array(resid)) / np.where(scale > 0, scale, 1)).max(axis=0).astype(float)
-    return verify._report(name, x.astype(float), rel, np.ones(len(x)), verify.IDENTITY_TOL)
+    return verify._report(name, x.astype(float), rel, verify.IDENTITY_TOL)
 
 
 def reference_matrix(sol) -> np.ndarray:
@@ -165,7 +165,7 @@ def reference_system_report(sol, name, tol, dY=None):
         big = np.maximum(big, np.abs(terms[:, c]))
     scales = np.maximum(np.abs(dY), big)
     rel = np.abs(dY - total) / np.where(scales > 0, scales, 1.0)
-    return verify._report(name, r, rel.max(axis=0), np.ones_like(r), tol)
+    return verify._report(name, r, rel.max(axis=0), tol)
 
 
 # -- comparisons --------------------------------------------------------------
@@ -278,13 +278,19 @@ class TestSystemReport:
                 want = reference_system_report(sol, name, verify.IDENTITY_TOL, dY)
                 assert same_report(cross_consistency(fam, qn, params), want), (fam, qn, m, lam)
 
-    @pytest.mark.parametrize("r", R_GRIDS, ids=["1", "200", "2001"])
+    @pytest.mark.parametrize("r", [*R_GRIDS, verify._J0_R], ids=["1", "200", "2001", "j0"])
     def test_j0_pair(self, r):
+        """On every grid _system_report gives the reference's report; on the
+        grid of j0_pair_residual, so does j0_pair_residual."""
         for n in range(8):
             for m, lam in ((0.0, 1), (1.0, -1)):
-                sol = wavefunction_j0(n, ModeParams(m=m, eps=spectrum(Family.J0, 0, n, m).eps(), lambda_sign=lam), r)
+                params = ModeParams(m=m, eps=spectrum(Family.J0, 0, n, m).eps(), lambda_sign=lam)
+                sol = wavefunction_j0(n, params, r)
                 name = f"j0-pair[n={n} lambda={lam:+d}]"
-                assert same_report(j0_pair_residual(sol), reference_system_report(sol, name, verify.RESIDUAL_TOL))
+                want = reference_system_report(sol, name, verify.RESIDUAL_TOL)
+                assert same_report(verify._system_report(sol.exprs, sol.qn, params, r, name, verify.RESIDUAL_TOL), want)
+                if r is verify._J0_R:
+                    assert same_report(j0_pair_residual(n, params), want)
 
     def test_general_basis(self):
         for r in R_GRIDS[:2]:
@@ -292,7 +298,8 @@ class TestSystemReport:
                 for m in (0.0, 1.0):
                     for sol in general_basis(j, 2.3, ModeParams(m=m, eps=math.sqrt(2.3**2 + m * m)), r):
                         want = reference_system_report(sol, "g", verify.IDENTITY_TOL)
-                        assert same_report(verify._system_report(sol, "g", verify.IDENTITY_TOL), want)
+                        got = verify._system_report(sol.exprs, sol.qn, sol.params, sol.grid, "g", verify.IDENTITY_TOL)
+                        assert same_report(got, want)
 
     def test_pattern_from_the_constant_matrices(self):
         """10 of the 16 entries of A(r) are structurally nonzero for j >= 1,
@@ -330,8 +337,9 @@ class TestCoefficientTable:
             for op, e in ((operator_K4(p_sq, qn.a_sq), K), (operator_M4(p_sq, qn.a_sq), M)):
                 derivs = e.derivative_column(x, 4)
                 rows = reference_term_rows(op, x, derivs)
-                want = verify._report("r", x, sum(rows, np.zeros_like(x)), np.abs(rows).max(axis=0),
-                                      verify.RESIDUAL_TOL)
+                scale = np.abs(rows).max(axis=0)
+                rel = np.abs(sum(rows, np.zeros_like(x))) / np.where(scale > 0, scale, 1.0)
+                want = verify._report("r", x, rel, verify.RESIDUAL_TOL)
                 assert same_report(verify.residual_operator(op, x, derivs, "r"), want)
 
     def test_factorization_both_paths(self):

@@ -17,7 +17,7 @@ from dkradial.closedform import (
     wavefunction_family,
     wavefunction_j0,
 )
-from dkradial.hypergeo import Hyp2F1Params, gauss_2f1
+from dkradial.hypergeo import Hyp2F1DomainError, Hyp2F1Params, gauss_2f1
 from dkradial.model import (
     LinearDifferentialOperator,
     ModeParams,
@@ -70,9 +70,9 @@ class TestGrid:
         seen = []
         original = verify._system_report
 
-        def recorded(sol, *args):
-            seen.append(sol.grid)
-            return original(sol, *args)
+        def recorded(exprs, qn, params, r, *args):
+            seen.append(r)
+            return original(exprs, qn, params, r, *args)
 
         monkeypatch.setattr(verify, "_system_report", recorded)
         r = np.arccos(np.sqrt(chebyshev_grid()))
@@ -82,6 +82,41 @@ class TestGrid:
             rep = cross_consistency(fam, QuantumNumbers(2, 1), params)
             assert rep.sample_count == 400 and same_bits(seen.pop(), want)
             assert all(p[0] in want for p in rep.details)
+
+    def test_check_grids_pinned(self):
+        """The grids every check runs on: 200 Chebyshev points on
+        [0.02, 0.98], their 400 mirrored r, and 101 even r steps 0.05 away
+        from both poles for the j = 0 pair."""
+        g, half = chebyshev_grid(), np.cos(math.pi / 400)
+        assert g.size == 200 and (g[0], g[-1]) == pytest.approx((0.5 - 0.48 * half, 0.5 + 0.48 * half), rel=1e-15)
+        r = verify._CROSS_R
+        assert r.size == 400 and same_bits(r[200:], np.pi - r[:200])
+        assert same_bits(r[:200], np.arccos(np.sqrt(g)))
+        assert (r[0], r[199]) == pytest.approx((math.acos(math.sqrt(0.5 - 0.48 * half)),
+                                                math.acos(math.sqrt(0.5 + 0.48 * half))), rel=1e-14)
+        r0 = verify._J0_R
+        assert r0.size == 101 and (r0[0], r0[-1]) == (0.05, math.pi - 0.05)
+        assert np.allclose(np.diff(r0), (math.pi - 0.1) / 100, rtol=1e-12, atol=0)
+
+
+class TestWorstPoints:
+    """A report keeps its worst points by falling residual, ties by
+    ascending grid index, whatever sort numpy would pick."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_equals_stable_argsort(self, seed):
+        rng = np.random.default_rng(seed)
+        for size in (1, 2, 3, 4, 17, 400):
+            for rel in (rng.random(size), rng.integers(0, 3, size).astype(float), np.zeros(size),
+                        np.where(rng.random(size) < 0.3, np.nan, rng.integers(0, 2, size).astype(float))):
+                for keep in (1, 3, 5):
+                    assert np.array_equal(verify._worst(rel, keep), np.argsort(-rel, kind="stable")[:keep])
+
+    def test_ties_take_the_first_points(self):
+        x = np.linspace(0.1, 0.9, 9)
+        rep = verify._report("t", x, np.array([0, 2, 1, 2, 0, 2, 1, 0, 2], dtype=float), 1.0)
+        assert rep.details == [(x[1], 2.0), (x[3], 2.0), (x[5], 2.0)]
+        assert verify._report("t", x, np.zeros(9), 1.0).details == [(x[0], 0.0), (x[1], 0.0), (x[2], 0.0)]
 
 
 class TestResidualOperator:
@@ -142,7 +177,8 @@ class TestResidualOperator:
                 for k in range(5):
                     resid = resid + op.coeffs[k](x) * derivs[k]
                     mags.append(np.abs(op.coeffs[k](x) * derivs[k]))
-                want = verify._report("r", x, resid, np.array(mags).max(axis=0), verify.RESIDUAL_TOL)
+                scale = np.array(mags).max(axis=0)
+                want = verify._report("r", x, np.abs(resid) / np.where(scale > 0, scale, 1.0), verify.RESIDUAL_TOL)
                 got = residual_operator(op, x, derivs, "r")
                 assert repr(dataclasses.asdict(got)) == repr(dataclasses.asdict(want))
                 assert same_bits(op.apply(x, derivs), resid)
@@ -200,7 +236,9 @@ class TestExprEvaluation:
 
     @staticmethod
     def distinct_2f1(exprs):
-        return {t.f for e in exprs for t in e.terms}
+        """The distinct 2F1 of exprs that are not exactly 1 (no zero upper
+        parameter): the ones a table evaluates."""
+        return {t.f for e in exprs for t in e.terms if t.f.alpha != 0.0 and t.f.beta != 0.0}
 
     @staticmethod
     def one_call_each(calls, params, size) -> bool:
@@ -209,7 +247,8 @@ class TestExprEvaluation:
 
     def test_one_gauss_2f1_call_per_distinct_2f1(self, monkeypatch):
         """eval_x on a 200-point grid calls gauss_2f1 once per distinct
-        hypergeometric factor with the whole grid, not once per term or point."""
+        hypergeometric factor that is not exactly 1, with the whole grid, not
+        once per term or point."""
         calls = self.count_gauss_2f1(monkeypatch)
         x = chebyshev_grid()
         K, M = family_KM_exprs(Family.F3, 2, 2)
@@ -219,8 +258,8 @@ class TestExprEvaluation:
             assert expr.terms and self.one_call_each(calls, self.distinct_2f1([expr]), len(x))
 
     def test_derivative_column_shares_2f1_across_orders(self, monkeypatch):
-        """derivative_column(x, 4) evaluates each distinct 2F1 of all five
-        orders once, with the whole grid."""
+        """derivative_column(x, 4) evaluates each distinct non-exact-one 2F1
+        of all five orders once, with the whole grid."""
         calls = self.count_gauss_2f1(monkeypatch)
         x = chebyshev_grid()
         K, _ = family_KM_exprs(Family.F1, 3, 2)
@@ -234,8 +273,8 @@ class TestExprEvaluation:
 
     def test_sampled_solution_shares_2f1_across_amplitudes(self, monkeypatch):
         """wavefunction_family samples K, L, M and N from one table: one
-        gauss_2f1 call per distinct 2F1 over the four amplitudes, with the
-        whole grid."""
+        gauss_2f1 call per distinct non-exact-one 2F1 over the four
+        amplitudes, with the whole grid."""
         calls = self.count_gauss_2f1(monkeypatch)
         r = np.linspace(0.05, math.pi - 0.05, 101)
         for fam in FAMILIES:
@@ -248,7 +287,8 @@ class TestExprEvaluation:
 
     def test_wavefunction_j0_one_table(self, monkeypatch):
         """wavefunction_j0 samples M and N from one table: one gauss_2f1
-        call per distinct 2F1, with the whole grid."""
+        call per distinct non-exact-one 2F1, with the whole grid (none at
+        n = 0, where both are exact ones)."""
         calls = self.count_gauss_2f1(monkeypatch)
         r = np.linspace(0.05, math.pi - 0.05, 101)
         for n in (0, 1, 6):
@@ -259,8 +299,8 @@ class TestExprEvaluation:
 
     def test_cross_consistency_one_table(self, monkeypatch):
         """cross_consistency samples the four amplitudes and their four
-        r-derivatives from one table: one gauss_2f1 call per distinct 2F1
-        of all eight, each with all 400 r points."""
+        r-derivatives from one table: one gauss_2f1 call per distinct
+        non-exact-one 2F1 of all eight, each with all 400 r points."""
         calls = self.count_gauss_2f1(monkeypatch)
         for fam in FAMILIES:
             entry = spectrum(fam, 3, 2, 1)
@@ -271,6 +311,54 @@ class TestExprEvaluation:
             distinct = self.distinct_2f1([*exprs, *(e.diff_r_cos2() for e in exprs)])
             assert self.one_call_each(calls, distinct, 400)
             assert len(distinct) < len(self.distinct_2f1(exprs)) + len(self.distinct_2f1(e.diff_r_cos2() for e in exprs))
+
+    def test_no_exact_one_reaches_gauss_2f1(self, monkeypatch):
+        """Over the 45 family states with j, n <= 3 (operator residuals and
+        cross-consistency), the j = 0 pair and the general basis, every
+        2F1 that reaches gauss_2f1 has nonzero upper parameters, although
+        the family and j = 0 amplitudes hold exact ones (the general basis,
+        at real lam, holds none)."""
+        calls = self.count_gauss_2f1(monkeypatch)
+        exact_one = {"family": 0, "j0": 0}
+
+        def count(part, exprs):
+            exact_one[part] += sum(t.f.alpha == 0.0 or t.f.beta == 0.0 for e in exprs for t in e.terms)
+
+        x, states = chebyshev_grid(), 0
+        for fam, seed in FAMILIES.items():
+            for j in range(1, 4):
+                for n in range(max(0, -seed.offset), 4):
+                    p_sq = float(spectrum(fam, j, n, 0).p_sq)
+                    K, M = family_KM_exprs(fam, j, n)
+                    residual_operator_expr(operator_K4(p_sq, j * (j + 1)), K, x)
+                    residual_operator_expr(operator_M4(p_sq, j * (j + 1)), M, x)
+                    params = ModeParams.from_p_sq(1.0, p_sq)
+                    cross_consistency(fam, QuantumNumbers(j, n), params)
+                    exprs = closedform.family_exprs(fam, QuantumNumbers(j, n), params).values()
+                    count("family", [*exprs, *(e.diff_r_cos2() for e in exprs)])
+                    states += 1
+        for n in range(4):
+            for lam in (1, -1):
+                params = ModeParams.from_p_sq(1.0, spectrum(Family.J0, 0, n, 1).p_sq, lam)
+                j0_pair_residual(n, params)
+                exprs = closedform.j0_exprs(n, params).values()
+                count("j0", [*exprs, *(e.diff_r_cos2() for e in exprs)])
+        for j in (1, 2, 3):
+            basis = general_basis(j, 2.3, ModeParams(m=1.0, eps=math.sqrt(2.3**2 + 1)), verify._CROSS_R)
+            wronskian4([sol.exprs["K"] for sol in basis], 0.3)
+            for sol in basis:
+                verify._system_report(sol.exprs, sol.qn, sol.params, sol.grid, "g", verify.IDENTITY_TOL)
+        assert states == 45 and all(exact_one.values()), exact_one
+        assert calls and not [f for f, _ in calls if f.alpha == 0.0 or f.beta == 0.0]
+
+    def test_exact_one_table_checks_its_grid(self):
+        """At n = 0 both j = 0 amplitudes are exact-one 2F1 terms; r = 0
+        (x = 1) still raises Hyp2F1DomainError, from the table's one check."""
+        params = ModeParams(m=0.0, eps=math.sqrt(3.0))
+        exprs = closedform.j0_exprs(0, params).values()
+        assert all(t.f.alpha == 0.0 or t.f.beta == 0.0 for e in exprs for t in e.terms)
+        with pytest.raises(Hyp2F1DomainError, match="outside"):
+            wavefunction_j0(0, params, [0.0])
 
     def test_term_reached_two_ways_cancels(self):
         """Exponents are floats whatever the caller passes, so x^(1/2) * x^(1/2)
@@ -718,29 +806,27 @@ class TestWronskian:
 
 
 class TestJ0Pair:
-    def solution(self, lam):
-        eps = math.sqrt(1.0 - 1.0 + 3.0**2)  # m=1, n=1
-        grid = np.linspace(0.05, math.pi - 0.05, 101)
-        return wavefunction_j0(1, ModeParams(m=1.0, eps=eps, lambda_sign=lam), grid)
+    @staticmethod
+    def params(lam, n=1):
+        return ModeParams(m=1.0, eps=float(n + 2), lambda_sign=lam)  # p^2 = (n+2)^2 - 1, on the spectrum
+
+    @staticmethod
+    def report(n, params, **exprs):
+        """The j = 0 pair residual of level n with some amplitudes replaced,
+        on the grid of j0_pair_residual."""
+        exprs = {**closedform.j0_exprs(n, params), **exprs}
+        return verify._system_report(exprs, QuantumNumbers(0, n), params, verify._J0_R, "j0", verify.RESIDUAL_TOL)
 
     @pytest.mark.parametrize("lam", [1, -1])
     def test_on_spectrum_passes(self, lam):
-        rep = j0_pair_residual(self.solution(lam))
+        rep = j0_pair_residual(1, self.params(lam))
         assert rep.passed and rep.max_rel_residual < 1e-12
         assert rep.sample_count == 101 and len(rep.details) == 3
         assert rep.check_name == f"j0-pair[n=1 lambda={lam:+d}]"
 
     def test_perturbed_amplitude_fails(self):
-        sol = self.solution(1)
-        rep = j0_pair_residual(dataclasses.replace(sol, M=sol.M * 1.01))
-        assert not rep.passed
-
-    @staticmethod
-    def rebuilt(sol, **exprs):
-        """sol with some amplitudes replaced, all resampled on sol's grid."""
-        exprs = {**sol.exprs, **exprs}
-        M, N = eval_r_cos2_all([exprs["M"], exprs["N"]], sol.grid)
-        return dataclasses.replace(sol, M=M, N=N, exprs=exprs)
+        params = self.params(1)
+        assert not self.report(1, params, N=closedform.j0_exprs(1, params)["N"].scale(1.01)).passed
 
     @pytest.mark.parametrize("n", [1, 2])
     @pytest.mark.parametrize("lam", [1, -1])
@@ -748,9 +834,8 @@ class TestJ0Pair:
         """The on-spectrum pair passes; a ratio 1% off, M with its 2F1
         degree k off by one, and N from the seed with the other x-exponent
         (a second solution of N'' = -(n+2)^2 N, matched to no M) fail."""
-        m = 1.0
-        sol = wavefunction_j0(n, ModeParams(m=m, eps=math.sqrt(m * m - 1 + (n + 2) ** 2), lambda_sign=lam),
-                              np.linspace(0.05, math.pi - 0.05, 101))
+        params = self.params(lam, n)
+        sol = wavefunction_j0(n, params, verify._J0_R)
         (M_seed,), (N_seed,) = sol.exprs["M"].terms, sol.exprs["N"].terms
 
         def as_large_as(e, k):  # e scaled to the largest value of sol's amplitude k
@@ -758,11 +843,11 @@ class TestJ0Pair:
 
         M_k1 = as_large_as(closedform._seed_expr(1, n + 4, M_seed.xp).shift(0, 0.5), "M")
         N_other = as_large_as(closedform._seed_expr(0, n + 2, 0.5 - N_seed.xp).shift(0, 0.5), "N")
-        assert j0_pair_residual(sol).max_rel_residual < 1e-12
+        assert j0_pair_residual(n, params).max_rel_residual < 1e-12
+        assert self.report(n, params).max_rel_residual < 1e-12
         assert M_k1.terms[0].f.alpha == M_seed.f.alpha - 1 and not N_other.terms[0].f.terminating
-        for bad in (self.rebuilt(sol, M=sol.exprs["M"].scale(1.01)),
-                    self.rebuilt(sol, M=M_k1), self.rebuilt(sol, N=N_other)):
-            assert not j0_pair_residual(bad).passed
+        for bad in ({"M": sol.exprs["M"].scale(1.01)}, {"M": M_k1}, {"N": N_other}):
+            assert not self.report(n, params, **bad).passed
 
 
 class TestCrossConsistency:
@@ -812,7 +897,7 @@ def reference_system_report(sol, name, tol):
     rows = dY - terms.sum(axis=2).T
     scales = np.maximum(np.abs(dY), np.abs(terms).max(axis=2).T)
     rel = np.abs(rows) / np.where(scales > 0, scales, 1.0)
-    return verify._report(name, r, rel.max(axis=0), np.ones_like(r), tol)
+    return verify._report(name, r, rel.max(axis=0), tol)
 
 
 def reference_cross_consistency(family, qn, params):
@@ -837,9 +922,9 @@ class TestSystemReportBitIdentity:
         used = []
         original = verify._system_report
 
-        def recorded(sol, *args):
-            used.append(sol)
-            return original(sol, *args)
+        def recorded(exprs, qn, params, r, *args):
+            used.append((exprs, r))
+            return original(exprs, qn, params, r, *args)
 
         monkeypatch.setattr(verify, "_system_report", recorded)
         checked = 0
@@ -852,23 +937,30 @@ class TestSystemReportBitIdentity:
                         got = cross_consistency(fam, QuantumNumbers(j, n), params)
                         want, sol = reference_cross_consistency(fam, QuantumNumbers(j, n), params)
                         assert self.same_report(got, want), (fam, j, n, m, lam)
-                        (sampled,) = used
+                        ((exprs, r),) = used
                         used.clear()
-                        for name in "KLMN":
-                            assert same_bits(getattr(sampled, name), getattr(sol, name)), (fam, j, n, name)
+                        assert same_bits(r, sol.grid)
+                        for name, got in zip("KLMN", eval_r_cos2_all([exprs[k] for k in "KLMN"], r)):
+                            assert same_bits(got, getattr(sol, name)), (fam, j, n, name)
                         checked += 1
         assert checked == 15 * 3 * 2
 
     @pytest.mark.parametrize("lam", [1, -1])
     def test_j0_pair(self, lam):
+        """On both grids _system_report gives the reference's report; on the
+        first, j0_pair_residual's grid, so does j0_pair_residual."""
         grids = (np.linspace(0.05, math.pi - 0.05, 101), TestGeneralBasisSystem.R)
         for n in range(8):
             for m in (0.0, 1.0):
                 params = ModeParams(m=m, eps=spectrum(Family.J0, 0, n, m).eps(), lambda_sign=lam)
+                name = f"j0-pair[n={n} lambda={lam:+d}]"
                 for r in grids:
                     sol = wavefunction_j0(n, params, r)
-                    name = f"j0-pair[n={n} lambda={lam:+d}]"
-                    assert self.same_report(j0_pair_residual(sol), reference_system_report(sol, name, verify.RESIDUAL_TOL))
+                    want = reference_system_report(sol, name, verify.RESIDUAL_TOL)
+                    got = verify._system_report(sol.exprs, sol.qn, params, r, name, verify.RESIDUAL_TOL)
+                    assert self.same_report(got, want), (n, m, len(r))
+                    if r is grids[0]:
+                        assert self.same_report(j0_pair_residual(n, params), want), (n, m)
 
 
 class TestGeneralBasisSystem:
@@ -885,7 +977,8 @@ class TestGeneralBasisSystem:
             for m in (0.0, 1.0):
                 basis = general_basis(j, p, ModeParams(m=m, eps=math.sqrt(p * p + m * m)), self.R)
                 for i, sol in enumerate(basis):
-                    rep = verify._system_report(sol, f"general-basis[{i}]", verify.IDENTITY_TOL)
+                    rep = verify._system_report(sol.exprs, sol.qn, sol.params, sol.grid, f"general-basis[{i}]",
+                                                verify.IDENTITY_TOL)
                     assert rep.passed, (j, p, m, i, rep.max_rel_residual)
 
     def test_off_shell_params_fail(self):
@@ -894,7 +987,8 @@ class TestGeneralBasisSystem:
         p, m = 2.3, 1.0
         basis = general_basis(2, p, ModeParams(m=m, eps=math.sqrt(p * p + m * m) * (1 + 1e-6)), self.R)
         for sol in basis:
-            assert not verify._system_report(sol, "general-basis", verify.IDENTITY_TOL).passed
+            assert not verify._system_report(sol.exprs, sol.qn, sol.params, sol.grid, "general-basis",
+                                             verify.IDENTITY_TOL).passed
 
 
 class TestBattery:
