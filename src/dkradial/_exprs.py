@@ -23,6 +23,12 @@ the factors that are not exactly 1, and x^0, (1-x)^0 and a 2F1 with a zero
 upper parameter are.  Multiplying by an exact 1 changes no bit, so skipping
 it is exact.  Every sum starts from its first term plus 0.0, as a sum onto
 zeros does, so an exact zero is +0.0.
+
+One allocation per term: a term's value is coef times its first factor, a new
+array, and every later factor is multiplied into it in place; diff adds each
+new coefficient straight into its result dict; each expression's terms are
+split by parity in one pass.  In-place products and sums round as the
+out-of-place ones do, so the values are the same bits.
 """
 
 from __future__ import annotations
@@ -98,16 +104,22 @@ class Expr:
     def diff(self) -> "Expr":
         """d/dx, term by term: x-lowered, (1-x)-lowered, then the contiguous
         derivative of the 2F1 at (alpha+1, beta+1, gamma+1)."""
-        out = []
+        out: dict = {}
+        get = out.get
         for (xp, yp, a, b, g), c in self._coefs.items():
             if xp != 0:
-                out.append(((xp - 1, yp, a, b, g), c * xp))
+                key = (xp - 1, yp, a, b, g)
+                out[key] = get(key, 0.0) + c * xp
             if yp != 0:
-                out.append(((xp, yp - 1, a, b, g), -c * yp))
+                key = (xp, yp - 1, a, b, g)
+                out[key] = get(key, 0.0) - c * yp
             fac = a * b / g
             if fac != 0.0:
-                out.append(((xp, yp, a + 1, b + 1, g + 1), c * fac))
-        return Expr._of(_merged(out))
+                key = (xp, yp, a + 1, b + 1, g + 1)
+                out[key] = get(key, 0.0) + c * fac
+        if 0.0 in out.values():  # a merge cancelled
+            out = {key: c for key, c in out.items() if c != 0.0}
+        return Expr._of(out)
 
     def diff_r_cos2(self) -> "Expr":
         """d/dr under x = cos^2 r (dx/dr = -2 sqrt(x) sqrt(1-x), signed): diff,
@@ -160,24 +172,31 @@ class _Factors:
     def term(self, key: tuple, coef: float) -> np.ndarray:
         """coef * x^xp * (1-x)^yp * 2F1 for key (xp, yp, alpha, beta, gamma),
         multiplied in that order by each factor that is not exactly 1."""
-        xp, yp, abc = key[0], key[1], key[2:]
-        out = coef
+        xp, yp, a, b, g = key
+        out = None  # coef times the first factor, a new array; the others in place
         if xp != 0.0:
             xf = self._xpow.get(xp)
             if xf is None:
                 xf = self._xpow[xp] = self.x**xp
-            out = out * xf
+            out = coef * xf
         if yp != 0.0:
             yf = self._ypow.get(yp)
             if yf is None:
                 yf = self._ypow[yp] = (1.0 - self.x) ** yp
-            out = out * yf
-        if abc[0] != 0.0 and abc[1] != 0.0:
+            if out is None:
+                out = coef * yf
+            else:
+                out *= yf
+        if a != 0.0 and b != 0.0:
+            abc = (a, b, g)
             f = self._hyp.get(abc)
             if f is None:
-                f = self._hyp[abc] = gauss_2f1(Hyp2F1Params(*abc), self.x)
-            out = out * f
-        return out if isinstance(out, np.ndarray) else np.full_like(self.x, coef)
+                f = self._hyp[abc] = gauss_2f1(Hyp2F1Params(a, b, g), self.x)
+            if out is None:
+                out = coef * f
+            else:
+                out *= f
+        return np.full_like(self.x, coef) if out is None else out
 
     def sum_terms(self, items):
         """The terms of items, (key, coef) pairs, summed in order from the
@@ -204,8 +223,10 @@ def eval_r_cos2_all(exprs, r) -> list:
     sign = np.where(np.atleast_1d(u) >= 0, 1.0, -1.0)
     out = []
     for e in exprs:
-        even = table.sum_terms((key, c) for key, c in e._coefs.items() if (2 * key[0]) % 2 == 0)
-        odd = table.sum_terms((key, c) for key, c in e._coefs.items() if (2 * key[0]) % 2 != 0)
+        halves = ([], [])  # even, odd
+        for item in e._coefs.items():
+            halves[(2 * item[0][0]) % 2 != 0].append(item)
+        even, odd = table.sum_terms(halves[0]), table.sum_terms(halves[1])
         if odd is not None:
             v = sign * odd + 0.0 if even is None else even + sign * odd
         else:
@@ -217,6 +238,6 @@ def eval_r_cos2_all(exprs, r) -> list:
 def hyp_expr(coef, xp, yp, a, b, c) -> Expr:
     """coef * x^xp * (1-x)^yp * 2F1(a, b; c; x); raises ValueError for a
     non-positive integer c."""
-    f = Hyp2F1Params(float(a), float(b), float(c))  # validates c
+    Hyp2F1Params.check_gamma(c)  # as Hyp2F1Params(a, b, c) checks it
     coef = float(coef)
-    return Expr._of({(float(xp), float(yp), f.alpha, f.beta, f.gamma): coef} if coef != 0.0 else {})
+    return Expr._of({(float(xp), float(yp), float(a), float(b), float(c)): coef} if coef != 0.0 else {})

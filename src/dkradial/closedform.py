@@ -75,7 +75,7 @@ def _as_fraction(v) -> Fraction:
     if isinstance(v, int):
         return Fraction(v)
     if isinstance(v, float):
-        return Fraction(v).limit_denominator(10**12)
+        return Fraction(int(v)) if v.is_integer() else Fraction(v).limit_denominator(10**12)
     if isinstance(v, str):
         return Fraction(v)
     raise TypeError(f"cannot convert {v!r} to an exact rational")

@@ -71,9 +71,16 @@ class Hyp2F1Params:
     terminating: bool = field(init=False)
     degree: int | None = field(init=False)
 
+    @staticmethod
+    def check_gamma(gamma: float) -> None:
+        """Raise ValueError for a non-positive integer gamma, where 2F1 is
+        undefined: the one rule, for the triples built here and for the
+        float keys of _exprs, which build none."""
+        if _nonpositive_int(gamma):
+            raise ValueError(f"gamma={gamma} must not be a non-positive integer")
+
     def __post_init__(self):
-        if _nonpositive_int(self.gamma):
-            raise ValueError(f"gamma={self.gamma} must not be a non-positive integer")
+        self.check_gamma(self.gamma)
         degrees = [int(-v) for v in (self.alpha, self.beta) if _nonpositive_int(v)]
         object.__setattr__(self, "terminating", bool(degrees))
         object.__setattr__(self, "degree", min(degrees) if degrees else None)

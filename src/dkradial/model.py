@@ -127,22 +127,23 @@ class RationalCoefficient:
         """[c(x) for c in coeffs] from one table: 1 - x and each pole power
         x^k or (1-x)^k is computed once, when a nonzero pole first needs it.
         Each value is the Horner sum of poly, then the nonzero poles added
-        in order, x first."""
+        in order, x first, all in place on one array from zeros."""
         x = np.asarray(x)
         x, num = (x, Fraction) if x.dtype == object else (np.asarray(x, dtype=float), float)
         bases, powers = (x, 1 - x), {}
         out = []
         for c in coeffs:
-            v = np.zeros_like(x)
+            v = np.zeros(x.shape, x.dtype)
             for k in range(len(c.poly) - 1, -1, -1):
-                v = v * x + num(c.poly[k])
+                v *= x
+                v += num(c.poly[k])
             for side, poles in enumerate((c.poles0, c.poles1)):
                 for k, p in enumerate(poles, start=1):
                     if p:
                         power = powers.get((side, k))
                         if power is None:
                             power = powers[side, k] = bases[side] ** k
-                        v = v + num(p) / power
+                        v += num(p) / power
             out.append(v)
         return out
 
@@ -181,13 +182,15 @@ class LinearDifferentialOperator:
         x = np.asarray(x, dtype=float)
         if len(derivs) < self.order + 1:
             raise ValueError("not enough derivatives supplied")
-        values = RationalCoefficient.values(self.coeffs, x)
-        return np.array([values[k] * np.asarray(derivs[k], dtype=float) for k in range(self.order + 1)])
+        rows = np.array(RationalCoefficient.values(self.coeffs, x))
+        rows *= np.asarray(derivs[: self.order + 1], dtype=float)
+        return rows
 
     def apply(self, x, derivs) -> np.ndarray:
         """Apply to a function given as derivative rows derivs[k] = y^(k)(x):
-        the term rows summed onto zeros, k = 0 first."""
-        return sum(self.term_rows(x, derivs), np.zeros_like(np.asarray(x, dtype=float)))
+        the term rows summed onto zeros, k = 0 first, as one reduce plus 0.0
+        (bit for bit the same: see the verify module)."""
+        return np.add.reduce(self.term_rows(x, derivs), axis=0) + 0.0
 
     def term_magnitudes(self, x, derivs) -> np.ndarray:
         """|c_k y^(k)| rows, for term-scaled relative residuals."""

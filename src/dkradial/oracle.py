@@ -199,7 +199,10 @@ def _series_matrices(sysm: FirstOrderSystem) -> list:
 
 def _frobenius_initial(j: int, sysm: FirstOrderSystem, r0: float) -> np.ndarray:
     """Regular columns at r0 for every lane of sysm.plus, (lanes, n, n/2): (K, L, M, N)
-    with leading powers r^j and r^(j+1) for j >= 1, (M, N) ~ (0, r) for j = 0.
+    with leading powers r^j and r^(j+1) for j >= 1, (M, N) ~ (0, r) for j = 0,
+    each divided by its norm.  Of size r0^j, a column would sit under
+    INTEGRATOR_ATOL from j ~ 5, where the step control checks none of its
+    error; the problem is linear, so the scale changes no determinant sign.
 
     Resonant orders (s+k an exponent of A_-1) are solved in the
     least-squares sense; any homogeneous admixture only re-mixes the
@@ -226,7 +229,8 @@ def _frobenius_initial(j: int, sysm: FirstOrderSystem, r0: float) -> np.ndarray:
                     rhs -= (Ap @ coeffs[k - 1 - power][..., None])[..., 0]
             sol, *_ = np.linalg.lstsq(A_m1 - (s + k) * eye, rhs.T, rcond=None)
             coeffs.append(sol.T)
-        cols.append(sum(ck * r0 ** (s + k) for k, ck in enumerate(coeffs)))
+        col = sum(ck * r0 ** (s + k) for k, ck in enumerate(coeffs))
+        cols.append(col / np.linalg.norm(col, axis=1, keepdims=True))
     return np.stack(cols, axis=2)
 
 

@@ -19,6 +19,16 @@ values, so the reports are those of the dense matrix bit for bit.  The
 factorization check evaluates every coefficient from one table of pole
 powers.
 
+One allocation per term in the check kernels too: an operator's
+coefficients are evaluated by Horner's rule and pole sums in place
+(RationalCoefficient.values), its term rows c_k y^(k) are one stacked
+product (term_rows), and the operator residual sums them with one reduce
+over the rows plus 0.0.  The reduce adds the rows in order, k = 0 first (row
+by row on a grid, one by one at a single point, for fewer than 8 rows), so it
+can differ from the sum onto zeros only in the sign of a zero; a sum that
+starts from +0.0 is never -0.0, and + 0.0 turns every -0.0 into +0.0, so the
+two are the same bits.
+
 Residuals are normalized by the largest participating term, not by the
 solution value, because the solutions vanish at the interval endpoints.
 Each check passes against a fixed gate (RESIDUAL_TOL, IDENTITY_TOL, or 1e6
@@ -124,7 +134,7 @@ def residual_operator(op: LinearDifferentialOperator, x, derivs,
     if np.any(x < END_BUFFER) or np.any(x > 1.0 - END_BUFFER):
         raise ValueError(f"grid touches the singular endpoints within {END_BUFFER}")
     rows = op.term_rows(x, derivs)  # each coefficient evaluated once
-    resid = sum(rows, np.zeros_like(x))  # as op.apply sums them
+    resid = np.add.reduce(rows, axis=0) + 0.0  # the sum onto zeros, as op.apply sums them
     return _report(name, x, _relative(resid, np.abs(rows).max(axis=0)), RESIDUAL_TOL)
 
 

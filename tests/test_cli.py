@@ -270,6 +270,18 @@ class TestExitCodes:
         assert code == 0 and len(cmp["matched"]) == levels
         assert cmp["unmatched_oracle"] == [] and cmp["unmatched_closed"] == []
 
+    @pytest.mark.parametrize("argv", [
+        ["--j", "12", "--mass", "0", "--eps-max", "30.3"],
+        ["--j", "10", "--mass", "0", "--eps-min", "34", "--eps-max", "36"],
+    ])
+    def test_oracle_high_j_windows_match(self, argv, capsys):
+        """These exited 2 ("shooting does not confirm the level") while the
+        start columns carried r0^j; from unit start columns they match."""
+        code, out = run_main(["oracle", *argv, "--compare"], capsys)
+        cmp = strict_json(out)["comparison"]
+        assert code == 0 and cmp["matched"]
+        assert cmp["unmatched_oracle"] == [] and cmp["unmatched_closed"] == []
+
     def test_oracle_window_past_the_p_cap_is_usage_error(self, capsys):
         """sqrt(120^2 - 100^2) = 66.3 is above the p collocation can reach."""
         code = main(["oracle", "--j", "1", "--mass", "100", "--eps-min", "100", "--eps-max", "120"])

@@ -255,6 +255,23 @@ class TestWavefunctionFamilies:
                 Family.F1, QuantumNumbers(1, 0), ModeParams(m=3.0, eps=-3.0), [1.0]
             )
 
+    @pytest.mark.parametrize("eps", [0.9e-12, -0.9e-12])
+    def test_elimination_guard_raises_below_its_threshold(self, eps):
+        """|eps + mu| = 0.9e-12 lies under the 1e-12 guard, at either sign."""
+        params = ModeParams(m=0.0, eps=eps)
+        assert abs(params.eps_pm[0]) == pytest.approx(0.9e-12, rel=1e-12)
+        with pytest.raises(EliminationSingularError):
+            closedform._completed(QuantumNumbers(1, 0), params, *family_KM_exprs(Family.F1, 1, 0))
+
+    @pytest.mark.parametrize("eps", [1.1e-12, -1.1e-12])
+    def test_elimination_guard_passes_above_its_threshold(self, eps):
+        """|eps + mu| = 1.1e-12 lies over the guard: (L, N) are built, scaled
+        by -1/(eps + mu)."""
+        params = ModeParams(m=0.0, eps=eps)
+        assert abs(params.eps_pm[0]) == pytest.approx(1.1e-12, rel=1e-12)
+        exprs = closedform._completed(QuantumNumbers(1, 0), params, *family_KM_exprs(Family.F1, 1, 0))
+        assert list(exprs) == ["K", "L", "M", "N"] and exprs["L"]._coefs and exprs["N"]._coefs
+
     def test_smooth_across_equator(self):
         # No kink at r = pi/2: the signed-sqrt convention keeps amplitudes
         # differentiable; compare symmetric finite differences.
@@ -370,6 +387,11 @@ class TestGeneralBasis:
             general_basis(0, 2.3, ModeParams(m=0.0, eps=2.3), [1.0])
         with pytest.raises(ValueError):
             general_basis(1, -1.0, ModeParams(m=0.0, eps=1.0), [1.0])
+
+    def test_rejects_p_zero(self):
+        """p = 0 is not positive: it raises, and returns no finite values."""
+        with pytest.raises(ValueError, match="p must be positive"):
+            general_basis(1, 0.0, ModeParams(m=0.0, eps=1.0), [1.0])
 
 
 class TestDegeneracyMap:

@@ -1,7 +1,8 @@
 """The L1 amplitude evaluation and the L2 check kernels take exact ones,
 structural zeros and repeated pole powers from structure instead of
-computing them.  The bodies that computed them are kept here as references,
-and every value, report and sign of zero must equal theirs bit for bit."""
+computing them, and allocate once per term.  The bodies that computed them,
+and the bodies that allocated per term, are kept here as references, and
+every value, report and sign of zero must equal theirs bit for bit."""
 
 import dataclasses
 import math
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 from dkradial import verify
-from dkradial._exprs import eval_r_cos2_all
+from dkradial._exprs import Expr, _Factors, _merged, eval_r_cos2_all
 from dkradial.closedform import (
     FAMILIES,
     Family,
@@ -25,6 +26,7 @@ from dkradial.hypergeo import Hyp2F1Params, gauss_2f1
 from dkradial.model import (
     ModeParams,
     QuantumNumbers,
+    RationalCoefficient,
     factor_pair_K,
     factor_pair_M,
     operator_K4,
@@ -166,6 +168,104 @@ def reference_system_report(sol, name, tol, dY=None):
     scales = np.maximum(np.abs(dY), big)
     rel = np.abs(dY - total) / np.where(scales > 0, scales, 1.0)
     return verify._report(name, r, rel.max(axis=0), tol)
+
+
+# -- parent bodies of the per-term kernels ------------------------------------
+# The kernels below now add into one dict, multiply in place or stack their
+# rows; these are the bodies they replaced, which allocated per term.
+
+
+def parent_diff(expr):
+    """Expr.diff by a list of (key, coefficient) pairs, then _merged."""
+    out = []
+    for (xp, yp, a, b, g), c in expr._coefs.items():
+        if xp != 0:
+            out.append(((xp - 1, yp, a, b, g), c * xp))
+        if yp != 0:
+            out.append(((xp, yp - 1, a, b, g), -c * yp))
+        fac = a * b / g
+        if fac != 0.0:
+            out.append(((xp, yp, a + 1, b + 1, g + 1), c * fac))
+    return Expr._of(_merged(out))
+
+
+class ParentFactors(_Factors):
+    """_Factors whose term slices the key and multiplies out of place."""
+
+    __slots__ = ()
+
+    def term(self, key, coef):
+        xp, yp, abc = key[0], key[1], key[2:]
+        out = coef
+        if xp != 0.0:
+            xf = self._xpow.get(xp)
+            if xf is None:
+                xf = self._xpow[xp] = self.x**xp
+            out = out * xf
+        if yp != 0.0:
+            yf = self._ypow.get(yp)
+            if yf is None:
+                yf = self._ypow[yp] = (1.0 - self.x) ** yp
+            out = out * yf
+        if abc[0] != 0.0 and abc[1] != 0.0:
+            f = self._hyp.get(abc)
+            if f is None:
+                f = self._hyp[abc] = gauss_2f1(Hyp2F1Params(*abc), self.x)
+            out = out * f
+        return out if isinstance(out, np.ndarray) else np.full_like(self.x, coef)
+
+
+def parent_eval_r_cos2_all(exprs, r):
+    """eval_r_cos2_all with ParentFactors and one generator pass per parity
+    half."""
+    u = np.cos(np.asarray(r, dtype=float))
+    table = ParentFactors(u * u)
+    sign = np.where(np.atleast_1d(u) >= 0, 1.0, -1.0)
+    out = []
+    for e in exprs:
+        even = table.sum_terms((key, c) for key, c in e._coefs.items() if (2 * key[0]) % 2 == 0)
+        odd = table.sum_terms((key, c) for key, c in e._coefs.items() if (2 * key[0]) % 2 != 0)
+        if odd is not None:
+            v = sign * odd + 0.0 if even is None else even + sign * odd
+        else:
+            v = np.zeros_like(table.x) if even is None else even
+        out.append(v[0] if table.scalar else v)
+    return out
+
+
+def parent_values(coeffs, x):
+    """RationalCoefficient.values with a new array for every Horner step and
+    pole, from zeros_like(x)."""
+    x = np.asarray(x)
+    x, num = (x, Fraction) if x.dtype == object else (np.asarray(x, dtype=float), float)
+    bases, powers = (x, 1 - x), {}
+    out = []
+    for c in coeffs:
+        v = np.zeros_like(x)
+        for k in range(len(c.poly) - 1, -1, -1):
+            v = v * x + num(c.poly[k])
+        for side, poles in enumerate((c.poles0, c.poles1)):
+            for k, p in enumerate(poles, start=1):
+                if p:
+                    power = powers.get((side, k))
+                    if power is None:
+                        power = powers[side, k] = bases[side] ** k
+                    v = v + num(p) / power
+        out.append(v)
+    return out
+
+
+def parent_term_rows(op, x, derivs):
+    """term_rows as one product per row, stacked."""
+    x = np.asarray(x, dtype=float)
+    values = parent_values(op.coeffs, x)
+    return np.array([values[k] * np.asarray(derivs[k], dtype=float) for k in range(op.order + 1)])
+
+
+def parent_sum(rows, x):
+    """The rows summed onto zeros, k = 0 first, as apply and the operator
+    residual summed them."""
+    return sum(rows, np.zeros_like(np.asarray(x, dtype=float)))
 
 
 # -- comparisons --------------------------------------------------------------
@@ -321,26 +421,43 @@ class TestCoefficientTable:
                             *factor_pair_K(p_sq, a_sq), *factor_pair_M(p_sq, a_sq))
 
     def test_values_and_term_rows(self):
+        """Each coefficient alone equals the reference (every pole power
+        afresh), the whole table equals the parent body (a new array per
+        step), and so do the term rows, given as an array or as a list."""
         for op in self.operators():
             for x in self.POINTS:
-                for c in op.coeffs:
-                    got, want = c(x), reference_coefficient(c, x)
-                    assert (repr(got) == repr(want)) if np.asarray(x).dtype == object else same_bits(got, want)
-                if np.asarray(x).dtype != object and np.ndim(x):
+                exact = np.asarray(x).dtype == object
+                table = RationalCoefficient.values(op.coeffs, x)
+                for c, value, parent in zip(op.coeffs, table, parent_values(op.coeffs, x), strict=True):
+                    for got, want in ((c(x), reference_coefficient(c, x)), (value, parent)):
+                        assert (repr(got) == repr(want)) if exact else same_bits(got, want)
+                if not exact and np.ndim(x):
                     derivs = np.cos(np.outer(np.arange(1, op.order + 2), x))
                     assert same_bits(op.term_rows(x, derivs), reference_term_rows(op, x, derivs))
+                    assert same_bits(op.term_rows(x, derivs), parent_term_rows(op, x, derivs))
+                    assert same_bits(op.term_rows(x, list(derivs)), parent_term_rows(op, x, derivs))
 
     def test_operator_residual_reports(self):
+        """apply and the residual report equal the sum onto zeros, for family
+        states and for the general basis's K and M (series 2F1)."""
         x = chebyshev_grid()
+        pairs = []
         for fam, qn, p_sq in family_states(3):
             K, M = (family_exprs(fam, qn, ModeParams.from_p_sq(0.0, p_sq))[k] for k in "KM")
-            for op, e in ((operator_K4(p_sq, qn.a_sq), K), (operator_M4(p_sq, qn.a_sq), M)):
-                derivs = e.derivative_column(x, 4)
-                rows = reference_term_rows(op, x, derivs)
-                scale = np.abs(rows).max(axis=0)
-                rel = np.abs(sum(rows, np.zeros_like(x))) / np.where(scale > 0, scale, 1.0)
-                want = verify._report("r", x, rel, verify.RESIDUAL_TOL)
-                assert same_report(verify.residual_operator(op, x, derivs, "r"), want)
+            pairs += [(operator_K4(p_sq, qn.a_sq), K), (operator_M4(p_sq, qn.a_sq), M)]
+        for j in (1, 2):
+            sol = general_basis(j, 2.3, ModeParams(m=0.0, eps=2.3), np.array([1.0]))[0]
+            pairs += [(operator_K4(2.3**2, j * (j + 1)), sol.exprs["K"]),
+                      (operator_M4(2.3**2, j * (j + 1)), sol.exprs["M"])]
+        for op, e in pairs:
+            derivs = e.derivative_column(x, 4)
+            rows = reference_term_rows(op, x, derivs)
+            resid = parent_sum(rows, x)
+            assert same_bits(op.apply(x, derivs), resid)
+            scale = np.abs(rows).max(axis=0)
+            rel = np.abs(resid) / np.where(scale > 0, scale, 1.0)
+            want = verify._report("r", x, rel, verify.RESIDUAL_TOL)
+            assert same_report(verify.residual_operator(op, x, derivs, "r"), want)
 
     def test_factorization_both_paths(self):
         paths = set()
@@ -353,3 +470,78 @@ class TestCoefficientTable:
                     assert same_report(got, want), (j, p_sq)
                     paths.add(got.sample_count == 91)
         assert paths == {True, False}  # the float path and the exact path
+
+
+class TestPerTermKernels:
+    """Expr.diff, _Factors.term and the parity split of eval_r_cos2_all equal
+    the parent bodies above bit for bit, and so do the operator sums at
+    signed zeros (TestCoefficientTable compares RationalCoefficient.values,
+    term_rows and the sums on the operators)."""
+
+    @staticmethod
+    def expression_sets():
+        """The amplitudes of every family state with n <= 3 and j <= 3 (masses
+        0 and 1.7), of the general basis at j = 1, 2 (series 2F1) and of the
+        j = 0 pair, n <= 5."""
+        for fam, qn, p_sq in family_states(3):
+            for m in (0.0, 1.7):
+                yield list(family_exprs(fam, qn, ModeParams.from_p_sq(m, p_sq)).values())
+        for j in (1, 2):
+            for sol in general_basis(j, 2.3, ModeParams(m=0.5, eps=math.sqrt(2.3**2 + 0.25)), np.array([1.0])):
+                yield list(sol.exprs.values())
+        for n in range(6):
+            params = ModeParams(m=1.0, eps=spectrum(Family.J0, 0, n, 1.0).eps())
+            yield list(wavefunction_j0(n, params, np.array([1.0])).exprs.values())
+
+    def test_diff(self):
+        """Four x-derivatives and the r-derivative of every amplitude hold
+        the parent's keys, in its order, with its coefficient bits; some
+        merge cancels a key."""
+        cancelled = 0
+        for exprs in self.expression_sets():
+            for e in exprs:
+                assert same_terms(e.diff_r_cos2(), reference_diff_r_cos2(e))
+                for _ in range(4):
+                    got, want = e.diff(), parent_diff(e)
+                    assert same_terms(got, want)
+                    cancelled += len(got._coefs) < sum((k[0] != 0) + (k[1] != 0) + (k[2] * k[3] != 0)
+                                                       for k in e._coefs)
+                    e = got
+        assert cancelled
+
+    def test_term(self):
+        """Every term of every amplitude and derivative, on the x grid, at a
+        scalar x and under x = cos^2 r; a table asked twice answers alike."""
+        grids = (X_GRID, np.float64(0.3), *(np.cos(r) ** 2 for r in R_GRIDS[1:]))
+        for exprs in self.expression_sets():
+            both = [*exprs, *(e.diff() for e in exprs)]
+            for x in grids:
+                table, parent = _Factors(x), ParentFactors(x)
+                for e in both:
+                    for _ in range(2):
+                        for key, c in e._coefs.items():
+                            with np.errstate(divide="ignore"):  # x-derivatives are infinite at x = 0
+                                assert same_bits(table.term(key, c), parent.term(key, c))
+
+    def test_parity_split(self):
+        """eval_r_cos2_all equals the two-pass split on every r grid and at a
+        scalar r, for amplitudes and r-derivatives together."""
+        for exprs in self.expression_sets():
+            both = [*exprs, *(e.diff_r_cos2() for e in exprs)]
+            for r in (*R_GRIDS, 0.7):
+                for got, want in zip(eval_r_cos2_all(both, r), parent_eval_r_cos2_all(both, r)):
+                    assert same_bits(got, want)
+
+    @pytest.mark.parametrize("x", [chebyshev_grid(), np.array([0.3]), 0.3], ids=["200", "1", "scalar"])
+    def test_signed_zero_sums(self, x):
+        """Rows that are all -0.0, or mixed +-0.0, sum to +0.0, as onto zeros,
+        on a grid, at one point and at a scalar."""
+        op = operator_K4(24, 2)
+        values = np.array(RationalCoefficient.values(op.coeffs, x))
+        negative = -0.0 * np.where(values >= 0, 1.0, -1.0)  # every c_k y^(k) is -0.0
+        mixed = np.where(np.arange(5).reshape((5,) + (1,) * np.ndim(x)) % 2 == 0, negative, -negative)
+        for derivs in (negative, mixed):
+            rows = op.term_rows(x, derivs)
+            assert same_bits(rows, parent_term_rows(op, x, derivs))
+            got, want = op.apply(x, derivs), parent_sum(rows, x)
+            assert same_bits(got, want) and not np.signbit(got).any()

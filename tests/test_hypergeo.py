@@ -1,12 +1,14 @@
 import math
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dkradial import hypergeo
 from dkradial._exprs import hyp_expr
 from dkradial.closedform import general_basis
 from dkradial.hypergeo import (
@@ -131,6 +133,27 @@ class TestErrors:
             Hyp2F1Params(1.0, 1.0, 0.0)
         with pytest.raises(ValueError):
             Hyp2F1Params(1.0, 1.0, -2.0)
+
+    @pytest.mark.parametrize("c", [0, -1, -3.0])
+    def test_hyp_expr_rejects_gamma_as_params_do(self, c):
+        """hyp_expr builds no Hyp2F1Params, yet raises its ValueError, message
+        and all."""
+        with pytest.raises(ValueError) as want:
+            Hyp2F1Params(1.0, 2.0, c)
+        with pytest.raises(ValueError) as got:
+            hyp_expr(1.0, 0, 0, 1.0, 2.0, c)
+        assert str(got.value) == str(want.value) == f"gamma={c} must not be a non-positive integer"
+
+    @pytest.mark.parametrize("c", [0.5, -0.5])
+    def test_hyp_expr_accepts_non_integer_gamma(self, c):
+        assert hyp_expr(1.0, 0, 0, 1.0, 2.0, c)._coefs == {(0.0, 0.0, 1.0, 2.0, c): 1.0}
+        assert Hyp2F1Params(1.0, 2.0, c).gamma == c
+
+    def test_gamma_rule_is_written_once(self):
+        """The rule and its message live in hypergeo alone, on Hyp2F1Params."""
+        src = Path(hypergeo.__file__).parent
+        hits = {p.name: p.read_text().count("must not be a non-positive integer") for p in src.glob("*.py")}
+        assert {k: v for k, v in hits.items() if v} == {"hypergeo.py": 1}
 
     def test_degenerate_connection(self):
         # c-a-b integer and x > 0.9: connection formula near-singular

@@ -205,6 +205,14 @@ class TestShootJ:
         evs = shoot_j(0.0, 1, +1, cfg)
         assert evs and all(ev.flags == ["weak-singularity"] for ev in evs)
 
+    @pytest.mark.parametrize("j, window, levels", [(12, (0.1, 30.3), 36), (10, (34.0, 36.0), 5)])
+    def test_high_j_windows_confirmed_from_unit_start(self, j, window, levels):
+        """From start columns of size r0^j these windows raised "shooting does
+        not confirm the level"; from unit columns every level is confirmed
+        and none is weakly singular."""
+        evs = shoot_j(0.0, j, +1, ShootingConfig(eps_scan=window))
+        assert len(evs) == levels and all(ev.flags == [] for ev in evs)
+
 
 class TestSharedShooting:
     @pytest.mark.parametrize("shoot", [
@@ -323,9 +331,11 @@ class TestIntegrator:
         assert (sol.naccept, sol.nreject, sol.nfev) == (113, 111, 8178)
 
     def test_blow_up_through_match_is_integration_error(self, monkeypatch):
-        """y' = 4 (1 + y^2) is tan(4 r + c): it has a pole before the equator."""
+        """y' = 4 (1 + y^2) from y(r0) = 0, a start of its own, is
+        tan(4 (r - r0)): it has a pole at r0 + pi/8, before the equator."""
         real_ivp = oracle.solve_ivp
-        monkeypatch.setattr(oracle, "solve_ivp", lambda fun, *a, **k: real_ivp(lambda r, y: 4 * (1 + y * y), *a, **k))
+        monkeypatch.setattr(oracle, "solve_ivp", lambda fun, span, y0, **k: real_ivp(
+            lambda r, y: 4 * (1 + y * y), span, np.zeros_like(y0), **k))
         with pytest.raises(oracle.IntegrationError, match=r"integration failed: step collapsed at r = 0\.39"):
             oracle._match(np.array([2.0]), 1, oracle.R_START_OFFSET)
 
@@ -453,6 +463,13 @@ class TestFrobeniusSeries:
         for lane, e in enumerate(eps):
             single = _frobenius_initial(j, system(j, *_weights(abs(m), lam, [e])), 1e-3)[0]
             assert np.allclose(batched[lane], single, rtol=1e-15, atol=0)
+
+    @pytest.mark.parametrize("j", [0, 1, 5, 20])
+    def test_start_columns_have_unit_norm(self, j):
+        """Each regular start column is divided by its norm, at every lane:
+        no column starts at r0^j, which underflows the determinant at high j."""
+        cols = _frobenius_initial(j, system(j, *_weights(0.0, +1, [0.3, 4.5, 61.9])), oracle.R_START_OFFSET)
+        assert np.abs(np.linalg.norm(cols, axis=1) - 1.0).max() <= 4 * np.finfo(float).eps
 
 
 class TestCompare:
