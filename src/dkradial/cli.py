@@ -181,9 +181,9 @@ def _verify_reports(args) -> list[verify.VerificationReport]:
                 *pair(p2, a2), direct(p2, a2), name=f"factorization-{side}[p2={_fraction_str(p2)}]"))
     if "wronskian" in suites:
         p = 2.3
-        basis = closedform.general_basis(j, p, ModeParams.from_p_sq(mass, p * p), np.array([1.0]))
+        basis = closedform.general_basis_exprs(j, p, ModeParams.from_p_sq(mass, p * p))
         for x0 in (0.3, 0.6):
-            w = verify.wronskian4([b.exprs["K"] for b in basis], x0)
+            w = verify.wronskian4([exprs["K"] for exprs in basis], x0)
             reports.append(verify.wronskian_report(w, x0, f"wronskian[j={j} p={p} x0={x0}]"))
     if "cross" in suites:
         for entry in entries:

@@ -43,6 +43,7 @@ __all__ = [
     "j0_exprs",
     "wavefunction_j0",
     "wavefunction_family",
+    "general_basis_exprs",
     "general_basis",
     "degeneracy_map",
     "DegeneratePair",
@@ -340,22 +341,26 @@ def wavefunction_family(family: Family, qn: QuantumNumbers, params: ModeParams, 
     return _sampled(qn, params, grid, family_exprs(family, qn, params))
 
 
-def general_basis(j: int, p: float, params: ModeParams, grid) -> list[RadialSolution]:
-    """Four independent solutions at arbitrary p > 0.
+def general_basis_exprs(j: int, p: float, params: ModeParams) -> list[dict]:
+    """{K, L, M, N} expressions of four independent solutions at arbitrary p > 0.
 
     The four seeds of families i-iv, in that order, at a real lam: two
     K-led ones (x-exponents 1/2 and 0, lam = sqrt(p^2+1)) and two M-led
     ones (lam = p), each with its lacking amplitude from the same builder.
+    general_basis samples them; the Wronskian check reads their K.
     """
     if j < 1:
         raise ValueError("general basis defined for j >= 1")
     if p <= 0:
         raise ValueError("p must be positive")
     lam = {"K": math.sqrt(p * p + 1.0), "M": p}
-    qn, out = QuantumNumbers(j, 0), []
-    for lead, xp, _ in FAMILIES.values():
-        out.append(_sampled(qn, params, grid, _completed(qn, params, *_km_exprs(j, lead, xp, lam[lead]))))
-    return out
+    qn = QuantumNumbers(j, 0)
+    return [_completed(qn, params, *_km_exprs(j, lead, xp, lam[lead])) for lead, xp, _ in FAMILIES.values()]
+
+
+def general_basis(j: int, p: float, params: ModeParams, grid) -> list[RadialSolution]:
+    """The general_basis_exprs solutions sampled on grid."""
+    return [_sampled(QuantumNumbers(j, 0), params, grid, exprs) for exprs in general_basis_exprs(j, p, params)]
 
 
 @dataclass(frozen=True)

@@ -6,12 +6,17 @@ mu = lambda m, p = sqrt(eps^2 - m^2) and kappa = (eps + mu)/p, (K, L, M, N)
 mass-free system(j, p, p), on which levels are located by collocation and
 confirmed by shooting; a level p is reported at eps = hypot(p, m).  There
 A(r) = p E + A(r)|p=0, E = P + Q, and as E^2 = -I, Y' = A(r) Y is
-p Y = H Y with H = -E (d/dr - A(r)|p=0), discretised on
-Chebyshev-Gauss points of (0, pi), which exclude the poles; a j = 0 level's
-nodes are counted on its eigenvector's M block.  One integration carries the
+p Y = H Y with H = -E (d/dr - A(r)|p=0), discretised on an even number N
+of Chebyshev-Gauss points of (0, pi), which exclude the poles.  H commutes
+with the reflection Y(r) -> D Y(pi - r) (D the parity diagonal), so it is
+solved as two blocks on the first N/2 points, one per reflection-parity
+sector.  A level is an eigenvalue that is real, whose rebuilt eigenvector
+has a decayed Chebyshev tail, and that lies within DRIFT_TOL of an
+eigenvalue at the other size of a pair (N/2 or 2N); a j = 0 level's nodes
+are counted on its eigenvector's M block.  One integration carries the
 regular space from a Frobenius start at r = 0 (Laurent series of 1/sin r and
 cot r) to the equator for every level at once; the regular space at r = pi
-is its reflection D Y(pi - r) (D the parity diagonal), so the match matrix
+is its reflection D Y(pi - r), so the match matrix
 is [Y | D Y], 4x4 for j >= 1 and 2x2 for j = 0, and its normalized
 determinant must change sign across each level.
 
@@ -51,8 +56,8 @@ R_START_OFFSET = 1e-3
 INTEGRATOR_RTOL = 1e-10
 INTEGRATOR_ATOL = 1e-13
 GBS_STAGES = 6  # solve_ivp's modified-midpoint substeps: n = 2, 4, ..., 2 GBS_STAGES
-# Collocation: the largest N tried (the drift solve then has 2N points), and
-# the two acceptance tests; DRIFT_TOL is relative to max(1, |p|).
+# Collocation: the largest N tried (a drift solve at the first N has 2N
+# points), and the two acceptance tests; DRIFT_TOL is relative to max(1, |p|).
 COLLOCATION_MAX_N = 256
 DRIFT_TOL = 1e-10
 TAIL_TOL = 1e-8
@@ -296,31 +301,69 @@ def _sign_changes(block: np.ndarray) -> np.ndarray:
     return np.array([np.count_nonzero(np.diff(np.sign(col))) for col in kept], dtype=int)
 
 
+def _sector_blocks(j: int, N: int) -> tuple[list, np.ndarray, np.ndarray]:
+    """H commutes with the reflection R: Y(r) -> D Y(pi - r), which maps
+    Chebyshev-Gauss point k to N-1-k, so for even N it splits into the
+    sectors y(N-1-k) = s D y(k), s = +1 and -1.  Returns the two sector
+    blocks H_s = H_tt + s H_tb (D x J) on the first N/2 points (J the point
+    reversal), each (n N/2, n N/2), with D and the angles theta."""
+    H, theta = _collocation_matrix(j, N)
+    n, half, D = len(H) // N, N // 2, system(j, 0.0, 0.0).D
+    top = H.reshape(n, N, n, N)[:, :half]
+    tt, tb = top[..., :half], top[..., ::-1][..., :half] * D[:, None]
+    return [(tt + s * tb).reshape(n * half, -1) for s in (1, -1)], D, theta
+
+
+def _sector_solve(block: np.ndarray, vectors: bool) -> tuple[np.ndarray, np.ndarray | None]:
+    """np.linalg.eig of one sector block, or its eigvals (no vectors): every
+    dense solve of _locate, a module function so that tests can count and
+    perturb it."""
+    return np.linalg.eig(block) if vectors else (np.linalg.eigvals(block), None)
+
+
+def _sector_eigs(j: int, N: int, vectors: bool = True) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
+    """The eigenvalues of H at N points from its two sector blocks, + then -,
+    and, with vectors, the eigenvectors in full coordinates, (n N, count),
+    rebuilt by y(N-1-k) = s D y(k); and theta."""
+    blocks, D, theta = _sector_blocks(j, N)
+    vals, vecs = [], []
+    for s, block in zip((1, -1), blocks):
+        v, w = _sector_solve(block, vectors)
+        vals.append(v)
+        if vectors:
+            top = w.reshape(len(D), N // 2, -1)
+            vecs.append(np.concatenate([top, s * D[:, None, None] * top[:, ::-1]], axis=1).reshape(len(D) * N, -1))
+    return np.concatenate(vals), np.concatenate(vecs, axis=1) if vectors else None, theta
+
+
 def _locate(j: int, window: tuple[float, float]) -> tuple[np.ndarray, np.ndarray]:
     """The levels p of the window (up to WINDOW_SLACK outside it), in order,
     and the sign changes of each one's first component, M at j = 0, over
     (0, pi).  Levels are the eigenvalues of H, less the p = 0 pair at j = 0,
-    that drift by at most DRIFT_TOL between N and 2N points and whose
-    Chebyshev tail is at most TAIL_TOL.  N starts at 4 hi + 8 and doubles
-    until every eigenvalue in the window passes, or, past COLLOCATION_MAX_N,
-    raises SpectrumError: never a short list."""
+    found by sector solves at N points: real to DRIFT_TOL, with a Chebyshev
+    tail of at most TAIL_TOL on the rebuilt eigenvector, and within
+    DRIFT_TOL of an eigenvalue at the other size of a pair, N/2 once N has
+    doubled, else 2N, solved only when the first size passes the other
+    tests.  N starts at 4 hi + 8, rounded up to even, and doubles until every
+    eigenvalue in the window passes, or, past COLLOCATION_MAX_N, raises
+    SpectrumError: never a short list."""
     lo, hi = window
-    N, tried = math.ceil(4 * hi) + 8, []
+    N, tried, coarser = 2 * math.ceil(2 * hi) + 8, [], None  # 4 hi + 8 rounded up to even
     while N <= COLLOCATION_MAX_N:
-        H, theta = _collocation_matrix(j, N)
-        vals, vecs = np.linalg.eig(H)
+        vals, vecs, theta = _sector_eigs(j, N)
         slack = WINDOW_SLACK * np.abs(vals.real)
         raw = (vals.real >= lo - slack) & (vals.real <= hi + slack) & ((j > 0) | (np.abs(vals) > P_ZERO_CUT))
         p, vecs = vals[raw], vecs[:, raw]
         scale = DRIFT_TOL * np.maximum(1.0, np.abs(p))
-        finer = np.linalg.eigvals(_collocation_matrix(j, 2 * N)[0])
-        drift = np.abs(p[:, None] - finer[None, :]).min(axis=1)
-        ok = (np.abs(p.imag) <= scale) & (drift <= scale) & (_chebyshev_tails(vecs, theta) <= TAIL_TOL)
+        ok = (np.abs(p.imag) <= scale) & (_chebyshev_tails(vecs, theta) <= TAIL_TOL)
+        if len(p) and (coarser is not None or ok.all()):
+            other = coarser if coarser is not None else _sector_eigs(j, 2 * N, vectors=False)[0]
+            ok &= np.abs(p[:, None] - other[None, :]).min(axis=1) <= scale
         tried.append(f"N={N}: {int(raw.sum())} raw, {int(ok.sum())} accepted")
         if ok.all():
             order = np.argsort(p.real)
             return p.real[order], _sign_changes(vecs[:N])[order]
-        N *= 2
+        coarser, N = vals, 2 * N
     raise SpectrumError(
         f"collocation did not resolve p in [{lo:g}, {hi:g}] (j={j}): "
         f"{'; '.join(tried) or 'no N'} up to COLLOCATION_MAX_N={COLLOCATION_MAX_N}"

@@ -382,7 +382,24 @@ class TestGeneralBasis:
                         ratio = basis[seed].exprs[lead].eval_x(x0) / sol.exprs[lead].eval_x(x0)
                         assert ratio == pytest.approx(1.0, rel=1e-9), (family, j, n, x0)
 
+    @pytest.mark.parametrize("j,m", [(1, 0.0), (2, 0.5), (3, 1.0)])
+    def test_samples_general_basis_exprs(self, j, m):
+        """general_basis samples the four {K, L, M, N} dicts of
+        general_basis_exprs, bit for bit, and holds them as its exprs."""
+        params, r = ModeParams(m=m, eps=math.hypot(2.3, m)), np.linspace(0.1, 3.0, 7)
+        exprs = closedform.general_basis_exprs(j, 2.3, params)
+        basis = general_basis(j, 2.3, params, r)
+        assert len(exprs) == len(basis) == 4
+        for e, sol in zip(exprs, basis):
+            assert list(e) == list(sol.exprs) == list("KLMN")
+            for name, values in zip(e, eval_r_cos2_all(e.values(), r)):
+                assert getattr(sol, name).tobytes() == values.tobytes()
+                assert sol.exprs[name].terms == e[name].terms
+
     def test_rejects_bad_inputs(self):
+        for bad_j, bad_p in ((0, 2.3), (1, -1.0), (1, 0.0)):
+            with pytest.raises(ValueError):
+                closedform.general_basis_exprs(bad_j, bad_p, ModeParams(m=0.0, eps=2.3))
         with pytest.raises(ValueError):
             general_basis(0, 2.3, ModeParams(m=0.0, eps=2.3), [1.0])
         with pytest.raises(ValueError):

@@ -85,6 +85,14 @@ class TestShootJ0:
         near = np.abs(vals[np.abs(vals) < 0.5])
         assert len(near) == 2 and near.max() <= oracle.P_ZERO_CUT and near.max() > oracle.DRIFT_TOL
 
+    @pytest.mark.parametrize("N", [16, 64, 512])
+    def test_p_zero_pair_lies_within_the_cut_over_both_sectors(self, N):
+        """The sector solves hold the same pair: exactly two eigenvalues within
+        P_ZERO_CUT over both sectors, each above DRIFT_TOL."""
+        vals = oracle._sector_eigs(0, N, vectors=False)[0]
+        near = np.abs(vals[np.abs(vals) < 0.5])
+        assert len(near) == 2 and near.max() <= oracle.P_ZERO_CUT and near.min() > oracle.DRIFT_TOL
+
     @pytest.mark.parametrize("m,levels", [
         (3.0, [math.sqrt(12.0), math.sqrt(17.0), math.sqrt(24.0)]),
         (0.0, [math.sqrt(3.0)]),
@@ -439,6 +447,123 @@ class TestLocateAndConfirm:
                            match=r"does not confirm the level p=2\.5 \(j=0\): the determinant is "
                                  r"\S+ at p-2\.5e-07 and \S+ at p\+2\.5e-07$"):
             shoot_j0(1.0, +1, ShootingConfig(eps_scan=(2.0, 3.0)))
+
+
+def _moved_eigenvalue(monkeypatch, size: int, target: float) -> None:
+    """Patch the sector solve so that, on blocks of this size only, the
+    eigenvalue within 1e-6 of target moves up by 1e-8."""
+    real = oracle._sector_solve
+
+    def solve(block, vectors):
+        vals, vecs = real(block, vectors)
+        if len(block) == size:
+            vals = np.where(np.abs(vals - target) < 1e-6, vals + 1e-8, vals)
+        return vals, vecs
+
+    monkeypatch.setattr(oracle, "_sector_solve", solve)
+
+
+class TestDrift:
+    """A level is accepted only within DRIFT_TOL of an eigenvalue at the other
+    size of its pair: 2N at the first size, the previous size once N has
+    doubled.  Each control moves one level by 1e-8 at one size only."""
+
+    def test_readme_window_solves_no_drift_size(self, monkeypatch):
+        """N = 26 fails the tail test, so it gets no drift solve, and N = 52
+        drifts against it: four sector solves with vectors, none above 104."""
+        real, sizes = oracle._sector_solve, []
+        monkeypatch.setattr(oracle, "_sector_solve", lambda b, v: sizes.append((len(b), v)) or real(b, v))
+        assert len(shoot_j(0.0, 1, +1, ShootingConfig(eps_scan=(0.1, 4.5)))) == 6
+        assert sizes == [(52, True), (52, True), (104, True), (104, True)]
+
+    def test_first_size_drifts_against_2n(self, monkeypatch):
+        """(25.9, 26.05) passes at its first size, N = 114, so its reference is
+        the eigvals solve at 2N; moved there at N = 114, p = 26 is not accepted."""
+        window, sizes = (25.9, 26.05), []
+        real = oracle._sector_solve
+        monkeypatch.setattr(oracle, "_sector_solve", lambda b, v: sizes.append((len(b), v)) or real(b, v))
+        oracle._locate(1, window)
+        assert sizes == [(228, True), (228, True), (456, False), (456, False)]
+        _moved_eigenvalue(monkeypatch, 228, 26.0)
+        monkeypatch.setattr(oracle, "COLLOCATION_MAX_N", 114)
+        with pytest.raises(oracle.SpectrumError, match=r"N=114: 2 raw, 1 accepted up to COLLOCATION_MAX_N=114$"):
+            oracle._locate(1, window)
+
+    def test_doubled_size_drifts_against_the_previous_one(self, monkeypatch):
+        """On the README window N = 26 fails the tail test and N = 52 passes
+        against it; moved at N = 52, p = 2 is not accepted there."""
+        _moved_eigenvalue(monkeypatch, 104, 2.0)
+        monkeypatch.setattr(oracle, "COLLOCATION_MAX_N", 52)
+        with pytest.raises(oracle.SpectrumError,
+                           match=r"N=26: 6 raw, 4 accepted; N=52: 6 raw, 5 accepted up to COLLOCATION_MAX_N=52$"):
+            oracle._locate(1, (0.1, 4.5))
+
+    def test_moved_level_is_found_at_a_larger_size(self, monkeypatch):
+        """Moved at N = 52, p = 2 fails there and at N = 104, which drifts
+        against the moved value; N = 208 returns the unmoved level."""
+        _moved_eigenvalue(monkeypatch, 104, 2.0)
+        p, _ = oracle._locate(1, (0.1, 4.5))
+        assert len(p) == 6 and np.abs(p - 2.0).min() <= 1e-13
+
+
+class TestSectors:
+    """H commutes with the reflection R: Y(r) -> D Y(pi - r), which maps
+    Chebyshev-Gauss point k to N-1-k, and _locate solves its two sectors."""
+
+    @staticmethod
+    def sector_of(j: int, p: list, N: int = 96) -> list:
+        """The sector, +1 or -1, whose block at N points holds each level p."""
+        blocks = [np.linalg.eigvals(b) for b in oracle._sector_blocks(j, N)[0]]
+        return [s for level in p for s, vals in zip((1, -1), blocks)
+                if np.abs(vals - level).min() <= 1e-9 * max(1.0, level)]
+
+    @pytest.mark.parametrize("N", [16, 26, 64])
+    @pytest.mark.parametrize("j", [0, 1, 3, 6])
+    def test_reflection_commutes_with_h(self, j, N):
+        H = oracle._collocation_matrix(j, N)[0]
+        D, H4 = system(j, 0.0, 0.0).D, H.reshape(len(H) // N, N, len(H) // N, N)
+        RH, HR = D[:, None, None, None] * H4[:, ::-1], H4[..., ::-1] * D[:, None]
+        assert np.abs(RH - HR).max() <= 1e-11 * np.abs(H).max()
+
+    @pytest.mark.parametrize("N", [16, 26, 64])
+    @pytest.mark.parametrize("j", [0, 1, 3, 6])
+    def test_sectors_hold_the_full_spectrum(self, j, N):
+        """Both sectors together are eigvals of the full H, relative to
+        max(1, |p|), less the j = 0 p = 0 pair, whose split differs."""
+        full = np.linalg.eigvals(oracle._collocation_matrix(j, N)[0])
+        sectors = oracle._sector_eigs(j, N, vectors=False)[0]
+        full, sectors = (v[np.abs(v) >= 0.5] if j == 0 else v for v in (full, sectors))
+        assert len(full) == len(sectors)
+        for a, b in ((full, sectors), (sectors, full)):
+            assert (np.abs(a[:, None] - b[None, :]).min(axis=1) <= 1e-11 * np.maximum(1.0, np.abs(a))).all()
+
+    @pytest.mark.parametrize("N", [16, 26, 64])
+    @pytest.mark.parametrize("j", [0, 1, 3, 6])
+    def test_rebuilt_vectors_are_reflection_symmetric(self, j, N):
+        """y(N-1-k) = s D y(k) bit for bit, s = +1 on the first half of the
+        columns (the + block) and -1 on the second."""
+        vals, vecs, _ = oracle._sector_eigs(j, N)
+        D, half = system(j, 0.0, 0.0).D, len(vals) // 2
+        y = vecs.reshape(len(D), N, -1)
+        s = np.repeat([1.0, -1.0], half)
+        assert np.array_equal(y[:, ::-1], s * D[:, None, None] * y)
+
+    @pytest.mark.parametrize("m", [0.0, 1.0, 2.0])
+    def test_j0_sector_follows_the_node_count(self, m):
+        """At j = 0 a level's sector times (-1)^nodes is -1."""
+        evs = shoot_j0(m, +1, _criterion_1_config(m))
+        sectors = self.sector_of(0, [math.sqrt(ev.p_sq) for ev in evs])
+        assert len(evs) == 6 and [s * (-1) ** ev.node_count for s, ev in zip(sectors, evs)] == [-1] * 6
+
+    @pytest.mark.parametrize("j,m", [(j, m) for m in (0.0, 1.0) for j in (1, 2, 3)])
+    def test_sector_follows_the_family(self, j, m):
+        """At j >= 1 the sector is +1 for F2 and F3 levels and -1 for F1 and
+        F4 levels, as compare_spectra matches them."""
+        required, cfg = _scan_setup(j, m)
+        cmp = compare_spectra(shoot_j(m, j, +1, cfg), required, rel_tol=1e-5)
+        sectors = self.sector_of(j, [math.sqrt(ev.p_sq) for ev, _, _ in cmp.matched])
+        expect = {Family.F1: -1, Family.F2: 1, Family.F3: 1, Family.F4: -1}
+        assert cmp.passed and sectors == [expect[entry.family] for _, entry, _ in cmp.matched]
 
 
 class TestFrobeniusSeries:

@@ -312,6 +312,19 @@ class TestExprEvaluation:
             assert self.one_call_each(calls, distinct, 400)
             assert len(distinct) < len(self.distinct_2f1(exprs)) + len(self.distinct_2f1(e.diff_r_cos2() for e in exprs))
 
+    def test_wronskian_suite_evaluates_only_at_its_points(self, monkeypatch, capsys):
+        """The CLI Wronskian check takes its expressions from
+        general_basis_exprs: every gauss_2f1 call it makes is at x0 = 0.3
+        or 0.6, where wronskian4 reads them, none on a sampling grid."""
+        from dkradial import _exprs
+        from dkradial.cli import main
+
+        xs, original = [], _exprs.gauss_2f1
+        monkeypatch.setattr(_exprs, "gauss_2f1", lambda params, x: xs.append(float(x[0])) or original(params, x))
+        assert main(["verify", "--suite", "wronskian", "--j", "2"]) == 0
+        capsys.readouterr()
+        assert xs and set(xs) == {0.3, 0.6}
+
     def test_no_exact_one_reaches_gauss_2f1(self, monkeypatch):
         """Over the 45 family states with j, n <= 3 (operator residuals and
         cross-consistency), the j = 0 pair and the general basis, every
