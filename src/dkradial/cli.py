@@ -207,16 +207,15 @@ def cmd_verify(args) -> int:
 
 
 def _closed_levels(j: int, mass: float, eps_min: float, eps_max: float) -> list:
-    """Closed-form bound levels at j with eps_min <= eps <= eps_max.  Each
-    family's p^2 rises with n, so the list stops at the first n where every
-    family's level lies past eps_max."""
-    p_sq_max = eps_max * eps_max - mass * mass
+    """Closed-form bound levels at j in the oracle's window, by its rule
+    (oracle.in_window).  Each family's p^2 rises with n, so the list stops at
+    the first n where every family's level lies past the window."""
+    lo, hi = oracle.p_window(mass, (eps_min, eps_max))
     families = (Family.J0,) if j == 0 else tuple(closedform.FAMILIES)
     n = 0
-    while any(closedform.spectrum(fam, j, n, mass).p_sq <= p_sq_max for fam in families):
+    while any(oracle.in_window(math.sqrt(closedform.spectrum(fam, j, n, mass).p_sq), (0.0, hi)) for fam in families):
         n += 1
-    closed = closedform.family_levels(j, n, mass, families)
-    return [e for e in closed if eps_min <= e.eps() <= eps_max]
+    return [e for e in closedform.family_levels(j, n, mass, families) if oracle.in_window(math.sqrt(e.p_sq), (lo, hi))]
 
 
 def cmd_oracle(args) -> int:

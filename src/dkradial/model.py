@@ -188,8 +188,9 @@ class LinearDifferentialOperator:
 
     def apply(self, x, derivs) -> np.ndarray:
         """Apply to a function given as derivative rows derivs[k] = y^(k)(x):
-        the term rows summed onto zeros, k = 0 first, as one reduce plus 0.0
-        (bit for bit the same: see the verify module)."""
+        the term rows summed onto zeros, k = 0 first, as one reduce plus 0.0,
+        bit for bit: the reduce can differ from the sum onto zeros only in the
+        sign of a zero, and + 0.0 makes every zero +0.0, as a sum from +0.0 is."""
         return np.add.reduce(self.term_rows(x, derivs), axis=0) + 0.0
 
     def term_magnitudes(self, x, derivs) -> np.ndarray:

@@ -10,10 +10,9 @@ p Y = H Y with H = -E (d/dr - A(r)|p=0), discretised on an even number N
 of Chebyshev-Gauss points of (0, pi), which exclude the poles.  H commutes
 with the reflection Y(r) -> D Y(pi - r) (D the parity diagonal), so it is
 solved as two blocks on the first N/2 points, one per reflection-parity
-sector.  A level is an eigenvalue that is real, whose rebuilt eigenvector
-has a decayed Chebyshev tail, and that lies within DRIFT_TOL of an
-eigenvalue at the other size of a pair (N/2 or 2N); a j = 0 level's nodes
-are counted on its eigenvector's M block.  One integration carries the
+sector.  A level is an eigenvalue that is real and whose rebuilt
+eigenvector has a decayed Chebyshev tail; a j = 0 level's nodes are counted
+on its eigenvector's M block.  One integration carries the
 regular space from a Frobenius start at r = 0 (Laurent series of 1/sin r and
 cot r) to the equator for every level at once; the regular space at r = pi
 is its reflection D Y(pi - r), so the match matrix
@@ -44,6 +43,8 @@ __all__ = [
     "ShootingConfig",
     "OracleEigenvalue",
     "SpectrumComparison",
+    "p_window",
+    "in_window",
     "shoot_j0",
     "shoot_j",
     "compare_spectra",
@@ -56,15 +57,15 @@ R_START_OFFSET = 1e-3
 INTEGRATOR_RTOL = 1e-10
 INTEGRATOR_ATOL = 1e-13
 GBS_STAGES = 6  # solve_ivp's modified-midpoint substeps: n = 2, 4, ..., 2 GBS_STAGES
-# Collocation: the largest N tried (a drift solve at the first N has 2N
-# points), and the two acceptance tests; DRIFT_TOL is relative to max(1, |p|).
+# Collocation: the largest N tried, and the two acceptance tests: IMAG_TOL
+# bounds |Im p| relative to max(1, |p|), TAIL_TOL the Chebyshev tail.
 COLLOCATION_MAX_N = 256
-DRIFT_TOL = 1e-10
+IMAG_TOL = 1e-10
 TAIL_TOL = 1e-8
 # The p = 0 rule: at j = 0 and p = 0 the M row decouples (M' = -cot r M),
 # and collocation holds a double eigenvalue, the level (0, sin r) at
 # eps = -mu, which no closed form lists, and its twin 1/sin r, split by
-# rounding to at most 3.5e-8 (N from 16 to 512), far above DRIFT_TOL.  Both
+# rounding to at most 3.5e-8 (N from 16 to 512), far above IMAG_TOL.  Both
 # lie within this cut, far below the lowest j = 0 level sqrt(3): no level.
 P_ZERO_CUT = 1e-6
 # Half-width of a level's confirming bracket, relative to max(1, p).
@@ -314,56 +315,60 @@ def _sector_blocks(j: int, N: int) -> tuple[list, np.ndarray, np.ndarray]:
     return [(tt + s * tb).reshape(n * half, -1) for s in (1, -1)], D, theta
 
 
-def _sector_solve(block: np.ndarray, vectors: bool) -> tuple[np.ndarray, np.ndarray | None]:
-    """np.linalg.eig of one sector block, or its eigvals (no vectors): every
-    dense solve of _locate, a module function so that tests can count and
-    perturb it."""
-    return np.linalg.eig(block) if vectors else (np.linalg.eigvals(block), None)
+def _sector_solve(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """np.linalg.eig of one sector block: every dense solve of _locate, a
+    module function so that tests can count and perturb it."""
+    return np.linalg.eig(block)
 
 
-def _sector_eigs(j: int, N: int, vectors: bool = True) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
+def _sector_eigs(j: int, N: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The eigenvalues of H at N points from its two sector blocks, + then -,
-    and, with vectors, the eigenvectors in full coordinates, (n N, count),
-    rebuilt by y(N-1-k) = s D y(k); and theta."""
+    the eigenvectors in full coordinates, (n N, count), rebuilt by
+    y(N-1-k) = s D y(k), and theta."""
     blocks, D, theta = _sector_blocks(j, N)
     vals, vecs = [], []
     for s, block in zip((1, -1), blocks):
-        v, w = _sector_solve(block, vectors)
+        v, w = _sector_solve(block)
+        top = w.reshape(len(D), N // 2, -1)
         vals.append(v)
-        if vectors:
-            top = w.reshape(len(D), N // 2, -1)
-            vecs.append(np.concatenate([top, s * D[:, None, None] * top[:, ::-1]], axis=1).reshape(len(D) * N, -1))
-    return np.concatenate(vals), np.concatenate(vecs, axis=1) if vectors else None, theta
+        vecs.append(np.concatenate([top, s * D[:, None, None] * top[:, ::-1]], axis=1).reshape(len(D) * N, -1))
+    return np.concatenate(vals), np.concatenate(vecs, axis=1), theta
+
+
+def p_window(m: float, eps_window) -> tuple[float, float]:
+    """The p window of an eps window at mass m: p = sqrt(max(eps^2 - m^2, 0))."""
+    return tuple(math.sqrt(max(e * e - m * m, 0.0)) for e in eps_window)
+
+
+def in_window(p, window: tuple[float, float]):
+    """Whether each p lies in the p window, up to WINDOW_SLACK |p| outside it:
+    the one rule for oracle levels and the closed-form levels they are
+    compared with."""
+    lo, hi = window
+    slack = WINDOW_SLACK * np.abs(p)
+    return (p >= lo - slack) & (p <= hi + slack)
 
 
 def _locate(j: int, window: tuple[float, float]) -> tuple[np.ndarray, np.ndarray]:
-    """The levels p of the window (up to WINDOW_SLACK outside it), in order,
-    and the sign changes of each one's first component, M at j = 0, over
-    (0, pi).  Levels are the eigenvalues of H, less the p = 0 pair at j = 0,
-    found by sector solves at N points: real to DRIFT_TOL, with a Chebyshev
-    tail of at most TAIL_TOL on the rebuilt eigenvector, and within
-    DRIFT_TOL of an eigenvalue at the other size of a pair, N/2 once N has
-    doubled, else 2N, solved only when the first size passes the other
-    tests.  N starts at 4 hi + 8, rounded up to even, and doubles until every
-    eigenvalue in the window passes, or, past COLLOCATION_MAX_N, raises
-    SpectrumError: never a short list."""
+    """The levels p of the window (in_window), in order, and the sign
+    changes of each one's first component, M at j = 0, over (0, pi).
+    Levels are the eigenvalues of H, less the p = 0 pair at j = 0, found by
+    sector solves at N points: real to IMAG_TOL, with a Chebyshev tail of at
+    most TAIL_TOL on the rebuilt eigenvector.  N starts at 4 hi + 8, rounded
+    up to even, and doubles until every eigenvalue in the window passes, or,
+    past COLLOCATION_MAX_N, raises SpectrumError: never a short list."""
     lo, hi = window
-    N, tried, coarser = 2 * math.ceil(2 * hi) + 8, [], None  # 4 hi + 8 rounded up to even
+    N, tried = 2 * math.ceil(2 * hi) + 8, []  # 4 hi + 8 rounded up to even
     while N <= COLLOCATION_MAX_N:
         vals, vecs, theta = _sector_eigs(j, N)
-        slack = WINDOW_SLACK * np.abs(vals.real)
-        raw = (vals.real >= lo - slack) & (vals.real <= hi + slack) & ((j > 0) | (np.abs(vals) > P_ZERO_CUT))
+        raw = in_window(vals.real, window) & ((j > 0) | (np.abs(vals) > P_ZERO_CUT))
         p, vecs = vals[raw], vecs[:, raw]
-        scale = DRIFT_TOL * np.maximum(1.0, np.abs(p))
-        ok = (np.abs(p.imag) <= scale) & (_chebyshev_tails(vecs, theta) <= TAIL_TOL)
-        if len(p) and (coarser is not None or ok.all()):
-            other = coarser if coarser is not None else _sector_eigs(j, 2 * N, vectors=False)[0]
-            ok &= np.abs(p[:, None] - other[None, :]).min(axis=1) <= scale
+        ok = (np.abs(p.imag) <= IMAG_TOL * np.maximum(1.0, np.abs(p))) & (_chebyshev_tails(vecs, theta) <= TAIL_TOL)
         tried.append(f"N={N}: {int(raw.sum())} raw, {int(ok.sum())} accepted")
         if ok.all():
             order = np.argsort(p.real)
             return p.real[order], _sign_changes(vecs[:N])[order]
-        coarser, N = vals, 2 * N
+        N *= 2
     raise SpectrumError(
         f"collocation did not resolve p in [{lo:g}, {hi:g}] (j={j}): "
         f"{'; '.join(tried) or 'no N'} up to COLLOCATION_MAX_N={COLLOCATION_MAX_N}"
@@ -377,7 +382,7 @@ def _shoot(m: float, j: int, config: ShootingConfig) -> list[OracleEigenvalue]:
     diagnostics.  p and the bracket ends are reported as eps = hypot(p, m)."""
     if m < 0:
         raise ValueError("mass must be non-negative")
-    levels, nodes = _locate(j, tuple(math.sqrt(max(e * e - m * m, 0.0)) for e in config.eps_scan[:2]))
+    levels, nodes = _locate(j, p_window(m, config.eps_scan[:2]))
     if not len(levels):
         return []
     delta = CONFIRM_DELTA * np.maximum(1.0, levels)

@@ -23,11 +23,10 @@ One allocation per term in the check kernels too: an operator's
 coefficients are evaluated by Horner's rule and pole sums in place
 (RationalCoefficient.values), its term rows c_k y^(k) are one stacked
 product (term_rows), and the operator residual sums them with one reduce
-over the rows plus 0.0.  The reduce adds the rows in order, k = 0 first (row
-by row on a grid, one by one at a single point, for fewer than 8 rows), so it
-can differ from the sum onto zeros only in the sign of a zero; a sum that
-starts from +0.0 is never -0.0, and + 0.0 turns every -0.0 into +0.0, so the
-two are the same bits.
+over the rows.  The reduce adds the rows in order, k = 0 first (row by row on
+a grid, one by one at a single point, for fewer than 8 rows), so it can
+differ from the sum onto zeros only in the sign of a zero, which the
+report's |resid| never shows.
 
 Residuals are normalized by the largest participating term, not by the
 solution value, because the solutions vanish at the interval endpoints.
@@ -110,18 +109,10 @@ def _relative(resid, scale):
     return np.abs(resid) / np.where(scale > 0, scale, 1.0)
 
 
-def _worst(rel: np.ndarray, keep: int) -> np.ndarray:
-    """np.argsort(-rel, kind="stable")[:keep] (falling rel, ties by index), by partial selection."""
-    neg, idx = -rel, np.arange(rel.size)
-    if rel.size > keep:  # only values at or above the keep-th largest (or NaN ones) can rank
-        idx = idx[~(neg > np.partition(neg, keep - 1)[keep - 1])]
-    return idx[np.lexsort((idx, neg[idx]))[:keep]]
-
-
 def _report(name, x, rel, tol, keep=3) -> VerificationReport:
     x = np.atleast_1d(x)
-    return VerificationReport(name, float(np.max(rel)), len(x), tol,
-                              [(float(x[i]), float(rel[i])) for i in _worst(rel, keep)])
+    worst = np.lexsort((np.arange(rel.size), -rel))[:keep]  # falling rel, ties in grid order
+    return VerificationReport(name, float(np.max(rel)), len(x), tol, [(float(x[i]), float(rel[i])) for i in worst])
 
 
 def residual_operator(op: LinearDifferentialOperator, x, derivs,
@@ -134,7 +125,7 @@ def residual_operator(op: LinearDifferentialOperator, x, derivs,
     if np.any(x < END_BUFFER) or np.any(x > 1.0 - END_BUFFER):
         raise ValueError(f"grid touches the singular endpoints within {END_BUFFER}")
     rows = op.term_rows(x, derivs)  # each coefficient evaluated once
-    resid = np.add.reduce(rows, axis=0) + 0.0  # the sum onto zeros, as op.apply sums them
+    resid = np.add.reduce(rows, axis=0)
     return _report(name, x, _relative(resid, np.abs(rows).max(axis=0)), RESIDUAL_TOL)
 
 

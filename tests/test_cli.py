@@ -440,6 +440,19 @@ class TestExitCodes:
         assert code == 0 and cmp["unmatched_closed"] == [] and cmp["unmatched_oracle"] == []
         assert "24" in [m["p_sq_exact"] for m in cmp["matched"]]
 
+    @pytest.mark.parametrize("argv,p_sq", [
+        (["--j", "1", "--eps-max", "3.99999"], "16"),
+        (["--j", "1", "--eps-min", "4.00001", "--eps-max", "4.5"], "16"),
+        (["--j", "0", "--eps-max", "1.73204"], "3"),
+    ])
+    def test_oracle_compare_takes_the_oracle_window(self, argv, p_sq, capsys):
+        """A level just outside a window end, within WINDOW_SLACK, is in the
+        window for the oracle and the closed forms alike."""
+        code, out = run_main(["oracle", *argv, "--mass", "0", "--compare"], capsys)
+        cmp = strict_json(out)["comparison"]
+        assert code == 0 and cmp["unmatched_closed"] == [] and cmp["unmatched_oracle"] == []
+        assert p_sq in [m["p_sq_exact"] for m in cmp["matched"]]
+
     def test_oracle_mismatch_is_exit_one(self, monkeypatch, capsys):
         # One level dropped from the closed-form list -> the oracle
         # eigenvalue it belonged to has no partner.

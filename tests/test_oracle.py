@@ -8,7 +8,7 @@ import pytest
 from scipy.integrate import solve_ivp as reference_ivp
 
 from dkradial import oracle
-from dkradial.closedform import Family, family_levels, spectrum, wavefunction_j0
+from dkradial.closedform import FAMILIES, Family, family_levels, spectrum, wavefunction_j0
 from dkradial.model import ModeParams, system
 from dkradial.oracle import (
     OracleEigenvalue,
@@ -80,18 +80,18 @@ class TestShootJ0:
     def test_p_zero_pair_lies_within_the_cut(self, N):
         """At p = 0 the M row decouples: the j = 0 collocation holds exactly
         two eigenvalues within P_ZERO_CUT, the level (0, sin r) and its
-        singular twin, split by rounding to far more than DRIFT_TOL."""
+        singular twin, split by rounding to far more than IMAG_TOL."""
         vals = np.linalg.eigvals(oracle._collocation_matrix(0, N)[0])
         near = np.abs(vals[np.abs(vals) < 0.5])
-        assert len(near) == 2 and near.max() <= oracle.P_ZERO_CUT and near.max() > oracle.DRIFT_TOL
+        assert len(near) == 2 and near.max() <= oracle.P_ZERO_CUT and near.max() > oracle.IMAG_TOL
 
     @pytest.mark.parametrize("N", [16, 64, 512])
     def test_p_zero_pair_lies_within_the_cut_over_both_sectors(self, N):
         """The sector solves hold the same pair: exactly two eigenvalues within
-        P_ZERO_CUT over both sectors, each above DRIFT_TOL."""
-        vals = oracle._sector_eigs(0, N, vectors=False)[0]
+        P_ZERO_CUT over both sectors, each above IMAG_TOL."""
+        vals = np.concatenate([np.linalg.eigvals(b) for b in oracle._sector_blocks(0, N)[0]])
         near = np.abs(vals[np.abs(vals) < 0.5])
-        assert len(near) == 2 and near.max() <= oracle.P_ZERO_CUT and near.min() > oracle.DRIFT_TOL
+        assert len(near) == 2 and near.max() <= oracle.P_ZERO_CUT and near.min() > oracle.IMAG_TOL
 
     @pytest.mark.parametrize("m,levels", [
         (3.0, [math.sqrt(12.0), math.sqrt(17.0), math.sqrt(24.0)]),
@@ -104,10 +104,10 @@ class TestShootJ0:
         assert [ev.eps for ev in evs] == pytest.approx(levels, rel=1e-12)
         assert [ev.node_count for ev in evs] == list(range(len(levels)))
 
-    def test_p_zero_cut_at_drift_tol_fails(self, monkeypatch):
-        """Negative control: the pair's split is above DRIFT_TOL, so a cut
+    def test_p_zero_cut_at_imag_tol_fails(self, monkeypatch):
+        """Negative control: the pair's split is above IMAG_TOL, so a cut
         there leaves an eigenvalue that never resolves."""
-        monkeypatch.setattr(oracle, "P_ZERO_CUT", oracle.DRIFT_TOL)
+        monkeypatch.setattr(oracle, "P_ZERO_CUT", oracle.IMAG_TOL)
         with pytest.raises(oracle.SpectrumError, match="collocation did not resolve"):
             shoot_j0(3.0, +1, ShootingConfig(eps_scan=(0.0, 5.0)))
 
@@ -449,61 +449,59 @@ class TestLocateAndConfirm:
             shoot_j0(1.0, +1, ShootingConfig(eps_scan=(2.0, 3.0)))
 
 
-def _moved_eigenvalue(monkeypatch, size: int, target: float) -> None:
-    """Patch the sector solve so that, on blocks of this size only, the
-    eigenvalue within 1e-6 of target moves up by 1e-8."""
-    real = oracle._sector_solve
-
-    def solve(block, vectors):
-        vals, vecs = real(block, vectors)
-        if len(block) == size:
-            vals = np.where(np.abs(vals - target) < 1e-6, vals + 1e-8, vals)
-        return vals, vecs
-
-    monkeypatch.setattr(oracle, "_sector_solve", solve)
+def _counted_solves(monkeypatch) -> list:
+    """The block size of every sector solve from here on, in order."""
+    real, sizes = oracle._sector_solve, []
+    monkeypatch.setattr(oracle, "_sector_solve", lambda block: sizes.append(len(block)) or real(block))
+    return sizes
 
 
-class TestDrift:
-    """A level is accepted only within DRIFT_TOL of an eigenvalue at the other
-    size of its pair: 2N at the first size, the previous size once N has
-    doubled.  Each control moves one level by 1e-8 at one size only."""
+class TestSolves:
+    """_locate makes one np.linalg.eig per sector at each size it tries and
+    no other dense solve."""
 
-    def test_readme_window_solves_no_drift_size(self, monkeypatch):
-        """N = 26 fails the tail test, so it gets no drift solve, and N = 52
-        drifts against it: four sector solves with vectors, none above 104."""
-        real, sizes = oracle._sector_solve, []
-        monkeypatch.setattr(oracle, "_sector_solve", lambda b, v: sizes.append((len(b), v)) or real(b, v))
+    def test_readme_window(self, monkeypatch):
+        """N = 26 fails the tail test and N = 52 passes: four solves."""
+        sizes = _counted_solves(monkeypatch)
         assert len(shoot_j(0.0, 1, +1, ShootingConfig(eps_scan=(0.1, 4.5)))) == 6
-        assert sizes == [(52, True), (52, True), (104, True), (104, True)]
+        assert sizes == [52, 52, 104, 104]
 
-    def test_first_size_drifts_against_2n(self, monkeypatch):
-        """(25.9, 26.05) passes at its first size, N = 114, so its reference is
-        the eigvals solve at 2N; moved there at N = 114, p = 26 is not accepted."""
-        window, sizes = (25.9, 26.05), []
-        real = oracle._sector_solve
-        monkeypatch.setattr(oracle, "_sector_solve", lambda b, v: sizes.append((len(b), v)) or real(b, v))
-        oracle._locate(1, window)
-        assert sizes == [(228, True), (228, True), (456, False), (456, False)]
-        _moved_eigenvalue(monkeypatch, 228, 26.0)
-        monkeypatch.setattr(oracle, "COLLOCATION_MAX_N", 114)
-        with pytest.raises(oracle.SpectrumError, match=r"N=114: 2 raw, 1 accepted up to COLLOCATION_MAX_N=114$"):
-            oracle._locate(1, window)
+    def test_window_passing_at_its_first_size(self, monkeypatch):
+        """(25.9, 26.05) passes at its first size, N = 114: two solves, none
+        at 2N."""
+        sizes = _counted_solves(monkeypatch)
+        assert oracle._locate(1, (25.9, 26.05))[0] == pytest.approx([math.sqrt(675.0), 26.0], rel=1e-13)
+        assert sizes == [228, 228]
 
-    def test_doubled_size_drifts_against_the_previous_one(self, monkeypatch):
-        """On the README window N = 26 fails the tail test and N = 52 passes
-        against it; moved at N = 52, p = 2 is not accepted there."""
-        _moved_eigenvalue(monkeypatch, 104, 2.0)
-        monkeypatch.setattr(oracle, "COLLOCATION_MAX_N", 52)
-        with pytest.raises(oracle.SpectrumError,
-                           match=r"N=26: 6 raw, 4 accepted; N=52: 6 raw, 5 accepted up to COLLOCATION_MAX_N=52$"):
-            oracle._locate(1, (0.1, 4.5))
 
-    def test_moved_level_is_found_at_a_larger_size(self, monkeypatch):
-        """Moved at N = 52, p = 2 fails there and at N = 104, which drifts
-        against the moved value; N = 208 returns the unmoved level."""
-        _moved_eigenvalue(monkeypatch, 104, 2.0)
-        p, _ = oracle._locate(1, (0.1, 4.5))
-        assert len(p) == 6 and np.abs(p - 2.0).min() <= 1e-13
+class TestSweep:
+    """The imaginary-part and tail tests alone return exactly a window's
+    closed-form levels, each to 1e-12 relative in p^2, from j = 0 to 12 and
+    up to p = 30.7, and with a window end on a level."""
+
+    WINDOWS = [(j, (0.1, hi)) for j in (0, 1, 2, 3, 5, 8, 12) for hi in (2.0, 4.5, 12.3, 30.7)] + [(1, (0.1, 4.0))]
+
+    @staticmethod
+    def worst_error(j: int, window: tuple) -> float:
+        """The largest |p^2 - p^2_exact| / p^2_exact over the window's levels;
+        inf when the counts differ."""
+        p, _ = oracle._locate(j, window)
+        families = (Family.J0,) if j == 0 else tuple(FAMILIES)
+        exact = sorted(float(e.p_sq) for e in family_levels(j, 60, 0.0, families)
+                       if oracle.in_window(math.sqrt(e.p_sq), window))
+        if len(p) != len(exact):
+            return math.inf
+        return max((abs(a * a - b) / b for a, b in zip(p, exact)), default=0.0)
+
+    def test_levels_equal_the_closed_form(self):
+        bad = {(j, w): e for j, w in self.WINDOWS if not (e := self.worst_error(j, w)) <= 1e-12}
+        assert bad == {}
+
+    def test_loose_tail_test_fails_the_gate(self, monkeypatch):
+        """Negative control: with TAIL_TOL = 1, j = 0 on (0.2, 2.0) is accepted
+        at N = 16, off by 5.2e-12."""
+        monkeypatch.setattr(oracle, "TAIL_TOL", 1.0)
+        assert 1e-12 < self.worst_error(0, (0.2, 2.0)) < math.inf
 
 
 class TestSectors:
@@ -531,7 +529,7 @@ class TestSectors:
         """Both sectors together are eigvals of the full H, relative to
         max(1, |p|), less the j = 0 p = 0 pair, whose split differs."""
         full = np.linalg.eigvals(oracle._collocation_matrix(j, N)[0])
-        sectors = oracle._sector_eigs(j, N, vectors=False)[0]
+        sectors = np.concatenate([np.linalg.eigvals(b) for b in oracle._sector_blocks(j, N)[0]])
         full, sectors = (v[np.abs(v) >= 0.5] if j == 0 else v for v in (full, sectors))
         assert len(full) == len(sectors)
         for a, b in ((full, sectors), (sectors, full)):

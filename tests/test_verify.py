@@ -109,8 +109,10 @@ class TestWorstPoints:
         for size in (1, 2, 3, 4, 17, 400):
             for rel in (rng.random(size), rng.integers(0, 3, size).astype(float), np.zeros(size),
                         np.where(rng.random(size) < 0.3, np.nan, rng.integers(0, 2, size).astype(float))):
+                x = np.arange(size) / size
                 for keep in (1, 3, 5):
-                    assert np.array_equal(verify._worst(rel, keep), np.argsort(-rel, kind="stable")[:keep])
+                    got = verify._report("t", x, rel, 1.0, keep).details
+                    assert [xi for xi, _ in got] == [x[i] for i in np.argsort(-rel, kind="stable")[:keep]]
 
     def test_ties_take_the_first_points(self):
         x = np.linspace(0.1, 0.9, 9)
