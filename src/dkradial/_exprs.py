@@ -142,10 +142,6 @@ class Expr:
             out = np.zeros_like(table.x)
         return out[0] if table.scalar else out
 
-    def eval_r_cos2(self, r) -> np.ndarray:
-        """Evaluate at radial points under x = cos^2 r with signed sqrt(x)."""
-        return eval_r_cos2_all([self], r)[0]
-
     def derivative_column(self, x, upto: int) -> np.ndarray:
         """[y(x), y'(x), ..., y^(upto)(x)] on the principal branch; for an
         array x, row k holds y^(k) on x."""

@@ -34,10 +34,6 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def _fraction_str(f: Fraction) -> str:
-    return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
-
-
 def _write(path: str | None, text: str) -> None:
     if path:
         with open(path, "w", encoding="utf-8", newline="") as fh:
@@ -114,7 +110,7 @@ def cmd_spectrum(args) -> int:
             e = closedform.spectrum(fam, j_or_J, n, args.mass)
             eps = e.eps(args.eps_sign)  # before float(p_sq): names n when eps^2 >= p^2 overflows
             twin = e.degenerate_partner
-            rows.append([fam.value, _fraction_str(e.j_or_J), n, _fraction_str(e.p_sq), float(e.p_sq), eps,
+            rows.append([fam.value, str(e.j_or_J), n, str(e.p_sq), float(e.p_sq), eps,
                          "yes" if e.bound else "no", f"{twin[0].value} j={twin[1]} n={twin[2]}" if twin else ""])
     comments = [f"mass={args.mass}", f"eps_sign={args.eps_sign:+d}"]
     header = ["family", "j", "n", "p_sq_exact", "p_sq", "eps", "bound", "degenerate_partner"]
@@ -130,9 +126,9 @@ def cmd_wavefunction(args) -> int:
     params = ModeParams.from_p_sq(mass, entry.p_sq, args.lam, args.eps_sign)
     comments = [
         f"family={fam.value}",
-        f"j={_fraction_str(entry.j_or_J)}",
+        f"j={entry.j_or_J}",
         f"n={args.n}",
-        f"p_sq={_fraction_str(entry.p_sq)}",
+        f"p_sq={entry.p_sq}",
         f"mass={args.mass}",
         f"lambda={args.lam:+d}",
         f"eps={params.eps!r}",
@@ -178,7 +174,7 @@ def _verify_reports(args) -> list[verify.VerificationReport]:
         p2, a2 = entry.p_sq, j * (j + 1)  # exact, so the identity check is exact
         for side, pair, direct in _SIDES:
             reports.append(verify.factorization_identity(
-                *pair(p2, a2), direct(p2, a2), name=f"factorization-{side}[p2={_fraction_str(p2)}]"))
+                *pair(p2, a2), direct(p2, a2), name=f"factorization-{side}[p2={p2}]"))
     if "wronskian" in suites:
         p = 2.3
         basis = closedform.general_basis_exprs(j, p, ModeParams.from_p_sq(mass, p * p))
@@ -261,7 +257,7 @@ def cmd_degeneracy(args) -> int:
         [
             p.left[0].value, p.left[1], p.left[2],
             p.right[0].value, p.right[1], p.right[2],
-            _fraction_str(p.p_sq),
+            str(p.p_sq),
             "yes",
             "yes" if p.right_bound else "no",
         ]

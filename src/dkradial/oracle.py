@@ -12,12 +12,12 @@ with the reflection Y(r) -> D Y(pi - r) (D the parity diagonal), so it is
 solved as two blocks on the first N/2 points, one per reflection-parity
 sector.  A level is an eigenvalue that is real and whose rebuilt
 eigenvector has a decayed Chebyshev tail; a j = 0 level's nodes are counted
-on its eigenvector's M block.  One integration carries the
-regular space from a Frobenius start at r = 0 (Laurent series of 1/sin r and
-cot r) to the equator for every level at once; the regular space at r = pi
-is its reflection D Y(pi - r), so the match matrix
-is [Y | D Y], 4x4 for j >= 1 and 2x2 for j = 0, and its normalized
-determinant must change sign across each level.
+on its eigenvector's M block.  One integration of FirstOrderSystem.matrix
+carries the regular space from a Frobenius start at r = 0 (Laurent series of
+1/sin r and cot r) to the equator for every level at once; the regular space
+at r = pi is its reflection D Y(pi - r), so the match matrix is [Y | D Y],
+4x4 for j >= 1 and 2x2 for j = 0, and its normalized determinant must change
+sign across each level.
 
 solve_ivp, a numpy-only extrapolation integrator, is a module function:
 the seam that tests and perfbench's tracer patch.
@@ -197,10 +197,10 @@ class SpectrumComparison:
 
 def _series_matrices(sysm: FirstOrderSystem) -> list:
     """A(r) = A_-1/r + A_0 + A_1 r + A_3 r^3 + ... around r=0; A_0 is
-    sysm.constant(), over the lanes of the weights; no other term has them."""
+    sysm.p_part, over the lanes of the weights; no other term has them."""
     # 1/sin r = 1/r + r/6 + 7 r^3/360 + ...; cot r = 1/r - r/3 - r^3/45 - ...
     aS, T = sysm.a * sysm.S, sysm.T
-    return [aS + T, sysm.constant(), aS / 6 - T / 3, np.zeros_like(T), 7 * aS / 360 - T / 45]
+    return [aS + T, sysm.p_part, aS / 6 - T / 3, np.zeros_like(T), 7 * aS / 360 - T / 45]
 
 
 def _frobenius_initial(j: int, sysm: FirstOrderSystem, r0: float) -> np.ndarray:
@@ -240,19 +240,6 @@ def _frobenius_initial(j: int, sysm: FirstOrderSystem, r0: float) -> np.ndarray:
     return np.stack(cols, axis=2)
 
 
-def _rhs(sysm: FirstOrderSystem, shape: tuple):
-    """y' = A(r) y for the lanes of sysm.plus, y flat and (lanes, n, cols)
-    when reshaped: sysm.constant(), taken once, with (a/sin r) S + (cot r) T
-    added per call as FirstOrderSystem.matrix adds them, bit for bit."""
-    const = sysm.constant()
-
-    def rhs(r, y):
-        A = const + sysm.a * (1.0 / np.sin(r)) * sysm.S + 1.0 / np.tan(r) * sysm.T
-        return (A @ y.reshape(shape)).reshape(-1)
-
-    return rhs
-
-
 def _match(p_vec: np.ndarray, j: int, r0: float) -> np.ndarray:
     """Stacked match matrices [Y | D Y] of system(j, p, p) at the equator
     for the float array p_vec, Y the regular columns there: one solve_ivp
@@ -260,8 +247,9 @@ def _match(p_vec: np.ndarray, j: int, r0: float) -> np.ndarray:
     r = pi brought to the equator by the reflection."""
     sysm = system(j, p_vec, p_vec)
     cols_init = _frobenius_initial(j, sysm, r0)
-    rhs = _rhs(sysm, cols_init.shape)
-    sol = solve_ivp(rhs, (r0, math.pi / 2), cols_init.reshape(-1), rtol=INTEGRATOR_RTOL, atol=INTEGRATOR_ATOL)
+    matrix, shape = sysm.matrix, cols_init.shape
+    sol = solve_ivp(lambda r, y: (matrix(r) @ y.reshape(shape)).reshape(-1), (r0, math.pi / 2),
+                    cols_init.reshape(-1), rtol=INTEGRATOR_RTOL, atol=INTEGRATOR_ATOL)
     if not sol.success:
         raise IntegrationError(f"integration failed: {sol.message}")
     Y = sol.y.reshape(cols_init.shape)
@@ -349,9 +337,9 @@ def in_window(p, window: tuple[float, float]):
     return (p >= lo - slack) & (p <= hi + slack)
 
 
-def _locate(j: int, window: tuple[float, float]) -> tuple[np.ndarray, np.ndarray]:
-    """The levels p of the window (in_window), in order, and the sign
-    changes of each one's first component, M at j = 0, over (0, pi).
+def _locate(j: int, window: tuple[float, float]) -> tuple[np.ndarray, np.ndarray | None]:
+    """The levels p of the window (in_window), in order, and at j = 0 the
+    sign changes of each one's M over (0, pi), None at j >= 1 (no caller reads them).
     Levels are the eigenvalues of H, less the p = 0 pair at j = 0, found by
     sector solves at N points: real to IMAG_TOL, with a Chebyshev tail of at
     most TAIL_TOL on the rebuilt eigenvector.  N starts at 4 hi + 8, rounded
@@ -367,7 +355,7 @@ def _locate(j: int, window: tuple[float, float]) -> tuple[np.ndarray, np.ndarray
         tried.append(f"N={N}: {int(raw.sum())} raw, {int(ok.sum())} accepted")
         if ok.all():
             order = np.argsort(p.real)
-            return p.real[order], _sign_changes(vecs[:N])[order]
+            return p.real[order], _sign_changes(vecs[:N])[order] if j == 0 else None
         N *= 2
     raise SpectrumError(
         f"collocation did not resolve p in [{lo:g}, {hi:g}] (j={j}): "
@@ -407,7 +395,7 @@ def _shoot(m: float, j: int, config: ShootingConfig) -> list[OracleEigenvalue]:
         out.append(
             OracleEigenvalue(
                 eps=math.hypot(p, m), p_sq=p * p, j=j, bracket=(math.hypot(p - d, m), math.hypot(p + d, m)),
-                node_count=int(nodes[i]) if j == 0 else None, matched_family_guess="j0" if j == 0 else None,
+                node_count=None if nodes is None else int(nodes[i]), matched_family_guess="j0" if j == 0 else None,
                 flags=flags + (["weak-singularity"] if sv[i, -1] > DET_TOLERANCE else []),
             )
         )

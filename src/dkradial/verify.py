@@ -13,7 +13,7 @@ column.
 
 Structural zeros are taken from the constant matrices, not computed: the
 system residuals form only the nonzero entries of A(r), each one weight
-(eps +- mu from ModeParams, a/sin r or cot r) times a constant.  A
+of FirstOrderSystem (eps +- mu, a/sin r or cot r) times a constant.  A
 structural zero adds only a signed zero, and every report takes absolute
 values, so the reports are those of the dense matrix bit for bit.  The
 factorization check evaluates every coefficient from one table of pole
@@ -53,6 +53,7 @@ from .model import (
     ModeParams,
     QuantumNumbers,
     RationalCoefficient,
+    system,
 )
 
 __all__ = [
@@ -267,13 +268,14 @@ def _system_report(exprs: dict, qn: QuantumNumbers, params: ModeParams, r, name:
     amplitudes of exprs in state order and dY their r-derivatives, all
     sampled from one factor table: at each point the worst row, relative to
     that row's largest term.  Only the nonzero entries of A(r) are formed
-    (10 of 16 for j >= 1; the j = 0 block is dense), eps + mu and eps - mu
-    as ModeParams gives them, and the terms A_ic Y_c of a row are added
+    (10 of 16 for j >= 1; the j = 0 block is dense), each weight from
+    system(j, eps + mu, eps - mu), and the terms A_ic Y_c of a row are added
     column by column, left to right."""
-    state = (SYSTEM_J0 if qn.j == 0 else SYSTEM_J).state
+    sysm = system(qn.j, *params.eps_pm)
+    state = sysm.state
     sampled = eval_r_cos2_all([*(exprs[k] for k in state), *(exprs[k].diff_r_cos2() for k in state)], r)
     Y, dY = sampled[:len(state)], np.array(sampled[len(state):])
-    weights = (*params.eps_pm, qn.a * (1.0 / np.sin(r)), 1.0 / np.tan(r))
+    weights = (sysm.plus, sysm.minus, *sysm.r_weights(r))
     rows = [[weights[k] * const * Y[c] for c, k, const in row] for row in _ENTRIES[len(state)]]
     total = [sum(terms[1:], terms[0]) for terms in rows]  # left to right
     big = [np.abs(terms).max(axis=0) for terms in rows]

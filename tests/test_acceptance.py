@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from dkradial._exprs import hyp_expr
+from dkradial._exprs import eval_r_cos2_all, hyp_expr
 from dkradial.closedform import (
     Family,
     family_KM_exprs,
@@ -139,7 +139,7 @@ def test_criterion_3_closed_form_residuals():
         params = ModeParams.from_p_sq(1.0, p2)
         sol = wavefunction_family(fam, QuantumNumbers(j, n), params, rg)
         eps, meff, a = params.eps, params.lambda_sign * params.m, math.sqrt(a2)
-        d = {k: sol.exprs[k].diff_r_cos2().eval_r_cos2(rg) for k in "KLMN"}
+        d = dict(zip("KLMN", eval_r_cos2_all([sol.exprs[k].diff_r_cos2() for k in "KLMN"], rg)))
         s, ct = 1 / np.sin(rg), 1 / np.tan(rg)
         rows = [
             d["K"] + a * s * sol.M + (eps + meff) * sol.L,
@@ -254,9 +254,7 @@ def _j0_pair_residual(n: int, m: float, ratio: float, lambda_sign: int) -> float
     N = amplitude(0.5, Fraction(1, 2) * (n % 2 == 0), Fraction(1, 2), n + 1, 1)
     M = amplitude(ratio / 4, Fraction(1, 2) * (n % 2 == 1), 1, n, 2)
     grid = np.linspace(0.15, math.pi - 0.15, 161)
-    Mv, Nv = M.eval_r_cos2(grid), N.eval_r_cos2(grid)
-    dM = M.diff_r_cos2().eval_r_cos2(grid)
-    dN = N.diff_r_cos2().eval_r_cos2(grid)
+    Mv, Nv, dM, dN = eval_r_cos2_all([M, N, M.diff_r_cos2(), N.diff_r_cos2()], grid)
     ct = 1.0 / np.tan(grid)
     r1 = dM + ct * Mv + (eps + meff) * Nv
     r2 = dN - ct * Nv - (eps - meff) * Mv

@@ -154,8 +154,7 @@ class TestWavefunctionJ0:
             grid = np.linspace(0.2, math.pi - 0.2, 101)
             sol = wavefunction_j0(n, ModeParams(m=m, eps=eps, lambda_sign=lam), grid)
             Me, Ne = sol.exprs["M"], sol.exprs["N"]
-            d2M = Me.diff_r_cos2().diff_r_cos2().eval_r_cos2(grid)
-            d2N = Ne.diff_r_cos2().diff_r_cos2().eval_r_cos2(grid)
+            d2M, d2N = eval_r_cos2_all([Me.diff_r_cos2().diff_r_cos2(), Ne.diff_r_cos2().diff_r_cos2()], grid)
             p2 = eps * eps - m * m
             rM = d2M + (p2 - (1 + np.cos(grid) ** 2) / np.sin(grid) ** 2) * sol.M
             rN = d2N + (p2 + 1) * sol.N

@@ -2,7 +2,9 @@
 structural zeros and repeated pole powers from structure instead of
 computing them, and allocate once per term.  The bodies that computed them,
 and the bodies that allocated per term, are kept here as references, and
-every value, report and sign of zero must equal theirs bit for bit."""
+every value, report and sign of zero must equal theirs bit for bit.  Last,
+the fourth-order operators annihilate the family amplitudes exactly, in
+Fraction arithmetic."""
 
 import dataclasses
 import math
@@ -17,6 +19,7 @@ from dkradial.closedform import (
     FAMILIES,
     Family,
     RadialSolution,
+    family_KM_exprs,
     family_exprs,
     general_basis,
     spectrum,
@@ -315,7 +318,8 @@ def check_exprs(exprs, grids=R_GRIDS):
         for got, want in zip(eval_r_cos2_all(both, r), reference_eval_r_cos2_all(both, r)):
             assert same_bits(got, want)
         for e in both:
-            assert same_bits(e.eval_r_cos2(r[len(r) // 2]), reference_eval_r_cos2_all([e], r[len(r) // 2])[0])
+            mid = r[len(r) // 2]
+            assert same_bits(eval_r_cos2_all([e], mid)[0], reference_eval_r_cos2_all([e], mid)[0])
     for e in both:
         assert same_bits(e.eval_x(X_GRID), reference_eval_x(e, X_GRID))
         assert same_bits(e.eval_x(0.0), reference_eval_x(e, 0.0))
@@ -545,3 +549,125 @@ class TestPerTermKernels:
             assert same_bits(rows, parent_term_rows(op, x, derivs))
             got, want = op.apply(x, derivs), parent_sum(rows, x)
             assert same_bits(got, want) and not np.signbit(got).any()
+
+
+# -- exact annihilation of the family amplitudes -------------------------------
+# Each family amplitude is x^alpha (1-x)^beta P(x), P in Q[x]; a polynomial is
+# its list of Fraction coefficients, lowest degree first.
+
+
+def poly_add(p, q):
+    return [a + b for a, b in zip(p + [0] * (len(q) - len(p)), q + [0] * (len(p) - len(q)))]
+
+
+def poly_mul(p, q):
+    out = [Fraction(0)] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        if a:
+            for k, b in enumerate(q):
+                out[i + k] += a * b
+    return out
+
+
+def poly_pow(p, e):
+    out = [Fraction(1)]
+    for _ in range(e):
+        out = poly_mul(out, p)
+    return out
+
+
+def poly_x_1mx(e0, e1):
+    """x^e0 (1-x)^e1."""
+    return [Fraction(0)] * e0 + poly_pow([Fraction(1), Fraction(-1)], e1)
+
+
+def hyp_poly(k: int, b: Fraction, g: Fraction) -> list:
+    """F(-k, b; g; x) for an integer k >= 0."""
+    out, t = [], Fraction(1)
+    for i in range(k + 1):
+        out.append(t)
+        t = t * (i - k) * (b + i) / ((g + i) * (i + 1))
+    return out
+
+
+def exact_amplitudes(family: Family, j: int, n: int) -> dict:
+    """{K, M}: (alpha, beta, P) of the family state, from the seed and the
+    lacking-amplitude bracket of closedform._km_exprs in exact arithmetic;
+    the lacking amplitude without its 1/a."""
+    seed = FAMILIES[family]
+    xp = Fraction(seed.xp)
+    lam = j + 1 + 2 * xp + 2 * (n + seed.offset)
+    c0 = Fraction(j + 1, 2) + xp
+    k, b, g = lam / 2 - c0, c0 + lam / 2, Fraction(1, 2) + 2 * xp
+    assert k.denominator == 1 and k >= 0
+    k = int(k)
+    F = hyp_poly(k, b, g)
+    c = j + 2 * xp + (1 if seed.lead == "M" else 0)
+    inner = poly_mul([0, -c], F)  # -c x F
+    if k:  # -(2kb/g) x (1-x) F(1-k, b+1; g+1; x)
+        inner = poly_add(inner, poly_mul([0, -2 * k * b / g, 2 * k * b / g], hyp_poly(k - 1, b + 1, g + 1)))
+    bracket = poly_add(inner, [2 * xp * f for f in F])
+    lead, lacking = (xp, Fraction(j, 2), F), (xp - Fraction(1, 2), Fraction(j, 2), bracket)
+    return {"K": lead, "M": lacking} if seed.lead == "K" else {"K": lacking, "M": lead}
+
+
+def derivative_polys(alpha, beta, P, order: int = 4) -> list:
+    """P_0..P_order with y^(s) = x^(alpha-s) (1-x)^(beta-s) P_s for y = x^alpha (1-x)^beta P:
+    P_(s+1) = x(1-x) P_s' + [(alpha-s)(1-x) - (beta-s) x] P_s."""
+    out = [P]
+    for s in range(order):
+        Ps = out[-1]
+        dP = [i * c for i, c in enumerate(Ps)][1:] or [Fraction(0)]
+        out.append(poly_add(poly_mul([0, 1, -1], dP), poly_mul([alpha - s, -(alpha + beta - 2 * s)], Ps)))
+    return out
+
+
+def cleared(c: RationalCoefficient, e: int) -> list:
+    """c(x) x^e (1-x)^e as a polynomial: no pole of c is of order above e."""
+    assert len(c.poles0) <= e and len(c.poles1) <= e
+    out = [Fraction(0)]
+    for k, v in enumerate(c.poly):
+        out = poly_add(out, [v * t for t in poly_x_1mx(k + e, e)])
+    for k, v in enumerate(c.poles0, start=1):
+        out = poly_add(out, [v * t for t in poly_x_1mx(e - k, e)])
+    for k, v in enumerate(c.poles1, start=1):
+        out = poly_add(out, [v * t for t in poly_x_1mx(e, e - k)])
+    return out
+
+
+def annihilated(op, Ps) -> bool:
+    """Whether op y = 0 exactly: op y is x^(alpha-4) (1-x)^(beta-4) times
+    sum_s c_s x^(4-s) (1-x)^(4-s) P_s, and every coefficient of the sum is 0."""
+    total = [Fraction(0)]
+    for s, (c, P) in enumerate(zip(op.coeffs, Ps)):
+        total = poly_add(total, poly_mul(cleared(c, op.order - s), P))
+    return not any(total)
+
+
+class TestExactAnnihilation:
+    @pytest.mark.parametrize("family", list(FAMILIES))
+    def test_family_amplitudes(self, family):
+        """operator_K4 annihilates K and operator_M4 annihilates M exactly, for
+        j = 1..6 and every bound n <= 6, in Fraction arithmetic; the operator
+        at p^2 + 1 or p^2 - 1, or with c0 perturbed, does not.  The exact
+        amplitudes (the lacking one times 1/a) are family_KM_exprs's to 1e-12."""
+        xs = [0.05, 0.37, 0.8]
+        for j in range(1, 7):
+            a_sq, a = j * (j + 1), math.sqrt(j * (j + 1))
+            for n in range(max(0, -FAMILIES[family].offset), 7):
+                p_sq = spectrum(family, j, n, 0).p_sq
+                amps = exact_amplitudes(family, j, n)
+                for (name, build), expr in zip((("K", operator_K4), ("M", operator_M4)),
+                                               family_KM_exprs(family, j, n)):
+                    alpha, beta, P = amps[name]
+                    Ps = derivative_polys(alpha, beta, P)
+                    label = f"{family.value} j={j} n={n} {name}"
+                    assert annihilated(build(p_sq, a_sq), Ps), label
+                    for op in (build(p_sq + 1, a_sq), build(p_sq - 1, a_sq),
+                               build(p_sq, a_sq).with_perturbed_coeff(0, Fraction(1001, 1000))):
+                        assert not annihilated(op, Ps), label
+                    scale = 1.0 if name == FAMILIES[family].lead else 1.0 / a
+                    want = [scale * x**alpha * (1 - x) ** beta
+                            * float(sum(v * Fraction(x) ** i for i, v in enumerate(P))) for x in xs]
+                    got = expr.eval_x(np.array(xs))
+                    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), label

@@ -348,20 +348,48 @@ class TestIntegrator:
             oracle._match(np.array([2.0]), 1, oracle.R_START_OFFSET)
 
 
-class TestMatchRHS:
-    @pytest.mark.parametrize("j, m", [(0, 0.0), (1, 0.0), (1, 2.5), (3, 1.3)])
-    def test_equals_matrix_times_state(self, j, m):
-        """The RHS _match integrates, plus P + minus Q formed once per
-        integration, equals system(j, plus, minus).matrix(r) @ y bit for bit
-        at 50 r with 18 lanes."""
-        sysm = system(j, *_weights(m, +1, np.linspace(0.3, 14.0, 18)))
-        n = 2 if j == 0 else 4
-        shape = (18, n, n // 2)
-        y = np.random.default_rng(j).standard_normal(math.prod(shape))
-        rhs = oracle._rhs(sysm, shape)
-        for r in np.linspace(oracle.R_START_OFFSET, math.pi / 2, 50):
-            want = (sysm.matrix(r) @ y.reshape(shape)).reshape(-1)
-            assert rhs(r, y).tobytes() == want.tobytes()
+class TestPPart:
+    @pytest.mark.parametrize("j", [0, 1, 3])
+    def test_built_once_per_integration(self, j, monkeypatch):
+        """plus P + minus Q is formed once per _match, however many RHS calls
+        the integration makes: the lanes, an ndarray subclass that counts the
+        ufunc calls it enters, enter two (plus P and minus Q), and the match
+        matrices are those of plain lanes bit for bit."""
+        calls, nfev, real_ivp = [], [], oracle.solve_ivp
+
+        class Counted(np.ndarray):
+            def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+                calls.append(ufunc.__name__)
+                inputs = [v.view(np.ndarray) if isinstance(v, Counted) else v for v in inputs]
+                return getattr(ufunc, method)(*inputs, **kwargs)
+
+        def counted_ivp(*args, **kwargs):
+            sol = real_ivp(*args, **kwargs)
+            nfev.append(sol.nfev)
+            return sol
+
+        monkeypatch.setattr(oracle, "solve_ivp", counted_ivp)
+        p = np.linspace(0.3, 14.0, 18)
+        got = oracle._match(p.view(Counted), j, oracle.R_START_OFFSET)
+        assert calls == ["multiply", "multiply"] and nfev[0] > 100
+        assert got.tobytes() == oracle._match(p, j, oracle.R_START_OFFSET).tobytes()
+
+
+class TestNodeCounts:
+    def test_counted_at_j0_only(self, monkeypatch):
+        """Only shoot_j0 reads node counts: with _sign_changes made to raise,
+        shoot_j at j = 1 returns the same levels, and shoot_j0 raises."""
+        cfg = ShootingConfig(eps_scan=(0.1, 4.5))
+        want = shoot_j(0.0, 1, +1, cfg)
+
+        def refuse(block):
+            raise AssertionError("nodes counted")
+
+        monkeypatch.setattr(oracle, "_sign_changes", refuse)
+        got = shoot_j(0.0, 1, +1, cfg)
+        assert len(got) == 6 and got == want
+        with pytest.raises(AssertionError, match="nodes counted"):
+            shoot_j0(0.0, +1, J0_CFG)
 
 
 def _principal_sine(a: np.ndarray, b: np.ndarray) -> np.ndarray:

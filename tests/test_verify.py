@@ -475,7 +475,7 @@ def same_bits(got, want):
 
 
 class TestEvaluationBitIdentity:
-    """eval_x, eval_r_cos2 and derivative_column share each factor across
+    """eval_x, eval_r_cos2_all and derivative_column share each factor across
     terms and orders; every value equals the per-term reference bit for bit."""
 
     @staticmethod
@@ -489,8 +489,8 @@ class TestEvaluationBitIdentity:
         assert (np.abs(np.cos(R)) < 1e-12).sum() == 1
         assert same_bits(expr.eval_x(X), reference_eval_x(expr, X))
         on_r = reference_eval_r_cos2(expr, R)
-        assert same_bits(expr.eval_r_cos2(R), on_r)
-        assert same_bits(expr.eval_r_cos2(R[size // 4]), on_r[size // 4])
+        assert same_bits(eval_r_cos2_all([expr], R)[0], on_r)
+        assert same_bits(eval_r_cos2_all([expr], R[size // 4])[0], on_r[size // 4])
         want, e = [], expr
         for _ in range(5):
             want.append(reference_eval_x(e, G))
@@ -854,7 +854,7 @@ class TestJ0Pair:
         (M_seed,), (N_seed,) = sol.exprs["M"].terms, sol.exprs["N"].terms
 
         def as_large_as(e, k):  # e scaled to the largest value of sol's amplitude k
-            return e.scale(np.abs(getattr(sol, k)).max() / np.abs(e.eval_r_cos2(sol.grid)).max())
+            return e.scale(np.abs(getattr(sol, k)).max() / np.abs(eval_r_cos2_all([e], sol.grid)[0]).max())
 
         M_k1 = as_large_as(closedform._seed_expr(1, n + 4, M_seed.xp).shift(0, 0.5), "M")
         N_other = as_large_as(closedform._seed_expr(0, n + 2, 0.5 - N_seed.xp).shift(0, 0.5), "N")
