@@ -9,6 +9,7 @@ Fraction arithmetic."""
 import dataclasses
 import math
 from fractions import Fraction
+from itertools import zip_longest
 
 import numpy as np
 import pytest
@@ -317,8 +318,8 @@ def check_exprs(exprs, grids=R_GRIDS):
     for r in grids:
         for got, want in zip(eval_r_cos2_all(both, r), reference_eval_r_cos2_all(both, r)):
             assert same_bits(got, want)
+        mid = r[len(r) // 2]
         for e in both:
-            mid = r[len(r) // 2]
             assert same_bits(eval_r_cos2_all([e], mid)[0], reference_eval_r_cos2_all([e], mid)[0])
     for e in both:
         assert same_bits(e.eval_x(X_GRID), reference_eval_x(e, X_GRID))
@@ -557,7 +558,7 @@ class TestPerTermKernels:
 
 
 def poly_add(p, q):
-    return [a + b for a, b in zip(p + [0] * (len(q) - len(p)), q + [0] * (len(p) - len(q)))]
+    return [a + b for a, b in zip_longest(p, q, fillvalue=0)]
 
 
 def poly_mul(p, q):
