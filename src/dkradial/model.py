@@ -233,14 +233,10 @@ class FirstOrderSystem:
         """plus P + minus Q, stacked over the shape of the weights: (..., n, n); built once."""
         return np.multiply.outer(self.plus, self.P) + np.multiply.outer(self.minus, self.Q)
 
-    def r_weights(self, r) -> tuple:
-        """(a/sin r, cot r), the weights of S and T."""
-        return self.a * (1.0 / np.sin(r)), 1.0 / np.tan(r)
-
     def matrix(self, r) -> np.ndarray:
         """A(r), stacked over the broadcast shape of the weights and r: (..., n, n);
         at a float r by plain products and an in-place sum, the same bits at less cost."""
-        s, c = self.r_weights(r)
+        s, c = self.a * (1.0 / np.sin(r)), 1.0 / np.tan(r)
         if not isinstance(r, float):
             return self.p_part + np.multiply.outer(s, self.S) + np.multiply.outer(c, self.T)
         A = self.p_part + s * self.S

@@ -17,7 +17,8 @@ carries the regular space from a Frobenius start at r = 0 (Laurent series of
 1/sin r and cot r) to the equator for every level at once; the regular space
 at r = pi is its reflection D Y(pi - r), so the match matrix is [Y | D Y],
 4x4 for j >= 1 and 2x2 for j = 0, and its normalized determinant must change
-sign across each level.
+sign across each level.  The integration starts once, at R_START_OFFSET; if
+it fails, IntegrationError is raised and no level is reported.
 
 solve_ivp, a numpy-only extrapolation integrator, is a module function:
 the seam that tests and perfbench's tracer patch.
@@ -51,8 +52,8 @@ __all__ = [
 ]
 
 FROBENIUS_TERMS = 5
-# Radius of the Frobenius start at r = 0; halved once when the confirming
-# integration fails, and every level then carries "r-start-offset-halved".
+# Radius of the Frobenius start at r = 0, the one start of the confirming
+# integration.
 R_START_OFFSET = 1e-3
 INTEGRATOR_RTOL = 1e-10
 INTEGRATOR_ATOL = 1e-13
@@ -205,10 +206,12 @@ def _series_matrices(sysm: FirstOrderSystem) -> list:
 
 def _frobenius_initial(j: int, sysm: FirstOrderSystem, r0: float) -> np.ndarray:
     """Regular columns at r0 for every lane of sysm.plus, (lanes, n, n/2): (K, L, M, N)
-    with leading powers r^j and r^(j+1) for j >= 1, (M, N) ~ (0, r) for j = 0,
-    each divided by its norm.  Of size r0^j, a column would sit under
-    INTEGRATOR_ATOL from j ~ 5, where the step control checks none of its
-    error; the problem is linear, so the scale changes no determinant sign.
+    with leading powers r^j and r^(j+1) for j >= 1, (M, N) ~ (0, r) for j = 0.
+    A column is the sum of c_k r0^k, without its leading factor r0^s,
+    divided by its norm.  At r0^j it would sit under INTEGRATOR_ATOL from
+    j ~ 5, where the step control checks none of its error, and its norm
+    would underflow to 0 from j ~ 53.  The problem is linear, so the scale
+    changes no determinant sign.
 
     Resonant orders (s+k an exponent of A_-1) are solved in the
     least-squares sense; any homogeneous admixture only re-mixes the
@@ -235,7 +238,7 @@ def _frobenius_initial(j: int, sysm: FirstOrderSystem, r0: float) -> np.ndarray:
                     rhs -= (Ap @ coeffs[k - 1 - power][..., None])[..., 0]
             sol, *_ = np.linalg.lstsq(A_m1 - (s + k) * eye, rhs.T, rcond=None)
             coeffs.append(sol.T)
-        col = sum(ck * r0 ** (s + k) for k, ck in enumerate(coeffs))
+        col = sum(ck * r0**k for k, ck in enumerate(coeffs))
         cols.append(col / np.linalg.norm(col, axis=1, keepdims=True))
     return np.stack(cols, axis=2)
 
@@ -375,13 +378,11 @@ def _shoot(m: float, j: int, config: ShootingConfig) -> list[OracleEigenvalue]:
         return []
     delta = CONFIRM_DELTA * np.maximum(1.0, levels)
     lanes = np.stack([levels - delta, levels, levels + delta], axis=1).ravel()
-    flags = []
-    try:
-        mats = _match(lanes, j, R_START_OFFSET)
-    except IntegrationError:
-        flags = ["r-start-offset-halved"]
-        mats = _match(lanes, j, R_START_OFFSET / 2)
-    unit = mats / np.linalg.norm(mats, axis=-2, keepdims=True)  # no column of Y vanishes
+    mats = _match(lanes, j, R_START_OFFSET)
+    # No column of Y vanishes.  From a unit start it grows about 10^(3j+2) by
+    # the equator, so its 2-norm would overflow from j ~ 51 unscaled.
+    mats /= np.abs(mats).max(axis=-2, keepdims=True)
+    unit = mats / np.linalg.norm(mats, axis=-2, keepdims=True)
     below, _, above = np.linalg.det(unit).reshape(-1, 3).T
     sv = np.linalg.svd(unit[1::3], compute_uv=False)
     sv /= sv[:, :1]  # relative to the largest
@@ -396,7 +397,7 @@ def _shoot(m: float, j: int, config: ShootingConfig) -> list[OracleEigenvalue]:
             OracleEigenvalue(
                 eps=math.hypot(p, m), p_sq=p * p, j=j, bracket=(math.hypot(p - d, m), math.hypot(p + d, m)),
                 node_count=None if nodes is None else int(nodes[i]), matched_family_guess="j0" if j == 0 else None,
-                flags=flags + (["weak-singularity"] if sv[i, -1] > DET_TOLERANCE else []),
+                flags=["weak-singularity"] if sv[i, -1] > DET_TOLERANCE else [],
             )
         )
     return out

@@ -8,16 +8,9 @@ are the coupled second-order relations that give the lacking amplitude from
 the lead one: one residual checks both the explicit formula and the
 elimination.  The j=0 pair residual is the same residual of the (M, N)
 block.  Both sample their amplitudes and r-derivatives from one factor
-table, on an r-grid of this module, and add the terms of each row column by
-column.
-
-Structural zeros are taken from the constant matrices, not computed: the
-system residuals form only the nonzero entries of A(r), each one weight
-of FirstOrderSystem (eps +- mu, a/sin r or cot r) times a constant.  A
-structural zero adds only a signed zero, and every report takes absolute
-values, so the reports are those of the dense matrix bit for bit.  The
-factorization check evaluates every coefficient from one table of pole
-powers.
+table, on an r-grid of this module, take A(r) from FirstOrderSystem.matrix
+and add the terms of each row column by column.  The factorization check
+evaluates every coefficient from one table of pole powers.
 
 One allocation per term in the check kernels too: an operator's
 coefficients are evaluated by Horner's rule and pole sums in place
@@ -47,8 +40,6 @@ import numpy as np
 from ._exprs import Expr, eval_r_cos2_all
 from .closedform import Family, family_exprs, j0_exprs
 from .model import (
-    SYSTEM_J,
-    SYSTEM_J0,
     LinearDifferentialOperator,
     ModeParams,
     QuantumNumbers,
@@ -73,6 +64,9 @@ END_BUFFER = 1e-6
 # j = 0 pair residuals, and the factorization and cross-consistency checks.
 RESIDUAL_TOL = 1e-9
 IDENTITY_TOL = 1e-10
+# The x interval chebyshev_grid samples, and the worst points a report keeps.
+GRID_LO, GRID_HI = 0.02, 0.98
+WORST_POINTS = 3
 
 
 @dataclass
@@ -98,11 +92,11 @@ class VerificationReport:
         }
 
 
-def chebyshev_grid(n: int = 200, lo: float = 0.02, hi: float = 0.98) -> np.ndarray:
-    """n Chebyshev-distributed points on [lo, hi], clustered at the ends."""
+def chebyshev_grid(n: int = 200) -> np.ndarray:
+    """n Chebyshev-distributed points on [GRID_LO, GRID_HI], clustered at the ends."""
     k = np.arange(n)
     nodes = np.cos((2 * k + 1) * np.pi / (2 * n))
-    return np.sort(0.5 * (lo + hi) + 0.5 * (hi - lo) * nodes)
+    return np.sort(0.5 * (GRID_LO + GRID_HI) + 0.5 * (GRID_HI - GRID_LO) * nodes)
 
 
 def _relative(resid, scale):
@@ -110,9 +104,9 @@ def _relative(resid, scale):
     return np.abs(resid) / np.where(scale > 0, scale, 1.0)
 
 
-def _report(name, x, rel, tol, keep=3) -> VerificationReport:
+def _report(name, x, rel, tol) -> VerificationReport:
     x = np.atleast_1d(x)
-    worst = np.lexsort((np.arange(rel.size), -rel))[:keep]  # falling rel, ties in grid order
+    worst = np.lexsort((np.arange(rel.size), -rel))[:WORST_POINTS]  # falling rel, ties in grid order
     return VerificationReport(name, float(np.max(rel)), len(x), tol, [(float(x[i]), float(rel[i])) for i in worst])
 
 
@@ -248,36 +242,18 @@ def j0_pair_residual(n: int, params: ModeParams) -> VerificationReport:
                           f"j0-pair[n={n} lambda={params.lambda_sign:+d}]", RESIDUAL_TOL)
 
 
-# The nonzero entries of A(r) row by row, for the j >= 1 system and the j = 0
-# block (keyed by the state size), taken once from the constant matrices:
-# (column, k, constant) for the k-th of P, Q, S and T, which weigh eps + mu,
-# eps - mu, a/sin r and cot r and share no entry.
-_ENTRIES = {
-    len(sysm.state): [
-        [(c, k, float(X[i, c])) for c in range(len(sysm.state))
-         for k, X in enumerate((sysm.P, sysm.Q, sysm.S, sysm.T)) if X[i, c]]
-        for i in range(len(sysm.state))
-    ]
-    for sysm in (SYSTEM_J, SYSTEM_J0)
-}
-
-
 def _system_report(exprs: dict, qn: QuantumNumbers, params: ModeParams, r, name: str,
                    tol: float) -> VerificationReport:
     """Rows dY - A(r) Y of the system at params on the grid r, with Y the
     amplitudes of exprs in state order and dY their r-derivatives, all
     sampled from one factor table: at each point the worst row, relative to
-    that row's largest term.  Only the nonzero entries of A(r) are formed
-    (10 of 16 for j >= 1; the j = 0 block is dense), each weight from
-    system(j, eps + mu, eps - mu), and the terms A_ic Y_c of a row are added
-    column by column, left to right."""
+    that row's largest term.  A(r) is system(j, eps + mu, eps - mu).matrix(r),
+    and the terms A_ic Y_c of a row are added column by column, left to right."""
     sysm = system(qn.j, *params.eps_pm)
-    state = sysm.state
-    sampled = eval_r_cos2_all([*(exprs[k] for k in state), *(exprs[k].diff_r_cos2() for k in state)], r)
-    Y, dY = sampled[:len(state)], np.array(sampled[len(state):])
-    weights = (sysm.plus, sysm.minus, *sysm.r_weights(r))
-    rows = [[weights[k] * const * Y[c] for c, k, const in row] for row in _ENTRIES[len(state)]]
-    total = [sum(terms[1:], terms[0]) for terms in rows]  # left to right
-    big = [np.abs(terms).max(axis=0) for terms in rows]
-    rel = _relative(dY - np.array(total), np.maximum(np.abs(dY), big))
+    n = len(sysm.state)
+    sampled = eval_r_cos2_all([*(exprs[k] for k in sysm.state), *(exprs[k].diff_r_cos2() for k in sysm.state)], r)
+    Y, dY = np.array(sampled[:n]), np.array(sampled[n:])
+    terms = sysm.matrix(r).transpose(1, 2, 0) * Y  # (row, column, point)
+    total = sum(terms.swapaxes(0, 1))  # left to right
+    rel = _relative(dY - total, np.maximum(np.abs(dY), np.abs(terms).max(axis=1)))
     return _report(name, r, rel.max(axis=0), tol)

@@ -244,36 +244,13 @@ class TestSharedShooting:
         n = 2 if evs[0].j == 0 else 8  # state entries per lane
         assert len(evs) >= 2 and lanes == [3 * len(evs) * n]
 
-    @pytest.mark.parametrize("shoot", [
-        lambda cfg: shoot_j0(0.0, +1, cfg), lambda cfg: shoot_j(0.0, 1, +1, cfg),
-    ], ids=["j0", "j1"])
-    def test_failed_scan_halves_offset_and_says_so(self, monkeypatch, shoot):
-        """A failed confirming integration is run once more from the halved
-        start offset: two integrations, and every level says so."""
-        cfg = ShootingConfig(eps_scan=(1.6, 2.1))
-        clean = shoot(cfg)
-        real_ivp, seen = oracle.solve_ivp, []
-
-        def fail_once(fun, t_span, y0, **k):
-            seen.append(t_span[0])
-            sol = real_ivp(fun, t_span, y0, **k)
-            if len(seen) == 1:
-                sol.success, sol.message = False, "forced failure"
-            return sol
-
-        monkeypatch.setattr(oracle, "solve_ivp", fail_once)
-        evs = shoot(cfg)
-        assert seen == [oracle.R_START_OFFSET, oracle.R_START_OFFSET / 2]
-        assert [ev.flags for ev in evs] == [["r-start-offset-halved"]] * len(clean)
-        assert [ev.eps for ev in evs] == [ev.eps for ev in clean]
-
     @pytest.mark.parametrize("first_failure", [1], ids=["every"])
     @pytest.mark.parametrize("shoot", [
         lambda cfg: shoot_j0(0.0, +1, cfg), lambda cfg: shoot_j(0.0, 1, +1, cfg),
     ], ids=["j0", "j1"])
     def test_failed_integration_raises_typed_error(self, monkeypatch, shoot, first_failure):
-        """When the confirming integration fails from both start offsets,
-        no level can be had and IntegrationError says why."""
+        """When the confirming integration fails, no level can be had:
+        IntegrationError says why at once, with no second integration."""
         real_ivp, calls = oracle.solve_ivp, []
 
         def fail_from(*a, **k):
@@ -286,7 +263,7 @@ class TestSharedShooting:
         monkeypatch.setattr(oracle, "solve_ivp", fail_from)
         with pytest.raises(oracle.IntegrationError, match="integration failed: forced failure"):
             shoot(ShootingConfig(eps_scan=(1.6, 2.1)))
-        assert calls == [oracle.INTEGRATOR_RTOL] * 2
+        assert calls == [oracle.INTEGRATOR_RTOL]
 
 
 class TestIntegrator:
@@ -615,10 +592,11 @@ class TestFrobeniusSeries:
             single = _frobenius_initial(j, system(j, *_weights(abs(m), lam, [e])), 1e-3)[0]
             assert np.allclose(batched[lane], single, rtol=1e-15, atol=0)
 
-    @pytest.mark.parametrize("j", [0, 1, 5, 20])
+    @pytest.mark.parametrize("j", [0, 1, 5, 20, 60])
     def test_start_columns_have_unit_norm(self, j):
         """Each regular start column is divided by its norm, at every lane:
-        no column starts at r0^j, which underflows the determinant at high j."""
+        no column starts at r0^j, which underflows the determinant at high j
+        and, from j ~ 53, the norm itself."""
         cols = _frobenius_initial(j, system(j, *_weights(0.0, +1, [0.3, 4.5, 61.9])), oracle.R_START_OFFSET)
         assert np.abs(np.linalg.norm(cols, axis=1) - 1.0).max() <= 4 * np.finfo(float).eps
 

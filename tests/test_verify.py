@@ -104,14 +104,15 @@ class TestWorstPoints:
     ascending grid index, whatever sort numpy would pick."""
 
     @pytest.mark.parametrize("seed", range(6))
-    def test_equals_stable_argsort(self, seed):
+    def test_equals_stable_argsort(self, seed, monkeypatch):
         rng = np.random.default_rng(seed)
         for size in (1, 2, 3, 4, 17, 400):
             for rel in (rng.random(size), rng.integers(0, 3, size).astype(float), np.zeros(size),
                         np.where(rng.random(size) < 0.3, np.nan, rng.integers(0, 2, size).astype(float))):
                 x = np.arange(size) / size
                 for keep in (1, 3, 5):
-                    got = verify._report("t", x, rel, 1.0, keep).details
+                    monkeypatch.setattr(verify, "WORST_POINTS", keep)
+                    got = verify._report("t", x, rel, 1.0).details
                     assert [xi for xi, _ in got] == [x[i] for i in np.argsort(-rel, kind="stable")[:keep]]
 
     def test_ties_take_the_first_points(self):
