@@ -35,8 +35,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-import numpy as np
-
+from ._numpy import np
 from .hypergeo import Hyp2F1Params, gauss_2f1, in_domain
 
 

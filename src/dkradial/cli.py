@@ -17,9 +17,8 @@ import math
 import sys
 from fractions import Fraction
 
-import numpy as np
-
 from . import closedform, oracle, verify
+from ._numpy import np
 from .closedform import Family
 from .model import ModeParams, QuantumNumbers, factor_pair_K, factor_pair_M, operator_K4, operator_M4
 

@@ -24,9 +24,8 @@ from enum import Enum
 from fractions import Fraction
 from typing import NamedTuple
 
-import numpy as np
-
 from ._exprs import Expr, eval_r_cos2_all, hyp_expr
+from ._numpy import np
 from .model import ModeParams, QuantumNumbers
 
 __all__ = [

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
+from ._numpy import np
 
 __all__ = [
     "Hyp2F1Params",

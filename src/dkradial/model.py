@@ -5,6 +5,8 @@ verification and oracle modules can sample operators on arbitrary grids;
 system(j, plus, minus) is the one builder of the radial first-order system
 both of them integrate or check.  Coefficients are evaluated together, from
 one table of 1 - x and of the pole powers x^k and (1-x)^k, each computed once.
+Importing the module calls no numpy: SYSTEM_J and SYSTEM_J0 are built on
+first access and kept, so that the exact spectra never load it.
 Units: curvature radius 1, radial coordinate r in (0, pi), natural units for
 the mass and energy.
 
@@ -20,10 +22,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cache, cached_property
 from fractions import Fraction
 
-import numpy as np
+from ._numpy import np
 
 __all__ = [
     "QuantumNumbers",
@@ -211,8 +213,9 @@ class FirstOrderSystem:
     P, Q, S and T are constant matrices with entries in {0, +-1} and no
     nonzero entry in common; E = P + Q has E^2 = -I.  SYSTEM_J holds them
     with plus = minus = a = 0, SYSTEM_J0 is its (M, N) block (where S
-    vanishes), and system(j, plus, minus) picks the block and fills in the
-    weights.  A(r) has simple poles at r=0 and r=pi.
+    vanishes), both built on first access, and system(j, plus, minus) picks
+    the block and fills in the weights.  A(r) has simple poles at r=0 and
+    r=pi.
 
     D is the diagonal of the reflection parity, D A(pi - r) D = -A(r): if
     Y(r) solves the system, so does D Y(pi - r), for every plus, minus and a.
@@ -235,27 +238,40 @@ class FirstOrderSystem:
 
     def matrix(self, r) -> np.ndarray:
         """A(r), stacked over the broadcast shape of the weights and r: (..., n, n);
-        at a float r by plain products and an in-place sum, the same bits at less cost."""
+        the cot r term added in place (at a float r by plain products), the
+        same bits as the out-of-place sum at less cost."""
         s, c = self.a * (1.0 / np.sin(r)), 1.0 / np.tan(r)
-        if not isinstance(r, float):
-            return self.p_part + np.multiply.outer(s, self.S) + np.multiply.outer(c, self.T)
-        A = self.p_part + s * self.S
-        A += c * self.T
+        if isinstance(r, float):
+            A = self.p_part + s * self.S
+            A += c * self.T
+        else:
+            A = self.p_part + np.multiply.outer(s, self.S)
+            A += np.multiply.outer(c, self.T)
         return A
 
 
-SYSTEM_J = FirstOrderSystem(
-    state=("K", "L", "M", "N"),
-    P=np.array([[0, -1, 0, 0], [0, 0, 0, 0], [0, 0, 0, -1], [0, 0, 0, 0]], dtype=float),
-    Q=np.array([[0, 0, 0, 0], [1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 1, 0]], dtype=float),
-    S=np.array([[0, 0, -1, 0], [0, 0, 0, 1], [-1, 0, 0, 0], [0, 1, 0, 0]], dtype=float),
-    T=np.diag([0.0, 0.0, -1.0, 1.0]),
-    D=np.array([1.0, -1.0, -1.0, 1.0]),
-)
+@cache
+def _systems() -> dict:
+    """SYSTEM_J and SYSTEM_J0, built once, on first use: module attributes
+    by __getattr__, so that importing this module calls no numpy."""
+    system_j = FirstOrderSystem(
+        state=("K", "L", "M", "N"),
+        P=np.array([[0, -1, 0, 0], [0, 0, 0, 0], [0, 0, 0, -1], [0, 0, 0, 0]], dtype=float),
+        Q=np.array([[0, 0, 0, 0], [1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 1, 0]], dtype=float),
+        S=np.array([[0, 0, -1, 0], [0, 0, 0, 1], [-1, 0, 0, 0], [0, 1, 0, 0]], dtype=float),
+        T=np.diag([0.0, 0.0, -1.0, 1.0]),
+        D=np.array([1.0, -1.0, -1.0, 1.0]),
+    )
+    system_j0 = replace(
+        system_j, state=system_j.state[2:], D=system_j.D[2:], **{k: getattr(system_j, k)[2:, 2:] for k in "PQST"}
+    )
+    return {"SYSTEM_J": system_j, "SYSTEM_J0": system_j0}
 
-SYSTEM_J0 = replace(
-    SYSTEM_J, state=SYSTEM_J.state[2:], D=SYSTEM_J.D[2:], **{k: getattr(SYSTEM_J, k)[2:, 2:] for k in "PQST"}
-)
+
+def __getattr__(name):
+    if name in ("SYSTEM_J", "SYSTEM_J0"):
+        return _systems()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def system(j: int, plus, minus) -> FirstOrderSystem:
@@ -272,7 +288,8 @@ def system(j: int, plus, minus) -> FirstOrderSystem:
     """
     if j < 0:
         raise ValueError(f"j={j} must be non-negative")
-    return replace(SYSTEM_J0 if j == 0 else SYSTEM_J, plus=plus, minus=minus, a=math.sqrt(j * (j + 1)))
+    base = _systems()["SYSTEM_J0" if j == 0 else "SYSTEM_J"]
+    return replace(base, plus=plus, minus=minus, a=math.sqrt(j * (j + 1)))
 
 
 def _exact(p_sq, a_sq) -> tuple:

@@ -31,8 +31,7 @@ from dataclasses import dataclass, field
 from types import SimpleNamespace
 from typing import TYPE_CHECKING
 
-import numpy as np
-
+from ._numpy import np
 from .model import FirstOrderSystem, system
 
 if TYPE_CHECKING:  # the oracle never builds a closed form

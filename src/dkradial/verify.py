@@ -8,8 +8,9 @@ are the coupled second-order relations that give the lacking amplitude from
 the lead one: one residual checks both the explicit formula and the
 elimination.  The j=0 pair residual is the same residual of the (M, N)
 block.  Both sample their amplitudes and r-derivatives from one factor
-table, on an r-grid of this module, take A(r) from FirstOrderSystem.matrix
-and add the terms of each row column by column.  The factorization check
+table, on an r-grid of this module (built on first use, so that importing
+the module calls no numpy), take A(r) from FirstOrderSystem.matrix and add
+the terms of each row column by column.  The factorization check
 evaluates every coefficient from one table of pole powers.
 
 One allocation per term in the check kernels too: an operator's
@@ -34,10 +35,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-
-import numpy as np
+from functools import cache
 
 from ._exprs import Expr, eval_r_cos2_all
+from ._numpy import np
 from .closedform import Family, family_exprs, j0_exprs
 from .model import (
     LinearDifferentialOperator,
@@ -217,11 +218,20 @@ def wronskian_report(w: float, x0: float, name: str) -> VerificationReport:
     )
 
 
-# The r-grids of the system checks, built once: r = arccos sqrt(x) on
-# chebyshev_grid() and its mirror pi - r; 101 even steps for the j = 0 pair.
-_CROSS_R = np.arccos(np.sqrt(chebyshev_grid()))
-_CROSS_R = np.concatenate([_CROSS_R, np.pi - _CROSS_R])
-_J0_R = np.linspace(0.05, np.pi - 0.05, 101)
+@cache
+def _r_grids() -> dict:
+    """The r-grids of the system checks, built once, on first use (module
+    attributes _CROSS_R and _J0_R by __getattr__, so that importing this
+    module calls no numpy): r = arccos sqrt(x) on chebyshev_grid() and its
+    mirror pi - r; 101 even steps for the j = 0 pair."""
+    cross = np.arccos(np.sqrt(chebyshev_grid()))
+    return {"_CROSS_R": np.concatenate([cross, np.pi - cross]), "_J0_R": np.linspace(0.05, np.pi - 0.05, 101)}
+
+
+def __getattr__(name):
+    if name in ("_CROSS_R", "_J0_R"):
+        return _r_grids()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def cross_consistency(family: Family, qn: QuantumNumbers, params: ModeParams) -> VerificationReport:
@@ -231,14 +241,14 @@ def cross_consistency(family: Family, qn: QuantumNumbers, params: ModeParams) ->
     substituted, row 2 (L') is the coupled relation M = sin^2 r/(2a cos r)
     [K'' + (p^2 - a^2/sin^2 r) K], and row 4 (N') the matching relation for
     K from M."""
-    return _system_report(family_exprs(family, qn, params), qn, params, _CROSS_R,
+    return _system_report(family_exprs(family, qn, params), qn, params, _r_grids()["_CROSS_R"],
                           f"cross-consistency[{family.value} j={qn.j} n={qn.n}]", IDENTITY_TOL)
 
 
 def j0_pair_residual(n: int, params: ModeParams) -> VerificationReport:
     """Residual of the j=0 first-order pair (M, N)' = A(r) (M, N) for the
     j0_exprs amplitudes of level n, on 101 r points across the sphere."""
-    return _system_report(j0_exprs(n, params), QuantumNumbers(0, n), params, _J0_R,
+    return _system_report(j0_exprs(n, params), QuantumNumbers(0, n), params, _r_grids()["_J0_R"],
                           f"j0-pair[n={n} lambda={params.lambda_sign:+d}]", RESIDUAL_TOL)
 
 

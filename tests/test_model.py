@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
+from dkradial.closedform import Family, family_levels, spectrum
 from dkradial.model import (
     SYSTEM_J,
     SYSTEM_J0,
@@ -206,6 +207,80 @@ class TestConstantMatrices:
         for r in (0.1, 1.1, 3.0):
             want = np.multiply.outer(p, E) + sysm.a * (1.0 / np.sin(r)) * sysm.S + 1.0 / np.tan(r) * sysm.T
             assert sysm.matrix(r).tobytes() == want.tobytes()
+
+
+def _sector_defects(P, Q, S, T, point) -> list:
+    """Each sector identity's two sides subtracted, in Fractions, at one
+    point (s, c, eps+, eps-, K, M): s = a/sin r and c = cot r, so s' = -s c
+    and c' = -1 - c^2.  Sector L = 0 takes Y = (K, 0, M, -eps- K/s), sector
+    N = 0 takes Y = (K, -eps- M/s, M, 0); Y' takes K' and M' from the K and
+    M rows of A Y and differentiates the constrained amplitude.  The defects
+    are the L and N rows of A Y - Y', and the radial Helmholtz equation of
+    the lead amplitude, at p^2 (K, sector L = 0) or p^2 - 1 (M, sector N = 0),
+    with its second derivative from (A Y)' = A' Y + A Y'.  All are 0 for the
+    radial system."""
+    s, c, plus, minus = point[:4]
+    A = [[plus * P[i][k] + minus * Q[i][k] + s * S[i][k] + c * T[i][k] for k in range(4)] for i in range(4)]
+    dA = [[-s * c * S[i][k] - (1 + c * c) * T[i][k] for k in range(4)] for i in range(4)]
+
+    def times(X, y):
+        return [sum(X[i][k] * y[k] for k in range(4)) for i in range(4)]
+
+    K, M = point[4:]
+    out = []
+    for row, lead, shift in ((1, 0, 0), (3, 2, 1)):  # (constrained row, lead amplitude, p^2 shift)
+        Y = [K, 0, M, -minus * K / s] if row == 1 else [K, -minus * M / s, M, 0]
+        AY = times(A, Y)
+        dY = [AY[0], 0, AY[2], 0]
+        dY[4 - row] = -minus * (dY[row - 1] + c * Y[row - 1]) / s  # d/dr (-eps- X/s), X = K or M
+        d2 = [u + v for u, v in zip(times(dA, Y), times(A, dY))][lead]
+        out += [AY[1] - dY[1], AY[3] - dY[3],
+                d2 + 2 * c * dY[lead] + (plus * minus - shift - s * s) * Y[lead]]
+    return out
+
+
+class TestInvariantSectors:
+    """The j >= 1 system is two invariant 2x2 sectors, L = 0 and N = 0, each
+    a radial Helmholtz equation on the 3-sphere, pinned exactly from
+    SYSTEM_J's P, Q, S and T alone; the closed-form spectra are the two
+    Laplacian sets."""
+
+    POINTS = [tuple(map(Fraction, p)) for p in (
+        ("5/2", "1/3", "7/4", "3/2", "2/5", "-3/7"),
+        (3, -2, "-1/2", "-5/3", 1, "4/3"),
+        ("7/5", 0, 2, 2, -1, "1/2"),
+    )]
+
+    @staticmethod
+    def exact(base):
+        return [[[Fraction(v) for v in row] for row in getattr(base, k).tolist()] for k in "PQST"]
+
+    def test_both_sectors_hold_exactly(self):
+        parts = self.exact(SYSTEM_J)
+        for point in self.POINTS:
+            assert _sector_defects(*parts, point) == [0] * 6
+
+    @pytest.mark.parametrize("entry", [(k, i, c) for k in range(4) for i in range(4) for c in range(4)
+                                       if getattr(SYSTEM_J, "PQST"[k])[i, c]],
+                             ids=lambda e: f"{'PQST'[e[0]]}{e[1]}{e[2]}")
+    def test_a_flipped_sign_breaks_a_sector(self, entry):
+        parts = self.exact(SYSTEM_J)
+        k, i, c = entry
+        parts[k][i][c] = -parts[k][i][c]
+        assert any(any(_sector_defects(*parts, point)) for point in self.POINTS)
+
+    @pytest.mark.parametrize("j", [1, 2, 3, 7])
+    def test_family_spectra_are_the_sector_laplacian_sets(self, j):
+        """F1 and F2 (K-led) are {(l+1)^2 - 1 : l >= j}, F3 and F4 (M-led)
+        {(l+1)^2 : l >= j}, each l once; the unbound F3 n = 0 is l = j - 1."""
+        n_max = 5
+        k_led = family_levels(j, n_max, 0, (Family.F1, Family.F2))
+        m_led = family_levels(j, n_max, 0, (Family.F3, Family.F4))
+        assert [e.p_sq for e in k_led] == [(l + 1) ** 2 - 1 for l in range(j, j + 2 * n_max + 2)]
+        assert [e.p_sq for e in m_led] == [(l + 1) ** 2 for l in range(j, j + 2 * n_max + 1)]
+        assert all(type(e.p_sq) is Fraction for e in k_led + m_led)
+        phantom = spectrum(Family.F3, j, 0, 0)
+        assert (phantom.bound, phantom.p_sq) == (False, j**2)
 
 
 class TestOperators:

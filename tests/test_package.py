@@ -1,7 +1,8 @@
 """The package surface: what each module lists in __all__ exists, every
 name one public module gives another is defined and listed there, every
 module-level private name is used somewhere, no module or README command
-loads scipy, the benchmark's tracer still finds the oracle functions it
+loads scipy, numpy loads on first use and the exact-spectrum commands run
+without it, the benchmark's tracer still finds the oracle functions it
 wraps, and the benchmark's self-test passes."""
 
 import ast
@@ -126,12 +127,25 @@ def test_closed_form_modules_load_without_scipy():
     assert proc.stdout.strip() == "[] [] [4, 2] [] True True"
 
 
+def _readme_commands() -> list:
+    """The argv of each `dkradial` line in the README's command-line block."""
+    readme = (SOURCE.parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command line", 1)[1].split("```")[1]
+    return [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("dkradial ")]
+
+
+def _tracer():
+    """perfbench/tracer.py as a module."""
+    path = SOURCE.parents[1] / "perfbench" / "tracer.py"
+    tracer = types.ModuleType("perfbench_tracer")
+    exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), tracer.__dict__)
+    return tracer
+
+
 def test_readme_commands_need_no_scipy(tmp_path):
     """With scipy blocked, all six README commands exit 0, and the oracle
     command's comparison passes."""
-    readme = (SOURCE.parents[1] / "README.md").read_text(encoding="utf-8")
-    block = readme.split("## Command line", 1)[1].split("```")[1]
-    commands = [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("dkradial ")]
+    commands = _readme_commands()
     for argv in commands:
         if "--out" in argv:
             argv[argv.index("--out") + 1] = str(tmp_path / "out.csv")
@@ -154,13 +168,65 @@ def test_readme_commands_need_no_scipy(tmp_path):
     assert proc.stdout.strip() == "[0, 0, 0, 0, 0, 0] True"
 
 
+def test_exact_spectrum_commands_run_without_numpy():
+    """With numpy blocked, both README spectrum forms and degeneracy exit 0
+    and print what they print with numpy, and importing the CLI still loads
+    every module the benchmark's tracer wraps."""
+    commands = [argv for argv in _readme_commands() if argv[0] in ("spectrum", "degeneracy")]
+    assert [argv[0] for argv in commands] == ["spectrum", "spectrum", "degeneracy"]
+    code = (
+        "import contextlib, io, json, sys\n"
+        "if sys.argv[2] == 'block':\n"
+        "    sys.modules['numpy'] = None\n"
+        "import dkradial.cli\n"
+        "missing = [m for m in json.loads(sys.argv[3]) if m not in sys.modules]\n"
+        "def run(argv):\n"
+        "    out = io.StringIO()\n"
+        "    with contextlib.redirect_stdout(out):\n"
+        "        return dkradial.cli.main(argv), out.getvalue()\n"
+        "codes, outs = zip(*(run(argv) for argv in json.loads(sys.argv[1])))\n"
+        "print(json.dumps([missing, codes, outs, sys.modules['numpy'] is None]))\n"
+    )
+    layers = json.dumps(list(_tracer().LAYERS))
+    runs = {}
+    for mode in ("block", "normal"):
+        proc = subprocess.run([sys.executable, "-c", code, json.dumps(commands), mode, layers],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        runs[mode] = json.loads(proc.stdout)
+    missing, codes, outs, blocked = runs["block"]
+    assert (missing, codes, blocked) == ([], [0, 0, 0], True)
+    assert outs == runs["normal"][2] and all(outs)
+    assert runs["normal"][3] is False
+
+
+def test_numpy_is_one_module_whichever_loads_first():
+    """numpy imported first is the package's numpy as it is; imported after
+    the package, it is the same module, fully loaded; the constant systems
+    and grids built on first use keep their identity."""
+    code = (
+        "import sys, types\n"
+        "if sys.argv[1] == 'numpy-first':\n"
+        "    import numpy\n"
+        "from dkradial import _numpy, model, verify\n"
+        "lazy = type(_numpy.np) is not types.ModuleType\n"
+        "import numpy\n"
+        "print(lazy, numpy is _numpy.np is sys.modules['numpy'], type(numpy) is types.ModuleType,\n"
+        "      float(numpy.linalg.det(numpy.eye(2))), model.SYSTEM_J is model.SYSTEM_J,\n"
+        "      model.SYSTEM_J0 is model.SYSTEM_J0, verify._CROSS_R is verify._CROSS_R,\n"
+        "      hasattr(model, 'SYSTEM_J2'), hasattr(verify, '_J1_R'))\n"
+    )
+    for order, lazy in (("numpy-first", False), ("package-first", True)):
+        proc = subprocess.run([sys.executable, "-c", code, order], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == f"{lazy} True True 1.0 True True True False False"
+
+
 def test_benchmark_tracing_points_still_count():
     """perfbench's tracer wraps oracle functions by name; run in-process,
     it still sees one confirming integration per shot, three lanes per
     level, its RHS evaluations and no failure."""
-    path = SOURCE.parents[1] / "perfbench" / "tracer.py"
-    tracer = types.ModuleType("perfbench_tracer")
-    exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), tracer.__dict__)
+    tracer = _tracer()
     from dkradial import oracle
 
     t = tracer.Tracer()
