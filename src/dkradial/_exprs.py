@@ -69,16 +69,15 @@ class Expr:
     of the dict as Term tuples.
     """
 
-    __slots__ = ("_coefs", "_dr")
+    __slots__ = ("_coefs",)
 
     def __init__(self, terms):
         self._coefs = _merged(((t.xp, t.yp, t.f.alpha, t.f.beta, t.f.gamma), t.coef) for t in terms)
-        self._dr = None
 
     @classmethod
     def _of(cls, coefs: dict) -> "Expr":
         e = cls.__new__(cls)
-        e._coefs, e._dr = coefs, None
+        e._coefs = coefs
         return e
 
     @property
@@ -124,11 +123,9 @@ class Expr:
         """d/dr under x = cos^2 r (dx/dr = -2 sqrt(x) sqrt(1-x), signed): diff,
         then every key shifted by (1/2, 1/2) and every coefficient scaled by
         -2 (exact, and never zero: diff keeps no zero coefficient), in one
-        pass.  An Expr never changes, so it is built once and kept."""
-        if self._dr is None:
-            self._dr = Expr._of({(xp + 0.5, yp + 0.5, a, b, g): c * -2.0
-                                 for (xp, yp, a, b, g), c in self.diff()._coefs.items()})
-        return self._dr
+        pass."""
+        return Expr._of({(xp + 0.5, yp + 0.5, a, b, g): c * -2.0
+                         for (xp, yp, a, b, g), c in self.diff()._coefs.items()})
 
     def eval_x(self, x) -> np.ndarray:
         """Evaluate on the principal branch (x^{1/2} taken positive)."""

@@ -33,7 +33,6 @@ __all__ = [
     "FAMILIES",
     "SpectrumEntry",
     "OffSpectrumError",
-    "EliminationSingularError",
     "RadialSolution",
     "spectrum",
     "family_levels",
@@ -63,10 +62,6 @@ class Family(str, Enum):
 
 class OffSpectrumError(ValueError):
     """Requested energy is not on the discrete spectrum."""
-
-
-class EliminationSingularError(ZeroDivisionError):
-    """eps + mu = 0, mu = lambda m: the first-order elimination for (L, N) is singular."""
 
 
 def _as_fraction(v) -> Fraction:
@@ -203,12 +198,16 @@ class RadialSolution:
     exprs: dict = field(default_factory=dict, repr=False)
 
 
+def _p_sq_matches(p_sq: float, params: ModeParams) -> bool:
+    """params.p_sq is p_sq to SPECTRUM_RTOL, plus 4 * 2^-52 eps^2: what
+    eps^2 - m^2, the p^2 that ModeParams(m=..., eps=...) derives, cannot
+    resolve at large mass."""
+    return abs(params.p_sq - p_sq) <= SPECTRUM_RTOL * max(1.0, p_sq) + 4 * np.finfo(float).eps * params.eps**2
+
+
 def _on_spectrum(entry: SpectrumEntry, params: ModeParams) -> None:
-    """Raise OffSpectrumError unless params.p_sq is entry's p^2 to
-    SPECTRUM_RTOL, plus 4 * 2^-52 eps^2: what eps^2 - m^2, the p^2 that
-    ModeParams(m=..., eps=...) derives, cannot resolve at large mass."""
-    p_sq = float(entry.p_sq)
-    if abs(params.p_sq - p_sq) > SPECTRUM_RTOL * max(1.0, p_sq) + 4 * np.finfo(float).eps * params.eps**2:
+    """Raise OffSpectrumError unless params.p_sq is entry's p^2 (_p_sq_matches)."""
+    if not _p_sq_matches(float(entry.p_sq), params):
         raise OffSpectrumError(
             f"p^2={params.p_sq} is off the {entry.family.value} spectrum value "
             f"{entry.p_sq} at j={entry.j_or_J}, n={entry.n}"
@@ -282,30 +281,15 @@ def family_KM_exprs(family: Family, j: int, n: int) -> tuple[Expr, Expr]:
     return _km_exprs(j, seed.lead, seed.xp, _lam(family, j, n))
 
 
-def _elimination_LN(K: Expr, M: Expr, a: float, eps_plus_mu: float) -> tuple[Expr, Expr]:
-    """L, N from rows 1 and 3 (the K' and M' rows) of the coupled system
-    (x = cos^2 r), with eps_plus_mu = eps + mu, mu = lambda m.
-
-    L = -(K'_r + (a/sin r) M) / (eps + mu)
-    N = -(M'_r + M/tan r + (a/sin r) K) / (eps + mu)
-    """
-    L = (K.diff_r_cos2() + M.shift(0, -0.5).scale(a)).scale(-1.0 / eps_plus_mu)
-    N = (
-        M.diff_r_cos2() + M.shift(0.5, -0.5) + K.shift(0, -0.5).scale(a)
-    ).scale(-1.0 / eps_plus_mu)
-    return L, N
-
-
-def _completed(qn: QuantumNumbers, params: ModeParams, K: Expr, M: Expr) -> dict:
-    """{K, L, M, N}: (K, M) completed by the (L, N) elimination."""
-    eps_plus_mu = params.eps_pm[0]
-    if abs(eps_plus_mu) < 1e-12:
-        raise EliminationSingularError(
-            f"eps+mu={eps_plus_mu}: cannot recover (L, N); the elimination is "
-            "singular at this parameter point"
-        )
-    L, N = _elimination_LN(K, M, qn.a, eps_plus_mu)
-    return {"K": K, "L": L, "M": M, "N": N}
+def _completed(qn: QuantumNumbers, params: ModeParams, K: Expr, M: Expr, lead: str) -> dict:
+    """{K, L, M, N}: (K, M) completed in the invariant sector of its lead
+    amplitude, with s = a/sin r and sin r = (1-x)^{1/2}: L = 0 and
+    N = -(eps - mu) K/s when K leads, N = 0 and L = -(eps - mu) M/s when M
+    leads, mu = lambda m."""
+    scale = -params.eps_pm[1] / qn.a
+    if lead == "K":
+        return {"K": K, "L": Expr(()), "M": M, "N": K.shift(0, 0.5).scale(scale)}
+    return {"K": K, "L": M.shift(0, 0.5).scale(scale), "M": M, "N": Expr(())}
 
 
 def _sampled(qn: QuantumNumbers, params: ModeParams, grid, exprs: dict) -> RadialSolution:
@@ -318,7 +302,8 @@ def _sampled(qn: QuantumNumbers, params: ModeParams, grid, exprs: dict) -> Radia
 def family_exprs(family: Family, qn: QuantumNumbers, params: ModeParams) -> dict:
     """{K, L, M, N} expressions of one terminating family state at j >= 1:
     the state is checked against the spectrum, (K, M) is the family's seed
-    pair and (L, N) come from the elimination.  wavefunction_family samples
+    pair, and (L, N) are its lead's invariant sector: L = 0 and N from K
+    (F1, F2), or N = 0 and L from M (F3, F4).  wavefunction_family samples
     them; cross-consistency samples them with their r-derivatives from one
     factor table."""
     family = Family(family)
@@ -331,7 +316,7 @@ def family_exprs(family: Family, qn: QuantumNumbers, params: ModeParams) -> dict
             "normalizable state; bound states exist for n >= 1"
         )
     _on_spectrum(entry, params)
-    return _completed(qn, params, *family_KM_exprs(family, qn.j, qn.n))
+    return _completed(qn, params, *family_KM_exprs(family, qn.j, qn.n), FAMILIES[family].lead)
 
 
 def wavefunction_family(family: Family, qn: QuantumNumbers, params: ModeParams, grid) -> RadialSolution:
@@ -345,16 +330,21 @@ def general_basis_exprs(j: int, p: float, params: ModeParams) -> list[dict]:
 
     The four seeds of families i-iv, in that order, at a real lam: two
     K-led ones (x-exponents 1/2 and 0, lam = sqrt(p^2+1)) and two M-led
-    ones (lam = p), each with its lacking amplitude from the same builder.
-    general_basis samples them; the Wronskian check reads their K.
+    ones (lam = p), each with its lacking amplitude from the same builder
+    and (L, N) from its lead's sector.  params must hold p^2 (_p_sq_matches):
+    the sector constraint reads eps - mu, and at any other p^2 the four
+    would solve nothing.  general_basis samples them; the Wronskian check
+    reads their K.
     """
     if j < 1:
         raise ValueError("general basis defined for j >= 1")
     if p <= 0:
         raise ValueError("p must be positive")
+    if not _p_sq_matches(p * p, params):
+        raise ValueError(f"params carry p^2={params.p_sq}, not the basis's p^2={p * p}")
     lam = {"K": math.sqrt(p * p + 1.0), "M": p}
     qn = QuantumNumbers(j, 0)
-    return [_completed(qn, params, *_km_exprs(j, lead, xp, lam[lead])) for lead, xp, _ in FAMILIES.values()]
+    return [_completed(qn, params, *_km_exprs(j, lead, xp, lam[lead]), lead) for lead, xp, _ in FAMILIES.values()]
 
 
 def general_basis(j: int, p: float, params: ModeParams, grid) -> list[RadialSolution]:

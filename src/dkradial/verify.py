@@ -2,16 +2,19 @@
 Wronskian independence, cross-consistency of a family's four amplitudes and
 the j=0 pair residual.  Every check returns a VerificationReport.
 
-Cross-consistency is the residual of the coupled first-order system.  L and
-N are eliminated from its K' and M' rows, so its rows 2 and 4 (L' and N')
-are the coupled second-order relations that give the lacking amplitude from
-the lead one: one residual checks both the explicit formula and the
-elimination.  The j=0 pair residual is the same residual of the (M, N)
-block.  Both sample their amplitudes and r-derivatives from one factor
-table, on an r-grid of this module (built on first use, so that importing
-the module calls no numpy), take A(r) from FirstOrderSystem.matrix and add
-the terms of each row column by column.  The factorization check
-evaluates every coefficient from one table of pole powers.
+Cross-consistency is the residual of the coupled first-order system.  A
+family state lies in one invariant sector, L = 0 when K leads and N = 0
+when M leads, with the other of L and N built from the sector constraint.
+So its rows 1 and 3 (K' and M') check the lacking amplitude, the bracket of
+closedform._km_exprs, against the derivative of the lead one, and its rows
+2 and 4 (L' and N') check the sector constraint: every row checks something
+the construction did not assume.  The j=0 pair residual is the same
+residual of the (M, N) block.  Both sample their amplitudes and
+r-derivatives from one factor table, on an r-grid of this module (built on
+first use, so that importing the module calls no numpy), take A(r) from
+FirstOrderSystem.matrix and add the terms of each row column by column.
+The factorization check evaluates every coefficient from one table of pole
+powers.
 
 One allocation per term in the check kernels too: an operator's
 coefficients are evaluated by Horner's rule and pole sums in place
@@ -237,10 +240,14 @@ def __getattr__(name):
 def cross_consistency(family: Family, qn: QuantumNumbers, params: ModeParams) -> VerificationReport:
     """Residual of the coupled first-order system for the family's
     (K, L, M, N) on the r points of chebyshev_grid(), mirrored across the
-    equator.  L and N come from rows 1 and 3 (K', M'); with them
-    substituted, row 2 (L') is the coupled relation M = sin^2 r/(2a cos r)
-    [K'' + (p^2 - a^2/sin^2 r) K], and row 4 (N') the matching relation for
-    K from M."""
+    equator.  With s = a/sin r and c = cot r, the state lies in its lead's
+    sector: L = 0, N = -(eps - mu) K/s when K leads, N = 0, L = -(eps - mu) M/s
+    when M leads.  Rows 1 and 3 (K', M') are then the sector's 2x2 system,
+    K' = -sM and M' = (p^2/s - s) K - cM when K leads (K' = (p^2/s - s) M and
+    M' = -sK - cM when M leads): they check the lacking amplitude against the
+    derivative of the lead one.  Rows 2 and 4 (L', N') check the sector
+    constraint: the row of the zero amplitude is the constraint itself, the
+    other row its derivative."""
     return _system_report(family_exprs(family, qn, params), qn, params, _r_grids()["_CROSS_R"],
                           f"cross-consistency[{family.value} j={qn.j} n={qn.n}]", IDENTITY_TOL)
 

@@ -8,7 +8,6 @@ from dkradial import closedform
 from dkradial._exprs import eval_r_cos2_all, hyp_expr
 from dkradial.closedform import (
     DegeneratePair,
-    EliminationSingularError,
     Family,
     OffSpectrumError,
     degeneracy_map,
@@ -242,34 +241,34 @@ class TestWavefunctionFamilies:
         with pytest.raises(OffSpectrumError):
             wavefunction_family(Family.F3, QuantumNumbers(1, 0), ModeParams(m=0.0, eps=1.0), [1.0])
 
-    def test_elimination_singular_rejected(self):
-        # eps = -m puts eps+m at zero; reachable via the general basis where
-        # p and the mode parameters are independent.  On-spectrum parameters
-        # always have |eps| > m, so the family constructor rejects earlier
-        # with an off-spectrum diagnostic.
-        with pytest.raises(EliminationSingularError):
+    def test_mismatched_basis_params_rejected(self):
+        # eps = -m puts p^2 = eps^2 - m^2 at zero, not at the basis's p^2:
+        # p and the mode parameters are independent arguments of the
+        # general basis.  On-spectrum parameters always have |eps| > m, so
+        # the family constructor rejects earlier with an off-spectrum
+        # diagnostic.
+        with pytest.raises(ValueError, match=r"p\^2=0\.0, .*p\^2=5\.28"):
             general_basis(1, 2.3, ModeParams(m=3.0, eps=-3.0), [1.0])
         with pytest.raises(OffSpectrumError):
             wavefunction_family(
                 Family.F1, QuantumNumbers(1, 0), ModeParams(m=3.0, eps=-3.0), [1.0]
             )
 
-    @pytest.mark.parametrize("eps", [0.9e-12, -0.9e-12])
-    def test_elimination_guard_raises_below_its_threshold(self, eps):
-        """|eps + mu| = 0.9e-12 lies under the 1e-12 guard, at either sign."""
-        params = ModeParams(m=0.0, eps=eps)
-        assert abs(params.eps_pm[0]) == pytest.approx(0.9e-12, rel=1e-12)
-        with pytest.raises(EliminationSingularError):
-            closedform._completed(QuantumNumbers(1, 0), params, *family_KM_exprs(Family.F1, 1, 0))
-
-    @pytest.mark.parametrize("eps", [1.1e-12, -1.1e-12])
-    def test_elimination_guard_passes_above_its_threshold(self, eps):
-        """|eps + mu| = 1.1e-12 lies over the guard: (L, N) are built, scaled
-        by -1/(eps + mu)."""
-        params = ModeParams(m=0.0, eps=eps)
-        assert abs(params.eps_pm[0]) == pytest.approx(1.1e-12, rel=1e-12)
-        exprs = closedform._completed(QuantumNumbers(1, 0), params, *family_KM_exprs(Family.F1, 1, 0))
-        assert list(exprs) == ["K", "L", "M", "N"] and exprs["L"]._coefs and exprs["N"]._coefs
+    def test_basis_params_tolerance_covers_large_mass(self):
+        """The basis takes params whose p^2 is its own to the on-spectrum
+        tolerance.  At m = 1e5 the p^2 that ModeParams(m=..., eps=...)
+        derives, eps^2 - m^2, is off by more than SPECTRUM_RTOL allows: only
+        the tolerance's eps^2 term accepts it.  p^2 1e-6 off is rejected."""
+        p = 2.3
+        kept = ModeParams.from_p_sq(1e5, p * p)
+        derived = ModeParams(m=1e5, eps=kept.eps)
+        assert abs(derived.p_sq - p * p) > closedform.SPECTRUM_RTOL * p * p
+        for params in (kept, derived):
+            assert len(closedform.general_basis_exprs(1, p, params)) == 4
+        off = ModeParams.from_p_sq(1.0, p * p * (1 + 1e-6))
+        with pytest.raises(ValueError) as err:
+            closedform.general_basis_exprs(1, p, off)
+        assert f"p^2={off.p_sq}" in str(err.value) and f"p^2={p * p}" in str(err.value)
 
     def test_smooth_across_equator(self):
         # No kink at r = pi/2: the signed-sqrt convention keeps amplitudes

@@ -355,8 +355,8 @@ class TestAmplitudeEvaluation:
             check_exprs(list(wavefunction_j0(n, params, np.array([1.0])).exprs.values()))
 
     def test_empty_expression_is_positive_zero(self):
-        """At j = 2 the L of the K-led seed with x-exponent 0 cancels term by
-        term: no term, and +0.0 at every point."""
+        """The L of a K-led seed is its sector's zero, the empty Expr: no
+        term, and +0.0 at every point."""
         e = general_basis(2, 2.3, ModeParams(m=0.0, eps=2.3), np.array([1.0]))[1].exprs["L"]
         assert not e._coefs
         for r in R_GRIDS:

@@ -543,9 +543,9 @@ class TestEvaluationBitIdentity:
         self.check_all([])
 
     def test_general_basis_series_path(self):
-        """Every non-empty amplitude runs the series path.  At j = 2 the L of
-        the K-led seed with x-exponent 0 cancels term by term: it is empty and
-        exactly zero."""
+        """Every non-empty amplitude runs the series path.  The L of the two
+        K-led seeds and the N of the two M-led ones are their sectors' zero:
+        empty and exactly zero."""
         empty = []
         for i, sol in enumerate(general_basis(2, 2.3, ModeParams(m=0.0, eps=2.3), np.array([1.0]))):
             for name in "KLMN":
@@ -556,7 +556,7 @@ class TestEvaluationBitIdentity:
                 else:
                     empty.append((i, name))
                     assert not np.any(expr.eval_x(chebyshev_grid(20))) and not np.any(getattr(sol, name))
-        assert empty == [(1, "L")]
+        assert empty == [(0, "L"), (1, "L"), (2, "N"), (3, "N")]
 
 
 class TestTermAlgebraBitIdentity:
@@ -571,10 +571,10 @@ class TestTermAlgebraBitIdentity:
 
         return key(got) == key(want)
 
-    def check(self, monkeypatch, j, lead, xp, lam, eps_plus_m):
+    def check(self, monkeypatch, j, lead, xp, lam, params):
         """(K, M) from _km_exprs, their diff chains to order 4, their
-        diff_r_cos2 and their (L, N) elimination, against the same
-        builders run on ReferenceExpr."""
+        diff_r_cos2 and their completion in the lead's sector, against the
+        same builders run on ReferenceExpr."""
         K, M = closedform._km_exprs(j, lead, xp, lam)
         with monkeypatch.context() as m:
             m.setattr(closedform, "hyp_expr", reference_hyp_expr)
@@ -586,18 +586,20 @@ class TestTermAlgebraBitIdentity:
             for _ in range(4):
                 e, r = e.diff(), r.diff()
                 assert self.same_terms(e, r)
-        a = math.sqrt(j * (j + 1))
-        for e, r in zip(closedform._elimination_LN(K, M, a, eps_plus_m),
-                        closedform._elimination_LN(RK, RM, a, eps_plus_m)):
-            assert self.same_terms(e, r)
+        qn = QuantumNumbers(j, 0)
+        got = closedform._completed(qn, params, K, M, lead)
+        want = closedform._completed(qn, params, RK, RM, lead)
+        assert [name for name in "LN" if not got[name].terms] == ["L" if lead == "K" else "N"]
+        for name in "KLMN":
+            assert self.same_terms(got[name], want[name])
 
     @pytest.mark.parametrize("j", [1, 2, 3, 4])
     def test_family_states(self, monkeypatch, j):
         checked = 0
         for fam, seed in FAMILIES.items():
             for n in range(max(0, -seed.offset), 4):
-                eps_plus_m = spectrum(fam, j, n, 1).eps() + 1.0
-                self.check(monkeypatch, j, seed.lead, seed.xp, closedform._lam(fam, j, n), eps_plus_m)
+                params = ModeParams.from_p_sq(1.0, float(spectrum(fam, j, n, 1).p_sq))
+                self.check(monkeypatch, j, seed.lead, seed.xp, closedform._lam(fam, j, n), params)
                 checked += 1
         assert checked == 15
 
@@ -606,7 +608,7 @@ class TestTermAlgebraBitIdentity:
         p = 2.3
         lam = {"K": math.sqrt(p * p + 1.0), "M": p}
         for seed in FAMILIES.values():
-            self.check(monkeypatch, j, seed.lead, seed.xp, lam[seed.lead], p)
+            self.check(monkeypatch, j, seed.lead, seed.xp, lam[seed.lead], ModeParams(m=0.0, eps=p))
 
     def test_diff_builds_no_hyp2f1_params(self, monkeypatch):
         """diff works on the float keys alone; only .terms builds a
@@ -901,6 +903,55 @@ class TestCrossConsistency:
                 rep = cross_consistency(family, QuantumNumbers(j, n), ModeParams.from_p_sq(1.0, float(entry.p_sq)))
                 assert not rep.passed, (j, n, rep.max_rel_residual)
 
+    @staticmethod
+    def sector_completed(sign=-1.0, eps_index=1, swap=False, factor=1.0):
+        """closedform._completed with its parts as arguments: the sign of the
+        constraint, the eps_pm entry it reads (1: eps - mu), whether each
+        lead takes the other lead's sector, and a factor on the amplitude
+        the constraint builds."""
+        def completed(qn, params, K, M, lead):
+            sector = ("M" if lead == "K" else "K") if swap else lead
+            scale = sign * factor * params.eps_pm[eps_index] / qn.a
+            if sector == "K":
+                return {"K": K, "L": Expr(()), "M": M, "N": K.shift(0, 0.5).scale(scale)}
+            return {"K": K, "L": M.shift(0, 0.5).scale(scale), "M": M, "N": Expr(())}
+
+        return completed
+
+    SECTOR_MUTATIONS = {
+        "sign-flipped": {"sign": 1.0},
+        "eps-plus": {"eps_index": 0},
+        "sectors-swapped": {"swap": True},
+        "scaled": {"factor": 1.001},
+    }
+
+    @staticmethod
+    def sector_reports():
+        """F1-F4 at j = 1 and 3, n = 1, m = 1: at m = 0 eps + mu and
+        eps - mu are equal, and using one for the other would show nothing."""
+        for family in FAMILIES:
+            for j in (1, 3):
+                entry = spectrum(family, j, 1, 1)
+                params = ModeParams.from_p_sq(1.0, float(entry.p_sq))
+                yield (family, j), cross_consistency(family, QuantumNumbers(j, 1), params)
+
+    def test_sector_construction_passes(self, monkeypatch):
+        """The unmutated sector_completed is _completed: the same reports, all
+        far under the gate."""
+        want = [(label, rep.to_dict()) for label, rep in self.sector_reports()]
+        monkeypatch.setattr(closedform, "_completed", self.sector_completed())
+        assert [(label, rep.to_dict()) for label, rep in self.sector_reports()] == want
+        assert all(rep["max_rel_residual"] < 1e-12 for _, rep in want), want
+
+    @pytest.mark.parametrize("mutation", list(SECTOR_MUTATIONS))
+    def test_mutated_sector_construction_fails(self, monkeypatch, mutation):
+        """(L, N) built with the constraint's sign flipped, with eps + mu for
+        eps - mu, in the other lead's sector, or 1.001 times too large fail
+        the system residual at every state."""
+        monkeypatch.setattr(closedform, "_completed", self.sector_completed(**self.SECTOR_MUTATIONS[mutation]))
+        for label, rep in self.sector_reports():
+            assert not rep.passed, (label, rep.max_rel_residual)
+
 
 def reference_system_report(sol, name, tol):
     """Reference: the system residual with Y the solution's samples and dY
@@ -998,12 +1049,13 @@ class TestGeneralBasisSystem:
                     assert rep.passed, (j, p, m, i, rep.max_rel_residual)
 
     def test_off_shell_params_fail(self):
-        """Control: the same solutions checked against an energy 1e-6 off
-        the p they were built at fail."""
+        """Control: the solutions built at p, checked against an energy
+        1e-6 off it, fail."""
         p, m = 2.3, 1.0
-        basis = general_basis(2, p, ModeParams(m=m, eps=math.sqrt(p * p + m * m) * (1 + 1e-6)), self.R)
-        for sol in basis:
-            assert not verify._system_report(sol.exprs, sol.qn, sol.params, sol.grid, "general-basis",
+        eps = math.sqrt(p * p + m * m)
+        off = ModeParams(m=m, eps=eps * (1 + 1e-6))
+        for sol in general_basis(2, p, ModeParams(m=m, eps=eps), self.R):
+            assert not verify._system_report(sol.exprs, sol.qn, off, sol.grid, "general-basis",
                                              verify.IDENTITY_TOL).passed
 
 
