@@ -221,11 +221,11 @@ def cmd_oracle(args) -> int:
         )
     mass = float(args.mass)
     cfg = oracle.ShootingConfig(eps_scan=(args.eps_min, args.eps_max))
-    evs = oracle.shoot_j0(mass, config=cfg) if args.j == 0 else oracle.shoot_j(mass, args.j, args.lam, cfg)
-    comparison = None
+    evs = oracle.shoot_j0(mass, config=cfg) if args.j == 0 else oracle.shoot_j(mass, args.j, config=cfg)
+    comparison, family = None, {}
     if args.compare:
-        # Matching fills in each eigenvalue's matched_family_guess.
         comparison = oracle.compare_spectra(evs, _closed_levels(args.j, mass, args.eps_min, args.eps_max))
+        family = {id(ev): entry.family.value for ev, entry, _ in comparison.matched}
     payload = {
         "j": args.j,
         "mass": mass,
@@ -235,7 +235,7 @@ def cmd_oracle(args) -> int:
                 "p_sq": e.p_sq,
                 "bracket": list(e.bracket),
                 "nodes": e.node_count,
-                "family_guess": e.matched_family_guess,
+                "family_guess": "j0" if args.j == 0 else family.get(id(e)),
             }
             for e in evs
         ],

@@ -5,8 +5,8 @@ verification and oracle modules can sample operators on arbitrary grids;
 system(j, plus, minus) is the one builder of the radial first-order system
 both of them integrate or check.  Coefficients are evaluated together, from
 one table of 1 - x and of the pole powers x^k and (1-x)^k, each computed once.
-Importing the module calls no numpy: SYSTEM_J and SYSTEM_J0 are built on
-first access and kept, so that the exact spectra never load it.
+Importing the module calls no numpy: the constant matrices of system() are
+built on its first call and kept, so that the exact spectra never load it.
 Units: curvature radius 1, radial coordinate r in (0, pi), natural units for
 the mass and energy.
 
@@ -33,8 +33,6 @@ __all__ = [
     "RationalCoefficient",
     "LinearDifferentialOperator",
     "FirstOrderSystem",
-    "SYSTEM_J",
-    "SYSTEM_J0",
     "system",
     "operator_K4",
     "operator_M4",
@@ -211,9 +209,9 @@ class FirstOrderSystem:
     """dY/dr = A(r) Y with A(r) = plus P + minus Q + (a/sin r) S + (cot r) T.
 
     P, Q, S and T are constant matrices with entries in {0, +-1} and no
-    nonzero entry in common; E = P + Q has E^2 = -I.  SYSTEM_J holds them
-    with plus = minus = a = 0, SYSTEM_J0 is its (M, N) block (where S
-    vanishes), both built on first access, and system(j, plus, minus) picks
+    nonzero entry in common; E = P + Q has E^2 = -I.  _systems() holds them
+    with plus = minus = a = 0, the j = 0 system being the (M, N) block (where
+    S vanishes), both built on first use, and system(j, plus, minus) picks
     the block and fills in the weights.  A(r) has simple poles at r=0 and
     r=pi.
 
@@ -252,8 +250,9 @@ class FirstOrderSystem:
 
 @cache
 def _systems() -> dict:
-    """SYSTEM_J and SYSTEM_J0, built once, on first use: module attributes
-    by __getattr__, so that importing this module calls no numpy."""
+    """The constant systems at j >= 1 and j = 0, keyed "SYSTEM_J" and
+    "SYSTEM_J0", built once, on first use, so that importing this module
+    calls no numpy."""
     system_j = FirstOrderSystem(
         state=("K", "L", "M", "N"),
         P=np.array([[0, -1, 0, 0], [0, 0, 0, 0], [0, 0, 0, -1], [0, 0, 0, 0]], dtype=float),
@@ -266,12 +265,6 @@ def _systems() -> dict:
         system_j, state=system_j.state[2:], D=system_j.D[2:], **{k: getattr(system_j, k)[2:, 2:] for k in "PQST"}
     )
     return {"SYSTEM_J": system_j, "SYSTEM_J0": system_j0}
-
-
-def __getattr__(name):
-    if name in ("SYSTEM_J", "SYSTEM_J0"):
-        return _systems()[name]
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def system(j: int, plus, minus) -> FirstOrderSystem:

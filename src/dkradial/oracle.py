@@ -158,7 +158,6 @@ class OracleEigenvalue:
     j: int
     bracket: tuple[float, float]
     node_count: int | None = None
-    matched_family_guess: str | None = None
     flags: list = field(default_factory=list)
 
 
@@ -395,7 +394,7 @@ def _shoot(m: float, j: int, config: ShootingConfig) -> list[OracleEigenvalue]:
         out.append(
             OracleEigenvalue(
                 eps=math.hypot(p, m), p_sq=p * p, j=j, bracket=(math.hypot(p - d, m), math.hypot(p + d, m)),
-                node_count=None if nodes is None else int(nodes[i]), matched_family_guess="j0" if j == 0 else None,
+                node_count=None if nodes is None else int(nodes[i]),
                 flags=["weak-singularity"] if sv[i, -1] > DET_TOLERANCE else [],
             )
         )
@@ -439,7 +438,7 @@ def shoot_j(m: float, j: int, lambda_sign: int = +1, config: ShootingConfig | No
 def compare_spectra(oracle: list[OracleEigenvalue], closed: list[SpectrumEntry],
                     rel_tol: float = MATCH_TOL) -> SpectrumComparison:
     """Greedy nearest-p^2 matching of oracle eigenvalues to closed entries;
-    a pair matches when their p^2 agree to rel_tol."""
+    a pair matches when their p^2 agree to rel_tol.  Neither list is changed."""
     remaining = list(closed)
     matched, unmatched_oracle = [], []
     for ev in sorted(oracle, key=lambda e: e.p_sq):
@@ -451,7 +450,6 @@ def compare_spectra(oracle: list[OracleEigenvalue], closed: list[SpectrumEntry],
                 best, best_rel = entry, rel
         if best is not None and best_rel <= rel_tol:
             matched.append((ev, best, best_rel))
-            ev.matched_family_guess = best.family.value
             remaining.remove(best)
         else:
             unmatched_oracle.append(ev)

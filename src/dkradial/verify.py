@@ -223,18 +223,12 @@ def wronskian_report(w: float, x0: float, name: str) -> VerificationReport:
 
 @cache
 def _r_grids() -> dict:
-    """The r-grids of the system checks, built once, on first use (module
-    attributes _CROSS_R and _J0_R by __getattr__, so that importing this
-    module calls no numpy): r = arccos sqrt(x) on chebyshev_grid() and its
-    mirror pi - r; 101 even steps for the j = 0 pair."""
+    """The r-grids of the system checks, built once, on first use, so that
+    importing this module calls no numpy: "_CROSS_R", r = arccos sqrt(x) on
+    chebyshev_grid() and its mirror pi - r; "_J0_R", 101 even steps for the
+    j = 0 pair."""
     cross = np.arccos(np.sqrt(chebyshev_grid()))
     return {"_CROSS_R": np.concatenate([cross, np.pi - cross]), "_J0_R": np.linspace(0.05, np.pi - 0.05, 101)}
-
-
-def __getattr__(name):
-    if name in ("_CROSS_R", "_J0_R"):
-        return _r_grids()[name]
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def cross_consistency(family: Family, qn: QuantumNumbers, params: ModeParams) -> VerificationReport:

@@ -428,12 +428,24 @@ class TestExitCodes:
         assert captured.err.startswith("dkradial: j=0 levels at eps ")
         assert captured.err.endswith("have 0 and 2 nodes: a level between them was missed\n")
 
-    def test_oracle_compare_fills_family_guess(self, capsys):
-        code, out = run_main(["oracle", "--j", "1", "--mass", "0", "--eps-max", "4.5", "--compare"], capsys)
+    @pytest.mark.parametrize("argv,guess", [
+        (["--j", "1", "--mass", "0", "--eps-max", "4.5", "--compare"], "matched"),
+        (["--j", "0", "--mass", "0", "--eps-max", "6"], "j0"),
+        (["--j", "2", "--mass", "0", "--eps-max", "8"], None),
+    ], ids=["compare", "j0", "j2"])
+    def test_oracle_compare_fills_family_guess(self, argv, guess, capsys):
+        """With --compare each level's guess is the family it matched; without
+        it, "j0" at j = 0 and null at j >= 1."""
+        code, out = run_main(["oracle", *argv], capsys)
         payload = strict_json(out)
-        family = {m["eps_oracle"]: m["family"] for m in payload["comparison"]["matched"]}
-        assert code == 0 and len(family) == len(payload["eigenvalues"]) == 6
-        assert [e["family_guess"] for e in payload["eigenvalues"]] == [family[e["eps"]] for e in payload["eigenvalues"]]
+        guesses = [e["family_guess"] for e in payload["eigenvalues"]]
+        assert code == 0 and guesses
+        if guess == "matched":
+            family = {m["eps_oracle"]: m["family"] for m in payload["comparison"]["matched"]}
+            assert len(family) == len(payload["eigenvalues"]) == 6
+            assert guesses == [family[e["eps"]] for e in payload["eigenvalues"]]
+        else:
+            assert "comparison" not in payload and guesses == [guess] * len(guesses)
 
     @pytest.mark.parametrize("argv", [
         ["--j", "0", "--mass", "1"],

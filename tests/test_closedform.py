@@ -22,7 +22,7 @@ from dkradial.closedform import (
 )
 from dkradial.hypergeo import Hyp2F1DomainError
 from dkradial.model import ModeParams, QuantumNumbers, system
-from dkradial.verify import _CROSS_R
+from dkradial.verify import _r_grids
 
 
 class TestSpectrum:
@@ -331,7 +331,7 @@ class TestMassRescaling:
 
     @pytest.mark.parametrize("m,lam,sigma", [(0.5, +1, +1), (3.7, -1, +1), (2.0, +1, -1), (1e5, +1, +1)])
     def test_rescaled_state_meets_the_massless_system(self, m, lam, sigma):
-        r, worst = _CROSS_R, 0.0
+        r, worst = _r_grids()["_CROSS_R"], 0.0
         for fam in closedform.FAMILIES:
             for j in (1, 2, 3):
                 for n in (1, 2):

@@ -375,7 +375,7 @@ class TestSystemReport:
             for m, lam in ((0.0, 1), (1.0, -1), (3.7, 1)):
                 params = ModeParams.from_p_sq(m, p_sq, lambda_sign=lam)
                 exprs = family_exprs(fam, qn, params)
-                r = verify._CROSS_R
+                r = verify._r_grids()["_CROSS_R"]
                 K, L, M, N, *dY = reference_eval_r_cos2_all(
                     [*exprs.values(), *(reference_diff_r_cos2(e) for e in exprs.values())], r)
                 sol = RadialSolution(qn=qn, params=params, grid=r, K=K, L=L, M=M, N=N, exprs=exprs)
@@ -383,7 +383,7 @@ class TestSystemReport:
                 want = reference_system_report(sol, name, verify.IDENTITY_TOL, dY)
                 assert same_report(cross_consistency(fam, qn, params), want), (fam, qn, m, lam)
 
-    @pytest.mark.parametrize("r", [*R_GRIDS, verify._J0_R], ids=["1", "200", "2001", "j0"])
+    @pytest.mark.parametrize("r", [*R_GRIDS, verify._r_grids()["_J0_R"]], ids=["1", "200", "2001", "j0"])
     def test_j0_pair(self, r):
         """On every grid _system_report gives the reference's report; on the
         grid of j0_pair_residual, so does j0_pair_residual."""
@@ -394,7 +394,7 @@ class TestSystemReport:
                 name = f"j0-pair[n={n} lambda={lam:+d}]"
                 want = reference_system_report(sol, name, verify.RESIDUAL_TOL)
                 assert same_report(verify._system_report(sol.exprs, sol.qn, params, r, name, verify.RESIDUAL_TOL), want)
-                if r is verify._J0_R:
+                if r is verify._r_grids()["_J0_R"]:
                     assert same_report(j0_pair_residual(n, params), want)
 
     def test_general_basis(self):

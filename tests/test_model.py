@@ -10,8 +10,6 @@ from scipy.integrate import solve_ivp
 
 from dkradial.closedform import Family, family_levels, spectrum
 from dkradial.model import (
-    SYSTEM_J,
-    SYSTEM_J0,
     ModeParams,
     QuantumNumbers,
     RationalCoefficient,
@@ -23,6 +21,9 @@ from dkradial.model import (
 )
 from dkradial.verify import residual_operator
 from finite_difference import fd_derivatives
+
+# The constant P, Q, S, T and D of every j >= 1 system and of the j = 0 one.
+BASE_J, BASE_J0 = system(1, 0.0, 0.0), system(0, 0.0, 0.0)
 
 
 class TestModeParams:
@@ -176,7 +177,7 @@ class TestSystems:
 class TestConstantMatrices:
     """The facts the sparse system residual and the mass-free p path rest on."""
 
-    BASES = pytest.mark.parametrize("base", [SYSTEM_J, SYSTEM_J0], ids=["j", "j0"])
+    BASES = pytest.mark.parametrize("base", [BASE_J, BASE_J0], ids=["j", "j0"])
 
     @BASES
     def test_no_shared_nonzero_entry(self, base):
@@ -241,9 +242,9 @@ def _sector_defects(P, Q, S, T, point) -> list:
 
 class TestInvariantSectors:
     """The j >= 1 system is two invariant 2x2 sectors, L = 0 and N = 0, each
-    a radial Helmholtz equation on the 3-sphere, pinned exactly from
-    SYSTEM_J's P, Q, S and T alone; the closed-form spectra are the two
-    Laplacian sets."""
+    a radial Helmholtz equation on the 3-sphere, pinned exactly from the
+    j >= 1 system's P, Q, S and T alone; the closed-form spectra are the
+    two Laplacian sets."""
 
     POINTS = [tuple(map(Fraction, p)) for p in (
         ("5/2", "1/3", "7/4", "3/2", "2/5", "-3/7"),
@@ -256,15 +257,15 @@ class TestInvariantSectors:
         return [[[Fraction(v) for v in row] for row in getattr(base, k).tolist()] for k in "PQST"]
 
     def test_both_sectors_hold_exactly(self):
-        parts = self.exact(SYSTEM_J)
+        parts = self.exact(BASE_J)
         for point in self.POINTS:
             assert _sector_defects(*parts, point) == [0] * 6
 
     @pytest.mark.parametrize("entry", [(k, i, c) for k in range(4) for i in range(4) for c in range(4)
-                                       if getattr(SYSTEM_J, "PQST"[k])[i, c]],
+                                       if getattr(BASE_J, "PQST"[k])[i, c]],
                              ids=lambda e: f"{'PQST'[e[0]]}{e[1]}{e[2]}")
     def test_a_flipped_sign_breaks_a_sector(self, entry):
-        parts = self.exact(SYSTEM_J)
+        parts = self.exact(BASE_J)
         k, i, c = entry
         parts[k][i][c] = -parts[k][i][c]
         assert any(any(_sector_defects(*parts, point)) for point in self.POINTS)

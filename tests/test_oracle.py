@@ -631,6 +631,20 @@ class TestCompare:
         assert not cmp.passed
         assert len(cmp.unmatched_closed) == 3
 
+    def test_compare_leaves_its_arguments_as_they_were(self):
+        """The README window's six levels, compared with the closed levels
+        and then with none: each comparison reads its arguments only, so the
+        second leaves all six unmatched and no level carries a family."""
+        evs = shoot_j(0.0, 1, config=ShootingConfig(eps_scan=(0.1, 4.5)))
+        closed = family_levels(1, 3, 0)
+        levels, entries = [dataclasses.asdict(ev) for ev in evs], list(closed)
+        assert len(compare_spectra(evs, closed).matched) == len(evs) == 6
+        assert [dataclasses.asdict(ev) for ev in evs] == levels and closed == entries
+        again = compare_spectra(evs, [])
+        assert again.matched == [] and again.unmatched_oracle == evs
+        assert [dataclasses.asdict(ev) for ev in evs] == levels
+        assert not any("family" in name for level in levels for name in level)
+
     def test_extra_oracle_value_flagged(self):
         fake = OracleEigenvalue(eps=1.23, p_sq=1.23**2, j=1, bracket=(1.2, 1.25))
         cmp = compare_spectra([fake], [])

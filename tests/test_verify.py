@@ -89,12 +89,12 @@ class TestGrid:
         from both poles for the j = 0 pair."""
         g, half = chebyshev_grid(), np.cos(math.pi / 400)
         assert g.size == 200 and (g[0], g[-1]) == pytest.approx((0.5 - 0.48 * half, 0.5 + 0.48 * half), rel=1e-15)
-        r = verify._CROSS_R
+        r = verify._r_grids()["_CROSS_R"]
         assert r.size == 400 and same_bits(r[200:], np.pi - r[:200])
         assert same_bits(r[:200], np.arccos(np.sqrt(g)))
         assert (r[0], r[199]) == pytest.approx((math.acos(math.sqrt(0.5 - 0.48 * half)),
                                                 math.acos(math.sqrt(0.5 + 0.48 * half))), rel=1e-14)
-        r0 = verify._J0_R
+        r0 = verify._r_grids()["_J0_R"]
         assert r0.size == 101 and (r0[0], r0[-1]) == (0.05, math.pi - 0.05)
         assert np.allclose(np.diff(r0), (math.pi - 0.1) / 100, rtol=1e-12, atol=0)
 
@@ -360,7 +360,7 @@ class TestExprEvaluation:
                 exprs = closedform.j0_exprs(n, params).values()
                 count("j0", [*exprs, *(e.diff_r_cos2() for e in exprs)])
         for j in (1, 2, 3):
-            basis = general_basis(j, 2.3, ModeParams(m=1.0, eps=math.sqrt(2.3**2 + 1)), verify._CROSS_R)
+            basis = general_basis(j, 2.3, ModeParams(m=1.0, eps=math.sqrt(2.3**2 + 1)), verify._r_grids()["_CROSS_R"])
             wronskian4([sol.exprs["K"] for sol in basis], 0.3)
             for sol in basis:
                 verify._system_report(sol.exprs, sol.qn, sol.params, sol.grid, "g", verify.IDENTITY_TOL)
@@ -833,7 +833,7 @@ class TestJ0Pair:
         """The j = 0 pair residual of level n with some amplitudes replaced,
         on the grid of j0_pair_residual."""
         exprs = {**closedform.j0_exprs(n, params), **exprs}
-        return verify._system_report(exprs, QuantumNumbers(0, n), params, verify._J0_R, "j0", verify.RESIDUAL_TOL)
+        return verify._system_report(exprs, QuantumNumbers(0, n), params, verify._r_grids()["_J0_R"], "j0", verify.RESIDUAL_TOL)
 
     @pytest.mark.parametrize("lam", [1, -1])
     def test_on_spectrum_passes(self, lam):
@@ -853,7 +853,7 @@ class TestJ0Pair:
         degree k off by one, and N from the seed with the other x-exponent
         (a second solution of N'' = -(n+2)^2 N, matched to no M) fail."""
         params = self.params(lam, n)
-        sol = wavefunction_j0(n, params, verify._J0_R)
+        sol = wavefunction_j0(n, params, verify._r_grids()["_J0_R"])
         (M_seed,), (N_seed,) = sol.exprs["M"].terms, sol.exprs["N"].terms
 
         def as_large_as(e, k):  # e scaled to the largest value of sol's amplitude k
